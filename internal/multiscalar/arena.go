@@ -145,23 +145,26 @@ func (sm *Simulator) reset(ctx context.Context, w *WorkItem, cfg Config) {
 		s.wake[i] = 0
 		s.committed[i] = false
 	}
-	if cap(s.doneAll) < int(w.Instructions) {
-		s.doneAll = make([]int64, w.Instructions)
+	ni := len(w.insts)
+	if cap(s.done) < ni {
+		s.done = make([]int64, ni)
+		s.taskOf = make([]int32, ni)
 	}
+	s.done, s.taskOf = s.done[:ni], s.taskOf[:ni]
 	if cap(s.loadAll) < int(w.Loads) {
 		s.loadAll = make([]loadRecord, w.Loads)
 	}
-	done := s.doneAll[:w.Instructions]
 	loads := s.loadAll[:w.Loads]
 	for i := range s.tasks {
 		t := &s.tasks[i]
-		*t = execTask{rec: &w.tasks[i]}
-		ni := len(t.rec.insts)
-		t.done = done[:ni:ni]
-		done = done[ni:]
-		l := t.rec.loads
+		*t = execTask{rec: &w.tasks[i], id: i}
+		l := int(t.rec.loads)
 		t.loadInfo = loads[:l:l]
 		loads = loads[l:]
+		taskOf := s.taskOf[t.rec.start:t.rec.end]
+		for j := range taskOf {
+			taskOf[j] = int32(i)
+		}
 	}
 
 	// Functional-unit reservation tables: one per class per unit, all carved

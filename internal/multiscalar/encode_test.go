@@ -89,21 +89,19 @@ func TestWorkItemDecodeRejectsMalformed(t *testing.T) {
 // point forwards; the decoder must reject it rather than hand the simulator
 // a reference it would index out of bounds.
 func TestWorkItemDecodeRejectsForwardProducers(t *testing.T) {
-	// A one-instruction-deep handmade item: one task, one store then one load
-	// whose memory producer claims to be instruction 99 of task 7.
+	// The last load with a memory producer claims a producer 99 instructions
+	// after itself.
 	w := prep(t, buildRecurrence(2), 0)
-	var victim *dynRec
-	for ti := range w.tasks {
-		for i := range w.tasks[ti].insts {
-			if w.tasks[ti].insts[i].hasMemProd {
-				victim = &w.tasks[ti].insts[i]
-			}
+	victim := -1
+	for i := range w.insts {
+		if w.insts[i].memProd >= 0 {
+			victim = i
 		}
 	}
-	if victim == nil {
+	if victim < 0 {
 		t.Fatal("no load with a memory producer in the recurrence workload")
 	}
-	victim.memProd = prodRef{taskIdx: 7_000, idx: 99}
+	w.insts[victim].memProd = int32(victim + 99)
 	if _, err := DecodeWorkItem(AppendWorkItem(nil, w)); err == nil ||
 		!strings.Contains(err.Error(), "does not precede") {
 		t.Fatalf("forward producer: err = %v", err)

@@ -88,9 +88,9 @@ func TestPreprocessFindsCrossTaskProducers(t *testing.T) {
 	p := buildRecurrence(10)
 	w := prep(t, p, 0)
 	cross := 0
-	for ti := range w.tasks {
-		for _, r := range w.tasks[ti].insts {
-			if r.isLoad && r.hasMemProd && r.memProd.taskIdx != w.tasks[ti].id {
+	for ti, task := range w.tasks {
+		for _, r := range w.insts[task.start:task.end] {
+			if r.isLoad() && r.memProd >= 0 && int(r.memTask) != ti {
 				cross++
 			}
 		}

@@ -1,0 +1,244 @@
+package multiscalar
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+	"unsafe"
+
+	"memdep/internal/isa"
+	"memdep/internal/program"
+	"memdep/internal/synth"
+	"memdep/internal/trace"
+	"memdep/internal/workload"
+)
+
+// refInst is what Preprocess must resolve for one committed instruction,
+// recomputed by referencePreprocess.
+type refInst struct {
+	task      int
+	src       [2]int32
+	memProd   int32
+	memTask   int32
+	memProdPC uint64
+	loadOrd   int32
+}
+
+// referencePreprocess recomputes every instruction's producers and load
+// ordinal straight from the collected trace, the plain way: tasks come from
+// the functional simulator's TaskID (not from TaskStart, which Preprocess
+// uses), producers from whole-stream maps of the last writer, and the
+// memory producer's PC and task from the collected record it names.
+func referencePreprocess(t *testing.T, p *program.Program, cfg trace.Config) []refInst {
+	t.Helper()
+	stream, _, err := trace.Collect(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastWriter := map[isa.Reg]int{}
+	lastStore := map[uint64]int{}
+	loadsInTask := map[uint64]int32{}
+	ref := make([]refInst, len(stream))
+	for i, d := range stream {
+		r := refInst{task: int(d.TaskID), src: [2]int32{-1, -1}, memProd: -1, memTask: -1}
+		ins := p.Code[d.Index]
+		uses, n := ins.Uses()
+		for k := 0; k < n; k++ {
+			if w, ok := lastWriter[uses[k]]; ok && uses[k] != isa.Zero {
+				r.src[k] = int32(w)
+			}
+		}
+		if d.IsLoad() {
+			if s, ok := lastStore[d.Addr]; ok {
+				r.memProd = int32(s)
+				r.memTask = int32(stream[s].TaskID)
+				r.memProdPC = stream[s].PC
+			}
+			r.loadOrd = loadsInTask[d.TaskID]
+			loadsInTask[d.TaskID]++
+		}
+		if d.IsStore() {
+			lastStore[d.Addr] = i
+		}
+		if dst, ok := ins.Writes(); ok {
+			lastWriter[dst] = i
+		}
+		ref[i] = r
+	}
+	return ref
+}
+
+// checkAgainstReference asserts that w agrees with the reference field for
+// field: instruction records, task windows and the aggregate counts.
+func checkAgainstReference(t *testing.T, w *WorkItem, ref []refInst) {
+	t.Helper()
+	if len(w.insts) != len(ref) || w.Instructions != uint64(len(ref)) {
+		t.Fatalf("work item has %d instructions (Instructions=%d), reference %d",
+			len(w.insts), w.Instructions, len(ref))
+	}
+	var loads, stores uint64
+	for ti, tk := range w.tasks {
+		if tk.start >= tk.end || (ti > 0 && tk.start != w.tasks[ti-1].end) {
+			t.Fatalf("task %d window [%d,%d) does not continue the previous one", ti, tk.start, tk.end)
+		}
+		var tl, ts int32
+		for i := tk.start; i < tk.end; i++ {
+			r, want := &w.insts[i], ref[i]
+			if want.task != ti {
+				t.Fatalf("instruction %d is in task %d, reference %d", i, ti, want.task)
+			}
+			if r.class != isa.ClassOf(r.op) || r.isLoad() != isa.IsLoad(r.op) || r.isStore() != isa.IsStore(r.op) {
+				t.Fatalf("instruction %d: derived class/flags disagree with op %v", i, r.op)
+			}
+			got := refInst{task: ti, src: r.src, memProd: r.memProd, memTask: r.memTask, memProdPC: r.memProdPC}
+			if r.isLoad() {
+				got.loadOrd = r.loadOrd
+				tl++
+			}
+			if r.isStore() {
+				ts++
+			}
+			if got != want {
+				t.Fatalf("instruction %d (%v at pc %#x):\ngot       %+v\nreference %+v", i, r.op, r.pc, got, want)
+			}
+		}
+		if tk.loads != tl || tk.stores != ts {
+			t.Fatalf("task %d counts loads=%d stores=%d, instructions say %d/%d", ti, tk.loads, tk.stores, tl, ts)
+		}
+		loads += uint64(tl)
+		stores += uint64(ts)
+	}
+	if w.tasks[len(w.tasks)-1].end != int32(len(w.insts)) {
+		t.Fatal("the task windows do not cover the instruction array")
+	}
+	if w.Loads != loads || w.Stores != stores {
+		t.Fatalf("work item counts loads=%d stores=%d, tasks say %d/%d", w.Loads, w.Stores, loads, stores)
+	}
+}
+
+// TestPreprocessMatchesReference is the preprocess oracle: over synthetic
+// seeds, paper workloads and the edge cases of task and stream boundaries,
+// the flat work item agrees with an independent recomputation from the
+// collected trace, and so does its decode(encode(...)) round trip.
+func TestPreprocessMatchesReference(t *testing.T) {
+	oneInst := program.NewBuilder("one")
+	oneInst.AddI(1, 0, 5)
+	oneInst.Halt()
+
+	type tcase struct {
+		p   *program.Program
+		cfg trace.Config
+	}
+	cases := map[string]tcase{
+		"compress":       {workload.MustGet("compress").Build(1), trace.Config{MaxInstructions: 20_000}},
+		"xlisp":          {workload.MustGet("xlisp").Build(1), trace.Config{MaxInstructions: 20_000}},
+		"single-inst":    {workload.MustGet("compress").Build(1), trace.Config{MaxInstructions: 3_000, MaxTaskLen: 1}},
+		"one-inst":       {oneInst.MustBuild(), trace.Config{}},
+		"recurrence-cut": {buildRecurrence(40), trace.Config{}}, // cut set below
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		cases[fmt.Sprintf("synth-%d", seed)] = tcase{
+			synth.Spec{Seed: seed, Ops: 6_000, AliasSetSize: int(seed)}.Build(1), trace.Config{},
+		}
+	}
+	// Cut the recurrence mid-task: the bound lands on an instruction that
+	// is neither a task's first nor its last.
+	rc := cases["recurrence-cut"]
+	stream, _, err := trace.Collect(rc.p, rc.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := len(stream) / 2; i < len(stream)-1; i++ {
+		if !stream[i].TaskStart && !stream[i+1].TaskStart {
+			rc.cfg.MaxInstructions = uint64(i + 1)
+			break
+		}
+	}
+	if rc.cfg.MaxInstructions == 0 {
+		t.Fatal("no mid-task cut point in the recurrence")
+	}
+	cases["recurrence-cut"] = rc
+
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			w, err := Preprocess(c.p, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.cfg.MaxTaskLen == 1 && w.Tasks() != len(w.insts) {
+				t.Fatalf("MaxTaskLen 1 built %d tasks for %d instructions", w.Tasks(), len(w.insts))
+			}
+			ref := referencePreprocess(t, c.p, c.cfg)
+			checkAgainstReference(t, w, ref)
+
+			got, err := DecodeWorkItem(AppendWorkItem(nil, w))
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if !reflect.DeepEqual(got, w) {
+				t.Fatal("decode(encode(w)) differs from w")
+			}
+			checkAgainstReference(t, got, ref)
+		})
+	}
+}
+
+// TestConcurrentPreprocessMatchesSerial runs Preprocess from several
+// goroutines at once (run under -race in CI): the pooled build scratch must
+// never leak one build's state into another's work item.
+func TestConcurrentPreprocessMatchesSerial(t *testing.T) {
+	progs := make([]*program.Program, 4)
+	want := make([]*WorkItem, len(progs))
+	for i := range progs {
+		progs[i] = synth.Spec{Seed: uint64(i + 1), Ops: 3_000, AliasSetSize: 1 << i}.Build(1)
+		want[i] = prep(t, progs[i], 0)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 6; k++ {
+				i := (g + k) % len(progs)
+				w, err := Preprocess(progs[i], trace.Config{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(w, want[i]) {
+					t.Errorf("goroutine %d: concurrent build of program %d differs from the serial one", g, i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestPreprocessInstructionLimit pins the structured error past the longest
+// stream a work item can index, and that a stream at the limit is accepted.
+func TestPreprocessInstructionLimit(t *testing.T) {
+	p := buildRecurrence(5)
+	full := prep(t, p, 0)
+	saved := instLimit
+	t.Cleanup(func() { instLimit = saved })
+
+	instLimit = int(full.Instructions)
+	if _, err := Preprocess(p, trace.Config{}); err != nil {
+		t.Fatalf("a stream exactly at the limit: %v", err)
+	}
+	instLimit = int(full.Instructions) - 1
+	if _, err := Preprocess(p, trace.Config{}); !errors.Is(err, ErrTooManyInstructions) {
+		t.Fatalf("a stream past the limit: err = %v, want ErrTooManyInstructions", err)
+	}
+}
+
+// TestInstRecordIs48Bytes pins the compact instruction record: the work
+// item's memory and the core's cache footprint scale with it.
+func TestInstRecordIs48Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(inst{}); n != 48 {
+		t.Fatalf("inst is %d bytes, want 48", n)
+	}
+}

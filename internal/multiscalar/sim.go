@@ -43,7 +43,7 @@ type waitState struct {
 	kind     waitKind
 	since    int64
 	ldid     int64
-	producer prodRef
+	producer int32 // global instruction index of the awaited store (PSYNC)
 	active   bool
 	signaled bool
 }
@@ -51,7 +51,7 @@ type waitState struct {
 // loadRecord captures, for one load, what was predicted and what was actually
 // the case -- the raw material of Table 8 and of the non-speculative
 // predictor updates.  Records live in a flat per-task slice indexed by the
-// load's ordinal (dynRec.loadOrd), so commit- and squash-time walks visit
+// load's ordinal (inst.loadOrd), so commit- and squash-time walks visit
 // them in ascending instruction order -- deterministically, unlike the map
 // they replace.  The predicted wait pairs are stored as an (offset, length)
 // window into the simulator's shared pairBuf arena rather than a per-record
@@ -73,15 +73,18 @@ type loadRecord struct {
 // two fields the scheduling pass reads for every in-flight task every pass --
 // the wake cycle and the committed flag -- live in dense structure-of-arrays
 // slices on the sim (sim.wake, sim.committed) instead, so the skip checks
-// walk two small arrays rather than striding across task structs.
+// walk two small arrays rather than striding across task structs, and the
+// completion cycle of every instruction lives in the flat sim.done array.
 //
 //memdep:soa
 type execTask struct {
-	rec  *taskRec
+	rec  *task
+	id   int
 	unit int
 
+	// next is the global index of the next instruction to issue, in
+	// [rec.start, rec.end].
 	next       int
-	done       []int64
 	storesLeft int
 	startAt    int64
 	finishedAt int64
@@ -163,9 +166,15 @@ type sim struct {
 	//memdep:arena
 	pairBuf []memdep.PairKey
 
-	// Flat backing arrays for the per-task done/loadInfo slices and the FU
-	// pools, retained across runs.
-	doneAll []int64      //memdep:arena
+	// done holds every instruction's completion cycle (-1 until it issues),
+	// indexed by global instruction index, so a producer is one load away
+	// whichever task it belongs to.  taskOf maps an instruction to its task,
+	// for the ring latency of cross-task register operands.
+	done   []int64 //memdep:arena
+	taskOf []int32 //memdep:arena
+
+	// Flat backing arrays for the per-task loadInfo slices and the FU pools,
+	// retained across runs.
 	loadAll []loadRecord //memdep:arena
 	fuAll   []int64      //memdep:arena
 
@@ -196,9 +205,9 @@ func (s *sim) post(cycle int64) {
 //
 //memdep:hotpath
 func (s *sim) setWake(t *execTask, cycle int64) {
-	s.wake[t.rec.id] = cycle
+	s.wake[t.id] = cycle
 	if !s.stepped {
-		s.events.set(cycle, int32(t.rec.id))
+		s.events.set(cycle, int32(t.id))
 	}
 }
 
@@ -299,7 +308,7 @@ func (s *sim) dispatch(taskIdx int, when int64) {
 	prevPC := uint64(0)
 	prevKnown := false
 	if taskIdx > 0 {
-		prevPC = s.tasks[taskIdx-1].rec.pc
+		prevPC = s.w.tasks[taskIdx-1].pc
 		prevKnown = true
 	}
 	out := s.seq.Dispatch(prevPC, prevKnown, t.rec.pc)
@@ -319,11 +328,12 @@ func (s *sim) dispatch(taskIdx int, when int64) {
 // loadInfo and fuNext backing arrays are allocated once and reused across
 // squash-restarts.
 func (s *sim) resetExecState(t *execTask, start int64) {
-	for i := range t.done {
-		t.done[i] = -1
+	done := s.done[t.rec.start:t.rec.end]
+	for i := range done {
+		done[i] = -1
 	}
-	t.next = 0
-	t.storesLeft = t.rec.stores
+	t.next = int(t.rec.start)
+	t.storesLeft = int(t.rec.stores)
 	t.startAt = start
 	t.finishedAt = start
 	t.wait = waitState{}
@@ -332,7 +342,7 @@ func (s *sim) resetExecState(t *execTask, start int64) {
 	}
 	t.lastFetchBlock = ^uint64(0)
 	t.fetchReady = 0
-	s.wake[t.rec.id] = 0
+	s.wake[t.id] = 0
 	for c := range t.fuNext {
 		for i := range t.fuNext[c] {
 			t.fuNext[c][i] = 0
@@ -348,7 +358,7 @@ func (s *sim) tryCommit() {
 		return
 	}
 	t := &s.tasks[s.head]
-	if s.head >= s.nextDispatch || t.next < len(t.rec.insts) {
+	if s.head >= s.nextDispatch || t.next < int(t.rec.end) {
 		return
 	}
 	if t.finishedAt > s.cycle {
@@ -365,14 +375,15 @@ func (s *sim) tryCommit() {
 
 //memdep:hotpath
 func (s *sim) commitTask(t *execTask) {
-	s.committed[t.rec.id] = true
+	s.committed[t.id] = true
 	s.res.Tasks++
-	s.arb.CommitTask(uint64(t.rec.id))
+	s.arb.CommitTask(uint64(t.id))
 	// Walk the loads in ascending instruction order so MDPT updates are
 	// applied in a deterministic order.
-	for idx := range t.rec.insts {
-		r := &t.rec.insts[idx]
-		if !r.isLoad {
+	insts := s.w.insts[t.rec.start:t.rec.end]
+	for idx := range insts {
+		r := &insts[idx]
+		if !r.isLoad() {
 			continue
 		}
 		info := &t.loadInfo[r.loadOrd]
@@ -423,24 +434,21 @@ func (s *sim) ringLatency(prodTask, consTask int) int64 {
 // executed yet.
 //
 //memdep:hotpath
-func (s *sim) operandReady(t *execTask, r *dynRec) (int64, bool) {
+func (s *sim) operandReady(t *execTask, r *inst) (int64, bool) {
 	ready := t.startAt
-	for i := 0; i < r.nSrc; i++ {
-		p := r.srcProd[i]
-		if p.taskIdx < 0 {
+	for i := 0; i < int(r.nSrc); i++ {
+		p := r.src[i]
+		if p < 0 {
 			continue
 		}
-		var avail int64
-		if p.taskIdx == t.rec.id {
-			avail = t.done[p.idx]
-		} else {
-			avail = s.tasks[p.taskIdx].done[p.idx]
-			if avail >= 0 {
-				avail += s.ringLatency(p.taskIdx, t.rec.id)
-			}
-		}
+		avail := s.done[p]
 		if avail < 0 {
 			return 0, false
+		}
+		if p < t.rec.start {
+			// Producers precede their consumers, so one before the task's
+			// window belongs to an earlier task: forward it over the ring.
+			avail += s.ringLatency(int(s.taskOf[p]), t.id)
 		}
 		if avail > ready {
 			ready = avail
@@ -452,7 +460,7 @@ func (s *sim) operandReady(t *execTask, r *dynRec) (int64, bool) {
 // allPriorStoresResolved reports whether every store of every earlier
 // in-flight task has executed.
 func (s *sim) allPriorStoresResolved(t *execTask) bool {
-	for i := s.head; i < t.rec.id; i++ {
+	for i := s.head; i < t.id; i++ {
 		if !s.committed[i] && s.tasks[i].storesLeft > 0 {
 			return false
 		}
@@ -462,11 +470,11 @@ func (s *sim) allPriorStoresResolved(t *execTask) bool {
 
 // actualDependence reports whether the load depends on a store of an earlier
 // task that is still in flight, and the PC of that store.
-func (s *sim) actualDependence(t *execTask, r *dynRec) (bool, uint64) {
-	if !r.hasMemProd || r.memProd.taskIdx == t.rec.id {
+func (s *sim) actualDependence(t *execTask, r *inst) (bool, uint64) {
+	if r.memProd < 0 || int(r.memTask) == t.id {
 		return false, 0
 	}
-	if s.committed[r.memProd.taskIdx] {
+	if s.committed[r.memTask] {
 		return false, 0
 	}
 	return true, r.memProdPC
@@ -475,10 +483,10 @@ func (s *sim) actualDependence(t *execTask, r *dynRec) (bool, uint64) {
 // taskPCAt lets the ESYNC predictor look up the task PC at a given instance
 // (task) number.
 func (s *sim) taskPCAt(instance uint64) (uint64, bool) {
-	if instance >= uint64(len(s.tasks)) {
+	if instance >= uint64(len(s.w.tasks)) {
 		return 0, false
 	}
-	return s.tasks[instance].rec.pc, true
+	return s.w.tasks[instance].pc, true
 }
 
 // beginWait transitions the load into the given wait state.
@@ -498,7 +506,7 @@ func (s *sim) beginWait(t *execTask, w waitState) {
 // the enabling action itself schedules the re-evaluation.
 //
 //memdep:hotpath
-func (s *sim) loadMayIssue(t *execTask, r *dynRec, instIdx int) bool {
+func (s *sim) loadMayIssue(t *execTask, r *inst, instIdx int) bool {
 	info := &t.loadInfo[r.loadOrd]
 	if !info.seen {
 		info.seen = true
@@ -534,11 +542,10 @@ func (s *sim) loadMayIssue(t *execTask, r *dynRec, instIdx int) bool {
 			}
 			// Ideal synchronization: the load proceeds as soon as the
 			// producing store has issued (the value is forwarded).
-			p := r.memProd
-			if s.tasks[p.taskIdx].done[p.idx] >= 0 {
+			if s.done[r.memProd] >= 0 {
 				return true
 			}
-			s.beginWait(t, waitState{kind: waitProducer, producer: p})
+			s.beginWait(t, waitState{kind: waitProducer, producer: r.memProd})
 			return false
 
 		case policy.Sync, policy.ESync:
@@ -548,10 +555,10 @@ func (s *sim) loadMayIssue(t *execTask, r *dynRec, instIdx int) bool {
 				// been released from its wait); do not re-query the tables.
 				return true
 			}
-			ldid := idEncode(t.rec.id, instIdx)
+			ldid := idEncode(t.id, instIdx)
 			d := s.mds.LoadIssue(memdep.LoadQuery{
 				PC:       r.pc,
-				Instance: uint64(t.rec.id),
+				Instance: uint64(t.id),
 				LDID:     ldid,
 				Addr:     r.addr,
 				TaskPCAt: s.taskPCAt,
@@ -584,8 +591,7 @@ func (s *sim) loadMayIssue(t *execTask, r *dynRec, instIdx int) bool {
 			return true
 		}
 	case waitProducer:
-		p := t.wait.producer
-		if s.tasks[p.taskIdx].done[p.idx] >= 0 {
+		if s.done[t.wait.producer] >= 0 {
 			s.release(t)
 			return true
 		}
@@ -667,17 +673,18 @@ func (s *sim) fuFreeAt(t *execTask, class isa.Class) int64 {
 //
 //memdep:hotpath
 func (s *sim) advance(t *execTask) {
-	s.wake[t.rec.id] = 0
+	s.wake[t.id] = 0
 	if s.cycle < t.startAt {
 		s.setWake(t, t.startAt)
 		return
 	}
-	if t.next >= len(t.rec.insts) {
+	end := int(t.rec.end)
+	if t.next >= end {
 		return
 	}
-	for issued := 0; issued < s.cfg.IssueWidth && t.next < len(t.rec.insts); issued++ {
+	for issued := 0; issued < s.cfg.IssueWidth && t.next < end; issued++ {
 		idx := t.next
-		r := &t.rec.insts[idx]
+		r := &s.w.insts[idx]
 
 		// A waiting load already passed the fetch and operand checks when
 		// its wait began, and their inputs cannot regress without a squash
@@ -707,7 +714,7 @@ func (s *sim) advance(t *execTask) {
 			}
 		}
 
-		if r.isLoad && !s.loadMayIssue(t, r, idx) {
+		if r.isLoad() && !s.loadMayIssue(t, r, idx-int(t.rec.start)) {
 			return
 		}
 
@@ -718,14 +725,14 @@ func (s *sim) advance(t *execTask) {
 
 		var done int64
 		switch {
-		case r.isLoad:
+		case r.isLoad():
 			if !s.arbLoad(t, r) {
 				// ARB bank overflow: proceed untracked (counted).
 			}
 			done = s.hier.DataAccess(r.addr, s.cycle+1)
-		case r.isStore:
+		case r.isStore():
 			t.storesLeft--
-			s.handleStore(t, r, idx)
+			s.handleStore(t, r, idx-int(t.rec.start))
 			// The stored value is visible to consumers one cycle after issue;
 			// the cache/bus occupancy is charged separately.
 			complete := s.hier.DataAccess(r.addr, s.cycle+1)
@@ -737,7 +744,7 @@ func (s *sim) advance(t *execTask) {
 			done = s.cycle + int64(s.cfg.Latencies.OpLatency(r.op))
 		}
 
-		t.done[idx] = done
+		s.done[idx] = done
 		if done > t.finishedAt {
 			t.finishedAt = done
 		}
@@ -749,8 +756,8 @@ func (s *sim) advance(t *execTask) {
 // arbLoad records the load in the address resolution buffer.
 //
 //memdep:hotpath
-func (s *sim) arbLoad(t *execTask, r *dynRec) bool {
-	ok := s.arb.Load(r.addr, uint64(t.rec.id), r.pc)
+func (s *sim) arbLoad(t *execTask, r *inst) bool {
+	ok := s.arb.Load(r.addr, uint64(t.id), r.pc)
 	if !ok {
 		s.arbBypasses++
 	}
@@ -761,8 +768,8 @@ func (s *sim) arbLoad(t *execTask, r *dynRec) bool {
 // detection (and the resulting squash) and MDST signalling.
 //
 //memdep:hotpath
-func (s *sim) handleStore(t *execTask, r *dynRec, instIdx int) {
-	v, violated, ok := s.arb.Store(r.addr, uint64(t.rec.id))
+func (s *sim) handleStore(t *execTask, r *inst, instIdx int) {
+	v, violated, ok := s.arb.Store(r.addr, uint64(t.id))
 	if !ok {
 		s.arbBypasses++
 	}
@@ -773,8 +780,8 @@ func (s *sim) handleStore(t *execTask, r *dynRec, instIdx int) {
 		// Released loads are delivered through the wakeLoad hook.
 		s.mds.StoreIssue(memdep.StoreQuery{
 			PC:       r.pc,
-			Instance: uint64(t.rec.id),
-			STID:     idEncode(t.rec.id, instIdx),
+			Instance: uint64(t.id),
+			STID:     idEncode(t.id, instIdx),
 			TaskPC:   t.rec.pc,
 			Addr:     r.addr,
 		})
@@ -783,7 +790,7 @@ func (s *sim) handleStore(t *execTask, r *dynRec, instIdx int) {
 
 // handleViolation records a detected mis-speculation and squashes the
 // offending task and all younger in-flight tasks.
-func (s *sim) handleViolation(storeTask *execTask, storeRec *dynRec, v arb.Violation) {
+func (s *sim) handleViolation(storeTask *execTask, storeRec *inst, v arb.Violation) {
 	s.res.Misspeculations++
 	pair := memdep.PairKey{LoadPC: v.LoadPC, StorePC: storeRec.pc}
 	if s.res.MisspecPairs == nil {
@@ -815,29 +822,30 @@ func (s *sim) handleViolation(storeTask *execTask, storeRec *dynRec, v arb.Viola
 // squashTask discards the task's speculative work and schedules its restart
 // after the given delay.
 func (s *sim) squashTask(t *execTask, delay int64) {
-	if s.committed[t.rec.id] {
+	if s.committed[t.id] {
 		return
 	}
 	s.res.Squashes++
-	s.res.SquashedInstructions += uint64(t.next)
+	s.res.SquashedInstructions += uint64(t.next - int(t.rec.start))
 	if s.mds != nil {
 		// Ascending instruction order keeps MDST invalidations (and any
 		// predictor effects) deterministic.
-		for idx := range t.rec.insts {
-			r := &t.rec.insts[idx]
-			if r.isLoad {
+		insts := s.w.insts[t.rec.start:t.rec.end]
+		for idx := range insts {
+			r := &insts[idx]
+			if r.isLoad() {
 				if info := &t.loadInfo[r.loadOrd]; info.seen && info.queried {
 					s.mds.SquashLoad(info.ldid)
 				}
 			}
 		}
-		for i := 0; i < t.next; i++ {
-			if t.rec.insts[i].isStore {
-				s.mds.SquashStore(idEncode(t.rec.id, i))
+		for i := range t.next - int(t.rec.start) {
+			if insts[i].isStore() {
+				s.mds.SquashStore(idEncode(t.id, i))
 			}
 		}
 	}
-	s.arb.SquashTask(uint64(t.rec.id))
+	s.arb.SquashTask(uint64(t.id))
 	s.resetExecState(t, s.cycle+delay)
 	s.changed = true
 }

@@ -16,57 +16,69 @@
 package multiscalar
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"slices"
+	"sync"
 
 	"memdep/internal/isa"
 	"memdep/internal/program"
 	"memdep/internal/trace"
 )
 
-// prodRef names the dynamic instruction that produces a value: the taskIdx-th
-// task's idx-th instruction.  A taskIdx of -1 means "no producer inside the
-// analysed stream" (the value is available at program start).
-type prodRef struct {
-	taskIdx int
-	idx     int
-}
+// inst flag bits.
+const (
+	flagLoad  = 1 << 0
+	flagStore = 1 << 1
+)
 
-// noProducer is the prodRef for values with no in-stream producer.
-var noProducer = prodRef{taskIdx: -1, idx: -1}
-
-// dynRec is one dynamic instruction prepared for timing simulation.
-type dynRec struct {
-	op      isa.Op
-	class   isa.Class
-	pc      uint64
-	addr    uint64
-	isLoad  bool
-	isStore bool
-
-	// srcProd holds the producers of the instruction's register sources.
-	srcProd [2]prodRef
-	nSrc    int
-
-	// memProd is the most recent store (in program order) to the same
-	// address, when the instruction is a load and such a store exists.
-	memProd    prodRef
-	hasMemProd bool
-	// memProdPC is the PC of that store (for predictor updates).
+// inst is one dynamic instruction prepared for timing simulation.  Producers
+// are global instruction indices into WorkItem.insts, -1 meaning "no producer
+// inside the analysed stream" (the value is available at program start).  A
+// producer always precedes its consumer.  The record holds no pointers, so a
+// work item's instruction array is one pointer-free allocation the garbage
+// collector never scans.
+//
+//memdep:soa
+type inst struct {
+	pc   uint64
+	addr uint64
+	// memProdPC is the PC of memProd (for predictor updates).
 	memProdPC uint64
 
+	// src holds the producers of the nSrc register sources.
+	src [2]int32
+	// memProd is the most recent store (in program order) to the same
+	// address, when the instruction is a load and such a store exists.
+	memProd int32
+	// memTask is memProd's task: the core asks whether that task is still in
+	// flight, which a bare instruction index cannot answer in O(1).
+	memTask int32
 	// loadOrd is the load's ordinal within its task (0-based, ascending
 	// instruction order); it indexes the simulator's per-task loadRecord
-	// slice.  Only meaningful when isLoad is set.
-	loadOrd int
+	// slice.  Only meaningful for loads.
+	loadOrd int32
+
+	op    isa.Op
+	class isa.Class
+	flags uint8
+	nSrc  uint8
 }
 
-// taskRec is one dynamic Multiscalar task.
-type taskRec struct {
-	id     int
+func (r *inst) isLoad() bool  { return r.flags&flagLoad != 0 }
+func (r *inst) isStore() bool { return r.flags&flagStore != 0 }
+
+// task is one dynamic Multiscalar task: the window [start, end) of the work
+// item's instruction array.
+//
+//memdep:soa
+type task struct {
 	pc     uint64 // task start PC
-	insts  []dynRec
-	loads  int
-	stores int
+	start  int32
+	end    int32
+	loads  int32
+	stores int32
 }
 
 // WorkItem is a preprocessed committed instruction stream, ready to be
@@ -81,7 +93,8 @@ type WorkItem struct {
 	Loads  uint64
 	Stores uint64
 
-	tasks []taskRec
+	insts []inst
+	tasks []task
 }
 
 // Tasks returns the number of dynamic tasks.
@@ -95,73 +108,128 @@ func (w *WorkItem) AvgTaskSize() float64 {
 	return float64(w.Instructions) / float64(len(w.tasks))
 }
 
+// ErrTooManyInstructions reports a committed stream longer than a work item
+// can index: producers are int32 instruction indices.
+var ErrTooManyInstructions = errors.New("multiscalar: committed stream exceeds the work-item instruction limit")
+
+// instLimit is the longest stream Preprocess accepts.  It is a variable only
+// so a test can reach the limit without committing two billion instructions.
+var instLimit = math.MaxInt32
+
+// storeRef is the most recent store to one address.
+type storeRef struct {
+	idx  int32
+	task int32
+	pc   uint64
+}
+
+// prepScratch is Preprocess's build state.  The stream is built into these
+// growable buffers and copied out at its exact length, so a work item owns
+// one instruction allocation with no growth slack, and a warm process builds
+// without regrowing anything.
+//
+//memdep:resettable
+type prepScratch struct {
+	insts     []inst
+	tasks     []task
+	lastStore map[uint64]storeRef
+}
+
+// Reset empties the scratch, keeping its capacity.
+func (b *prepScratch) Reset() {
+	b.insts = b.insts[:0]
+	b.tasks = b.tasks[:0]
+	clear(b.lastStore)
+}
+
+var prepPool = sync.Pool{New: func() any {
+	return &prepScratch{lastStore: make(map[uint64]storeRef)}
+}}
+
 // Preprocess runs the program in the functional simulator and builds the
 // task-structured work item the timing simulator consumes.
 func Preprocess(p *program.Program, cfg trace.Config) (*WorkItem, error) {
-	w := &WorkItem{Name: p.Name}
-
-	var lastRegWriter [isa.NumRegs]prodRef
-	for i := range lastRegWriter {
-		lastRegWriter[i] = noProducer
+	b := prepPool.Get().(*prepScratch)
+	defer prepPool.Put(b)
+	b.Reset()
+	if b.insts == nil {
+		// First use: size from the instruction bound when there is one (up to
+		// 48 MiB); the buffer doubles from there as the stream demands.
+		b.insts = make([]inst, 0, int(min(max(cfg.MaxInstructions, 1<<12), 1<<20)))
 	}
-	lastStore := make(map[uint64]prodRef)
-	lastStorePC := make(map[uint64]uint64)
 
-	cur := -1 // index of the task being built
+	w := &WorkItem{Name: p.Name}
+	var lastWriter [isa.NumRegs]int32
+	for i := range lastWriter {
+		lastWriter[i] = -1
+	}
+	tooLong := false
 	_, err := trace.Run(p, cfg, func(d trace.DynInst) bool {
-		if d.TaskStart || cur < 0 {
-			w.tasks = append(w.tasks, taskRec{id: len(w.tasks), pc: d.TaskPC})
-			cur = len(w.tasks) - 1
+		self := len(b.insts)
+		if self >= instLimit {
+			tooLong = true
+			return false
 		}
-		t := &w.tasks[cur]
+		if self == cap(b.insts) {
+			b.insts = slices.Grow(b.insts, self) // explicit doubling
+		}
+		if d.TaskStart || len(b.tasks) == 0 {
+			b.tasks = append(b.tasks, task{pc: d.TaskPC, start: int32(self)})
+		}
+		ti := int32(len(b.tasks) - 1)
+		t := &b.tasks[ti]
+		t.end = int32(self + 1)
 
 		ins := p.Code[d.Index]
-		r := dynRec{
+		r := inst{
 			op:      d.Op,
 			class:   isa.ClassOf(d.Op),
 			pc:      d.PC,
 			addr:    d.Addr,
-			isLoad:  d.IsLoad(),
-			isStore: d.IsStore(),
+			src:     [2]int32{-1, -1},
+			memProd: -1,
+			memTask: -1,
 		}
 		uses, n := ins.Uses()
+		r.nSrc = uint8(n)
 		for i := 0; i < n; i++ {
-			if uses[i] == isa.Zero {
-				r.srcProd[r.nSrc] = noProducer
-			} else {
-				r.srcProd[r.nSrc] = lastRegWriter[uses[i]]
+			if uses[i] != isa.Zero {
+				r.src[i] = lastWriter[uses[i]]
 			}
-			r.nSrc++
 		}
-		if r.isLoad {
-			if prod, ok := lastStore[d.Addr]; ok {
-				r.memProd = prod
-				r.hasMemProd = true
-				r.memProdPC = lastStorePC[d.Addr]
+		switch {
+		case d.IsLoad():
+			r.flags = flagLoad
+			if s, ok := b.lastStore[d.Addr]; ok {
+				r.memProd, r.memTask, r.memProdPC = s.idx, s.task, s.pc
 			}
 			r.loadOrd = t.loads
 			t.loads++
 			w.Loads++
-		}
-		myRef := prodRef{taskIdx: cur, idx: len(t.insts)}
-		if r.isStore {
-			lastStore[d.Addr] = myRef
-			lastStorePC[d.Addr] = d.PC
+		case d.IsStore():
+			r.flags = flagStore
+			b.lastStore[d.Addr] = storeRef{idx: int32(self), task: ti, pc: d.PC}
 			t.stores++
 			w.Stores++
 		}
 		if dst, ok := ins.Writes(); ok && dst != isa.Zero {
-			lastRegWriter[dst] = myRef
+			lastWriter[dst] = int32(self)
 		}
-		t.insts = append(t.insts, r)
-		w.Instructions++
+		b.insts = append(b.insts, r)
 		return true
 	})
 	if err != nil {
 		return nil, fmt.Errorf("multiscalar: preprocessing %q failed: %w", p.Name, err)
 	}
-	if len(w.tasks) == 0 {
+	if tooLong {
+		return nil, fmt.Errorf("%w: %q commits more than %d instructions; bound it with MaxInstructions",
+			ErrTooManyInstructions, p.Name, instLimit)
+	}
+	if len(b.tasks) == 0 {
 		return nil, fmt.Errorf("multiscalar: program %q produced no instructions", p.Name)
 	}
+	w.Instructions = uint64(len(b.insts))
+	w.insts = slices.Clone(b.insts)
+	w.tasks = slices.Clone(b.tasks)
 	return w, nil
 }

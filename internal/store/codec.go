@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"memdep/internal/multiscalar"
@@ -43,8 +44,10 @@ func (resultCodec) Decode(data []byte) (any, error) {
 }
 
 // workItemCodec persists multiscalar/preprocess state in the compact binary
-// work-item encoding (the dominant payload: ~20 bytes per committed
-// instruction, versus a functional re-run to recompute it).
+// work-item encoding (the dominant payload: 6-8.5 bytes per committed
+// instruction, versus a functional re-run to recompute it).  A payload in
+// another work-item format version is stale, not corrupt: Load counts it as
+// a miss, like an envelope of another schema version.
 type workItemCodec struct{}
 
 func (workItemCodec) Kind() string { return multiscalar.PreprocessKind }
@@ -58,7 +61,11 @@ func (workItemCodec) Encode(v any) ([]byte, error) {
 }
 
 func (workItemCodec) Decode(data []byte) (any, error) {
-	return multiscalar.DecodeWorkItem(data)
+	w, err := multiscalar.DecodeWorkItem(data)
+	if errors.Is(err, multiscalar.ErrWorkItemVersion) {
+		return nil, fmt.Errorf("%w: %w", errWrongVersion, err)
+	}
+	return w, err
 }
 
 // programCodec persists synth/build programs as JSON (every Program field is

@@ -175,17 +175,18 @@ func (s *Store) Load(kind, key string) (any, bool) {
 		return nil, false
 	}
 	payload, err := decodeEnvelope(data, digest)
+	var v any
+	if err == nil {
+		v, err = codec.Decode(payload)
+	}
 	if err != nil {
+		// A version mismatch, of the envelope or of the codec's own format,
+		// is an expected invalidation; anything else is corruption.
 		if errors.Is(err, errWrongVersion) {
 			s.bump(kind, func(c *Counters) { c.Misses++ })
 		} else {
 			s.bump(kind, func(c *Counters) { c.Corrupt++ })
 		}
-		return nil, false
-	}
-	v, err := codec.Decode(payload)
-	if err != nil {
-		s.bump(kind, func(c *Counters) { c.Corrupt++ })
 		return nil, false
 	}
 	s.bump(kind, func(c *Counters) { c.Hits++ })
