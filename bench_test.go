@@ -139,9 +139,10 @@ func BenchmarkWindowAnalysis(b *testing.B) {
 	}
 }
 
-// BenchmarkTimingSimulator measures the Multiscalar timing simulator with the
-// ESYNC mechanism on the xlisp stand-in.
-func BenchmarkTimingSimulator(b *testing.B) {
+// BenchmarkSimulate measures the Multiscalar timing simulator with the ESYNC
+// mechanism on the xlisp stand-in (8 stages, 50k instructions), the run
+// BENCH_multiscalar.json tracks as simulate/event (cmd/memdep-perf).
+func BenchmarkSimulate(b *testing.B) {
 	item, err := multiscalar.Preprocess(workload.MustGet("xlisp").Build(1),
 		trace.Config{MaxInstructions: 50_000})
 	if err != nil {
@@ -149,34 +150,11 @@ func BenchmarkTimingSimulator(b *testing.B) {
 	}
 	cfg := multiscalar.DefaultConfig(8, policy.ESync)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := multiscalar.Simulate(item, cfg); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkSimulate compares the event-driven and the stepped reference
-// timing core on one simulation (xlisp, 8 stages, ESYNC).  The two produce
-// identical Results (TestCoresCycleIdentical); only time/op and allocs/op
-// differ.  BENCH_multiscalar.json tracks both (cmd/memdep-perf).
-func BenchmarkSimulate(b *testing.B) {
-	item, err := multiscalar.Preprocess(workload.MustGet("xlisp").Build(1),
-		trace.Config{MaxInstructions: 50_000})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, core := range []multiscalar.CoreMode{multiscalar.CoreEvent, multiscalar.CoreStepped} {
-		b.Run(core.String(), func(b *testing.B) {
-			cfg := multiscalar.DefaultConfig(8, policy.ESync)
-			cfg.Core = core
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := multiscalar.Simulate(item, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

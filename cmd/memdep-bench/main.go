@@ -54,7 +54,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		csv        = fs.Bool("csv", false, "emit CSV instead of aligned text")
 		jobs       = fs.Int("jobs", 0, "session worker-pool size (0 = GOMAXPROCS)")
 		md         = fs.String("md", "", "write the results as markdown to this file (e.g. EXPERIMENTS.md)")
-		core       = fs.String("core", "event", "timing-simulator run loop: \"event\" or the \"stepped\" reference (identical output)")
 	)
 	synth := synthflag.Register(fs)
 	storeFlags := storeflag.Register(fs)
@@ -84,7 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MDPTEntries:     *entries,
 		Predictor:       sim.TableKind(*predName),
 		MDPTWays:        *ways,
-		Core:            sim.CoreMode(*core),
 		Synth:           synthSpec,
 	}
 	session := sim.NewSession(append([]sim.Option{sim.WithWorkers(*jobs)}, storeFlags.Options()...)...)

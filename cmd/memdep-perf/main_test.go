@@ -34,7 +34,6 @@ func TestReportStructure(t *testing.T) {
 	}
 	want := map[string]bool{
 		"simulate/event":          false,
-		"simulate/stepped":        false,
 		"simulate/event/setassoc": false,
 		"simulate/event/storeset": false,
 		"preprocess/synth20k":     false,

@@ -181,6 +181,45 @@ func TestMalformedRequests(t *testing.T) {
 	}
 }
 
+// TestDeprecatedCoreField pins the contract of the deprecated "core" field:
+// an omitted core, "EVENT" and "stepped" all run the one timing core, so the
+// three bodies share one cache entry and get byte-identical responses, while
+// an unknown core is still a structured 400 on "core".
+func TestDeprecatedCoreField(t *testing.T) {
+	ts := newTestServer(t)
+	const base = `{"bench":"compress","stages":4,"max_instructions":20000`
+	var first []byte
+	for _, core := range []string{``, `,"core":"EVENT"`, `,"core":"stepped"`} {
+		status, body := do(t, "POST", ts.URL+"/v1/simulate", base+core+`}`)
+		if status != http.StatusOK {
+			t.Fatalf("core %q: status %d: %s", core, status, body)
+		}
+		if first == nil {
+			first = body
+		} else if string(body) != string(first) {
+			t.Errorf("core %q: response differs from the omitted-core one:\n%s\nvs\n%s", core, body, first)
+		}
+	}
+	_, body := do(t, "GET", ts.URL+"/v1/healthz", "")
+	var health healthResponse
+	if err := json.Unmarshal(body, &health); err != nil {
+		t.Fatal(err)
+	}
+	// 1 build + 1 preprocess + 1 simulation: the three spellings are one request.
+	if health.Stats.Executed != 3 {
+		t.Errorf("executed %d jobs for three spellings of one request, want 3", health.Stats.Executed)
+	}
+
+	status, body := do(t, "POST", ts.URL+"/v1/simulate", base+`,"core":"polling"}`)
+	if status != http.StatusBadRequest {
+		t.Fatalf("core polling: status = %d, want 400", status)
+	}
+	var errResp errorResponse
+	if err := json.Unmarshal(body, &errResp); err != nil || len(errResp.Fields) != 1 || errResp.Fields[0].Field != "core" {
+		t.Errorf("core polling: want one structured error on core, got %s", body)
+	}
+}
+
 // TestServerMatchesFacade checks the acceptance-criteria parity: the cycle
 // count served over HTTP equals a direct facade run of the same request.
 func TestServerMatchesFacade(t *testing.T) {

@@ -48,7 +48,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ways     = fs.Int("mdpt-ways", 0, "associativity for the setassoc/storeset organizations (0 = default 4)")
 		topPairs = fs.Int("top-pairs", 5, "print the N most frequently mis-speculated static pairs")
 		jobs     = fs.Int("jobs", 0, "session worker-pool size for grid runs (0 = GOMAXPROCS)")
-		core     = fs.String("core", "event", "timing-simulator run loop: \"event\" or the \"stepped\" reference (identical output)")
 	)
 	synth := synthflag.Register(fs)
 	storeFlags := storeflag.Register(fs)
@@ -91,7 +90,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				Synth:           synthSpec,
 				Stages:          st,
 				Policy:          pol,
-				Core:            sim.CoreMode(*core),
 				Scale:           *scale,
 				MaxInstructions: *maxInstr,
 				MDPTEntries:     *entries,

@@ -44,7 +44,6 @@ func TestBadFlagsFail(t *testing.T) {
 		{"-bench", "no-such-benchmark"},
 		{"-policy", "SOMETIMES"},
 		{"-stages", "eight"},
-		{"-core", "polling"},
 		{"-predictor", "cam"},
 		{"-bench", "compress", "-synth"},
 		{"-synth-dist", "bogus"},

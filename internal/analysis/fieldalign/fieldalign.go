@@ -2,7 +2,7 @@
 // structs annotated //memdep:soa.
 //
 // The simulator's hot structs are walked densely (per task, per load, per
-// heap entry); padding inflates their stride and wastes cache lines.  For
+// instruction); padding inflates their stride and wastes cache lines.  For
 // every annotated struct the analyzer computes the size an optimal field
 // order would occupy (largest alignment first, then largest size -- the
 // classic fieldalignment packing) and reports the struct when its declared

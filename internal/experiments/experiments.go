@@ -50,10 +50,6 @@ type Options struct {
 	// MDPTWays sets the associativity for the set-associative and store-set
 	// organizations (0 = the memdep default of 4).
 	MDPTWays int
-	// Core selects the timing-simulator run loop (default: the event-driven
-	// core).  The stepped reference core produces byte-identical tables and
-	// exists for equivalence testing.
-	Core multiscalar.CoreMode
 	// Jobs is the engine worker-pool size used to execute each driver's job
 	// set (0 = GOMAXPROCS).  The results are identical at every setting;
 	// only the wall-clock time changes.
@@ -153,7 +149,6 @@ func (r *Runner) simConfig(stages int, pol policy.Kind) multiscalar.Config {
 	cfg.MemDep.Entries = r.opts.MDPTEntries
 	cfg.MemDep.Table = r.opts.PredictorTable
 	cfg.MemDep.Ways = r.opts.MDPTWays
-	cfg.Core = r.opts.Core
 	return cfg
 }
 

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"memdep/internal/multiscalar"
 	"memdep/internal/stats"
 )
 
@@ -45,46 +44,6 @@ func TestDriversDeterministicAcrossWorkerCounts(t *testing.T) {
 				t.Errorf("%s: output differs between 1 worker and %d workers:\n--- 1 worker ---\n%s\n--- %d workers ---\n%s",
 					d.id, jobs, serial[d.id], jobs, parallel[d.id])
 			}
-		}
-	}
-}
-
-// TestDriversIdenticalAcrossCoreModes checks the event-driven timing core's
-// equivalence guarantee at the experiment level: the exact tables that make
-// up EXPERIMENTS.md are byte-identical whether the simulations run on the
-// event-driven core or on the stepped per-cycle reference core.
-func TestDriversIdenticalAcrossCoreModes(t *testing.T) {
-	drivers := []struct {
-		id  string
-		run func(*Runner, context.Context) (*stats.Table, error)
-	}{
-		{"table6", (*Runner).Table6MultiscalarMisspec},
-		{"table8", (*Runner).Table8PredictionBreakdown},
-		{"table9", (*Runner).Table9MisspecPerLoad},
-		{"figure5", (*Runner).Figure5PolicyComparison},
-		{"figure6", (*Runner).Figure6MechanismSpeedup},
-	}
-	render := func(core multiscalar.CoreMode) map[string]string {
-		opts := Quick()
-		opts.MaxInstructions = 20_000 // two full grids; keep the run short
-		opts.Core = core
-		r := NewRunner(opts)
-		out := map[string]string{}
-		for _, d := range drivers {
-			tab, err := d.run(r, context.Background())
-			if err != nil {
-				t.Fatalf("core=%v %s: %v", core, d.id, err)
-			}
-			out[d.id] = tab.Render()
-		}
-		return out
-	}
-	event := render(multiscalar.CoreEvent)
-	stepped := render(multiscalar.CoreStepped)
-	for _, d := range drivers {
-		if event[d.id] != stepped[d.id] {
-			t.Errorf("%s: output differs between cores:\n--- event ---\n%s\n--- stepped ---\n%s",
-				d.id, event[d.id], stepped[d.id])
 		}
 	}
 }

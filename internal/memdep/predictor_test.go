@@ -448,6 +448,7 @@ func TestSystemAcrossOrganizations(t *testing.T) {
 			if s.Predictor().Kind() != kind {
 				t.Fatalf("system predictor kind = %v", s.Predictor().Kind())
 			}
+			rel := hookReleases(s)
 			pair := PairKey{LoadPC: 0x100, StorePC: 0x80}
 			s.RecordMisspeculation(pair, 1, 0x1000)
 
@@ -455,9 +456,9 @@ func TestSystemAcrossOrganizations(t *testing.T) {
 			if !d.Predicted || !d.Wait {
 				t.Fatalf("load must be predicted and wait: %+v", d)
 			}
-			sd := s.StoreIssue(StoreQuery{PC: 0x80, Instance: 6, STID: 21, TaskPC: 0x1000})
-			if !sd.Matched || len(sd.ReleasedLoads) != 1 || sd.ReleasedLoads[0] != 11 {
-				t.Fatalf("store decision = %+v, want release of load 11", sd)
+			matched := s.StoreIssue(StoreQuery{PC: 0x80, Instance: 6, STID: 21, TaskPC: 0x1000})
+			if got := rel.take(); !matched || len(got) != 1 || got[0] != 11 {
+				t.Fatalf("store matched=%v released %v, want release of load 11", matched, got)
 			}
 			if s.MDST().HasWaiter(11) {
 				t.Error("no waiter must remain after the signal")

@@ -152,6 +152,7 @@ func driveDDC(d *DDC) any {
 // squash, commit and mis-speculation learning.
 func driveSystem(s *System) any {
 	rnd := resetRand(4)
+	rel := hookReleases(s)
 	var digest []any
 	for i := 0; i < 300; i++ {
 		pair := rnd.pair()
@@ -164,10 +165,8 @@ func driveSystem(s *System) any {
 				append([]PairKey(nil), dec.WaitPairs...),
 				append([]PairKey(nil), dec.ReadyPairs...))
 		case 2, 3:
-			dec := s.StoreIssue(StoreQuery{PC: pair.StorePC, Instance: inst, STID: id, TaskPC: 0x3000})
-			digest = append(digest, dec.Matched,
-				append([]int64(nil), dec.ReleasedLoads...),
-				append([]PairKey(nil), dec.SignalledPairs...))
+			matched := s.StoreIssue(StoreQuery{PC: pair.StorePC, Instance: inst, STID: id, TaskPC: 0x3000})
+			digest = append(digest, matched, rel.take())
 		case 4:
 			s.RecordMisspeculation(pair, rnd.next()%4, 0x3000)
 		case 5:

@@ -29,11 +29,10 @@ type System struct {
 	// fills.  See SetReleaseHook.
 	onRelease func(ldid int64) //lint:reset-exempt wiring owned by SetReleaseHook, not run state
 
-	// Scratch backings for the slices returned in Load/StoreDecision,
-	// reused across calls so the per-operation hot path does not allocate.
-	waitScratch   []PairKey //lint:reset-exempt scratch backing, overwritten before every read
-	readyScratch  []PairKey //lint:reset-exempt scratch backing, overwritten before every read
-	signalScratch []PairKey //lint:reset-exempt scratch backing, overwritten before every read
+	// Scratch backings for the slices returned in LoadDecision, reused
+	// across calls so the per-operation hot path does not allocate.
+	waitScratch  []PairKey //lint:reset-exempt scratch backing, overwritten before every read
+	readyScratch []PairKey //lint:reset-exempt scratch backing, overwritten before every read
 
 	// Prediction buffers handed to the Predictor's append-into-buffer
 	// lookups, one per direction so the hot path stays allocation-free.
@@ -102,12 +101,10 @@ func (s *System) MDST() *MDST { return s.mdst }
 // Stats returns a snapshot of the system counters.
 func (s *System) Stats() SystemStats { return s.stats }
 
-// SetReleaseHook registers a callback that StoreIssue invokes for every load
-// it releases (the event-driven alternative to polling StoreDecision's
-// ReleasedLoads).  While a hook is registered, StoreIssue delivers releases
-// exclusively through it and leaves ReleasedLoads nil, which also keeps the
-// hot path allocation-free.  The callback runs synchronously on the caller's
-// goroutine; a nil fn removes the hook.
+// SetReleaseHook registers the callback through which StoreIssue delivers
+// every load it releases.  The callback runs synchronously on the caller's
+// goroutine.  A nil fn removes the hook; releases are then only counted
+// (SystemStats.LoadsReleasedByStore).
 func (s *System) SetReleaseHook(fn func(ldid int64)) { s.onRelease = fn }
 
 // LoadQuery carries the dynamic context of a load that is about to access
@@ -226,65 +223,43 @@ type StoreQuery struct {
 	Addr uint64
 }
 
-// StoreDecision is the outcome of StoreIssue.  SignalledPairs shares a
-// reusable backing array owned by the System: it is valid until the next
-// StoreIssue call and must be copied to be retained.
-type StoreDecision struct {
-	// Matched reports whether the store matched at least one prediction entry
-	// that warrants synchronization.
-	Matched bool
-	// ReleasedLoads lists the LDIDs of loads released by this store's signal.
-	ReleasedLoads []int64
-	// SignalledPairs lists the static dependences signalled (whether or not a
-	// load was waiting).
-	SignalledPairs []PairKey
-}
-
 // StoreIssue processes a store that is ready to access memory.  For every
 // matching prediction entry it computes the instance number of the load to
 // synchronize (store instance + dependence distance) and performs the signal
-// in the MDST.
+// in the MDST, delivering each load it releases to the release hook.  It
+// reports whether the store matched at least one prediction entry that
+// warrants synchronization.
 //
 //memdep:hotpath
-func (s *System) StoreIssue(q StoreQuery) StoreDecision {
+func (s *System) StoreIssue(q StoreQuery) bool {
 	s.stats.StoreQueries++
-	s.signalScratch = s.signalScratch[:0]
-	var d StoreDecision
+	matched := false
 	s.storePredScratch = s.pred.MatchesForStore(q.PC, s.storePredScratch[:0])
 	for _, pred := range s.storePredScratch {
 		if !pred.Sync {
 			continue
 		}
-		d.Matched = true
+		matched = true
 		var tag uint64
 		if s.cfg.TagByAddress {
 			tag = q.Addr
 		} else {
 			tag = q.Instance + pred.Dist
 		}
-		ldid, released := s.mdst.Signal(pred.Pair, tag, q.STID)
-		s.signalScratch = append(s.signalScratch, pred.Pair) //lint:alloc-ok reusable scratch, growth amortized across queries
-		if released {
-			// A load released by one signal may still be waiting for other
-			// predicted dependences (section 4.4.4); report it only when no
-			// empty entries remain.
-			if !s.mdst.HasWaiter(ldid) {
-				s.stats.LoadsReleasedByStore++
-				if s.onRelease != nil {
-					s.onRelease(ldid)
-				} else {
-					d.ReleasedLoads = append(d.ReleasedLoads, ldid) //lint:alloc-ok reusable scratch, growth amortized across queries
-				}
+		// A load released by one signal may still be waiting for other
+		// predicted dependences (section 4.4.4); release it only when no
+		// empty entries remain.
+		if ldid, released := s.mdst.Signal(pred.Pair, tag, q.STID); released && !s.mdst.HasWaiter(ldid) {
+			s.stats.LoadsReleasedByStore++
+			if s.onRelease != nil {
+				s.onRelease(ldid)
 			}
 		}
 	}
-	if len(s.signalScratch) > 0 {
-		d.SignalledPairs = s.signalScratch
-	}
-	if d.Matched {
+	if matched {
 		s.stats.StoresSignalled++
 	}
-	return d
+	return matched
 }
 
 // ReleaseLoad frees the condition variables of a load that is being allowed

@@ -9,6 +9,23 @@ func newTestSystem(pred PredictorKind) *System {
 	return NewSystem(Config{Entries: 16, SyncSlots: 4, Predictor: pred})
 }
 
+// releaseLog collects the loads a System's release hook delivers.
+type releaseLog []int64
+
+// hookReleases installs a release hook on s that appends to the returned log.
+func hookReleases(s *System) *releaseLog {
+	l := new(releaseLog)
+	s.SetReleaseHook(func(ldid int64) { *l = append(*l, ldid) })
+	return l
+}
+
+// take returns the loads released since the last take and empties the log.
+func (l *releaseLog) take() []int64 {
+	got := []int64(*l)
+	*l = nil
+	return got
+}
+
 func TestSystemColdLoadDoesNotWait(t *testing.T) {
 	s := newTestSystem(PredictSync)
 	d := s.LoadIssue(LoadQuery{PC: 0x100, Instance: 5, LDID: 1})
@@ -19,6 +36,7 @@ func TestSystemColdLoadDoesNotWait(t *testing.T) {
 
 func TestSystemLearnsAfterMisspeculation(t *testing.T) {
 	s := newTestSystem(PredictSync)
+	rel := hookReleases(s)
 	pair := PairKey{LoadPC: 0x100, StorePC: 0x80}
 
 	// A mis-speculation at distance 1 teaches the pair.
@@ -34,12 +52,11 @@ func TestSystemLearnsAfterMisspeculation(t *testing.T) {
 	}
 
 	// The matching store (instance 6 = 7 - dist) signals and releases it.
-	sd := s.StoreIssue(StoreQuery{PC: 0x80, Instance: 6, STID: 21, TaskPC: 0x1000})
-	if !sd.Matched {
+	if !s.StoreIssue(StoreQuery{PC: 0x80, Instance: 6, STID: 21, TaskPC: 0x1000}) {
 		t.Fatal("store must match the prediction entry")
 	}
-	if len(sd.ReleasedLoads) != 1 || sd.ReleasedLoads[0] != 11 {
-		t.Fatalf("released loads = %v, want [11]", sd.ReleasedLoads)
+	if got := rel.take(); len(got) != 1 || got[0] != 11 {
+		t.Fatalf("released loads = %v, want [11]", got)
 	}
 }
 
@@ -58,30 +75,25 @@ func TestSystemReleaseHook(t *testing.T) {
 	if len(released) != 0 {
 		t.Fatalf("hook fired before any store: %v", released)
 	}
-	sd := s.StoreIssue(StoreQuery{PC: 0x80, Instance: 6, STID: 21, TaskPC: 0x1000})
-	if !sd.Matched {
+	if !s.StoreIssue(StoreQuery{PC: 0x80, Instance: 6, STID: 21, TaskPC: 0x1000}) {
 		t.Fatal("store must match the prediction entry")
 	}
 	if len(released) != 1 || released[0] != 11 {
 		t.Errorf("hook releases = %v, want [11]", released)
 	}
-	// With a hook registered, releases are delivered exclusively through it.
-	if sd.ReleasedLoads != nil {
-		t.Errorf("ReleasedLoads = %v, want nil while a hook is registered", sd.ReleasedLoads)
-	}
 	if s.Stats().LoadsReleasedByStore != 1 {
 		t.Errorf("LoadsReleasedByStore = %d, want 1", s.Stats().LoadsReleasedByStore)
 	}
 
-	// Removing the hook restores the polled interface.
+	// Without a hook, releases still happen but are only counted.
 	s.SetReleaseHook(nil)
 	s.LoadIssue(LoadQuery{PC: 0x100, Instance: 9, LDID: 13})
-	sd = s.StoreIssue(StoreQuery{PC: 0x80, Instance: 8, STID: 23, TaskPC: 0x1000})
-	if len(sd.ReleasedLoads) != 1 || sd.ReleasedLoads[0] != 13 {
-		t.Errorf("released loads = %v, want [13] after hook removal", sd.ReleasedLoads)
-	}
+	s.StoreIssue(StoreQuery{PC: 0x80, Instance: 8, STID: 23, TaskPC: 0x1000})
 	if len(released) != 1 {
 		t.Errorf("hook fired after removal: %v", released)
+	}
+	if s.MDST().HasWaiter(13) || s.Stats().LoadsReleasedByStore != 2 {
+		t.Errorf("load 13 not released without a hook: waiting=%v, stats %+v", s.MDST().HasWaiter(13), s.Stats())
 	}
 }
 
@@ -89,11 +101,11 @@ func TestSystemStoreFirstLoadDoesNotWait(t *testing.T) {
 	s := newTestSystem(PredictSync)
 	pair := PairKey{LoadPC: 0x100, StorePC: 0x80}
 	s.RecordMisspeculation(pair, 1, 0)
+	rel := hookReleases(s)
 
 	// Store issues first (instance 6 targets load instance 7).
-	sd := s.StoreIssue(StoreQuery{PC: 0x80, Instance: 6, STID: 21})
-	if !sd.Matched || len(sd.ReleasedLoads) != 0 {
-		t.Fatalf("store decision = %+v", sd)
+	if matched := s.StoreIssue(StoreQuery{PC: 0x80, Instance: 6, STID: 21}); !matched || len(*rel) != 0 {
+		t.Fatalf("store matched=%v released %v, want a match and no release", matched, *rel)
 	}
 	// The load then issues and finds the condition variable full.
 	d := s.LoadIssue(LoadQuery{PC: 0x100, Instance: 7, LDID: 11})
@@ -113,14 +125,15 @@ func TestSystemWrongInstanceDoesNotRelease(t *testing.T) {
 	pair := PairKey{LoadPC: 0x100, StorePC: 0x80}
 	s.RecordMisspeculation(pair, 1, 0)
 
+	rel := hookReleases(s)
 	d := s.LoadIssue(LoadQuery{PC: 0x100, Instance: 7, LDID: 11})
 	if !d.Wait {
 		t.Fatal("load must wait")
 	}
 	// A store of a different instance (distance mismatch) signals instance 9.
-	sd := s.StoreIssue(StoreQuery{PC: 0x80, Instance: 8, STID: 21})
-	if len(sd.ReleasedLoads) != 0 {
-		t.Errorf("released loads = %v, want none", sd.ReleasedLoads)
+	s.StoreIssue(StoreQuery{PC: 0x80, Instance: 8, STID: 21})
+	if got := rel.take(); len(got) != 0 {
+		t.Errorf("released loads = %v, want none", got)
 	}
 	if !s.MDST().HasWaiter(11) {
 		t.Error("load 11 must still be waiting")
@@ -282,20 +295,21 @@ func TestSystemMultipleDependencesLoadWaitsForAll(t *testing.T) {
 	s.RecordMisspeculation(a, 1, 0)
 	s.RecordMisspeculation(b, 2, 0)
 
+	rel := hookReleases(s)
 	d := s.LoadIssue(LoadQuery{PC: 0x100, Instance: 10, LDID: 5})
 	if len(d.WaitPairs) != 2 {
 		t.Fatalf("wait pairs = %v, want 2", d.WaitPairs)
 	}
 	// First store signals: the load must remain waiting (not reported
 	// released) because its second dependence is outstanding.
-	sd := s.StoreIssue(StoreQuery{PC: 0x80, Instance: 9, STID: 1})
-	if len(sd.ReleasedLoads) != 0 {
-		t.Fatalf("load released too early: %+v", sd)
+	s.StoreIssue(StoreQuery{PC: 0x80, Instance: 9, STID: 1})
+	if got := rel.take(); len(got) != 0 {
+		t.Fatalf("load released too early: %v", got)
 	}
 	// Second store signals: now the load is released.
-	sd = s.StoreIssue(StoreQuery{PC: 0x84, Instance: 8, STID: 2})
-	if len(sd.ReleasedLoads) != 1 || sd.ReleasedLoads[0] != 5 {
-		t.Fatalf("released = %v, want [5]", sd.ReleasedLoads)
+	s.StoreIssue(StoreQuery{PC: 0x84, Instance: 8, STID: 2})
+	if got := rel.take(); len(got) != 1 || got[0] != 5 {
+		t.Fatalf("released = %v, want [5]", got)
 	}
 }
 
@@ -303,18 +317,19 @@ func TestSystemTagByAddressAblation(t *testing.T) {
 	s := NewSystem(Config{Entries: 16, SyncSlots: 4, Predictor: PredictSync, TagByAddress: true})
 	pair := PairKey{LoadPC: 0x100, StorePC: 0x80}
 	s.RecordMisspeculation(pair, 1, 0)
+	rel := hookReleases(s)
 
 	d := s.LoadIssue(LoadQuery{PC: 0x100, Instance: 7, LDID: 1, Addr: 0xdead0})
 	if !d.Wait {
 		t.Fatal("load must wait")
 	}
 	// A store to a different address must not release it; same address must.
-	sd := s.StoreIssue(StoreQuery{PC: 0x80, Instance: 6, STID: 2, Addr: 0xbeef0})
-	if len(sd.ReleasedLoads) != 0 {
+	s.StoreIssue(StoreQuery{PC: 0x80, Instance: 6, STID: 2, Addr: 0xbeef0})
+	if len(rel.take()) != 0 {
 		t.Error("store to unrelated address must not release the load")
 	}
-	sd = s.StoreIssue(StoreQuery{PC: 0x80, Instance: 6, STID: 2, Addr: 0xdead0})
-	if len(sd.ReleasedLoads) != 1 {
+	s.StoreIssue(StoreQuery{PC: 0x80, Instance: 6, STID: 2, Addr: 0xdead0})
+	if len(rel.take()) != 1 {
 		t.Error("store to the same address must release the load")
 	}
 }
@@ -346,6 +361,7 @@ func TestSystemSynchronizationAlwaysResolves(t *testing.T) {
 		dist := uint64(dist8%4 + 1)
 		loadInstance := uint64(instanceSmall) + dist // ensure >= dist
 		s := newTestSystem(PredictSync)
+		rel := hookReleases(s)
 		pair := PairKey{LoadPC: 0x100, StorePC: 0x80}
 		s.RecordMisspeculation(pair, dist, 0)
 
@@ -359,8 +375,9 @@ func TestSystemSynchronizationAlwaysResolves(t *testing.T) {
 			if !d.Wait {
 				return false
 			}
-			sd := s.StoreIssue(StoreQuery{PC: 0x80, Instance: loadInstance - dist, STID: 1})
-			released = len(sd.ReleasedLoads) == 1 && sd.ReleasedLoads[0] == 9
+			s.StoreIssue(StoreQuery{PC: 0x80, Instance: loadInstance - dist, STID: 1})
+			got := rel.take()
+			released = len(got) == 1 && got[0] == 9
 		}
 		return released && !s.MDST().HasWaiter(9)
 	}

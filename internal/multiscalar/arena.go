@@ -15,8 +15,8 @@ import (
 // Simulator is a reusable timing-simulation arena.  It owns all per-run
 // backing storage -- the per-task execution state and its flat SoA arrays,
 // the subsystem models (cache hierarchy, ARB, sequencer, dependence
-// predictor, DDCs), the functional-unit pools, the wake-event heap and the
-// predicted-pair buffer -- and re-slices rather than re-allocates it on every
+// predictor, DDCs), the functional-unit pools and the predicted-pair
+// buffer -- and re-slices rather than re-allocates it on every
 // Simulate call, so a warmed-up simulator runs with essentially zero heap
 // allocations per simulation (the per-run Result maps are the deliberate
 // exception; see sim.result).
@@ -73,7 +73,6 @@ func (sm *Simulator) Simulate(ctx context.Context, w *WorkItem, cfg Config) (Res
 func (sm *Simulator) reset(ctx context.Context, w *WorkItem, cfg Config) {
 	s := &sm.s
 	s.ctx, s.cfg, s.w = ctx, cfg, w
-	s.stepped = cfg.Core == CoreStepped
 
 	if s.hier == nil || sm.hierCfg != cfg.Cache {
 		s.hier = cache.NewHierarchy(cfg.Cache)
@@ -199,7 +198,6 @@ func (sm *Simulator) reset(ctx context.Context, w *WorkItem, cfg Config) {
 
 	s.cycle, s.head, s.nextDispatch = 0, 0, 0
 	s.changed, s.nextEvent = false, never
-	s.events.reset(n)
 	s.pairBuf = s.pairBuf[:0]
 	s.arbBypasses = 0
 	s.res = Result{}

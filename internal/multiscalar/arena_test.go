@@ -15,12 +15,12 @@ import (
 // the same work item twice on one reused Simulator must produce Results
 // deeply equal to each other and to a fresh, unpooled simulation -- for both
 // cores and all three predictor-table organizations.  Any state leaking
-// across Reset (table contents, counters, SoA slices, the wake heap, the
-// pair arena) shows up here as a diverging second run.
+// across Reset (table contents, counters, SoA slices, the pair arena) shows
+// up here as a diverging second run.
 func TestSimulatorReuseMatchesFresh(t *testing.T) {
 	w := prep(t, workload.MustGet("compress").Build(1), 20_000)
 	ctx := context.Background()
-	for _, core := range []CoreMode{CoreEvent, CoreStepped} {
+	for _, core := range []CoreMode{CoreEvent, coreStepped} {
 		for _, table := range []memdep.TableKind{memdep.TableFullAssoc, memdep.TableSetAssoc, memdep.TableStoreSet} {
 			t.Run(fmt.Sprintf("%v/%v", core, table), func(t *testing.T) {
 				cfg := DefaultConfig(8, policy.ESync)

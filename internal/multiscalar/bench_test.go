@@ -20,28 +20,18 @@ func benchWork(b *testing.B) *WorkItem {
 	return w
 }
 
-func benchConfig(core CoreMode) Config {
-	cfg := DefaultConfig(8, policy.ESync)
-	cfg.Core = core
-	return cfg
-}
-
 // BenchmarkSimulatePooled measures SimulateContext, the pooled entry point
 // every driver goes through.
 func BenchmarkSimulatePooled(b *testing.B) {
-	for _, core := range []CoreMode{CoreEvent, CoreStepped} {
-		b.Run(core.String(), func(b *testing.B) {
-			w := benchWork(b)
-			cfg := benchConfig(core)
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := SimulateContext(ctx, w, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	w := benchWork(b)
+	cfg := DefaultConfig(8, policy.ESync)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SimulateContext(ctx, w, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -49,7 +39,7 @@ func BenchmarkSimulatePooled(b *testing.B) {
 // the same work item: the zero-allocation steady state of a reused Simulator.
 func BenchmarkSimulateReused(b *testing.B) {
 	w := benchWork(b)
-	cfg := benchConfig(CoreEvent)
+	cfg := DefaultConfig(8, policy.ESync)
 	ctx := context.Background()
 	sm := NewSimulator()
 	if _, err := sm.Simulate(ctx, w, cfg); err != nil {

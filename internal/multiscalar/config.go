@@ -13,9 +13,8 @@ import (
 )
 
 // CoreMode selects the run-loop implementation of the timing simulator.
-// Both cores produce identical results for every configuration; the
-// event-driven core is simply faster because it never simulates cycles in
-// which no task can make progress.
+// CoreEvent is the only one a caller can name; the stepped reference loop
+// is unexported, so only this package's tests can select it.
 type CoreMode int
 
 const (
@@ -23,60 +22,31 @@ const (
 	// pending event: a task's restart cycle, a fetch or operand becoming
 	// ready, a functional unit freeing up, or the head task's completion.
 	CoreEvent CoreMode = iota
-	// CoreStepped is the reference core: the clock advances one cycle at a
-	// time and every in-flight task is polled each cycle.  It exists so
-	// tests can assert that the event-driven core is cycle-for-cycle
-	// identical to the straightforward implementation.
-	CoreStepped
+	// coreStepped is the reference loop: the clock advances one cycle at a
+	// time and every in-flight task is polled each cycle.  It is the oracle
+	// the equivalence tests compare the event-driven core against.
+	coreStepped
 )
 
-// String returns the flag spelling of the mode.
+// String returns the mode's name, which job cache keys print.
 func (m CoreMode) String() string {
 	switch m {
 	case CoreEvent:
 		return "event"
-	case CoreStepped:
+	case coreStepped:
 		return "stepped"
 	default:
 		return fmt.Sprintf("CoreMode(%d)", int(m))
 	}
 }
 
-// Valid reports whether the mode is one of the defined cores.
-func (m CoreMode) Valid() bool { return m == CoreEvent || m == CoreStepped }
-
-// ParseCoreMode parses the -core flag values "event" and "stepped",
-// case-insensitively (matching policy.Parse); String always canonicalizes
-// back to the lower-case spelling.
+// ParseCoreMode parses "event" case-insensitively (matching policy.Parse),
+// the one core a caller can name.
 func ParseCoreMode(s string) (CoreMode, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "event":
-		return CoreEvent, nil
-	case "stepped":
-		return CoreStepped, nil
-	default:
-		return 0, fmt.Errorf("multiscalar: unknown core mode %q (want \"event\" or \"stepped\")", s)
+	if !strings.EqualFold(strings.TrimSpace(s), "event") {
+		return 0, fmt.Errorf("multiscalar: unknown core mode %q (want \"event\")", s)
 	}
-}
-
-// MarshalText implements encoding.TextMarshaler using the flag spelling, so
-// CoreMode fields encode as "event"/"stepped" in JSON.
-func (m CoreMode) MarshalText() ([]byte, error) {
-	if !m.Valid() {
-		return nil, fmt.Errorf("multiscalar: cannot marshal invalid core mode %d", int(m))
-	}
-	return []byte(m.String()), nil
-}
-
-// UnmarshalText implements encoding.TextUnmarshaler via ParseCoreMode, so the
-// JSON encoding round-trips (case-insensitively).
-func (m *CoreMode) UnmarshalText(text []byte) error {
-	v, err := ParseCoreMode(string(text))
-	if err != nil {
-		return err
-	}
-	*m = v
-	return nil
+	return CoreEvent, nil
 }
 
 // Config describes one Multiscalar processor configuration and speculation
@@ -189,7 +159,7 @@ func (c Config) Validate() error {
 	if !d.Policy.Valid() {
 		return fmt.Errorf("multiscalar: invalid policy %d", int(d.Policy))
 	}
-	if !d.Core.Valid() {
+	if d.Core != CoreEvent && d.Core != coreStepped {
 		return fmt.Errorf("multiscalar: invalid core mode %d", int(d.Core))
 	}
 	if d.Stages > 64 {

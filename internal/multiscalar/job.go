@@ -69,10 +69,9 @@ func (SimulateJob) JobKind() string { return SimulateKind }
 // CacheKey implements engine.Spec.  The configuration is normalized first so
 // that two configurations differing only in unset-defaulted fields share one
 // cache entry; every distinguishing field (policy, stages, MDPT geometry,
-// tagging scheme, DDC sizes, latencies, core mode, ...) participates in the
-// key.  Keying the core mode keeps event-driven and stepped runs distinct,
-// which is what lets the equivalence tests compare the two through one
-// engine without cache aliasing.
+// tagging scheme, DDC sizes, latencies, ...) participates in the key.  Only
+// this package's tests select the stepped loop, so every other key prints
+// Core:event, which keeps the persistent store's existing objects valid.
 func (j SimulateJob) CacheKey() string {
 	return fmt.Sprintf("%s|%+v", engine.Key(j.Item), j.Config.withDefaults())
 }

@@ -3,7 +3,6 @@ package multiscalar
 import (
 	"encoding/json"
 	"reflect"
-	"strings"
 	"testing"
 
 	"memdep/internal/policy"
@@ -11,47 +10,21 @@ import (
 	"memdep/internal/workload"
 )
 
-// TestParseCoreModeRoundTrip checks that String and ParseCoreMode invert each
-// other for every defined core, case-insensitively (matching policy.Parse).
+// TestParseCoreModeRoundTrip checks that ParseCoreMode inverts String for the
+// event-driven core, case-insensitively (matching policy.Parse), and rejects
+// every other name -- the stepped reference loop included, which only this
+// package's tests can select.
 func TestParseCoreModeRoundTrip(t *testing.T) {
-	for _, m := range []CoreMode{CoreEvent, CoreStepped} {
-		mixed := strings.ToUpper(m.String()[:1]) + m.String()[1:]
-		for _, spelling := range []string{
-			m.String(),
-			strings.ToUpper(m.String()),
-			"  " + mixed + " ",
-		} {
-			got, err := ParseCoreMode(spelling)
-			if err != nil {
-				t.Fatalf("ParseCoreMode(%q): %v", spelling, err)
-			}
-			if got != m {
-				t.Fatalf("ParseCoreMode(%q) = %v, want %v", spelling, got, m)
-			}
+	for _, spelling := range []string{CoreEvent.String(), "EVENT", "  Event "} {
+		got, err := ParseCoreMode(spelling)
+		if err != nil || got != CoreEvent {
+			t.Fatalf("ParseCoreMode(%q) = %v, %v; want %v", spelling, got, err, CoreEvent)
 		}
 	}
-	if _, err := ParseCoreMode("polling"); err == nil {
-		t.Fatal("ParseCoreMode accepted an unknown mode")
-	}
-}
-
-// TestCoreModeJSONRoundTrip checks the text encoding used in JSON payloads.
-func TestCoreModeJSONRoundTrip(t *testing.T) {
-	for _, m := range []CoreMode{CoreEvent, CoreStepped} {
-		data, err := json.Marshal(m)
-		if err != nil {
-			t.Fatalf("marshal %v: %v", m, err)
+	for _, name := range []string{coreStepped.String(), "polling", ""} {
+		if _, err := ParseCoreMode(name); err == nil {
+			t.Errorf("ParseCoreMode(%q) accepted a core callers cannot select", name)
 		}
-		var back CoreMode
-		if err := json.Unmarshal(data, &back); err != nil {
-			t.Fatalf("unmarshal %s: %v", data, err)
-		}
-		if back != m {
-			t.Fatalf("round trip of %v gave %v", m, back)
-		}
-	}
-	if _, err := json.Marshal(CoreMode(99)); err == nil {
-		t.Fatal("marshal accepted an invalid core mode")
 	}
 }
 

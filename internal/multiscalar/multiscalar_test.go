@@ -7,8 +7,10 @@ import (
 
 	"memdep/internal/arb"
 	"memdep/internal/isa"
+	"memdep/internal/memdep"
 	"memdep/internal/policy"
 	"memdep/internal/program"
+	"memdep/internal/synth"
 	"memdep/internal/trace"
 	"memdep/internal/workload"
 )
@@ -236,7 +238,7 @@ func TestCommittedWorkIdenticalAcrossPolicies(t *testing.T) {
 // in-process reruns, for every policy and both cores.
 func TestSimulationRunToRunDeterministic(t *testing.T) {
 	w := prep(t, buildRecurrence(40), 0)
-	for _, core := range []CoreMode{CoreEvent, CoreStepped} {
+	for _, core := range []CoreMode{CoreEvent, coreStepped} {
 		for _, pol := range policy.All() {
 			cfg := DefaultConfig(4, pol)
 			cfg.Core = core
@@ -256,35 +258,51 @@ func TestSimulationRunToRunDeterministic(t *testing.T) {
 }
 
 // TestCoresCycleIdentical asserts the central guarantee of the event-driven
-// rewrite: skipping cycles in which no task can make progress changes
-// nothing.  The full Result -- cycles, squashes, wait accounting, predictor
-// breakdown, cache/ARB/sequencer/MDPT counters -- must be identical between
-// the event-driven and the stepped reference core.
+// core: skipping cycles in which no task can make progress changes nothing.
+// The full Result -- cycles, squashes, wait accounting, predictor breakdown,
+// cache/ARB/sequencer/MDPT counters -- must be identical between the
+// event-driven core and the stepped reference loop.  The inputs are every
+// suite benchmark at the 20,000-instruction bound the experiment drivers
+// were once compared at, a 20,000-op synthetic spec (the shape of the
+// benchmark's cold and grid traffic) and a recurrence kernel, at 4, 8 and 16
+// stages under every policy, plus the set-associative and store-set tables
+// under SYNC and ESYNC.
 func TestCoresCycleIdentical(t *testing.T) {
 	items := map[string]*WorkItem{
 		"recurrence": prep(t, buildRecurrence(60), 0),
-		"compress":   prep(t, workload.MustGet("compress").Build(1), 20_000),
-		"xlisp":      prep(t, workload.MustGet("xlisp").Build(1), 20_000),
+		"synth20k":   prep(t, synth.Spec{Seed: 1, Ops: 20_000}.Build(1), 0),
+	}
+	for _, name := range workload.Names() {
+		items[name] = prep(t, workload.MustGet(name).Build(1), 20_000)
+	}
+	var cfgs []Config
+	for _, stages := range []int{4, 8, 16} {
+		for _, pol := range policy.All() {
+			cfgs = append(cfgs, DefaultConfig(stages, pol))
+		}
+		for _, pol := range []policy.Kind{policy.Sync, policy.ESync} {
+			for _, table := range []memdep.TableKind{memdep.TableSetAssoc, memdep.TableStoreSet} {
+				cfg := DefaultConfig(stages, pol)
+				cfg.MemDep.Table = table
+				cfgs = append(cfgs, cfg)
+			}
+		}
 	}
 	for name, w := range items {
-		for _, stages := range []int{4, 8} {
-			for _, pol := range policy.All() {
-				event := DefaultConfig(stages, pol)
-				event.Core = CoreEvent
-				stepped := DefaultConfig(stages, pol)
-				stepped.Core = CoreStepped
-				re, err := Simulate(w, event)
-				if err != nil {
-					t.Fatalf("%s/%d/%v event: %v", name, stages, pol, err)
-				}
-				rs, err := Simulate(w, stepped)
-				if err != nil {
-					t.Fatalf("%s/%d/%v stepped: %v", name, stages, pol, err)
-				}
-				if !reflect.DeepEqual(re, rs) {
-					t.Errorf("%s/%d stages/%v: event and stepped cores disagree:\nevent:   %+v\nstepped: %+v",
-						name, stages, pol, re, rs)
-				}
+		for _, cfg := range cfgs {
+			re, err := Simulate(w, cfg)
+			if err != nil {
+				t.Fatalf("%s/%d/%v/%v event: %v", name, cfg.Stages, cfg.Policy, cfg.MemDep.Table, err)
+			}
+			stepped := cfg
+			stepped.Core = coreStepped
+			rs, err := Simulate(w, stepped)
+			if err != nil {
+				t.Fatalf("%s/%d/%v/%v stepped: %v", name, cfg.Stages, cfg.Policy, cfg.MemDep.Table, err)
+			}
+			if !reflect.DeepEqual(re, rs) {
+				t.Errorf("%s/%d stages/%v/%v: event and stepped cores disagree:\nevent:   %+v\nstepped: %+v",
+					name, cfg.Stages, cfg.Policy, cfg.MemDep.Table, re, rs)
 			}
 		}
 	}

@@ -140,17 +140,14 @@ type sim struct {
 	cycle        int64
 	head         int
 	nextDispatch int
-	stepped      bool
 
 	// Event-driven bookkeeping for one scheduling pass: changed records
 	// whether any architectural state was mutated (in which case the next
-	// cycle must be simulated), nextEvent accumulates the earliest cycle at
-	// which a non-wake condition (head-task completion) can resolve by time
-	// alone, and events holds the pending per-task wake cycles as a pooled
-	// min-heap so the jump target is a peek instead of a window re-scan.
+	// cycle must be simulated), and nextEvent accumulates the earliest cycle
+	// at which a stalled condition -- a task's wake cycle or the head task's
+	// completion -- resolves by time alone.
 	changed   bool
 	nextEvent int64
-	events    eventQueue
 
 	// fuPool holds one functional-unit reservation table per processing
 	// unit, shared by the successive tasks dispatched to that unit.  All
@@ -199,60 +196,39 @@ func (s *sim) post(cycle int64) {
 	}
 }
 
-// setWake caches a task's timed wake cycle and, in the event-driven core,
-// records it in the wake heap so the jump-target peek sees it.  (The stepped
-// core never reads wake state, so the heap is left untouched there.)
+// setWake caches a task's timed wake cycle and posts it as a jump target.
 //
 //memdep:hotpath
 func (s *sim) setWake(t *execTask, cycle int64) {
 	s.wake[t.id] = cycle
-	if !s.stepped {
-		s.events.set(cycle, int32(t.id))
-	}
-}
-
-// nextWake returns the earliest still-valid wake event.  Entries whose task
-// has committed, or whose cycle no longer matches the task's current wake
-// (the stall was superseded or cleared), are discarded as they surface.
-//
-//memdep:hotpath
-func (s *sim) nextWake() (int64, bool) {
-	q := &s.events
-	for len(q.cy) > 0 {
-		c, id := q.cy[0], q.id[0]
-		if s.committed[id] || s.wake[id] != c {
-			q.pop()
-			continue
-		}
-		return c, true
-	}
-	return 0, false
+	s.post(cycle)
 }
 
 // run drives the simulation to completion.
 //
-// Both cores execute the same scheduling pass (advance every in-flight task
-// in ascending order, then try to commit the head); they differ only in how
-// the clock moves between passes.  The stepped core increments it by one --
-// the classic polling loop.  The event-driven core distinguishes two cases:
-// if the pass mutated any state, the next cycle must be simulated (the
-// mutation may enable more work immediately); if the pass was a pure poll --
-// every task stalled -- nothing can happen until the earliest pending event
-// (the wake heap's minimum, or a posted head-task completion), so the clock
-// jumps there directly.  Stall reasons that resolve by time (fetch latency,
-// operand forwarding, FU occupancy, squash restart, task completion) record
-// their resolution cycle; stall reasons that resolve only through another
-// task's action (producer not yet executed, MDST waits, unresolved prior
-// stores) record nothing, because the enabling action is itself a mutation
-// that schedules the following cycle.  The two cores are therefore
-// cycle-for-cycle identical, which TestCoresCycleIdentical and the
-// experiment-table equivalence test assert.
+// Every scheduling pass advances each in-flight task in ascending order,
+// then tries to commit the head.  If the pass mutated any state, the next
+// cycle must be simulated (the mutation may enable more work immediately).
+// If it was a pure poll -- every task stalled -- nothing can happen until
+// the earliest pending event, so the clock jumps there directly.  The pass
+// itself collects that jump target: a stall that resolves by time (fetch
+// latency, operand forwarding, FU occupancy, squash restart, task
+// completion) posts its resolution cycle, and a task skipped because its
+// cached wake cycle is still pending posts that cycle again.  A stall that
+// resolves only through another task's action (producer not yet executed,
+// MDST waits, unresolved prior stores) posts nothing, because the enabling
+// action is itself a mutation that schedules the following cycle.
+//
+// The stepped reference loop (coreStepped, selectable only by this
+// package's tests) advances the clock one cycle per pass instead;
+// TestCoresCycleIdentical and FuzzCoresAgree assert the two are
+// cycle-for-cycle identical.
 func (s *sim) run() error {
 	// Dispatch the initial window.
 	for i := 0; i < s.cfg.Stages && i < len(s.tasks); i++ {
 		s.dispatch(i, int64(i)*int64(s.cfg.DispatchLatency))
 	}
-	stepped := s.stepped
+	stepped := s.cfg.Core == coreStepped
 	var passes uint
 	for s.head < len(s.tasks) {
 		if s.cycle > s.cfg.MaxCycles {
@@ -272,7 +248,7 @@ func (s *sim) run() error {
 			}
 			if !stepped && s.cycle < s.wake[i] {
 				// Timed stall still pending; re-advancing would be a no-op.
-				// The wake heap already holds the resolution cycle.
+				s.post(s.wake[i])
 				continue
 			}
 			s.advance(&s.tasks[i])
@@ -281,19 +257,14 @@ func (s *sim) run() error {
 		switch {
 		case stepped || s.changed:
 			s.cycle++
+		case s.nextEvent == never:
+			// No timed event pending and no progress made: the window can
+			// never advance again.  (The stepped loop would spin here until
+			// the cycle limit; report the deadlock it is actually in.)
+			return fmt.Errorf("multiscalar: %q wedged at cycle %d under %v: no task can progress and no event is pending",
+				s.w.Name, s.cycle, s.cfg.Policy)
 		default:
-			next := s.nextEvent
-			if w, ok := s.nextWake(); ok && w < next {
-				next = w
-			}
-			if next == never {
-				// No timed event pending and no progress made: the window can
-				// never advance again.  (The stepped core would spin here until
-				// the cycle limit; report the deadlock it is actually in.)
-				return fmt.Errorf("multiscalar: %q wedged at cycle %d under %v: no task can progress and no event is pending",
-					s.w.Name, s.cycle, s.cfg.Policy)
-			}
-			s.cycle = next
+			s.cycle = s.nextEvent
 		}
 	}
 	return nil

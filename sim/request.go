@@ -30,7 +30,11 @@ type Request struct {
 	Stages int `json:"stages,omitempty"`
 	// Policy selects the data dependence speculation policy ("" = ESYNC).
 	Policy Policy `json:"policy,omitempty"`
-	// Core selects the timing core ("" = the event-driven default).
+	// Core names the timing core.  The event-driven core is the only one:
+	// "", "event" and "stepped", in any case, all normalize to "event", and
+	// any other value is a "core" field error.
+	//
+	// Deprecated: the field selects nothing; omit it.
 	Core CoreMode `json:"core,omitempty"`
 	// Scale overrides the workload scale (0 = the benchmark's default).
 	Scale int `json:"scale,omitempty"`
@@ -62,8 +66,8 @@ func (r Request) Normalize() Request {
 	if p, err := ParsePolicy(string(defaultedPolicy(r.Policy))); err == nil {
 		r.Policy = p
 	}
-	if m, err := ParseCoreMode(string(defaultedCore(r.Core))); err == nil {
-		r.Core = m
+	if r.Core.valid() {
+		r.Core = CoreEvent
 	}
 	if t, err := ParseTableKind(string(defaultedTable(r.Predictor))); err == nil {
 		r.Predictor = t
@@ -114,13 +118,6 @@ func defaultedPolicy(p Policy) Policy {
 	return p
 }
 
-func defaultedCore(m CoreMode) CoreMode {
-	if m == "" {
-		return CoreEvent
-	}
-	return m
-}
-
 func defaultedTable(t TableKind) TableKind {
 	if t == "" {
 		return TableFullAssoc
@@ -141,7 +138,7 @@ func (r Request) Validate() error {
 	if _, err := r.Policy.kind(); err != nil {
 		v.add("policy", string(r.Policy), "unknown policy")
 	}
-	if _, err := r.Core.mode(); err != nil {
+	if !r.Core.valid() {
 		v.add("core", string(r.Core), "unknown core mode")
 	}
 	if _, err := r.Predictor.kind(); err != nil {
@@ -190,10 +187,6 @@ func (r Request) config() (multiscalar.Config, error) {
 	if err != nil {
 		return multiscalar.Config{}, err
 	}
-	core, err := r.Core.mode()
-	if err != nil {
-		return multiscalar.Config{}, err
-	}
 	stages := r.Stages
 	if stages == 0 {
 		stages = 8
@@ -206,7 +199,6 @@ func (r Request) config() (multiscalar.Config, error) {
 	cfg.MemDep.Entries = entries
 	cfg.MemDep.Table = table
 	cfg.MemDep.Ways = r.MDPTWays
-	cfg.Core = core
 	cfg.DDCSizes = r.DDCSizes
 	return cfg, nil
 }

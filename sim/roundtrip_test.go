@@ -21,7 +21,7 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 		},
 		Stages:          4,
 		Policy:          PolicySync,
-		Core:            CoreStepped,
+		Core:            "stepped",
 		Scale:           2,
 		MaxInstructions: 123_456,
 		MDPTEntries:     128,
@@ -122,22 +122,24 @@ func TestEnumSpellings(t *testing.T) {
 	})
 
 	t.Run("core", func(t *testing.T) {
-		cases := map[string]CoreMode{
-			"event": CoreEvent, "EVENT": CoreEvent, "Event": CoreEvent,
-			"stepped": CoreStepped, "Stepped": CoreStepped,
-		}
-		for spelling, want := range cases {
-			got, err := ParseCoreMode(spelling)
-			if err != nil || got != want {
-				t.Errorf("ParseCoreMode(%q) = %v, %v; want %v", spelling, got, err, want)
+		// The deprecated field accepts the spellings of both former cores
+		// and normalizes every one to the one core, so all of them share the
+		// omitted field's canonical JSON: one cache entry, one fleet owner.
+		want := Request{Bench: "compress"}.CanonicalJSON()
+		for _, spelling := range []string{"", "event", "EVENT", "Event", "stepped", "Stepped", " STEPPED "} {
+			var r Request
+			if err := json.Unmarshal([]byte(`{"bench":"compress","core":"`+spelling+`"}`), &r); err != nil {
+				t.Fatalf("unmarshal core %q: %v", spelling, err)
 			}
-			var m CoreMode
-			if err := json.Unmarshal([]byte(`"`+spelling+`"`), &m); err != nil || m != want {
-				t.Errorf("unmarshal %q = %v, %v; want %v", spelling, m, err, want)
+			if err := r.Validate(); err != nil {
+				t.Errorf("core %q rejected: %v", spelling, err)
 			}
-		}
-		if _, err := ParseCoreMode("polling"); err == nil {
-			t.Error("ParseCoreMode accepted an unknown mode")
+			if got := r.Normalize().Core; got != CoreEvent {
+				t.Errorf("core %q normalizes to %q, want %q", spelling, got, CoreEvent)
+			}
+			if got := r.CanonicalJSON(); got != want {
+				t.Errorf("core %q: canonical JSON %s, want %s", spelling, got, want)
+			}
 		}
 	})
 }

@@ -34,7 +34,7 @@ func WithWorkers(n int) Option {
 
 // WithDefaults overlays the non-zero fields of req onto every request the
 // session runs, before the package defaults apply.  Use it to pin a session
-// to, say, a stepped-core or a bounded-instruction configuration.
+// to, say, a four-stage or a bounded-instruction configuration.
 func WithDefaults(req Request) Option {
 	return func(s *Session) { s.defaults = req }
 }
@@ -156,9 +156,6 @@ func (s *Session) overlay(req Request) Request {
 	}
 	if req.Policy == "" {
 		req.Policy = d.Policy
-	}
-	if req.Core == "" {
-		req.Core = d.Core
 	}
 	if req.Scale == 0 {
 		req.Scale = d.Scale

@@ -36,7 +36,6 @@ import (
 	"strings"
 
 	"memdep/internal/memdep"
-	"memdep/internal/multiscalar"
 	"memdep/internal/policy"
 )
 
@@ -163,54 +162,22 @@ func (t TableKind) kind() (memdep.TableKind, error) {
 	return memdep.ParseTableKind(string(t))
 }
 
-// CoreMode selects the timing simulator's run-loop implementation.  Both
-// cores produce identical results; the event-driven core (the zero-value
-// default) is simply faster.  The stepped reference core exists for
-// equivalence testing.
+// CoreMode is the type of the deprecated Request.Core field.  The
+// event-driven timing core is the only one, so the field selects nothing:
+// Normalize maps "", "event" and "stepped", in any case, to CoreEvent, and
+// Validate rejects every other value.
 type CoreMode string
 
-// The timing cores.
-const (
-	// CoreEvent advances the clock directly to the earliest pending event.
-	CoreEvent CoreMode = "event"
-	// CoreStepped polls every in-flight task once per cycle.
-	CoreStepped CoreMode = "stepped"
-)
+// CoreEvent names the event-driven timing core.
+const CoreEvent CoreMode = "event"
 
-// CoreModes returns both cores.
-func CoreModes() []CoreMode { return []CoreMode{CoreEvent, CoreStepped} }
-
-// ParseCoreMode parses a core name case-insensitively and returns the
-// canonical spelling.
-func ParseCoreMode(s string) (CoreMode, error) {
-	m, err := multiscalar.ParseCoreMode(s)
-	if err != nil {
-		return "", err
+// valid reports whether the deprecated core field accepts the spelling.
+func (m CoreMode) valid() bool {
+	switch strings.ToLower(strings.TrimSpace(string(m))) {
+	case "", "event", "stepped":
+		return true
 	}
-	return CoreMode(m.String()), nil
-}
-
-// String returns the canonical spelling.
-func (m CoreMode) String() string { return string(m) }
-
-// UnmarshalText implements encoding.TextUnmarshaler: decoding canonicalizes
-// known spellings and defers unknown ones to Request.Validate.
-func (m *CoreMode) UnmarshalText(text []byte) error {
-	if v, err := ParseCoreMode(string(text)); err == nil {
-		*m = v
-	} else {
-		*m = CoreMode(text)
-	}
-	return nil
-}
-
-// mode converts to the internal core enum; the empty value selects the
-// event-driven default.
-func (m CoreMode) mode() (multiscalar.CoreMode, error) {
-	if m == "" {
-		m = CoreEvent
-	}
-	return multiscalar.ParseCoreMode(string(m))
+	return false
 }
 
 // FieldError describes one invalid Request field.

@@ -64,8 +64,6 @@ type SuiteOptions struct {
 	Predictor TableKind `json:"predictor,omitempty"`
 	// MDPTWays sets the associativity of the setassoc/storeset organizations.
 	MDPTWays int `json:"mdpt_ways,omitempty"`
-	// Core selects the timing core ("" = event).
-	Core CoreMode `json:"core,omitempty"`
 	// Synth overrides the base synthetic-workload spec swept by the
 	// sensitivity-synth experiment (nil = the generator defaults with seed 1).
 	// The sweep varies the dependence-distance histogram and alias-set size
@@ -94,11 +92,6 @@ func (o SuiteOptions) options() (experiments.Options, error) {
 	}
 	opts.PredictorTable = table
 	opts.MDPTWays = o.MDPTWays
-	core, err := o.Core.mode()
-	if err != nil {
-		return opts, err
-	}
-	opts.Core = core
 	if o.Synth != nil {
 		// Validate through the facade so problems keep the structured
 		// synth.-prefixed field shape the rest of the API reports.
@@ -122,9 +115,6 @@ func (o SuiteOptions) Effective() SuiteOptions {
 	}
 	if t, err := ParseTableKind(string(defaultedTable(o.Predictor))); err == nil {
 		o.Predictor = t
-	}
-	if m, err := ParseCoreMode(string(defaultedCore(o.Core))); err == nil {
-		o.Core = m
 	}
 	if o.Synth != nil {
 		o.Synth = o.Synth.Normalize()
