@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"memdep/internal/fleet"
 	"memdep/sim"
 )
 
@@ -39,16 +38,17 @@ func fakeServer(t *testing.T, simulateStatus int) *httptest.Server {
 			w.WriteHeader(http.StatusBadRequest)
 			return
 		}
-		sw := fleet.NewStreamWriter(w)
+		w.Header().Set("Content-Type", "application/x-ndjson")
 		for i := range req.Requests {
-			cell := fleet.GridCell{Index: i, Result: json.RawMessage(`{"cycles": 123}`)}
+			line := fmt.Sprintf(`{"index":%d,"result":{"cycles":123}}`, i)
 			if req.Requests[i].Stages == 64 { // the error-injection marker
-				cell = fleet.GridCell{Index: i, Error: "boom"}
+				line = fmt.Sprintf(`{"index":%d,"error":"boom"}`, i)
 			}
-			sw.Write(cell) //nolint:errcheck
+			fmt.Fprintln(w, line)
+			w.(http.Flusher).Flush()
 			time.Sleep(time.Millisecond)
 		}
-		sw.Write(fleet.GridSummaryLine{Summary: fleet.GridSummary{Cells: len(req.Requests), OK: len(req.Requests)}}) //nolint:errcheck
+		fmt.Fprintf(w, `{"summary":{"cells":%d,"ok":%d}}`+"\n", len(req.Requests), len(req.Requests))
 	})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)

@@ -1,8 +1,8 @@
 package main
 
 // Docs-freshness tests: the documented surface is generated from the same
-// tables the server actually serves (serverRoutes, fleet.CoordinatorRoutes,
-// newFlagSet), so a route or flag added without documentation fails CI.
+// tables the server actually serves (fleet.Routes, newFlagSet), so a route
+// or flag added without documentation fails CI.
 
 import (
 	"flag"
@@ -32,13 +32,8 @@ func repoFile(t *testing.T, rel string) string {
 // in docs/API.md as a literal `METHOD /path` string.
 func TestAPIDocCoversServerRoutes(t *testing.T) {
 	doc := repoFile(t, filepath.Join("docs", "API.md"))
-	seen := map[string]bool{}
-	for _, r := range append(serverRoutes(), fleet.CoordinatorRoutes()...) {
+	for _, r := range fleet.Routes() {
 		key := fmt.Sprintf("`%s %s`", r.Method, r.Pattern)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
 		if !strings.Contains(doc, key) {
 			t.Errorf("docs/API.md does not document %s", key)
 		}
@@ -46,12 +41,14 @@ func TestAPIDocCoversServerRoutes(t *testing.T) {
 }
 
 // TestServerServesDeclaredRoutes asserts the standalone handler actually
-// serves every route serverRoutes declares: no dead documentation, no
-// undeclared handler.
+// serves every route fleet.Routes declares for it: no dead documentation.
 func TestServerServesDeclaredRoutes(t *testing.T) {
-	ts := httptest.NewServer(newHandler(sim.NewSession(), nil))
+	ts := httptest.NewServer(fleet.NewLocal(sim.NewSession(), nil).Handler())
 	defer ts.Close()
-	for _, r := range serverRoutes() {
+	for _, r := range fleet.Routes() {
+		if r.CoordinatorOnly {
+			continue
+		}
 		req, err := http.NewRequest(r.Method, ts.URL+r.Pattern, strings.NewReader("{}"))
 		if err != nil {
 			t.Fatal(err)

@@ -32,7 +32,7 @@ func startWorker(t *testing.T) *crashableWorker {
 	}
 	w := &crashableWorker{
 		url: "http://" + ln.Addr().String(),
-		srv: &http.Server{Handler: newHandler(sim.NewSession(sim.WithWorkers(2)), nil)},
+		srv: &http.Server{Handler: localHandler(2, nil)},
 	}
 	go w.srv.Serve(ln) //nolint:errcheck // closed by crash/cleanup
 	t.Cleanup(func() { w.srv.Close() })
@@ -247,8 +247,7 @@ func TestFleetCoordinatorRestart(t *testing.T) {
 // streaming mode: with one cheap and one expensive cell, the cheap cell's
 // line arrives long before the stream finishes.
 func TestStandaloneStreamingFirstCellBeforeCompletion(t *testing.T) {
-	ts := httptest.NewServer(newHandler(sim.NewSession(sim.WithWorkers(2)), nil))
-	t.Cleanup(ts.Close)
+	ts := newTestServer(t)
 
 	body := `{"requests":[
 		{"synth":{"seed":1,"ops":512},"stages":4},
@@ -305,7 +304,7 @@ func TestStandaloneStreamingMatchesBuffered(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("buffered grid: status = %d", status)
 	}
-	var bresp gridResponse
+	var bresp struct{ Results []sim.Result }
 	if err := json.Unmarshal(buffered, &bresp); err != nil {
 		t.Fatal(err)
 	}
@@ -331,10 +330,11 @@ func TestStandaloneStreamingMatchesBuffered(t *testing.T) {
 }
 
 // TestStandaloneAdmission saturates a limited server: the extra request is
-// rejected with 429 + Retry-After, and capacity frees up afterwards.
+// rejected with 429 + Retry-After, an invalid one is still a 400, and
+// capacity frees up afterwards.
 func TestStandaloneAdmission(t *testing.T) {
 	lim := fleet.NewLimiter(1, 0)
-	ts := httptest.NewServer(newHandler(sim.NewSession(sim.WithWorkers(2)), lim))
+	ts := httptest.NewServer(localHandler(2, lim))
 	t.Cleanup(ts.Close)
 
 	// Hold the only in-flight slot, exactly as a long-running admitted
@@ -354,6 +354,15 @@ func TestStandaloneAdmission(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 missing Retry-After")
+	}
+	// Validation precedes admission: a bad body is still a structured 400.
+	for _, bad := range []struct{ path, body string }{
+		{"/v1/simulate", `{"synth":{"seed":9,"ops":1024},"stages":-1}`},
+		{"/v1/grid", `{"requests":[{"bench":"nope"}]}`},
+	} {
+		if status, body := do(t, "POST", ts.URL+bad.path, bad.body); status != http.StatusBadRequest {
+			t.Errorf("saturated server answered an invalid %s body with %d: %s", bad.path, status, body)
+		}
 	}
 
 	// With the slot free again, the same request is admitted.

@@ -1,5 +1,7 @@
 // Command memdep-server serves the memdep simulator as a long-running
-// HTTP/JSON service on top of the public sim facade (memdep/sim).
+// HTTP/JSON service on top of the public sim facade (memdep/sim).  Every
+// role serves the simulation routes through internal/fleet's one handler
+// set; the role picks its backend.
 //
 // Endpoints (standalone and worker roles):
 //
@@ -125,7 +127,7 @@ func run(args []string, stderr io.Writer) int {
 			opts = append(opts, sim.WithStore(cfg.store))
 		}
 		session := sim.NewSession(opts...)
-		handler = newHandler(session, fleet.NewLimiter(cfg.maxInflight, cfg.maxQueue))
+		handler = fleet.NewLocal(session, fleet.NewLimiter(cfg.maxInflight, cfg.maxQueue)).Handler()
 		st := session.Stats()
 		if st.Store != nil {
 			banner = fmt.Sprintf("[memdep-server %s listening on %s, %d workers, store %s]", cfg.role, cfg.addr, st.Workers, st.Store.Dir)

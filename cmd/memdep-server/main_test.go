@@ -22,11 +22,24 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files")
 
+// localHandler serves a fresh session with the given engine worker count,
+// as the standalone and worker roles do.
+func localHandler(workers int, lim *fleet.Limiter) http.Handler {
+	return fleet.NewLocal(sim.NewSession(sim.WithWorkers(workers)), lim).Handler()
+}
+
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(newHandler(sim.NewSession(sim.WithWorkers(2)), nil))
+	ts := httptest.NewServer(localHandler(2, nil))
 	t.Cleanup(ts.Close)
 	return ts
+}
+
+// healthBody is the part of a standalone server's GET /v1/healthz and
+// GET /v1/statz bodies the tests read.
+type healthBody struct {
+	Status string    `json:"status"`
+	Stats  sim.Stats `json:"stats"`
 }
 
 // do issues a request and returns status and body.
@@ -99,7 +112,7 @@ func TestGridGolden(t *testing.T) {
 	}
 	checkGolden(t, "grid.json.golden", body)
 
-	var grid gridResponse
+	var grid healthBody
 	if err := json.Unmarshal(body, &grid); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +139,7 @@ func TestHealthz(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status = %d", status)
 	}
-	var health healthResponse
+	var health healthBody
 	if err := json.Unmarshal(body, &health); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +164,7 @@ func TestMalformedRequests(t *testing.T) {
 		t.Errorf("invalid fields: status = %d", status)
 	}
 	checkGolden(t, "invalid-fields.json.golden", body)
-	var errResp errorResponse
+	var errResp fleet.ErrorResponse
 	if err := json.Unmarshal(body, &errResp); err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +182,7 @@ func TestMalformedRequests(t *testing.T) {
 	if status, _ := do(t, "POST", ts.URL+"/v1/grid", big); status != http.StatusBadRequest {
 		t.Errorf("oversized grid: status = %d", status)
 	}
-	huge := `{"bench":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	huge := `{"bench":"` + strings.Repeat("x", 1<<20) + `"}` // over the 1 MiB body cap
 	if status, _ := do(t, "POST", ts.URL+"/v1/simulate", huge); status != http.StatusBadRequest {
 		t.Errorf("oversized body: status = %d", status)
 	}
@@ -201,7 +214,7 @@ func TestDeprecatedCoreField(t *testing.T) {
 		}
 	}
 	_, body := do(t, "GET", ts.URL+"/v1/healthz", "")
-	var health healthResponse
+	var health healthBody
 	if err := json.Unmarshal(body, &health); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +227,7 @@ func TestDeprecatedCoreField(t *testing.T) {
 	if status != http.StatusBadRequest {
 		t.Fatalf("core polling: status = %d, want 400", status)
 	}
-	var errResp errorResponse
+	var errResp fleet.ErrorResponse
 	if err := json.Unmarshal(body, &errResp); err != nil || len(errResp.Fields) != 1 || errResp.Fields[0].Field != "core" {
 		t.Errorf("core polling: want one structured error on core, got %s", body)
 	}
@@ -268,7 +281,7 @@ func TestConcurrentRequestsShareCache(t *testing.T) {
 	}
 
 	_, body := do(t, "GET", ts.URL+"/v1/healthz", "")
-	var health healthResponse
+	var health healthBody
 	if err := json.Unmarshal(body, &health); err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +303,7 @@ func TestGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &http.Server{Handler: newHandler(sim.NewSession(sim.WithWorkers(2)), nil)}
+	srv := &http.Server{Handler: localHandler(2, nil)}
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ln) }()
 	base := "http://" + ln.Addr().String()
@@ -387,7 +400,7 @@ func TestSynthSimulate(t *testing.T) {
 	if status != http.StatusBadRequest {
 		t.Errorf("bench+synth: status = %d", status)
 	}
-	var errResp errorResponse
+	var errResp fleet.ErrorResponse
 	if err := json.Unmarshal(errBody, &errResp); err != nil || len(errResp.Fields) == 0 {
 		t.Errorf("bench+synth: unstructured error %s", errBody)
 	}
@@ -395,7 +408,7 @@ func TestSynthSimulate(t *testing.T) {
 	if status != http.StatusBadRequest {
 		t.Errorf("bad spec: status = %d", status)
 	}
-	errResp = errorResponse{}
+	errResp = fleet.ErrorResponse{}
 	if err := json.Unmarshal(errBody, &errResp); err != nil || len(errResp.Fields) < 2 {
 		t.Errorf("bad spec: want per-field errors, got %s", errBody)
 	}
@@ -410,7 +423,7 @@ func TestStatz(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status = %d", status)
 	}
-	var resp statzResponse
+	var resp healthBody
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatalf("unmarshal: %v\n%s", err, body)
 	}
@@ -424,7 +437,7 @@ func TestStatz(t *testing.T) {
 	req := `{"synth":{"seed":3,"ops":2048},"stages":4,"policy":"ESYNC"}`
 	storeServer := func() (*httptest.Server, func() sim.Stats) {
 		session := sim.NewSession(sim.WithWorkers(2), sim.WithStore(dir))
-		s := httptest.NewServer(newHandler(session, nil))
+		s := httptest.NewServer(fleet.NewLocal(session, nil).Handler())
 		t.Cleanup(s.Close)
 		return s, session.Stats
 	}

@@ -4,70 +4,26 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"memdep/sim"
 )
 
-// MaxGridRequests bounds one /v1/grid call, matching the standalone
-// server's limit; larger studies are split into several grids.
-const MaxGridRequests = 1024
-
-// maxBodyBytes caps a decoded request body, matching the standalone server.
-const maxBodyBytes = 1 << 20
-
 // maxProxiedBody caps a relayed worker response; the largest legitimate
 // result (a fully annotated simulation) is well under a megabyte.
 const maxProxiedBody = 64 << 20
 
-// NDJSONContentType is the media type of a streaming grid response: one
-// JSON document per line, cells in completion order, a trailing summary.
-const NDJSONContentType = "application/x-ndjson"
-
-// ErrorResponse is the JSON shape of every non-2xx fleet response; it
-// matches the standalone server's error shape field for field.
-type ErrorResponse struct {
-	// Error is the human-readable failure description.
-	Error string `json:"error"`
-	// Fields carries per-field validation errors for malformed requests.
-	Fields []sim.FieldError `json:"fields,omitempty"`
-}
-
-// Route names one registered HTTP endpoint (method + pattern); the docs
-// tests assert every route appears in docs/API.md.
-type Route struct {
-	// Method is the HTTP method the pattern is registered under.
-	Method string
-	// Pattern is the URL path.
-	Pattern string
-}
-
-// CoordinatorRoutes lists every endpoint a coordinator serves.
-func CoordinatorRoutes() []Route {
-	return []Route{
-		{Method: "POST", Pattern: "/v1/simulate"},
-		{Method: "POST", Pattern: "/v1/grid"},
-		{Method: "GET", Pattern: "/v1/benchmarks"},
-		{Method: "GET", Pattern: "/v1/healthz"},
-		{Method: "GET", Pattern: "/v1/statz"},
-		{Method: "POST", Pattern: "/v1/fleet/register"},
-		{Method: "POST", Pattern: "/v1/fleet/deregister"},
-		{Method: "GET", Pattern: "/v1/fleet/workers"},
-	}
-}
+// gridFanout bounds how many cells of one grid are proxied at once.
+const gridFanout = 16
 
 // Config configures a Coordinator.  The zero value selects the defaults
 // documented on each field.
 type Config struct {
-	// Registry configures the worker registry (replicas, TTL, probe).
+	// Registry configures the worker registry (TTL, probe, clock).
 	Registry RegistryConfig
 	// HealthInterval is the period of the background health-check loop
 	// (0 = 2s).
@@ -78,25 +34,16 @@ type Config struct {
 	// MaxQueue bounds requests waiting for an in-flight slot (0 = 256,
 	// negative = no queue).
 	MaxQueue int
-	// GridFanout bounds how many cells of one grid are proxied at once
-	// (0 = 16).
-	GridFanout int
-	// Client issues the proxied requests (nil = a fresh client with the
-	// default transport and no overall timeout, since a full-scale
-	// simulation legitimately takes a while).
-	Client *http.Client
 }
 
-// Coordinator fronts a fleet of workers: it validates requests locally,
-// consistent-hash-routes them on their canonical normalized JSON, proxies
-// them to the owning worker with failover, applies admission control, and
-// streams grid results as NDJSON when asked to.  Create one with
-// NewCoordinator and serve Handler(); Close stops the health-check loop.
+// Coordinator is the Backend of the coordinator role: it
+// consistent-hash-routes each request on its canonical normalized JSON and
+// proxies it to the owning worker with failover.  It owns no session.
+// Create one with NewCoordinator and serve Handler(); Close stops the
+// health-check loop.
 type Coordinator struct {
-	cfg    Config
-	reg    *Registry
-	lim    *Limiter
-	client *http.Client
+	reg *Registry
+	lim *Limiter
 
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -138,52 +85,6 @@ type CoordinatorHealth struct {
 	Healthy int `json:"healthy"`
 }
 
-// GridRequest is the body of POST /v1/grid.
-type GridRequest struct {
-	// Requests are the grid cells; results are positional.
-	Requests []sim.Request `json:"requests"`
-	// Stream requests NDJSON output (equivalent to sending
-	// Accept: application/x-ndjson).
-	Stream bool `json:"stream,omitempty"`
-}
-
-// GridCell is one line of a streaming grid response: the positional index
-// of the cell in the request, and either its result or its error.
-type GridCell struct {
-	// Index is the cell's position in the request's Requests array.
-	Index int `json:"index"`
-	// Result is the cell's sim.Result, present on success.
-	Result json.RawMessage `json:"result,omitempty"`
-	// Error describes the cell's failure, present instead of Result.
-	Error string `json:"error,omitempty"`
-	// Fields carries per-field validation errors for an invalid cell.
-	Fields []sim.FieldError `json:"fields,omitempty"`
-}
-
-// GridSummary is the payload of the trailing record of a streaming grid
-// response.
-type GridSummary struct {
-	// Cells is the number of requested cells.
-	Cells int `json:"cells"`
-	// OK counts cells that returned a result.
-	OK int `json:"ok"`
-	// Errors counts cells that returned an error line.
-	Errors int `json:"errors"`
-	// ElapsedMS is the wall-clock duration of the whole grid.
-	ElapsedMS int64 `json:"elapsed_ms"`
-	// Stats snapshots the serving session's cache counters; standalone and
-	// worker servers fill it, the coordinator (which owns no session)
-	// omits it.
-	Stats *sim.Stats `json:"stats,omitempty"`
-}
-
-// GridSummaryLine wraps the summary so the trailing record is structurally
-// distinguishable from cell records ({"summary": {...}} vs {"index": ...}).
-type GridSummaryLine struct {
-	// Summary is the grid's closing accounting.
-	Summary GridSummary `json:"summary"`
-}
-
 // RegisterRequest is the body of POST /v1/fleet/register (and the periodic
 // heartbeat workers re-send).
 type RegisterRequest struct {
@@ -217,37 +118,19 @@ type WorkersResponse struct {
 	Healthy int `json:"healthy"`
 }
 
-// BenchmarksResponse is the body of GET /v1/benchmarks, matching the
-// standalone server's shape.
-type BenchmarksResponse struct {
-	// Benchmarks lists the committed workload suite.
-	Benchmarks []sim.Benchmark `json:"benchmarks"`
-}
-
 // NewCoordinator builds a coordinator and starts its background
 // health-check loop; Close stops it.
 func NewCoordinator(cfg Config) *Coordinator {
-	if cfg.HealthInterval <= 0 {
-		cfg.HealthInterval = 2 * time.Second
-	}
 	if cfg.MaxInflight == 0 {
 		cfg.MaxInflight = 64
 	}
 	if cfg.MaxQueue == 0 {
 		cfg.MaxQueue = 256
 	}
-	if cfg.GridFanout <= 0 {
-		cfg.GridFanout = 16
-	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{}
-	}
 	c := &Coordinator{
-		cfg:    cfg,
-		reg:    NewRegistry(cfg.Registry),
-		lim:    NewLimiter(cfg.MaxInflight, cfg.MaxQueue),
-		client: cfg.Client,
-		done:   make(chan struct{}),
+		reg:  NewRegistry(cfg.Registry),
+		lim:  NewLimiter(cfg.MaxInflight, cfg.MaxQueue),
+		done: make(chan struct{}),
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	c.cancel = cancel
@@ -282,75 +165,18 @@ func (c *Coordinator) Stats() CoordinatorStats {
 	}
 }
 
-// Handler builds the coordinator's route table; the routes are exactly
-// CoordinatorRoutes.
+// Handler serves the simulation routes over the fleet, plus the membership
+// routes.
 func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/simulate", c.handleSimulate)
-	mux.HandleFunc("POST /v1/grid", c.handleGrid)
-	mux.HandleFunc("GET /v1/benchmarks", c.handleBenchmarks)
-	mux.HandleFunc("GET /v1/healthz", c.handleHealthz)
-	mux.HandleFunc("GET /v1/statz", c.handleStatz)
+	mux := newMux(c, c.lim, gridFanout)
 	mux.HandleFunc("POST /v1/fleet/register", c.handleRegister)
 	mux.HandleFunc("POST /v1/fleet/deregister", c.handleDeregister)
 	mux.HandleFunc("GET /v1/fleet/workers", c.handleWorkers)
 	return mux
 }
 
-// WriteJSON writes v as an indented JSON response with the given status.
-func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // the client is gone if this fails
-}
-
-// WriteError maps an error to its HTTP shape: validation failures are
-// structured 400s, overload is 429 with Retry-After, an empty fleet is 503
-// with Retry-After, cancellation is 503, a worker that could not be
-// reached after failover is 502, anything else a 500.
-func WriteError(w http.ResponseWriter, err error) {
-	var verr *sim.ValidationError
-	var oerr *OverloadError
-	switch {
-	case errors.As(err, &verr):
-		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Fields: verr.Fields})
-	case errors.As(err, &oerr):
-		w.Header().Set("Retry-After", strconv.Itoa(int(oerr.RetryAfter.Seconds())))
-		WriteJSON(w, http.StatusTooManyRequests, ErrorResponse{Error: err.Error()})
-	case errors.Is(err, ErrNoWorkers):
-		w.Header().Set("Retry-After", "1")
-		WriteJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: err.Error()})
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		WriteJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: err.Error()})
-	case errors.As(err, new(*forwardError)):
-		WriteJSON(w, http.StatusBadGateway, ErrorResponse{Error: err.Error()})
-	default:
-		WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
-	}
-}
-
-// DecodeBody decodes a JSON request body strictly (size-capped, unknown
-// fields rejected), writing the 400 itself on failure.
-func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("malformed request body: %v", err)})
-		return false
-	}
-	return true
-}
-
-// WantsStream reports whether the client asked for NDJSON grid output via
-// the Accept header.  The body's "stream" field is the other way in.
-func WantsStream(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), NDJSONContentType)
-}
-
-// forwardError is a proxying failure after failover was exhausted; it maps
-// to 502 Bad Gateway.
+// forwardError is a grid cell that failed on the fleet; it maps to
+// 502 Bad Gateway.
 type forwardError struct {
 	msg string
 }
@@ -358,18 +184,30 @@ type forwardError struct {
 // Error implements the error interface.
 func (e *forwardError) Error() string { return e.msg }
 
-// forwarded is one relayed worker response.
-type forwarded struct {
+// workerError is a worker's reply other than 200.  The error writer relays
+// it to the client unchanged; as a grid cell it names the worker.
+type workerError struct {
+	worker      string
 	status      int
 	contentType string
 	body        []byte
-	worker      string
 }
 
-// forward proxies payload to the worker owning key, walking the ring's
-// failover order on transport errors.  A response -- any status -- ends the
-// walk: the worker is alive, and retrying elsewhere would duplicate work.
-func (c *Coordinator) forward(ctx context.Context, path, key string, payload []byte) (*forwarded, error) {
+// Error implements the error interface.
+func (e *workerError) Error() string {
+	return fmt.Sprintf("worker %s returned %d: %s", e.worker, e.status, truncate(e.body, 512))
+}
+
+// Simulate proxies req to the worker owning its canonical normalized JSON
+// and returns the worker's reply verbatim.  Transport errors walk the ring's
+// failover order, demoting each worker that failed.  A reply of any status
+// ends the walk: the worker is alive, and retrying elsewhere would duplicate
+// work.
+func (c *Coordinator) Simulate(ctx context.Context, req sim.Request) ([]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	key := req.CanonicalJSON()
 	c.routed.Add(1)
 	tried := make(map[string]bool)
 	for {
@@ -378,276 +216,101 @@ func (c *Coordinator) forward(ctx context.Context, path, key string, payload []b
 			c.unroutable.Add(1)
 			return nil, err
 		}
-		resp, err := c.post(ctx, wkr.URL+path, payload)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			// The worker is unreachable: demote it and walk on.  The
-			// registry health loop revives it when it answers again.
-			tried[wkr.Name] = true
-			c.reg.ReportFailure(wkr.Name)
-			c.rerouted.Add(1)
-			continue
+		// No overall timeout: a full-scale simulation legitimately takes a while.
+		resp, body, err := postPayload(ctx, http.DefaultClient, wkr.URL+"/v1/simulate", []byte(key))
+		switch {
+		case err == nil && resp.StatusCode == http.StatusOK:
+			return body, nil
+		case err == nil:
+			return nil, &workerError{worker: wkr.Name, status: resp.StatusCode, contentType: resp.Header.Get("Content-Type"), body: body}
+		case ctx.Err() != nil:
+			return nil, ctx.Err()
 		}
-		resp.worker = wkr.Name
-		return resp, nil
+		// No complete reply: the worker is unreachable.  Demote it and walk
+		// on; the registry health loop revives it when it answers again.
+		tried[wkr.Name] = true
+		c.reg.ReportFailure(wkr.Name)
+		c.rerouted.Add(1)
 	}
 }
 
-// post issues one proxied POST and reads the full response.
-func (c *Coordinator) post(ctx context.Context, url string, payload []byte) (*forwarded, error) {
+// postPayload posts a JSON payload and reads the whole reply (up to
+// maxProxiedBody), closing its body.  An error means no complete reply
+// arrived: a body cut short of its Content-Length is a transport error.
+func postPayload(ctx context.Context, client *http.Client, url string, payload []byte) (*http.Response, []byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxProxiedBody))
-	if err != nil {
+	return resp, body, err
+}
+
+// Grid proxies every cell, at most gridFanout at once.  It is
+// all-or-nothing: a dead context fails the grid with the context's error,
+// and any failed cell fails it with a 502 naming the cell.
+func (c *Coordinator) Grid(ctx context.Context, reqs []sim.Request) ([]json.RawMessage, error) {
+	docs := make([]json.RawMessage, len(reqs))
+	errs := make([]error, len(reqs))
+	eachCell(len(reqs), gridFanout, func(i int) {
+		docs[i], errs[i] = c.Simulate(ctx, reqs[i])
+	})
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return &forwarded{status: resp.StatusCode, contentType: resp.Header.Get("Content-Type"), body: body}, nil
-}
-
-// handleSimulate validates locally, routes on the canonical normalized
-// JSON, and relays the owning worker's response verbatim.
-func (c *Coordinator) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	var req sim.Request
-	if !DecodeBody(w, r, &req) {
-		return
-	}
-	if err := req.Validate(); err != nil {
-		WriteError(w, err)
-		return
-	}
-	release, err := c.lim.Acquire(r.Context())
-	if err != nil {
-		WriteError(w, err)
-		return
-	}
-	defer release()
-	key := req.CanonicalJSON()
-	fwd, err := c.forward(r.Context(), "/v1/simulate", key, []byte(key))
-	if err != nil {
-		WriteError(w, err)
-		return
-	}
-	relay(w, fwd)
-}
-
-// relay copies a worker response through to the client.
-func relay(w http.ResponseWriter, fwd *forwarded) {
-	if fwd.contentType != "" {
-		w.Header().Set("Content-Type", fwd.contentType)
-	}
-	w.WriteHeader(fwd.status)
-	w.Write(fwd.body) //nolint:errcheck // the client is gone if this fails
-}
-
-// handleGrid routes each cell to its owning worker.  Buffered mode is
-// all-or-nothing (any failed cell fails the grid); streaming mode reports
-// per-cell errors as lines and always ends with a summary.
-func (c *Coordinator) handleGrid(w http.ResponseWriter, r *http.Request) {
-	var greq GridRequest
-	if !DecodeBody(w, r, &greq) {
-		return
-	}
-	if ok, errResp := CheckGridShape(len(greq.Requests)); !ok {
-		WriteJSON(w, http.StatusBadRequest, errResp)
-		return
-	}
-	release, err := c.lim.Acquire(r.Context())
-	if err != nil {
-		WriteError(w, err)
-		return
-	}
-	defer release()
-
-	if greq.Stream || WantsStream(r) {
-		c.streamGrid(w, r, greq.Requests)
-		return
-	}
-
-	// Buffered: validate every cell up front so a malformed grid is a
-	// structured 400 before any work is proxied, matching the standalone
-	// server's semantics.
-	for i, req := range greq.Requests {
-		if err := req.Validate(); err != nil {
-			WriteError(w, fmt.Errorf("request %d: %w", i, err))
-			return
-		}
-	}
-	results := make([]json.RawMessage, len(greq.Requests))
-	errs := make([]error, len(greq.Requests))
-	c.eachCell(r.Context(), greq.Requests, func(i int, req sim.Request) {
-		fwd, err := c.forwardCell(r.Context(), req)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		results[i] = fwd
-	})
 	for i, err := range errs {
 		if err != nil {
-			WriteError(w, &forwardError{msg: fmt.Sprintf("cell %d: %v", i, err)})
-			return
+			return nil, &forwardError{msg: fmt.Sprintf("cell %d: %v", i, err)}
 		}
 	}
-	WriteJSON(w, http.StatusOK, struct {
-		Results []json.RawMessage `json:"results"`
-	}{Results: results})
+	return docs, nil
 }
 
-// CheckGridShape validates the cell count of a grid request, returning the
-// 400 body to serve when it is invalid.  Shared by the coordinator and the
-// standalone server so both reject identically.
-func CheckGridShape(n int) (ok bool, errResp ErrorResponse) {
-	if n == 0 {
-		return false, ErrorResponse{
-			Error: "invalid request: requests: at least one request is required",
-			Fields: []sim.FieldError{
-				{Field: "requests", Msg: "at least one request is required"},
-			},
-		}
-	}
-	if n > MaxGridRequests {
-		return false, ErrorResponse{
-			Error: fmt.Sprintf("invalid request: requests: a grid is limited to %d requests", MaxGridRequests),
-			Fields: []sim.FieldError{
-				{Field: "requests", Value: fmt.Sprint(n),
-					Msg: fmt.Sprintf("a grid is limited to %d requests", MaxGridRequests)},
-			},
-		}
-	}
-	return true, ErrorResponse{}
+// SessionStats is nil: a coordinator owns no session, so its grid responses
+// carry no stats block.
+func (c *Coordinator) SessionStats() *sim.Stats { return nil }
+
+// Health reports coordinator liveness and fleet capacity.
+func (c *Coordinator) Health() any {
+	return CoordinatorHealth{Status: "ok", Role: "coordinator", Workers: c.reg.Len(), Healthy: c.reg.Healthy()}
 }
 
-// forwardCell validates, routes and proxies one grid cell, returning the
-// raw result document.
-func (c *Coordinator) forwardCell(ctx context.Context, req sim.Request) (json.RawMessage, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	key := req.CanonicalJSON()
-	fwd, err := c.forward(ctx, "/v1/simulate", key, []byte(key))
-	if err != nil {
-		return nil, err
-	}
-	if fwd.status != http.StatusOK {
-		return nil, &forwardError{msg: fmt.Sprintf("worker %s returned %d: %s", fwd.worker, fwd.status, truncate(fwd.body, 512))}
-	}
-	return json.RawMessage(fwd.body), nil
-}
-
-// eachCell runs fn for every cell with at most GridFanout in flight.
-func (c *Coordinator) eachCell(ctx context.Context, reqs []sim.Request, fn func(int, sim.Request)) {
-	sem := make(chan struct{}, c.cfg.GridFanout)
-	var wg sync.WaitGroup
-	for i, req := range reqs {
-		if ctx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, req sim.Request) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			fn(i, req)
-		}(i, req)
-	}
-	wg.Wait()
-}
-
-// streamGrid proxies cells concurrently and writes each as an NDJSON line
-// the moment it completes, closing with a summary record.
-func (c *Coordinator) streamGrid(w http.ResponseWriter, r *http.Request, reqs []sim.Request) {
-	sw := NewStreamWriter(w)
-	start := time.Now()
-	var mu sync.Mutex
-	ok, failed := 0, 0
-	c.eachCell(r.Context(), reqs, func(i int, req sim.Request) {
-		cell := GridCell{Index: i}
-		res, err := c.forwardCell(r.Context(), req)
-		var verr *sim.ValidationError
-		switch {
-		case err == nil:
-			cell.Result = res
-		case errors.As(err, &verr):
-			cell.Error = err.Error()
-			cell.Fields = verr.Fields
-		default:
-			cell.Error = err.Error()
-		}
-		mu.Lock()
-		if cell.Error == "" {
-			ok++
-		} else {
-			failed++
-		}
-		mu.Unlock()
-		sw.Write(cell) //nolint:errcheck // a dead client cancels the context
-	})
-	sw.Write(GridSummaryLine{Summary: GridSummary{ //nolint:errcheck
-		Cells:     len(reqs),
-		OK:        ok,
-		Errors:    failed,
-		ElapsedMS: time.Since(start).Milliseconds(),
-	}})
-}
-
-// handleBenchmarks serves the workload catalogue locally: it is static and
-// identical on every fleet member.
-func (c *Coordinator) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, BenchmarksResponse{Benchmarks: sim.Benchmarks()})
-}
-
-// handleHealthz reports coordinator liveness and fleet capacity.
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, CoordinatorHealth{
-		Status:  "ok",
-		Role:    "coordinator",
-		Workers: c.reg.Len(),
-		Healthy: c.reg.Healthy(),
-	})
-}
-
-// handleStatz reports the routing and admission counters.
-func (c *Coordinator) handleStatz(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, c.Stats())
-}
+// Statz reports the routing and admission counters.
+func (c *Coordinator) Statz() any { return c.Stats() }
 
 // handleRegister admits a worker into the fleet (idempotent; workers
 // re-send it as their heartbeat).
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if !DecodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if err := c.reg.Register(req.Name, req.URL); err != nil {
-		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
-	WriteJSON(w, http.StatusOK, MembershipResponse{Status: "ok", Workers: c.reg.Len(), Healthy: c.reg.Healthy()})
+	writeJSON(w, http.StatusOK, MembershipResponse{Status: "ok", Workers: c.reg.Len(), Healthy: c.reg.Healthy()})
 }
 
 // handleDeregister drains a worker out of the ring.
 func (c *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	var req DeregisterRequest
-	if !DecodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	c.reg.Deregister(req.Name)
-	WriteJSON(w, http.StatusOK, MembershipResponse{Status: "ok", Workers: c.reg.Len(), Healthy: c.reg.Healthy()})
+	writeJSON(w, http.StatusOK, MembershipResponse{Status: "ok", Workers: c.reg.Len(), Healthy: c.reg.Healthy()})
 }
 
 // handleWorkers lists the registry.
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, WorkersResponse{Workers: c.reg.Snapshot(), Healthy: c.reg.Healthy()})
+	writeJSON(w, http.StatusOK, WorkersResponse{Workers: c.reg.Snapshot(), Healthy: c.reg.Healthy()})
 }
 
 // truncate clips a relayed body for inclusion in an error message.
@@ -656,40 +319,4 @@ func truncate(b []byte, n int) string {
 		return string(b)
 	}
 	return string(b[:n]) + "..."
-}
-
-// StreamWriter serializes NDJSON records onto an HTTP response, one per
-// line, flushing after each so cells reach the client the moment they
-// complete.  Safe for concurrent use.
-type StreamWriter struct {
-	mu    sync.Mutex
-	w     http.ResponseWriter
-	flush http.Flusher
-}
-
-// NewStreamWriter sets the NDJSON content type and wraps the writer.
-func NewStreamWriter(w http.ResponseWriter) *StreamWriter {
-	sw := &StreamWriter{w: w}
-	w.Header().Set("Content-Type", NDJSONContentType)
-	if f, ok := w.(http.Flusher); ok {
-		sw.flush = f
-	}
-	return sw
-}
-
-// Write marshals one record, appends the newline and flushes.
-func (s *StreamWriter) Write(v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.w.Write(append(data, '\n')); err != nil {
-		return err
-	}
-	if s.flush != nil {
-		s.flush.Flush()
-	}
-	return nil
 }

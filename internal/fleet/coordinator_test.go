@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -28,7 +27,7 @@ func echoWorker(t *testing.T, name string) *httptest.Server {
 	})
 	mux.HandleFunc("POST /v1/simulate", func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
-		WriteJSON(w, http.StatusOK, map[string]any{"worker": name, "echo": json.RawMessage(body)})
+		writeJSON(w, http.StatusOK, map[string]any{"worker": name, "echo": json.RawMessage(body)})
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
@@ -168,7 +167,7 @@ func TestCoordinatorAdmissionRejectsWith429(t *testing.T) {
 	mux.HandleFunc("POST /v1/simulate", func(w http.ResponseWriter, r *http.Request) {
 		blocked <- struct{}{}
 		<-release
-		WriteJSON(w, http.StatusOK, map[string]string{"worker": "slow"})
+		writeJSON(w, http.StatusOK, map[string]string{"worker": "slow"})
 	})
 	slow := httptest.NewServer(mux)
 	t.Cleanup(slow.Close)
@@ -251,36 +250,14 @@ func TestCoordinatorBufferedGrid(t *testing.T) {
 // decodeStream parses an NDJSON grid response into cells and the summary.
 func decodeStream(t *testing.T, body *bytes.Buffer) ([]GridCell, GridSummary) {
 	t.Helper()
+	lines, summary := streamLines(t, body.Bytes())
 	var cells []GridCell
-	var summary GridSummary
-	sawSummary := false
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		if sawSummary {
-			t.Fatalf("record after the summary: %s", line)
-		}
-		var sl GridSummaryLine
-		if err := json.Unmarshal(line, &sl); err == nil && sl.Summary.Cells > 0 {
-			summary = sl.Summary
-			sawSummary = true
-			continue
-		}
+	for _, line := range lines {
 		var cell GridCell
 		if err := json.Unmarshal(line, &cell); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", line, err)
 		}
 		cells = append(cells, cell)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !sawSummary {
-		t.Fatal("stream ended without a summary record")
 	}
 	return cells, summary
 }
@@ -389,7 +366,7 @@ func TestCoordinatorMembershipEndpoints(t *testing.T) {
 func TestCoordinatorServesDeclaredRoutes(t *testing.T) {
 	c := newTestCoordinator(t, Config{})
 	h := c.Handler()
-	for _, rt := range CoordinatorRoutes() {
+	for _, rt := range Routes() {
 		req := httptest.NewRequest(rt.Method, rt.Pattern, strings.NewReader("{}"))
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
@@ -467,14 +444,14 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 // TestStreamWriterConcurrent exercises the line writer under -race.
 func TestStreamWriterConcurrent(t *testing.T) {
 	rec := httptest.NewRecorder()
-	sw := NewStreamWriter(rec)
+	sw := newStreamWriter(rec)
 	var wrote atomic.Int64
 	doneCh := make(chan struct{})
 	for g := 0; g < 8; g++ {
 		go func(g int) {
 			defer func() { doneCh <- struct{}{} }()
 			for i := 0; i < 50; i++ {
-				if err := sw.Write(GridCell{Index: g*50 + i}); err != nil {
+				if err := sw.write(GridCell{Index: g*50 + i}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -51,9 +51,6 @@ type workerState struct {
 // RegistryConfig configures a Registry.  The zero value selects the
 // defaults documented on each field.
 type RegistryConfig struct {
-	// Replicas is the number of virtual nodes per worker on the hash ring
-	// (0 = 64: smooth key distribution at negligible rebuild cost).
-	Replicas int
 	// TTL is how long a worker may go without a successful registration,
 	// heartbeat or health check before it is dropped from the registry
 	// entirely (0 = 30s).  Unhealthy-but-recent workers stay registered --
@@ -83,9 +80,6 @@ type Registry struct {
 
 // NewRegistry creates an empty registry.
 func NewRegistry(cfg RegistryConfig) *Registry {
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 64
-	}
 	if cfg.TTL <= 0 {
 		cfg.TTL = 30 * time.Second
 	}
@@ -98,7 +92,7 @@ func NewRegistry(cfg RegistryConfig) *Registry {
 	return &Registry{
 		cfg:     cfg,
 		workers: make(map[string]*workerState),
-		ring:    buildRing(cfg.Replicas, nil),
+		ring:    buildRing(nil),
 	}
 }
 
@@ -310,7 +304,7 @@ func (r *Registry) rebuildLocked() {
 			names = append(names, name)
 		}
 	}
-	r.ring = buildRing(r.cfg.Replicas, names)
+	r.ring = buildRing(names)
 }
 
 func snapshotWorker(w *workerState) Worker {

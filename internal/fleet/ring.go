@@ -1,28 +1,30 @@
-// Package fleet implements the sharded simulation fleet: the
-// coordinator/worker topology that lets grid throughput scale with machines
-// instead of cores (ROADMAP item 1).
+// Package fleet implements memdep-server's HTTP surface and the sharded
+// simulation fleet behind it: the coordinator/worker topology that lets grid
+// throughput scale with machines instead of cores.
 //
-// A fleet is one coordinator process and N worker processes, all running the
-// same cmd/memdep-server binary under different -role flags.  Workers are
-// ordinary standalone servers (full sim.Session, in-memory cache, optional
-// persistent store tier) that additionally announce themselves to the
-// coordinator; the coordinator owns no session at all -- it validates
-// requests locally, consistent-hashes each request's canonical normalized
-// JSON (sim.Request.CanonicalJSON, the same identity the engine cache and
-// the persistent store key on) and proxies the request to the owning
-// worker.  Routing on the cache key is what makes the fleet share work, not
-// just load: repeats of a request always land on the worker whose caches
-// already hold the result.
+// Every role serves the simulation routes through one handler set over a
+// Backend: Local runs requests on an in-process sim.Session (the standalone
+// and worker roles), and *Coordinator routes them to workers.  A fleet is one
+// coordinator process and N worker processes, all running the same
+// cmd/memdep-server binary under different -role flags.  Workers are
+// standalone servers that additionally announce themselves to the
+// coordinator; the coordinator owns no session at all -- it consistent-hashes
+// each request's canonical normalized JSON (sim.Request.CanonicalJSON, the
+// same identity the engine cache and the persistent store key on) and
+// proxies the request to the owning worker.  Routing on the cache key is what
+// makes the fleet share work, not just load: repeats of a request always
+// land on the worker whose caches already hold the result.
 //
 // The moving parts:
 //
+//   - handler: decoding, validation, admission, buffered and streaming
+//     NDJSON grids and error mapping, shared by every role.
+//   - Local and Coordinator: the two Backends.
 //   - ring: the consistent-hash ring (this file).
 //   - Registry: the worker set, with periodic health checks, TTL expiry of
 //     silent workers and drain-on-deregister.
 //   - Limiter: bounded admission control; overload is a 429 with a
 //     Retry-After estimate, not an unbounded queue.
-//   - Coordinator: the HTTP handler tying the three together, including the
-//     streaming NDJSON grid mode and the /v1/fleet/* membership endpoints.
 //   - Agent: the worker-side registration loop (register, heartbeat,
 //     deregister on shutdown).
 package fleet
@@ -52,10 +54,14 @@ type point struct {
 	name string
 }
 
+// replicas is the number of virtual nodes per member: smooth key
+// distribution at negligible rebuild cost.
+const replicas = 64
+
 // buildRing constructs the ring for the given member names, at `replicas`
 // points per member.  The ring is deterministic in the member set: the same
 // names produce the same ring regardless of insertion order.
-func buildRing(replicas int, names []string) *ring {
+func buildRing(names []string) *ring {
 	pts := make([]point, 0, replicas*len(names))
 	for _, name := range names {
 		for i := 0; i < replicas; i++ {

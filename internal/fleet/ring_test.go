@@ -14,8 +14,8 @@ func keys(n int) []string {
 }
 
 func TestRingDeterministicInMemberOrder(t *testing.T) {
-	a := buildRing(64, []string{"w1", "w2", "w3", "w4"})
-	b := buildRing(64, []string{"w4", "w2", "w1", "w3"})
+	a := buildRing([]string{"w1", "w2", "w3", "w4"})
+	b := buildRing([]string{"w4", "w2", "w1", "w3"})
 	for _, k := range keys(500) {
 		ao, bo := a.owners(k), b.owners(k)
 		if len(ao) != len(bo) {
@@ -31,7 +31,7 @@ func TestRingDeterministicInMemberOrder(t *testing.T) {
 
 func TestRingOwnersCoverAllMembersOnce(t *testing.T) {
 	members := []string{"w1", "w2", "w3"}
-	r := buildRing(64, members)
+	r := buildRing(members)
 	for _, k := range keys(100) {
 		o := r.owners(k)
 		if len(o) != len(members) {
@@ -49,8 +49,8 @@ func TestRingOwnersCoverAllMembersOnce(t *testing.T) {
 
 func TestRingConsistencyUnderMembershipChange(t *testing.T) {
 	all := []string{"w1", "w2", "w3", "w4", "w5", "w6", "w7", "w8", "w9", "w10"}
-	before := buildRing(64, all)
-	after := buildRing(64, all[:9]) // w10 leaves
+	before := buildRing(all)
+	after := buildRing(all[:9]) // w10 leaves
 
 	ks := keys(2000)
 	moved := 0
@@ -73,7 +73,7 @@ func TestRingConsistencyUnderMembershipChange(t *testing.T) {
 
 func TestRingDistribution(t *testing.T) {
 	members := []string{"w1", "w2", "w3", "w4"}
-	r := buildRing(64, members)
+	r := buildRing(members)
 	counts := map[string]int{}
 	ks := keys(4000)
 	for _, k := range ks {
@@ -88,7 +88,7 @@ func TestRingDistribution(t *testing.T) {
 }
 
 func TestRingEmpty(t *testing.T) {
-	if got := buildRing(64, nil).owners("anything"); got != nil {
+	if got := buildRing(nil).owners("anything"); got != nil {
 		t.Fatalf("empty ring owners = %v, want nil", got)
 	}
 }

@@ -1,14 +1,13 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
+	"strings"
 	"time"
 )
 
@@ -26,11 +25,13 @@ type AgentConfig struct {
 	// re-registration, so a restarted coordinator relearns its fleet within
 	// one interval.
 	Interval time.Duration
-	// Client issues the registration calls (nil = a 5s-timeout client).
-	Client *http.Client
 	// Logf receives registration-loop events (nil = discard).
 	Logf func(format string, args ...any)
 }
+
+// agentClient issues every membership call; a coordinator that does not
+// answer within 5s is retried on the next heartbeat.
+var agentClient = &http.Client{Timeout: 5 * time.Second}
 
 // Agent is the worker side of fleet membership: it registers the worker
 // with the coordinator, re-registers on an interval as a heartbeat, and
@@ -62,9 +63,6 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 2 * time.Second
-	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 5 * time.Second}
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -119,19 +117,12 @@ func (a *Agent) post(ctx context.Context, path string, body any) error {
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, a.cfg.Coordinator+path, bytes.NewReader(payload))
+	resp, reply, err := postPayload(ctx, agentClient, a.cfg.Coordinator+path, payload)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := a.cfg.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("%s returned %d: %s", path, resp.StatusCode, bytes.TrimSpace(msg))
+		return fmt.Errorf("%s returned %d: %s", path, resp.StatusCode, strings.TrimSpace(truncate(reply, 512)))
 	}
 	return nil
 }
