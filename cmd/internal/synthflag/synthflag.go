@@ -50,7 +50,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.Float64Var(&f.deps, "synth-deps", 0, "fraction of loads given an engineered store→load dependence (0 = 0.5)")
 	fs.StringVar(&f.dist, "synth-dist", "", "dependence-distance histogram as dist:weight pairs, e.g. \"8:4,32:2,128:1\" (\"\" = that default)")
 	fs.IntVar(&f.alias, "synth-alias", 0, "alias-set size: each dependence fires every k-th iteration only (0 = 1, every iteration)")
-	fs.Float64Var(&f.carried, "synth-carried", 0, "fraction of dependences carried from the previous loop iteration (0 = 0.25)")
+	fs.Float64Var(&f.carried, "synth-carried", 0, "fraction of dependences carried from the previous loop iteration (0 = none)")
 	return f
 }
 

@@ -23,6 +23,8 @@
 //     work-item build) of the 20,000-op synthetic workload the simulate-cold
 //     benchmark requests, and of the xlisp stand-in at 50k instructions.
 //   - workitem/{encode,decode}: the store codec of the synthetic work item.
+//   - engine/key/simulate: one engine.Key of the ESYNC xlisp SimulateJob
+//     above, the engine lookup every request pays, cache hits included.
 //   - sweep/quick/event/jobs=N: wall-clock seconds for the full experiment
 //     suite (every table, figure and ablation of EXPERIMENTS.md) on a fresh
 //     session, at 1 worker and at GOMAXPROCS workers.
@@ -47,7 +49,9 @@ import (
 	"time"
 
 	"memdep/cmd/internal/storeflag"
+	"memdep/internal/engine"
 	"memdep/internal/multiscalar"
+	"memdep/internal/policy"
 	"memdep/internal/synth"
 	"memdep/internal/trace"
 	"memdep/internal/workload"
@@ -214,8 +218,8 @@ func fastest(count int, f func() error) (testing.BenchmarkResult, error) {
 	return res, ferr
 }
 
-// benchLayers records the layers of a cold request below the timing core:
-// the preprocess and work-item codec entries.
+// benchLayers records the layers of a request outside the timing core: the
+// preprocess and work-item codec entries and the engine key.
 func benchLayers(count int, stderr io.Writer, rep *report) error {
 	synth20k := synth.Spec{Ops: 20_000}.Build(1)
 	xlisp := workload.MustGet("xlisp").Build(1)
@@ -224,6 +228,13 @@ func benchLayers(count int, stderr io.Writer, rep *report) error {
 		return err
 	}
 	enc := multiscalar.AppendWorkItem(nil, w)
+	xlispJob := multiscalar.SimulateJob{
+		Item: multiscalar.PreprocessJob{
+			Program: workload.BuildJob{Name: "xlisp", Scale: 1},
+			Trace:   trace.Config{MaxInstructions: 50_000},
+		},
+		Config: multiscalar.DefaultConfig(8, policy.ESync),
+	}
 	layers := []struct {
 		name string
 		f    func() error
@@ -243,6 +254,10 @@ func benchLayers(count int, stderr io.Writer, rep *report) error {
 		{"workitem/decode", func() error {
 			_, err := multiscalar.DecodeWorkItem(enc)
 			return err
+		}},
+		{"engine/key/simulate", func() error {
+			engine.Key(xlispJob)
+			return nil
 		}},
 	}
 	for _, l := range layers {

@@ -2,7 +2,8 @@
 // processor: per-processing-unit instruction caches, a banked, interleaved
 // data cache shared by all units through a crossbar, and the single
 // split-transaction memory bus they contend for.  The structural parameters
-// default to the configuration in section 5.2 of the paper.
+// are the configuration of section 5.2 of the paper; only the number of
+// processing units varies.
 //
 // The models are timing models: they answer "at which cycle does this access
 // complete" and keep hit/miss statistics.  Data values are irrelevant (the

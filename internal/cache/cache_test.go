@@ -161,44 +161,45 @@ func TestBusOccupancyClamp(t *testing.T) {
 }
 
 func TestDefaultConfigMatchesPaper(t *testing.T) {
-	c := DefaultConfig(8)
-	if c.ICacheSize != 32*1024 || c.ICacheWays != 2 || c.ICacheBlock != 64 {
-		t.Errorf("icache config = %+v", c)
+	h := NewHierarchy(8)
+	ic := h.icache[0]
+	if size := ic.Sets() * ic.Ways() * ic.BlockSize(); size != 32*1024 || ic.Ways() != 2 || ic.BlockSize() != 64 {
+		t.Errorf("icache = %d bytes, %d ways, %d-byte blocks", size, ic.Ways(), ic.BlockSize())
 	}
-	if c.DBankSize != 8*1024 || c.DBankWays != 1 {
-		t.Errorf("dbank config = %+v", c)
+	db := h.dbanks[0]
+	if size := db.Sets() * db.Ways() * db.BlockSize(); size != 8*1024 || db.Ways() != 1 || db.BlockSize() != 64 {
+		t.Errorf("dbank = %d bytes, %d ways, %d-byte blocks", size, db.Ways(), db.BlockSize())
 	}
-	if c.DHitLatency != 2 || c.IHitLatency != 1 {
-		t.Errorf("latencies = %+v", c)
+	if dHitLatency != 2 || iHitLatency != 1 {
+		t.Errorf("hit latencies = %d data, %d instruction", dHitLatency, iHitLatency)
 	}
-	if DefaultConfig(0).Units != 1 {
+	if len(NewHierarchy(0).icache) != 1 {
 		t.Error("units must clamp to 1")
 	}
 }
 
 func TestHierarchyBankCount(t *testing.T) {
-	h := NewHierarchy(DefaultConfig(4))
+	h := NewHierarchy(4)
 	if h.Banks() != 8 {
 		t.Errorf("banks = %d, want 8 (twice the units)", h.Banks())
 	}
-	h8 := NewHierarchy(DefaultConfig(8))
+	h8 := NewHierarchy(8)
 	if h8.Banks() != 16 {
 		t.Errorf("banks = %d, want 16", h8.Banks())
 	}
 }
 
 func TestHierarchyDataHitAndMissLatency(t *testing.T) {
-	cfg := DefaultConfig(4)
-	h := NewHierarchy(cfg)
+	h := NewHierarchy(4)
 	// Cold access: miss.
 	missDone := h.DataAccess(0x1000, 100)
-	if missDone < 100+int64(cfg.DHitLatency)+int64(cfg.MissPenalty) {
+	if missDone < 100+dHitLatency+missPenalty {
 		t.Errorf("miss completes at %d, too early", missDone)
 	}
 	// Warm access to the same block: hit at hit latency.
 	hitDone := h.DataAccess(0x1008, 200)
-	if hitDone != 200+int64(cfg.DHitLatency) {
-		t.Errorf("hit completes at %d, want %d", hitDone, 200+int64(cfg.DHitLatency))
+	if hitDone != 200+dHitLatency {
+		t.Errorf("hit completes at %d, want %d", hitDone, 200+dHitLatency)
 	}
 	st := h.Stats()
 	if st.DataAccesses != 2 || st.DataMisses != 1 {
@@ -207,8 +208,7 @@ func TestHierarchyDataHitAndMissLatency(t *testing.T) {
 }
 
 func TestHierarchyBankConflictSerialises(t *testing.T) {
-	cfg := DefaultConfig(4)
-	h := NewHierarchy(cfg)
+	h := NewHierarchy(4)
 	// Warm up two addresses mapping to the same bank (same block).
 	h.DataAccess(0x2000, 0)
 	done1 := h.DataAccess(0x2000, 100)
@@ -219,8 +219,7 @@ func TestHierarchyBankConflictSerialises(t *testing.T) {
 }
 
 func TestHierarchyDifferentBanksParallel(t *testing.T) {
-	cfg := DefaultConfig(4)
-	h := NewHierarchy(cfg)
+	h := NewHierarchy(4)
 	// Warm both blocks.
 	h.DataAccess(0x2000, 0)
 	h.DataAccess(0x2040, 0) // next block, next bank
@@ -232,14 +231,13 @@ func TestHierarchyDifferentBanksParallel(t *testing.T) {
 }
 
 func TestHierarchyInstrFetch(t *testing.T) {
-	cfg := DefaultConfig(2)
-	h := NewHierarchy(cfg)
+	h := NewHierarchy(2)
 	missDone := h.InstrFetch(0, 0x400, 10)
-	if missDone <= 10+int64(cfg.IHitLatency) {
+	if missDone <= 10+iHitLatency {
 		t.Errorf("instruction miss completes at %d, too early", missDone)
 	}
 	hitDone := h.InstrFetch(0, 0x404, 50)
-	if hitDone != 50+int64(cfg.IHitLatency) {
+	if hitDone != 50+iHitLatency {
 		t.Errorf("instruction hit completes at %d", hitDone)
 	}
 	// A different unit has its own instruction cache: same PC misses again.
@@ -254,7 +252,7 @@ func TestHierarchyInstrFetch(t *testing.T) {
 }
 
 func TestHierarchyReset(t *testing.T) {
-	h := NewHierarchy(DefaultConfig(2))
+	h := NewHierarchy(2)
 	h.DataAccess(0x100, 0)
 	h.InstrFetch(0, 0x200, 0)
 	h.Reset()
@@ -268,13 +266,12 @@ func TestHierarchyReset(t *testing.T) {
 // hit latency, and the access counters always balance.
 func TestHierarchyCompletionLowerBound(t *testing.T) {
 	f := func(addrs []uint16) bool {
-		cfg := DefaultConfig(2)
-		h := NewHierarchy(cfg)
+		h := NewHierarchy(2)
 		now := int64(0)
 		for _, a := range addrs {
 			addr := uint64(a%256) * 8
 			done := h.DataAccess(addr, now)
-			if done < now+int64(cfg.DHitLatency) {
+			if done < now+dHitLatency {
 				return false
 			}
 			now += 2

@@ -1,91 +1,23 @@
 package cache
 
-// Config describes the memory hierarchy, defaulting to the configuration of
-// section 5.2 of the paper.
-type Config struct {
-	// Units is the number of processing units; the data cache has twice as
-	// many interleaved banks.
-	Units int
-	// ICacheSize, ICacheWays, ICacheBlock configure the per-unit instruction
-	// cache (32 KB, 2-way, 64-byte blocks).
-	ICacheSize  int
-	ICacheWays  int
-	ICacheBlock int
-	// DBankSize, DBankWays, DBankBlock configure each data bank (8 KB direct
-	// mapped, 64-byte blocks).
-	DBankSize  int
-	DBankWays  int
-	DBankBlock int
-	// DHitLatency is the data bank hit time in cycles (2).
-	DHitLatency int
-	// IHitLatency is the instruction cache hit time in cycles (1).
-	IHitLatency int
-	// MissPenalty is the additional latency of a miss before bus transfer
-	// (10+3 cycles in the paper).
-	MissPenalty int
-	// BusOccupancy is the number of cycles a miss occupies the shared bus
-	// (one 4-word transfer on the 4-word split-transaction bus).
-	BusOccupancy int
-}
-
-// DefaultConfig returns the paper's memory configuration for the given number
-// of processing units.
-func DefaultConfig(units int) Config {
-	if units < 1 {
-		units = 1
-	}
-	return Config{
-		Units:        units,
-		ICacheSize:   32 * 1024,
-		ICacheWays:   2,
-		ICacheBlock:  64,
-		DBankSize:    8 * 1024,
-		DBankWays:    1,
-		DBankBlock:   64,
-		DHitLatency:  2,
-		IHitLatency:  1,
-		MissPenalty:  13,
-		BusOccupancy: 4,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig(c.Units)
-	if c.ICacheSize <= 0 {
-		c.ICacheSize = d.ICacheSize
-	}
-	if c.ICacheWays <= 0 {
-		c.ICacheWays = d.ICacheWays
-	}
-	if c.ICacheBlock <= 0 {
-		c.ICacheBlock = d.ICacheBlock
-	}
-	if c.DBankSize <= 0 {
-		c.DBankSize = d.DBankSize
-	}
-	if c.DBankWays <= 0 {
-		c.DBankWays = d.DBankWays
-	}
-	if c.DBankBlock <= 0 {
-		c.DBankBlock = d.DBankBlock
-	}
-	if c.DHitLatency <= 0 {
-		c.DHitLatency = d.DHitLatency
-	}
-	if c.IHitLatency <= 0 {
-		c.IHitLatency = d.IHitLatency
-	}
-	if c.MissPenalty <= 0 {
-		c.MissPenalty = d.MissPenalty
-	}
-	if c.BusOccupancy <= 0 {
-		c.BusOccupancy = d.BusOccupancy
-	}
-	if c.Units <= 0 {
-		c.Units = d.Units
-	}
-	return c
-}
+// The memory hierarchy of section 5.2 of the paper.
+const (
+	// BlockSize is the block size of the instruction caches and the data
+	// banks, in bytes.
+	BlockSize = 64
+	// Each processing unit has a 32 KB, 2-way instruction cache.
+	icacheSize, icacheWays = 32 * 1024, 2
+	// The data cache has two 8 KB direct-mapped banks per unit.
+	dbankSize, dbankWays = 8 * 1024, 1
+	// iHitLatency and dHitLatency are the instruction and data hit times.
+	iHitLatency, dHitLatency = 1, 2
+	// missPenalty is the latency of a miss after it wins the bus (10+3
+	// cycles).
+	missPenalty = 13
+	// busOccupancy is the number of cycles a miss occupies the shared bus:
+	// one transfer on the 4-word split-transaction bus.
+	busOccupancy = 4
+)
 
 // Bus models the single split-transaction memory bus: each miss occupies it
 // for a fixed number of cycles, and requests queue behind one another.
@@ -133,7 +65,6 @@ func (b *Bus) Reset() { b.nextFree, b.transfers, b.waitTotal = 0, 0, 0 }
 //
 //memdep:resettable
 type Hierarchy struct {
-	cfg    Config //lint:reset-exempt construction-time configuration, immutable across runs
 	icache []*SetAssoc
 	dbanks []*SetAssoc
 	// bankFree is the next cycle at which each data bank can accept an
@@ -146,30 +77,28 @@ type Hierarchy struct {
 	bankWait  uint64
 }
 
-// NewHierarchy builds the memory hierarchy for the configuration.
-func NewHierarchy(cfg Config) *Hierarchy {
-	cfg = cfg.withDefaults()
-	h := &Hierarchy{cfg: cfg, bus: NewBus(cfg.BusOccupancy)}
-	for i := 0; i < cfg.Units; i++ {
-		h.icache = append(h.icache, MustNewSetAssoc(cfg.ICacheSize, cfg.ICacheWays, cfg.ICacheBlock))
+// NewHierarchy builds the memory hierarchy for the given number of
+// processing units (at least one).
+func NewHierarchy(units int) *Hierarchy {
+	units = max(units, 1)
+	h := &Hierarchy{bus: NewBus(busOccupancy)}
+	for i := 0; i < units; i++ {
+		h.icache = append(h.icache, MustNewSetAssoc(icacheSize, icacheWays, BlockSize))
 	}
-	banks := 2 * cfg.Units
+	banks := 2 * units
 	for i := 0; i < banks; i++ {
-		h.dbanks = append(h.dbanks, MustNewSetAssoc(cfg.DBankSize, cfg.DBankWays, cfg.DBankBlock))
+		h.dbanks = append(h.dbanks, MustNewSetAssoc(dbankSize, dbankWays, BlockSize))
 		h.bankFree = append(h.bankFree, 0)
 	}
 	return h
 }
-
-// Config returns the effective configuration.
-func (h *Hierarchy) Config() Config { return h.cfg }
 
 // Banks returns the number of data banks.
 func (h *Hierarchy) Banks() int { return len(h.dbanks) }
 
 // bank selects the data bank serving addr (interleaved on block address).
 func (h *Hierarchy) bank(addr uint64) int {
-	return int((addr / uint64(h.cfg.DBankBlock)) % uint64(len(h.dbanks)))
+	return int((addr / BlockSize) % uint64(len(h.dbanks)))
 }
 
 // InstrFetch models an instruction fetch by the given unit at cycle now and
@@ -178,10 +107,10 @@ func (h *Hierarchy) InstrFetch(unit int, pc uint64, now int64) int64 {
 	h.iAccesses++
 	c := h.icache[unit%len(h.icache)]
 	if c.Access(pc) {
-		return now + int64(h.cfg.IHitLatency)
+		return now + iHitLatency
 	}
-	start := h.bus.Acquire(now + int64(h.cfg.IHitLatency))
-	return start + int64(h.cfg.MissPenalty)
+	start := h.bus.Acquire(now + iHitLatency)
+	return start + missPenalty
 }
 
 // DataAccess models a load or store by any unit at cycle now and returns the
@@ -197,10 +126,10 @@ func (h *Hierarchy) DataAccess(addr uint64, now int64) int64 {
 	}
 	h.bankFree[b] = start + 1
 	if h.dbanks[b].Access(addr) {
-		return start + int64(h.cfg.DHitLatency)
+		return start + dHitLatency
 	}
-	busStart := h.bus.Acquire(start + int64(h.cfg.DHitLatency))
-	return busStart + int64(h.cfg.MissPenalty)
+	busStart := h.bus.Acquire(start + dHitLatency)
+	return busStart + missPenalty
 }
 
 // Stats summarises hierarchy activity.

@@ -61,7 +61,7 @@ func TestResetEquivalence(t *testing.T) {
 		},
 		{
 			name:  "Hierarchy",
-			fresh: func() interface{ Reset() } { return NewHierarchy(DefaultConfig(4)) },
+			fresh: func() interface{ Reset() } { return NewHierarchy(4) },
 			drive: func(r interface{ Reset() }) any {
 				h := r.(*Hierarchy)
 				rnd := resetRand(3)
@@ -70,7 +70,7 @@ func TestResetEquivalence(t *testing.T) {
 				for i := 0; i < 400; i++ {
 					now += int64(rnd.next() % 4)
 					if i%2 == 0 {
-						digest = append(digest, h.InstrFetch(int(rnd.next()%uint64(h.Config().Units)), (rnd.next()%512)*64, now))
+						digest = append(digest, h.InstrFetch(int(rnd.next()%uint64(len(h.icache))), (rnd.next()%512)*64, now))
 					} else {
 						digest = append(digest, h.DataAccess((rnd.next()%512)*64, now))
 					}

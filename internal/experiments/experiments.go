@@ -37,10 +37,8 @@ type Options struct {
 	// benchmark (0 = run each benchmark to completion at its scale).  The
 	// quick presets use this to keep unit-test and benchmark runs short.
 	MaxInstructions uint64
-	// Stages lists the Multiscalar configurations to simulate (default 4, 8).
-	Stages []int
-	// MDPTEntries sets the prediction-table size (default 64, the paper's
-	// evaluated configuration).
+	// MDPTEntries sets the prediction-table size (0 = memdep.DefaultEntries,
+	// the paper's evaluated configuration).
 	MDPTEntries int
 	// PredictorTable selects the prediction-table organization applied to
 	// every standard simulation (default: the paper's fully associative
@@ -73,15 +71,8 @@ func Full() Options {
 	return Options{}
 }
 
-func (o Options) withDefaults() Options {
-	if len(o.Stages) == 0 {
-		o.Stages = []int{4, 8}
-	}
-	if o.MDPTEntries <= 0 {
-		o.MDPTEntries = 64
-	}
-	return o
-}
+// stageCounts are the Multiscalar configurations the paper evaluates.
+var stageCounts = []int{4, 8}
 
 // NewEngine creates a job engine with every evaluation layer registered:
 // workload building (committed suite and synthetic generator), functional
@@ -115,11 +106,8 @@ func NewRunner(opts Options) *Runner {
 // NewRunnerWithEngine creates a runner on an existing engine, sharing its job
 // cache with every other runner on that engine.
 func NewRunnerWithEngine(opts Options, eng *engine.Engine) *Runner {
-	return &Runner{opts: opts.withDefaults(), eng: eng}
+	return &Runner{opts: opts, eng: eng}
 }
-
-// Options returns the effective options.
-func (r *Runner) Options() Options { return r.opts }
 
 // Engine returns the runner's job engine.
 func (r *Runner) Engine() *engine.Engine { return r.eng }

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"context"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"memdep/internal/engine"
 	"memdep/internal/policy"
 	"memdep/internal/workload"
 )
@@ -15,12 +17,15 @@ func quickRunner() *Runner {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if len(o.Stages) != 2 || o.Stages[0] != 4 || o.Stages[1] != 8 {
-		t.Errorf("stages = %v", o.Stages)
+	if !slices.Equal(stageCounts, []int{4, 8}) {
+		t.Errorf("stages = %v", stageCounts)
 	}
-	if o.MDPTEntries != 64 {
-		t.Errorf("entries = %d", o.MDPTEntries)
+	// A zero MDPTEntries runs the paper's 64-entry table: the simulation
+	// shares its job with an explicit 64.
+	zero := (&Runner{}).simSpec("compress", 8, policy.ESync)
+	explicit := (&Runner{opts: Options{MDPTEntries: 64}}).simSpec("compress", 8, policy.ESync)
+	if engine.Key(zero) != engine.Key(explicit) {
+		t.Errorf("entries 0 and 64 run different jobs:\n%s\n%s", engine.Key(zero), engine.Key(explicit))
 	}
 	if Quick().MaxInstructions == 0 {
 		t.Error("quick options must cap instructions")
@@ -132,7 +137,7 @@ func TestTable6And9Consistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if t6.NumRows() != len(r.Options().Stages) {
+	if t6.NumRows() != len(stageCounts) {
 		t.Errorf("table 6 rows = %d", t6.NumRows())
 	}
 	t9, err := r.Table9MisspecPerLoad(context.Background())
@@ -144,7 +149,7 @@ func TestTable6And9Consistency(t *testing.T) {
 	better := 0
 	total := 0
 	rowsPerStage := 3
-	for s := 0; s < len(r.Options().Stages); s++ {
+	for s := 0; s < len(stageCounts); s++ {
 		base := s * rowsPerStage
 		for col := 2; col < 2+len(workload.SPECint92Names()); col++ {
 			always, _ := strconv.ParseFloat(t9.Cell(base, col), 64)
@@ -188,7 +193,7 @@ func TestFigure5Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.NumRows() != len(r.Options().Stages)*len(workload.SPECint92Names()) {
+	if tab.NumRows() != len(stageCounts)*len(workload.SPECint92Names()) {
 		t.Fatalf("rows = %d", tab.NumRows())
 	}
 	// ALWAYS and PSYNC speedups over NEVER must be positive for every

@@ -25,7 +25,7 @@ func (r *Runner) Figure5PolicyComparison(ctx context.Context) (*stats.Table, err
 		pols   []engine.Ref
 	}
 	var cells []cell
-	for _, stages := range r.opts.Stages {
+	for _, stages := range stageCounts {
 		for _, name := range workload.SPECint92Names() {
 			c := cell{stages: stages, name: name, never: b.Add(r.simSpec(name, stages, policy.Never))}
 			for _, pol := range compared {
@@ -67,7 +67,7 @@ func (r *Runner) Figure6MechanismSpeedup(ctx context.Context) (*stats.Table, err
 		pols   []engine.Ref
 	}
 	var cells []cell
-	for _, stages := range r.opts.Stages {
+	for _, stages := range stageCounts {
 		for _, name := range workload.SPECint92Names() {
 			c := cell{stages: stages, name: name, always: b.Add(r.simSpec(name, stages, policy.Always))}
 			for _, pol := range compared {

@@ -137,7 +137,7 @@ func (r *Runner) Table6MultiscalarMisspec(ctx context.Context) (*stats.Table, er
 		refs   []engine.Ref
 	}
 	var grid []rowRefs
-	for _, stages := range r.opts.Stages {
+	for _, stages := range stageCounts {
 		rr := rowRefs{stages: stages}
 		for _, name := range workload.SPECint92Names() {
 			rr.refs = append(rr.refs, b.Add(r.simSpec(name, stages, policy.Always)))
@@ -200,7 +200,7 @@ func (r *Runner) Table8PredictionBreakdown(ctx context.Context) (*stats.Table, e
 		name   string
 	}
 	refs := map[cellKey]engine.Ref{}
-	for _, stages := range r.opts.Stages {
+	for _, stages := range stageCounts {
 		for _, pol := range []policy.Kind{policy.Sync, policy.ESync} {
 			for _, name := range workload.SPECint92Names() {
 				refs[cellKey{stages, pol, name}] = b.Add(r.simSpec(name, stages, pol))
@@ -222,7 +222,7 @@ func (r *Runner) Table8PredictionBreakdown(ctx context.Context) (*stats.Table, e
 		{"Y/N", 1, 0},
 		{"Y/Y", 1, 1},
 	}
-	for _, stages := range r.opts.Stages {
+	for _, stages := range stageCounts {
 		for _, pol := range []policy.Kind{policy.Sync, policy.ESync} {
 			for _, cat := range categories {
 				row := []string{fmt.Sprint(stages), pol.String(), cat.label}
@@ -250,7 +250,7 @@ func (r *Runner) Table9MisspecPerLoad(ctx context.Context) (*stats.Table, error)
 		pol    policy.Kind
 	}
 	refs := map[rowKey][]engine.Ref{}
-	for _, stages := range r.opts.Stages {
+	for _, stages := range stageCounts {
 		for _, pol := range pols {
 			var rr []engine.Ref
 			for _, name := range workload.SPECint92Names() {
@@ -265,7 +265,7 @@ func (r *Runner) Table9MisspecPerLoad(ctx context.Context) (*stats.Table, error)
 
 	cols := append([]string{"stages", "policy"}, workload.SPECint92Names()...)
 	t := stats.NewTable("Table 9: mis-speculations per committed load", cols...)
-	for _, stages := range r.opts.Stages {
+	for _, stages := range stageCounts {
 		for _, pol := range pols {
 			row := []string{fmt.Sprint(stages), pol.String()}
 			for _, ref := range refs[rowKey{stages, pol}] {

@@ -215,7 +215,7 @@ func (t *MDPT) RecordMisspeculation(pair PairKey, dist uint64, storeTaskPC uint6
 		loadPC:      pair.LoadPC,
 		storePC:     pair.StorePC,
 		dist:        dist,
-		counter:     t.cfg.InitialCounter,
+		counter:     t.cfg.initialCounter(),
 		storeTaskPC: storeTaskPC,
 	}
 	t.link(i)

@@ -11,16 +11,16 @@ func testConfig(pred PredictorKind) Config {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Entries != 64 || c.CounterBits != 3 || c.Threshold != 3 {
+	if c.Entries != 64 || c.CounterBits != 3 || c.Predictor != PredictSync {
 		t.Errorf("unexpected defaults: %+v", c)
 	}
-	if c.InitialCounter <= c.Threshold-1 {
-		t.Errorf("initial counter %d should predict a dependence", c.InitialCounter)
+	if c.initialCounter() != Threshold+1 {
+		t.Errorf("initial counter %d, want Threshold+1 = %d", c.initialCounter(), Threshold+1)
 	}
 	if err := (Config{}).Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
 	}
-	if err := (Config{CounterBits: 2, Threshold: 5}).Validate(); err == nil {
+	if err := (Config{CounterBits: 1}).Validate(); err == nil {
 		t.Error("threshold exceeding counter range must be invalid")
 	}
 }

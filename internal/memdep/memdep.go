@@ -29,7 +29,6 @@ package memdep
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // PairKey identifies a static dependence edge by the program counters of the
@@ -87,20 +86,21 @@ func SortedPairCounts(counts map[PairKey]uint64) []PairCount {
 	return out
 }
 
-// PredictorKind selects the prediction policy attached to MDPT entries.
+// PredictorKind selects the prediction policy attached to MDPT entries.  The
+// zero value is the SYNC counter, the predictor of the paper's baseline.
 type PredictorKind int
 
 const (
-	// PredictAlways omits the prediction field: any matching entry predicts
-	// synchronization (section 4.1 notes the field is optional).
-	PredictAlways PredictorKind = iota
-	// PredictSync is the baseline 3-bit up/down saturating counter with a
-	// threshold of 3 ("SYNC" in section 5.5).
-	PredictSync
+	// PredictSync is the baseline up/down saturating counter: a dependence
+	// is predicted at or above Threshold ("SYNC" in section 5.5).
+	PredictSync PredictorKind = iota
 	// PredictESync is the enhanced predictor: the counter plus the PC of the
 	// task that issued the store; synchronization is enforced only when the
 	// task at the recorded dependence distance matches ("ESYNC").
 	PredictESync
+	// PredictAlways omits the prediction field: any matching entry predicts
+	// synchronization (section 4.1 notes the field is optional).
+	PredictAlways
 )
 
 // String implements fmt.Stringer.
@@ -117,39 +117,27 @@ func (k PredictorKind) String() string {
 	}
 }
 
-// ParsePredictorKind parses the String spellings of the prediction policies
-// ("ALWAYS-SYNC", "SYNC", "ESYNC"), case-insensitively.
-func ParsePredictorKind(s string) (PredictorKind, error) {
-	n := strings.ToUpper(strings.TrimSpace(s))
-	for k := PredictAlways; k <= PredictESync; k++ {
-		if k.String() == n {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("memdep: unknown predictor kind %q", s)
-}
+// The paper's prediction-table parameters (section 5.5).
+const (
+	// DefaultEntries is the MDPT size the paper evaluates.
+	DefaultEntries = 64
+	// Threshold is the counter value at or above which a dependence (and
+	// hence synchronization) is predicted.
+	Threshold = 3
+	// defaultWays is the associativity of the set-associative and store-set
+	// organizations when Config.Ways is unset.
+	defaultWays = 4
+	// defaultCounterBits is the width of the up/down counter.
+	defaultCounterBits = 3
+	// maxCounterBits bounds the counter width so 1<<CounterBits cannot
+	// overflow.
+	maxCounterBits = 16
+)
 
-// MarshalText implements encoding.TextMarshaler using the String spelling.
-func (k PredictorKind) MarshalText() ([]byte, error) {
-	if k < PredictAlways || k > PredictESync {
-		return nil, fmt.Errorf("memdep: cannot marshal invalid predictor kind %d", int(k))
-	}
-	return []byte(k.String()), nil
-}
-
-// UnmarshalText implements encoding.TextUnmarshaler via ParsePredictorKind.
-func (k *PredictorKind) UnmarshalText(text []byte) error {
-	v, err := ParsePredictorKind(string(text))
-	if err != nil {
-		return err
-	}
-	*k = v
-	return nil
-}
-
-// Config describes a prediction/synchronization system.
+// Config describes a prediction/synchronization system.  Zero values take
+// the paper's configuration.
 type Config struct {
-	// Entries is the number of MDPT entries (the paper evaluates 64).
+	// Entries is the number of MDPT entries (default DefaultEntries).
 	Entries int
 	// SyncSlots is the number of MDST entries carried per prediction entry in
 	// the combined structure -- one per stage in the paper's evaluated
@@ -165,17 +153,9 @@ type Config struct {
 	// to Entries).  Ignored -- and normalized to zero -- for the fully
 	// associative table.
 	Ways int
-	// CounterBits is the width of the up/down counter (default 3).
+	// CounterBits is the width of the up/down counter (default 3).  It must
+	// hold Threshold, so at least 2.
 	CounterBits int
-	// Threshold is the counter value at or above which a dependence (and
-	// hence synchronization) is predicted (default 3).
-	Threshold int
-	// InitialCounter is the counter value given to a newly allocated entry
-	// (default Threshold+1, so a fresh mis-speculation predicts
-	// synchronization with a little hysteresis).  Values above the counter's
-	// saturation point are clamped by withDefaults and reported by Validate:
-	// an entry must never be born stronger than the counter can represent.
-	InitialCounter int
 	// TagByAddress switches dynamic-instance tagging from the dependence
 	// distance scheme to the data-address scheme (ablation).
 	TagByAddress bool
@@ -185,20 +165,8 @@ type Config struct {
 // combined table with as many synchronization slots per entry as stages and
 // the 3-bit counter predictor.
 func DefaultConfig(stages int) Config {
-	if stages < 1 {
-		stages = 1
-	}
-	return Config{
-		Entries:     64,
-		SyncSlots:   stages,
-		Predictor:   PredictSync,
-		CounterBits: 3,
-		Threshold:   3,
-	}
+	return Config{SyncSlots: max(stages, 1)}.withDefaults()
 }
-
-// maxCounterBits bounds the counter width so 1<<CounterBits cannot overflow.
-const maxCounterBits = 16
 
 // withDefaults fills unset fields and clamps inconsistent ones.  Clamping is
 // deliberately forgiving (a constructed table always behaves sanely);
@@ -206,36 +174,21 @@ const maxCounterBits = 16
 // instead of a silent repair.
 func (c Config) withDefaults() Config {
 	if c.Entries <= 0 {
-		c.Entries = 64
+		c.Entries = DefaultEntries
 	}
 	if c.SyncSlots <= 0 {
 		c.SyncSlots = 4
 	}
 	if c.CounterBits <= 0 {
-		c.CounterBits = 3
-	}
-	if c.CounterBits > maxCounterBits {
-		c.CounterBits = maxCounterBits
-	}
-	if c.Threshold <= 0 {
-		c.Threshold = 3
-	}
-	if c.InitialCounter <= 0 {
-		c.InitialCounter = c.Threshold + 1
-	}
-	if max := c.counterMax(); c.InitialCounter > max {
-		// An entry must not be born stronger than the counter saturates at.
-		c.InitialCounter = max
+		c.CounterBits = defaultCounterBits
 	}
 	if c.Table == TableFullAssoc {
 		c.Ways = 0 // ignored; normalized so equivalent configs share cache keys
 	} else {
 		if c.Ways <= 0 {
-			c.Ways = 4
+			c.Ways = defaultWays
 		}
-		if c.Ways > c.Entries {
-			c.Ways = c.Entries
-		}
+		c.Ways = min(c.Ways, c.Entries)
 	}
 	return c
 }
@@ -245,15 +198,22 @@ func (c Config) withDefaults() Config {
 // configuration should report these values, not the raw inputs.
 func (c Config) Effective() Config { return c.withDefaults() }
 
-// counterMax returns the saturation value of the up/down counter.
-func (c Config) counterMax() int { return (1 << c.CounterBits) - 1 }
+// counterMax returns the saturation value of the up/down counter.  A width
+// beyond maxCounterBits, which Validate rejects, is clamped here rather than
+// in withDefaults, so the invalid configuration keeps a key of its own.
+func (c Config) counterMax() int { return (1 << min(c.CounterBits, maxCounterBits)) - 1 }
+
+// initialCounter is the counter value given to a newly allocated entry:
+// Threshold+1, so a fresh mis-speculation predicts synchronization with a
+// little hysteresis, but never stronger than the counter saturates at.
+func (c Config) initialCounter() int { return min(Threshold+1, c.counterMax()) }
 
 // syncPredicted applies the prediction policy to a counter value.
 func (c Config) syncPredicted(counter int) bool {
 	if c.Predictor == PredictAlways {
 		return true
 	}
-	return counter >= c.Threshold
+	return counter >= Threshold
 }
 
 // Validate reports configuration errors.
@@ -266,15 +226,9 @@ func (c Config) Validate() error {
 	if !d.Table.Valid() {
 		return fmt.Errorf("memdep: invalid predictor table %d", int(d.Table))
 	}
-	if d.Threshold > d.counterMax() {
+	if Threshold > d.counterMax() {
 		return fmt.Errorf("memdep: threshold %d does not fit in %d counter bits",
-			d.Threshold, d.CounterBits)
-	}
-	// Report the raw inconsistency that withDefaults silently clamps: an
-	// explicitly requested InitialCounter beyond saturation is a misconfig.
-	if c.InitialCounter > d.counterMax() {
-		return fmt.Errorf("memdep: initial counter %d exceeds the %d-bit saturation value %d",
-			c.InitialCounter, d.CounterBits, d.counterMax())
+			Threshold, d.CounterBits)
 	}
 	return nil
 }

@@ -107,26 +107,6 @@ func ParseTableKind(s string) (TableKind, error) {
 	return 0, fmt.Errorf("memdep: unknown predictor table %q (want \"full\", \"setassoc\" or \"storeset\")", s)
 }
 
-// MarshalText implements encoding.TextMarshaler using the flag spelling, so
-// TableKind fields encode as "full"/"setassoc"/"storeset" in JSON.
-func (k TableKind) MarshalText() ([]byte, error) {
-	if !k.Valid() {
-		return nil, fmt.Errorf("memdep: cannot marshal invalid predictor table %d", int(k))
-	}
-	return []byte(k.String()), nil
-}
-
-// UnmarshalText implements encoding.TextUnmarshaler via ParseTableKind, so
-// the JSON encoding round-trips (case-insensitively).
-func (k *TableKind) UnmarshalText(text []byte) error {
-	v, err := ParseTableKind(string(text))
-	if err != nil {
-		return err
-	}
-	*k = v
-	return nil
-}
-
 // NewPredictor creates the prediction table selected by cfg.Table.
 func NewPredictor(cfg Config) Predictor {
 	switch cfg.withDefaults().Table {

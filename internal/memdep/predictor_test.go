@@ -370,11 +370,9 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"zero value", Config{}, false},
 		{"paper default", DefaultConfig(4), false},
-		{"explicit counter bits", Config{CounterBits: 5, Threshold: 20}, false},
-		{"threshold beyond counter", Config{CounterBits: 2, Threshold: 5}, true},
-		{"threshold at saturation", Config{CounterBits: 2, Threshold: 3}, false},
-		{"initial counter beyond saturation", Config{CounterBits: 3, InitialCounter: 9}, true},
-		{"initial counter at saturation", Config{CounterBits: 3, InitialCounter: 7}, false},
+		{"explicit counter bits", Config{CounterBits: 5}, false},
+		{"threshold beyond counter", Config{CounterBits: 1}, true},
+		{"threshold at saturation", Config{CounterBits: 2}, false},
 		{"counter bits absurd", Config{CounterBits: 40}, true},
 		{"invalid table kind", Config{Table: TableKind(9)}, true},
 		{"set assoc defaults", Config{Table: TableSetAssoc}, false},
@@ -399,30 +397,32 @@ func TestConfigValidation(t *testing.T) {
 // at, whatever the raw configuration said.
 func TestConfigDefaultsClamp(t *testing.T) {
 	// CounterBits <= 0 takes the default width instead of a zero-range
-	// counter (the old hazard: counterMax() == 0 with InitialCounter > 0).
-	c := Config{CounterBits: 0, InitialCounter: 9}.withDefaults()
+	// counter (the old hazard: counterMax() == 0 with a positive initial
+	// counter).
+	c := Config{CounterBits: 0}.withDefaults()
 	if c.CounterBits != 3 {
 		t.Errorf("CounterBits = %d, want default 3", c.CounterBits)
 	}
-	if c.InitialCounter > c.counterMax() {
-		t.Errorf("InitialCounter %d exceeds saturation %d", c.InitialCounter, c.counterMax())
+	if c.initialCounter() != Threshold+1 {
+		t.Errorf("initial counter = %d, want Threshold+1 = %d", c.initialCounter(), Threshold+1)
 	}
-	// A 1-bit counter clamps the default initial value of threshold+1.
-	c = Config{CounterBits: 1, Threshold: 1}.withDefaults()
-	if c.InitialCounter != 1 {
-		t.Errorf("InitialCounter = %d, want clamped to 1", c.InitialCounter)
+	// A 2-bit counter saturates at Threshold, which clamps the initial value
+	// of Threshold+1 (the 2-bit rows of the sensitivity-predictor sweep).
+	c = Config{CounterBits: 2}.withDefaults()
+	if c.initialCounter() != 3 {
+		t.Errorf("initial counter = %d, want clamped to 3", c.initialCounter())
 	}
 	// Every constructed organization starts its entries at or below max.
 	for _, kind := range allTableKinds() {
-		p := NewPredictor(Config{Entries: 8, CounterBits: 1, Threshold: 1, InitialCounter: 9, Table: kind})
+		p := NewPredictor(Config{Entries: 8, CounterBits: 2, Table: kind})
 		pair := PairKey{LoadPC: 0x10, StorePC: 0x20}
 		p.RecordMisspeculation(pair, 1, 0)
 		pred, ok := p.Lookup(pair)
 		if !ok {
 			t.Fatalf("%v: pair missing", kind)
 		}
-		if pred.Counter > 1 {
-			t.Errorf("%v: entry born at counter %d, saturation is 1", kind, pred.Counter)
+		if pred.Counter > 3 {
+			t.Errorf("%v: entry born at counter %d, saturation is 3", kind, pred.Counter)
 		}
 	}
 	// Ways normalization: ignored (zeroed) for the fully associative table,

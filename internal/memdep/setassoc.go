@@ -176,7 +176,7 @@ func (t *SetAssocMDPT) RecordMisspeculation(pair PairKey, dist uint64, storeTask
 		loadPC:      pair.LoadPC,
 		storePC:     pair.StorePC,
 		dist:        dist,
-		counter:     t.cfg.InitialCounter,
+		counter:     t.cfg.initialCounter(),
 		storeTaskPC: storeTaskPC,
 	}
 	t.storeIdx[pair.StorePC] = append(t.storeIdx[pair.StorePC], slot)

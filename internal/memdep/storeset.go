@@ -225,7 +225,7 @@ func (t *StoreSetPredictor) allocSet() int {
 		if !s.valid {
 			t.allocations++
 			s.valid = true
-			s.counter = t.cfg.InitialCounter - 1 // RecordMisspeculation increments
+			s.counter = t.cfg.initialCounter() - 1 // RecordMisspeculation increments
 			t.touchSet(s)
 			return i
 		}
@@ -238,7 +238,7 @@ func (t *StoreSetPredictor) allocSet() int {
 	t.invalidateSet(lru)
 	s := &t.sets[lru]
 	s.valid = true
-	s.counter = t.cfg.InitialCounter - 1
+	s.counter = t.cfg.initialCounter() - 1
 	t.touchSet(s)
 	return lru
 }

@@ -29,15 +29,14 @@ import (
 type Simulator struct {
 	s sim
 
-	// The effective (post-defaults) configurations the current subsystem
-	// instances were built with.  When a run's configuration matches, the
-	// subsystem is Reset in place; otherwise it is rebuilt.  They must
-	// survive reset: the config diff against them is what decides reuse.
-	hierCfg  cache.Config             //lint:reset-exempt config-diff baseline, compared before state is cleared
-	arbCfg   arb.Config               //lint:reset-exempt config-diff baseline, compared before state is cleared
-	seqCfg   ctrlflow.SequencerConfig //lint:reset-exempt config-diff baseline, compared before state is cleared
-	mdsCfg   memdep.Config            //lint:reset-exempt config-diff baseline, compared before state is cleared
-	ddcSizes []int                    //lint:reset-exempt config-diff baseline, compared before state is cleared
+	// stages is the stage count the cache hierarchy and the ARB were built
+	// for; they are rebuilt only when it changes.  mdsCfg and ddcSizes are
+	// the configurations the predictor system and the DDCs were built with.
+	// A subsystem whose configuration matches is Reset in place.  They must
+	// survive reset: the diff against them is what decides reuse.
+	stages   int           //lint:reset-exempt config-diff baseline, compared before state is cleared
+	mdsCfg   memdep.Config //lint:reset-exempt config-diff baseline, compared before state is cleared
+	ddcSizes []int         //lint:reset-exempt config-diff baseline, compared before state is cleared
 
 	// mdsCache parks the dependence-predictor system while runs alternate
 	// to a policy that does not use one, so flipping policies on a reused
@@ -53,7 +52,7 @@ func NewSimulator() *Simulator { return &Simulator{} }
 // remain valid after subsequent runs.
 func (sm *Simulator) Simulate(ctx context.Context, w *WorkItem, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
 	sm.reset(ctx, w, cfg)
@@ -74,24 +73,16 @@ func (sm *Simulator) reset(ctx context.Context, w *WorkItem, cfg Config) {
 	s := &sm.s
 	s.ctx, s.cfg, s.w = ctx, cfg, w
 
-	if s.hier == nil || sm.hierCfg != cfg.Cache {
-		s.hier = cache.NewHierarchy(cfg.Cache)
-		sm.hierCfg = cfg.Cache
+	if s.hier == nil || sm.stages != cfg.Stages {
+		s.hier = cache.NewHierarchy(cfg.Stages)
+		s.arb = arb.New(arb.DefaultConfig(cfg.Stages))
+		sm.stages = cfg.Stages
 	} else {
 		s.hier.Reset()
-	}
-	s.iBlock = uint64(s.hier.Config().ICacheBlock)
-
-	if s.arb == nil || sm.arbCfg != cfg.ARB {
-		s.arb = arb.New(cfg.ARB)
-		sm.arbCfg = cfg.ARB
-	} else {
 		s.arb.Reset()
 	}
-
-	if s.seq == nil || sm.seqCfg != cfg.Sequencer {
-		s.seq = ctrlflow.NewSequencer(cfg.Sequencer)
-		sm.seqCfg = cfg.Sequencer
+	if s.seq == nil {
+		s.seq = ctrlflow.NewSequencer(ctrlflow.DefaultSequencerConfig())
 	} else {
 		s.seq.Reset()
 	}
@@ -172,10 +163,7 @@ func (sm *Simulator) reset(ctx context.Context, w *WorkItem, cfg Config) {
 	var fuN [isa.NumClasses]int
 	fuTotal := 0
 	for c := range fuN {
-		k := cfg.FUs[c]
-		if k < 1 {
-			k = 1
-		}
+		k := max(fus[c], 1)
 		fuN[c] = k
 		fuTotal += k
 	}

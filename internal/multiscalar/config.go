@@ -49,43 +49,54 @@ func ParseCoreMode(s string) (CoreMode, error) {
 	return CoreEvent, nil
 }
 
-// Config describes one Multiscalar processor configuration and speculation
-// policy.  Zero values take the defaults of section 5.2 of the paper.
+// The fixed machine of section 5.2 and Table 2 of the paper.  The cache
+// hierarchy's parameters live in internal/cache, the ARB's and the
+// sequencer's in arb.DefaultConfig and ctrlflow.DefaultSequencerConfig.
+const (
+	// DefaultStages is the stage count of the paper's main configuration.
+	DefaultStages = 8
+	// issueWidth is the per-unit issue width.
+	issueWidth = 2
+	// ringHop is the per-hop latency of the unidirectional register ring.
+	ringHop = 1
+	// dispatchLatency is the cost of assigning a task to a freed unit.
+	dispatchLatency = 1
+	// mispredictPenalty is the extra dispatch cost charged when the
+	// sequencer's next-task prediction was wrong.
+	mispredictPenalty = 8
+	// descriptorMissPenalty is the extra dispatch cost of a task descriptor
+	// cache miss.
+	descriptorMissPenalty = 4
+	// squashPenalty is the cost of restarting a squashed task.
+	squashPenalty = 5
+	// defaultMaxCycles is the safety-net bound on a run.
+	defaultMaxCycles = 200_000_000
+)
+
+// latencies and fus are the functional-unit latencies and the per-unit
+// functional-unit mix of Table 2.
+var (
+	latencies = isa.DefaultLatencies()
+	fus       = isa.DefaultFUCount()
+)
+
+// Config describes what the paper's evaluation varies on its one machine:
+// the stage count, the speculation policy and the dependence predictor.
+// Zero values take the paper's configuration.
 type Config struct {
-	// Stages is the number of processing units (4 or 8 in the paper).
+	// Stages is the number of processing units (4 or 8 in the paper;
+	// default DefaultStages).
 	Stages int
-	// Core selects the run-loop implementation (default: event-driven).
+	// Core selects the run-loop implementation.  CoreEvent is the only one
+	// a caller outside this package can name.
 	Core CoreMode
 	// Policy selects the data dependence speculation policy.
 	Policy policy.Kind
 	// MemDep configures the MDPT/MDST system for the SYNC and ESYNC
-	// policies.  The Predictor and SyncSlots fields are overridden from the
-	// policy and stage count; Entries defaults to 64.
+	// policies.  SyncSlots is derived from the stage count, and the policy
+	// picks the Predictor unless it is memdep.PredictAlways, the
+	// ALWAYS-SYNC variant the ablation runs under SYNC.
 	MemDep memdep.Config
-	// IssueWidth is the per-unit issue width (2).
-	IssueWidth int
-	// Latencies are the functional unit latencies (Table 2).
-	Latencies isa.LatencyTable
-	// FUs is the per-unit functional unit mix.
-	FUs isa.FUCount
-	// Cache configures the memory hierarchy.
-	Cache cache.Config
-	// ARB configures the address resolution buffer.
-	ARB arb.Config
-	// Sequencer configures the task predictor, descriptor cache and RAS.
-	Sequencer ctrlflow.SequencerConfig
-	// RingHop is the per-hop latency of the unidirectional register ring (1).
-	RingHop int
-	// DispatchLatency is the cost of assigning a task to a freed unit (1).
-	DispatchLatency int
-	// MispredictPenalty is the extra dispatch cost charged when the
-	// sequencer's next-task prediction was wrong (8).
-	MispredictPenalty int
-	// DescriptorMissPenalty is the extra dispatch cost of a task descriptor
-	// cache miss (4).
-	DescriptorMissPenalty int
-	// SquashPenalty is the cost of restarting a squashed task (5).
-	SquashPenalty int
 	// DDCSizes optionally requests that the stream of mis-speculated static
 	// pairs be fed into data dependence caches of these sizes (Table 7).
 	DDCSizes []int
@@ -99,76 +110,39 @@ func DefaultConfig(stages int, pol policy.Kind) Config {
 	return Config{Stages: stages, Policy: pol}.withDefaults()
 }
 
+// withDefaults returns the complete effective configuration: the one value
+// both the simulator and the job cache key consume.
 func (c Config) withDefaults() Config {
 	if c.Stages <= 0 {
-		c.Stages = 4
-	}
-	if c.IssueWidth <= 0 {
-		c.IssueWidth = 2
-	}
-	var zeroLat isa.LatencyTable
-	if c.Latencies == zeroLat {
-		c.Latencies = isa.DefaultLatencies()
-	}
-	var zeroFU isa.FUCount
-	if c.FUs == zeroFU {
-		c.FUs = isa.DefaultFUCount()
-	}
-	if c.Cache.Units <= 0 {
-		cc := c.Cache
-		cc.Units = c.Stages
-		c.Cache = cc
-	}
-	if c.ARB.Banks <= 0 {
-		c.ARB = arb.DefaultConfig(c.Stages)
-	}
-	if c.RingHop <= 0 {
-		c.RingHop = 1
-	}
-	if c.DispatchLatency <= 0 {
-		c.DispatchLatency = 1
-	}
-	if c.MispredictPenalty <= 0 {
-		c.MispredictPenalty = 8
-	}
-	if c.DescriptorMissPenalty <= 0 {
-		c.DescriptorMissPenalty = 4
-	}
-	if c.SquashPenalty <= 0 {
-		c.SquashPenalty = 5
+		c.Stages = DefaultStages
 	}
 	if c.MaxCycles <= 0 {
-		c.MaxCycles = 200_000_000
+		c.MaxCycles = defaultMaxCycles
 	}
-	// Memory dependence system defaults.
 	md := c.MemDep
-	if md.Entries <= 0 {
-		md.Entries = 64
-	}
 	md.SyncSlots = c.Stages
-	if pk, ok := c.Policy.PredictorKind(); ok {
+	if pk, ok := c.Policy.PredictorKind(); ok && md.Predictor != memdep.PredictAlways {
 		md.Predictor = pk
 	}
-	c.MemDep = md
+	c.MemDep = md.Effective()
 	return c
 }
 
 // Validate reports configuration problems.
-func (c Config) Validate() error {
-	d := c.withDefaults()
-	if !d.Policy.Valid() {
-		return fmt.Errorf("multiscalar: invalid policy %d", int(d.Policy))
+func (c Config) Validate() error { return c.withDefaults().validate() }
+
+// validate checks an effective configuration.
+func (c Config) validate() error {
+	if !c.Policy.Valid() {
+		return fmt.Errorf("multiscalar: invalid policy %d", int(c.Policy))
 	}
-	if d.Core != CoreEvent && d.Core != coreStepped {
-		return fmt.Errorf("multiscalar: invalid core mode %d", int(d.Core))
+	if c.Core != CoreEvent && c.Core != coreStepped {
+		return fmt.Errorf("multiscalar: invalid core mode %d", int(c.Core))
 	}
-	if d.Stages > 64 {
-		return fmt.Errorf("multiscalar: %d stages is unreasonably large", d.Stages)
+	if c.Stages > 64 {
+		return fmt.Errorf("multiscalar: %d stages is unreasonably large", c.Stages)
 	}
-	if err := d.MemDep.Validate(); err != nil {
-		return err
-	}
-	return nil
+	return c.MemDep.Validate()
 }
 
 // PredictionBreakdown counts committed loads by predicted-vs-actual

@@ -66,14 +66,20 @@ type SimulateJob struct {
 // JobKind implements engine.Spec.
 func (SimulateJob) JobKind() string { return SimulateKind }
 
-// CacheKey implements engine.Spec.  The configuration is normalized first so
-// that two configurations differing only in unset-defaulted fields share one
-// cache entry; every distinguishing field (policy, stages, MDPT geometry,
-// tagging scheme, DDC sizes, latencies, ...) participates in the key.  Only
-// this package's tests select the stepped loop, so every other key prints
-// Core:event, which keeps the persistent store's existing objects valid.
+// CacheKey implements engine.Spec.  It encodes the effective configuration
+// (withDefaults), so configurations that run identically share one entry,
+// and it names every field that can change what a run returns.  Two fields
+// stay out:
+// Core, because both run loops produce identical Results
+// (TestCoresCycleIdentical), and MemDep.SyncSlots, which is derived from
+// Stages.  TestCacheKeyCoversConfig fails when a field is added to Config or
+// memdep.Config without joining the key or the exemptions.
 func (j SimulateJob) CacheKey() string {
-	return fmt.Sprintf("%s|%+v", engine.Key(j.Item), j.Config.withDefaults())
+	c := j.Config.withDefaults()
+	md := c.MemDep
+	return fmt.Sprintf("%s|stages=%d,policy=%v,mdpt=%v/%dx%d,bits=%d,pred=%v,addrtag=%t,ddc=%v,max=%d",
+		engine.Key(j.Item), c.Stages, c.Policy, md.Table, md.Entries, md.Ways,
+		md.CounterBits, md.Predictor, md.TagByAddress, c.DDCSizes, c.MaxCycles)
 }
 
 // simulateSimulator executes SimulateJob specs.

@@ -1,6 +1,7 @@
 package multiscalar
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -104,8 +105,11 @@ func TestPreprocessFindsCrossTaskProducers(t *testing.T) {
 
 func TestConfigDefaultsAndValidate(t *testing.T) {
 	cfg := DefaultConfig(8, policy.Sync)
-	if cfg.Stages != 8 || cfg.IssueWidth != 2 {
+	if cfg.Stages != 8 || cfg.MaxCycles != defaultMaxCycles || cfg.MemDep.Entries != 64 {
 		t.Errorf("config = %+v", cfg)
+	}
+	if got := (Config{}).withDefaults().Stages; got != DefaultStages {
+		t.Errorf("zero stages default to %d, want %d", got, DefaultStages)
 	}
 	if cfg.MemDep.SyncSlots != 8 {
 		t.Errorf("memdep sync slots = %d, want 8", cfg.MemDep.SyncSlots)
@@ -350,12 +354,13 @@ func TestGoldenResults(t *testing.T) {
 // and checks the previously dropped counter reaches the Result.
 func TestARBBypassesSurfaced(t *testing.T) {
 	w := prep(t, buildRecurrence(20), 0)
-	cfg := DefaultConfig(4, policy.Always)
-	cfg.ARB = arb.Config{Banks: 1, EntriesPerBank: 1, BlockSize: 64}
-	res, err := Simulate(w, cfg)
-	if err != nil {
+	sm := NewSimulator()
+	sm.reset(context.Background(), w, DefaultConfig(4, policy.Always))
+	sm.s.arb = arb.New(arb.Config{Banks: 1, EntriesPerBank: 1, BlockSize: 64})
+	if err := sm.s.run(); err != nil {
 		t.Fatal(err)
 	}
+	res := sm.s.result()
 	if res.ARBBypasses == 0 {
 		t.Error("a one-entry ARB on a multi-address workload must overflow, ARBBypasses = 0")
 	}

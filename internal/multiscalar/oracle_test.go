@@ -1,6 +1,7 @@
 package multiscalar
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -9,6 +10,8 @@ import (
 	"unsafe"
 
 	"memdep/internal/isa"
+	"memdep/internal/memdep"
+	"memdep/internal/policy"
 	"memdep/internal/program"
 	"memdep/internal/synth"
 	"memdep/internal/trace"
@@ -240,5 +243,66 @@ func TestPreprocessInstructionLimit(t *testing.T) {
 func TestInstRecordIs48Bytes(t *testing.T) {
 	if n := unsafe.Sizeof(inst{}); n != 48 {
 		t.Fatalf("inst is %d bytes, want 48", n)
+	}
+}
+
+// TestPredictorFreePoliciesIgnoreMemDep is a metamorphic relation: NEVER,
+// ALWAYS, WAIT and PSYNC never consult the dependence predictor, so their
+// Results are identical under every table organization, size,
+// associativity, counter width and tagging scheme.  Each variant runs on a
+// fresh arena and on one arena reused across the whole test, where a SYNC
+// run under the same variant precedes it, so the predictor the oracle run
+// parks is warm.  The arena's predictor parking relies on this invariant.
+func TestPredictorFreePoliciesIgnoreMemDep(t *testing.T) {
+	const max = 20_000
+	items := []struct {
+		name string
+		w    *WorkItem
+	}{
+		{"compress", prep(t, workload.MustGet("compress").Build(1), max)},
+		{"sc", prep(t, workload.MustGet("sc").Build(1), max)},
+		{"gcc", prep(t, workload.MustGet("gcc").Build(1), max)},
+		{"synth-alias4", prep(t, synth.Spec{Seed: 5, Ops: max, AliasSetSize: 4}.Build(1), 0)},
+	}
+	variants := []memdep.Config{
+		{Table: memdep.TableSetAssoc, Entries: 16, Ways: 2},
+		{Table: memdep.TableStoreSet, Entries: 128, Ways: 8},
+		{Entries: 8, CounterBits: 2},
+		{TagByAddress: true, CounterBits: 5},
+		{Predictor: memdep.PredictAlways},
+	}
+	ctx := context.Background()
+	reused := NewSimulator()
+	for _, it := range items {
+		for _, stages := range []int{4, 8} {
+			for _, pol := range policy.OraclePolicies() {
+				want, err := NewSimulator().Simulate(ctx, it.w, DefaultConfig(stages, pol))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, md := range variants {
+					cfg := DefaultConfig(stages, pol)
+					cfg.MemDep = md
+					warm := DefaultConfig(stages, policy.Sync)
+					warm.MemDep = md
+					if _, err := reused.Simulate(ctx, it.w, warm); err != nil {
+						t.Fatal(err)
+					}
+					for _, run := range []struct {
+						arena string
+						sm    *Simulator
+					}{{"fresh", NewSimulator()}, {"reused", reused}} {
+						got, err := run.sm.Simulate(ctx, it.w, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Errorf("%s, %d stages, %v, %s arena, MemDep %+v: result differs from the paper table's:\ngot:  %+v\nwant: %+v",
+								it.name, stages, pol, run.arena, md, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

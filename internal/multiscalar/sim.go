@@ -153,7 +153,6 @@ type sim struct {
 	// unit, shared by the successive tasks dispatched to that unit.  All
 	// tables are carved from the flat fuAll arena array.
 	fuPool []([isa.NumClasses][]int64)
-	iBlock uint64
 
 	// pairBuf is the flat arena behind every loadRecord's predicted-pair
 	// window.  It only grows within a run (windows of squashed attempts
@@ -226,7 +225,7 @@ func (s *sim) setWake(t *execTask, cycle int64) {
 func (s *sim) run() error {
 	// Dispatch the initial window.
 	for i := 0; i < s.cfg.Stages && i < len(s.tasks); i++ {
-		s.dispatch(i, int64(i)*int64(s.cfg.DispatchLatency))
+		s.dispatch(i, int64(i)*dispatchLatency)
 	}
 	stepped := s.cfg.Core == coreStepped
 	var passes uint
@@ -283,12 +282,12 @@ func (s *sim) dispatch(taskIdx int, when int64) {
 		prevKnown = true
 	}
 	out := s.seq.Dispatch(prevPC, prevKnown, t.rec.pc)
-	start := when + int64(s.cfg.DispatchLatency)
+	start := when + dispatchLatency
 	if !out.PredictedCorrectly {
-		start += int64(s.cfg.MispredictPenalty)
+		start += mispredictPenalty
 	}
 	if !out.DescriptorHit {
-		start += int64(s.cfg.DescriptorMissPenalty)
+		start += descriptorMissPenalty
 	}
 	s.resetExecState(t, start)
 	s.nextDispatch = taskIdx + 1
@@ -397,7 +396,7 @@ func (s *sim) ringLatency(prodTask, consTask int) int64 {
 	prodUnit := prodTask % s.cfg.Stages
 	consUnit := consTask % s.cfg.Stages
 	hops := (consUnit - prodUnit + s.cfg.Stages) % s.cfg.Stages
-	return int64(hops) * int64(s.cfg.RingHop)
+	return int64(hops) * ringHop
 }
 
 // operandReady computes the earliest cycle at which the instruction's
@@ -613,8 +612,8 @@ func (s *sim) acquireFU(t *execTask, class isa.Class, op isa.Op, cycle int64) bo
 	for i := range insts {
 		if insts[i] <= cycle {
 			occupancy := int64(1)
-			if !s.cfg.Latencies[class].Pipelined {
-				occupancy = int64(s.cfg.Latencies.OpLatency(op))
+			if !latencies[class].Pipelined {
+				occupancy = int64(latencies.OpLatency(op))
 			}
 			insts[i] = cycle + occupancy
 			return true
@@ -653,7 +652,7 @@ func (s *sim) advance(t *execTask) {
 	if t.next >= end {
 		return
 	}
-	for issued := 0; issued < s.cfg.IssueWidth && t.next < end; issued++ {
+	for issued := 0; issued < issueWidth && t.next < end; issued++ {
 		idx := t.next
 		r := &s.w.insts[idx]
 
@@ -662,7 +661,7 @@ func (s *sim) advance(t *execTask) {
 		// (which clears the wait); go straight to the release condition.
 		if !t.wait.active {
 			// Instruction supply: one cache access per 64-byte block.
-			block := r.pc / s.iBlock
+			block := r.pc / cache.BlockSize
 			if block != t.lastFetchBlock {
 				t.fetchReady = s.hier.InstrFetch(t.unit, r.pc, s.cycle)
 				t.lastFetchBlock = block
@@ -712,7 +711,7 @@ func (s *sim) advance(t *execTask) {
 			}
 			done = s.cycle + 1
 		default:
-			done = s.cycle + int64(s.cfg.Latencies.OpLatency(r.op))
+			done = s.cycle + int64(latencies.OpLatency(r.op))
 		}
 
 		s.done[idx] = done
@@ -783,10 +782,10 @@ func (s *sim) handleViolation(storeTask *execTask, storeRec *inst, v arb.Violati
 	// a little later.  (Restarting them all in the same cycle would recreate
 	// the zero-stagger situation that caused the violation in the first
 	// place and lock the processor into a squash-restart resonance.)
-	delay := int64(s.cfg.SquashPenalty)
+	delay := int64(squashPenalty)
 	for idx := int(v.LoadTask); idx < s.nextDispatch; idx++ {
 		s.squashTask(&s.tasks[idx], delay)
-		delay += int64(s.cfg.SquashPenalty)
+		delay += squashPenalty
 	}
 }
 

@@ -64,7 +64,6 @@ const (
 	DefaultStoreFrac    = 0.15
 	DefaultDepFrac      = 0.5
 	DefaultAliasSetSize = 1
-	DefaultLoopCarried  = 0.25
 )
 
 // MaxOps bounds a workload's dynamic length: both the Ops field and the
@@ -118,7 +117,8 @@ type Spec struct {
 	// mispredict-prone regime.  Normalize rounds it up to a power of two.
 	AliasSetSize int `json:"alias_set_size,omitempty"`
 	// LoopCarried is the fraction of engineered dependences whose producing
-	// store executes in the previous loop iteration (0 = 0.25).
+	// store executes in the previous loop iteration (0 = none: every
+	// engineered dependence is produced in the same iteration).
 	LoopCarried float64 `json:"loop_carried,omitempty"`
 }
 

@@ -104,6 +104,10 @@ func TestNormalizeAndKey(t *testing.T) {
 	if len(n.DepDists) == 0 || n.AliasSetSize != 1 {
 		t.Fatalf("zero spec normalized to %+v", n)
 	}
+	// LoopCarried has no default: zero means no loop-carried dependences.
+	if n.LoopCarried != 0 {
+		t.Errorf("zero LoopCarried normalized to %v, want 0", n.LoopCarried)
+	}
 	// Alias sizes round up to powers of two.
 	if got := (Spec{AliasSetSize: 5}).Normalize().AliasSetSize; got != 8 {
 		t.Errorf("alias 5 normalized to %d, want 8", got)

@@ -61,7 +61,7 @@ type Request struct {
 // them.
 func (r Request) Normalize() Request {
 	if r.Stages == 0 {
-		r.Stages = 8
+		r.Stages = multiscalar.DefaultStages
 	}
 	if p, err := ParsePolicy(string(defaultedPolicy(r.Policy))); err == nil {
 		r.Policy = p
@@ -73,7 +73,7 @@ func (r Request) Normalize() Request {
 		r.Predictor = t
 	}
 	if r.MDPTEntries == 0 {
-		r.MDPTEntries = 64
+		r.MDPTEntries = memdep.DefaultEntries
 	}
 	if r.Synth != nil {
 		r.Synth = r.Synth.Normalize()
@@ -165,7 +165,7 @@ func (r Request) Validate() error {
 	// Field values are individually sane; cross-check the assembled timing
 	// configuration (counter geometry and the like) the same way the
 	// simulator will.
-	cfg, err := r.config()
+	cfg, err := r.Normalize().config()
 	if err != nil {
 		v.add("request", "", err.Error())
 		return v
@@ -176,8 +176,8 @@ func (r Request) Validate() error {
 	return v.errs()
 }
 
-// config assembles the internal timing-simulator configuration, exactly as
-// the pre-facade CLIs did from their flags.
+// config assembles the internal timing-simulator configuration of a
+// normalized request.
 func (r Request) config() (multiscalar.Config, error) {
 	pol, err := r.Policy.kind()
 	if err != nil {
@@ -187,16 +187,8 @@ func (r Request) config() (multiscalar.Config, error) {
 	if err != nil {
 		return multiscalar.Config{}, err
 	}
-	stages := r.Stages
-	if stages == 0 {
-		stages = 8
-	}
-	entries := r.MDPTEntries
-	if entries == 0 {
-		entries = 64
-	}
-	cfg := multiscalar.DefaultConfig(stages, pol)
-	cfg.MemDep.Entries = entries
+	cfg := multiscalar.DefaultConfig(r.Stages, pol)
+	cfg.MemDep.Entries = r.MDPTEntries
 	cfg.MemDep.Table = table
 	cfg.MemDep.Ways = r.MDPTWays
 	cfg.DDCSizes = r.DDCSizes

@@ -54,7 +54,7 @@ type SynthSpec struct {
 	// only, the mispredict-prone regime.  Rounded up to a power of two.
 	AliasSetSize int `json:"alias_set_size,omitempty"`
 	// LoopCarried is the fraction of engineered dependences produced in the
-	// previous loop iteration (0 = 0.25).
+	// previous loop iteration (0 = none).
 	LoopCarried float64 `json:"loop_carried,omitempty"`
 }
 
