@@ -9,16 +9,17 @@ import (
 	"testing"
 )
 
-// TestReportStructure runs the micro-benchmarks (sweep skipped: its timings
-// dominate test time) and checks the JSON trajectory keeps the names and
-// fields CI asserts on.
+// TestReportStructure runs the micro-benchmarks once each (sweep skipped:
+// its timings dominate test time; -count 1 because the shape, not the
+// fastest timing, is under test) and checks the JSON trajectory keeps the
+// names and fields CI asserts on.
 func TestReportStructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark runs are slow; skipped in -short mode")
 	}
 	path := filepath.Join(t.TempDir(), "bench.json")
 	var stderr bytes.Buffer
-	if code := run([]string{"-out", path, "-skip-sweep"}, &stderr); code != 0 {
+	if code := run([]string{"-out", path, "-skip-sweep", "-count", "1"}, &stderr); code != 0 {
 		t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
 	}
 	data, err := os.ReadFile(path)

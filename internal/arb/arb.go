@@ -13,16 +13,20 @@
 //
 // The buffer is organised in banks indexed by block address; each bank has a
 // bounded number of address entries, mirroring the 32-entry-per-bank
-// configuration of section 5.2.  When a bank is full, new addresses cannot be
-// tracked and the requesting memory operation must stall until space frees up
-// (entries are reclaimed when tasks commit or are squashed).
+// configuration of section 5.2.  When a bank is full, a new address cannot be
+// tracked: the access is refused and counted, and the caller decides what to
+// do with it (entries are reclaimed when tasks commit or are squashed).
 //
-// Because only the processor's in-flight window (a handful of tasks) can
-// touch an entry at a time, per-address bookkeeping is a small linear-scanned
-// slice rather than a map, entries are pooled across allocate/reclaim
-// cycles, and a per-task index of touched addresses makes commit/squash
-// reclamation proportional to the task's footprint -- the ARB sits on the
-// timing simulator's per-memory-operation hot path.
+// The ARB sits on the timing simulator's per-memory-operation hot path, so it
+// never hashes.  The caller names every address by a dense id next to the
+// address itself (the work item numbers its addresses), and every task by a
+// dense id; Reset sizes one slot per address id and one touched list per
+// task id.  A slot points into a slab of Banks*EntriesPerBank entries
+// recycled through a free list, and per-address bookkeeping is a small
+// linear-scanned slice, because only the processor's in-flight window (a
+// handful of tasks) can touch an entry at a time.  The per-task lists of
+// touched address ids, pooled across tasks, make commit/squash reclamation
+// proportional to the task's footprint.
 package arb
 
 // Violation describes a detected memory dependence mis-speculation.
@@ -48,9 +52,10 @@ type taskRecord struct {
 }
 
 // entry tracks one data address: the (unordered) access summaries of the
-// in-flight tasks that touched it.
+// in-flight tasks that touched it, and the bank whose capacity it takes.
 type entry struct {
 	tasks []taskRecord
+	bank  int32
 }
 
 // find returns the task's record, or nil.
@@ -96,19 +101,27 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ARB is the address resolution buffer.  touched indexes the tracked
-// addresses by task, so reclaiming a committed or squashed task costs
-// O(addresses that task touched) instead of a walk over every entry;
-// entryFree and touchedFree recycle the backing storage.
+// ARB is the address resolution buffer.
 //
 //memdep:resettable
 type ARB struct {
-	cfg     Config //lint:reset-exempt construction-time configuration, immutable across runs
-	banks   []map[uint64]*entry
-	touched map[uint64][]uint64 // taskID -> tracked addrs
+	cfg Config //lint:reset-exempt construction-time configuration, immutable across runs
 
-	entryFree   []*entry
-	touchedFree [][]uint64
+	// slot maps an address id to 1 + its index in entries, or 0 when the
+	// address is not tracked.  fill counts the tracked addresses per bank.
+	slot []int32
+	fill []int32
+
+	// entries is the slab behind every tracked address, one per bank
+	// entry; free is the stack of unused indices.
+	entries []entry
+	free    []int32
+
+	// touched lists, per task id, the address ids the task has records
+	// in (nil when none); a dropped task's list is recycled through
+	// touchedFree, so there are only as many lists as tasks in flight.
+	touched     [][]int32
+	touchedFree [][]int32
 
 	loads      uint64
 	stores     uint64
@@ -116,14 +129,18 @@ type ARB struct {
 	stallsFull uint64
 }
 
-// New creates an ARB with the given configuration.
+// New creates an ARB with the given configuration.  It tracks no address
+// ids and no task ids until Reset sizes it.
 func New(cfg Config) *ARB {
 	cfg = cfg.withDefaults()
-	a := &ARB{cfg: cfg, touched: make(map[uint64][]uint64)}
-	a.banks = make([]map[uint64]*entry, cfg.Banks)
-	for i := range a.banks {
-		a.banks[i] = make(map[uint64]*entry, cfg.EntriesPerBank)
+	n := cfg.Banks * cfg.EntriesPerBank
+	a := &ARB{
+		cfg:     cfg,
+		fill:    make([]int32, cfg.Banks),
+		entries: make([]entry, n),
+		free:    make([]int32, 0, n),
 	}
+	a.Reset(0, 0)
 	return a
 }
 
@@ -131,68 +148,67 @@ func New(cfg Config) *ARB {
 func (a *ARB) Config() Config { return a.cfg }
 
 func (a *ARB) bankOf(addr uint64) int {
-	return int((addr / uint64(a.cfg.BlockSize)) % uint64(len(a.banks)))
+	return int((addr / uint64(a.cfg.BlockSize)) % uint64(a.cfg.Banks))
 }
 
-// lookup finds or allocates the entry for addr.  It returns nil when the bank
-// is full and the address is not yet tracked.
+// lookup finds or allocates the entry for address id.  It returns nil when
+// the address's bank is full and the address is not yet tracked.
 //
 //memdep:hotpath
-func (a *ARB) lookup(addr uint64, alloc bool) *entry {
-	b := a.banks[a.bankOf(addr)]
-	if e, ok := b[addr]; ok {
-		return e
+func (a *ARB) lookup(addr uint64, id int32) *entry {
+	if s := a.slot[id]; s != 0 {
+		return &a.entries[s-1]
 	}
-	if !alloc {
+	b := a.bankOf(addr)
+	if int(a.fill[b]) >= a.cfg.EntriesPerBank {
 		return nil
 	}
-	if len(b) >= a.cfg.EntriesPerBank {
-		return nil
-	}
-	var e *entry
-	if n := len(a.entryFree); n > 0 {
-		e = a.entryFree[n-1]
-		a.entryFree = a.entryFree[:n-1]
-		e.tasks = e.tasks[:0]
-	} else {
-		e = &entry{} //lint:alloc-ok pool miss: grows the entry pool once, reused thereafter
-	}
-	b[addr] = e
+	// A bank below capacity implies a free slab entry: the slab holds
+	// every bank's capacity.
+	n := len(a.free) - 1
+	i := a.free[n]
+	a.free = a.free[:n]
+	a.fill[b]++
+	a.slot[id] = i + 1
+	e := &a.entries[i]
+	e.bank = int32(b)
 	return e
 }
 
 // access returns the task's record for the entry, creating it (and
-// registering the address in the task's touched index) on first contact.
+// registering address id in the task's touched list) on first contact.
 //
 //memdep:hotpath
-func (a *ARB) access(e *entry, addr, taskID uint64) *taskRecord {
+func (a *ARB) access(e *entry, id int32, taskID uint64) *taskRecord {
 	if ta := e.find(taskID); ta != nil {
 		return ta
 	}
-	ts, ok := a.touched[taskID]
-	if !ok {
+	ts := a.touched[taskID]
+	if ts == nil {
 		if n := len(a.touchedFree); n > 0 {
-			ts = a.touchedFree[n-1][:0]
+			ts = a.touchedFree[n-1]
 			a.touchedFree = a.touchedFree[:n-1]
 		}
 	}
-	a.touched[taskID] = append(ts, addr)              //lint:alloc-ok amortized: per-task touched list reuses pooled backing
+	a.touched[taskID] = append(ts, id)                //lint:alloc-ok amortized: per-task touched list reuses pooled backing
 	e.tasks = append(e.tasks, taskRecord{id: taskID}) //lint:alloc-ok amortized: per-entry task list grows to working-set size once
 	return &e.tasks[len(e.tasks)-1]
 }
 
-// Load records a load of addr by taskID.  ok is false when the ARB bank is
-// full and the access must stall; the caller should retry later.
+// Load records a load of addr, whose address id is id, by taskID.  ok is
+// false when addr's bank is full and addr is not tracked yet: the load is
+// not recorded, counts once in Stats.StallsFull, and a later store cannot
+// detect a violation against it.
 //
 //memdep:hotpath
-func (a *ARB) Load(addr uint64, taskID uint64, loadPC uint64) (ok bool) {
-	e := a.lookup(addr, true)
+func (a *ARB) Load(addr uint64, id int32, taskID uint64, loadPC uint64) (ok bool) {
+	e := a.lookup(addr, id)
 	if e == nil {
 		a.stallsFull++
 		return false
 	}
 	a.loads++
-	ta := a.access(e, addr, taskID)
+	ta := a.access(e, id, taskID)
 	if !ta.stored && !ta.exposedLoad {
 		ta.exposedLoad = true
 		ta.loadPC = loadPC
@@ -200,27 +216,28 @@ func (a *ARB) Load(addr uint64, taskID uint64, loadPC uint64) (ok bool) {
 	return true
 }
 
-// Store records a store of addr by taskID and returns any mis-speculation it
-// exposes: the youngest-preceding rule of the ARB scans younger tasks in
-// ascending order and reports the first task with an exposed load of addr,
-// unless an intervening younger task has already stored to addr (in which
-// case later tasks read that closer version and are safe).  Because every
-// tracked access has loaded or stored, only the closest younger task can
-// decide the outcome, so the scan is a single min-reduction over the entry
-// (order-independent, hence deterministic).  The violation is returned by
-// value (violated reports whether it is meaningful) so the per-store hot
-// path never allocates.  ok is false when the ARB bank is full and the
-// store must stall.
+// Store records a store of addr, whose address id is id, by taskID and
+// returns any mis-speculation it exposes: the youngest-preceding rule of the
+// ARB scans younger tasks in ascending order and reports the first task with
+// an exposed load of addr, unless an intervening younger task has already
+// stored to addr (in which case later tasks read that closer version and are
+// safe).  Because every tracked access has loaded or stored, only the
+// closest younger task can decide the outcome, so the scan is a single
+// min-reduction over the entry (order-independent, hence deterministic).
+// The violation is returned by value (violated reports whether it is
+// meaningful) so the per-store hot path never allocates.  ok is false when
+// addr's bank is full and addr is not tracked yet: the store is not
+// recorded, detects nothing, and counts once in Stats.StallsFull.
 //
 //memdep:hotpath
-func (a *ARB) Store(addr uint64, taskID uint64) (v Violation, violated, ok bool) {
-	e := a.lookup(addr, true)
+func (a *ARB) Store(addr uint64, id int32, taskID uint64) (v Violation, violated, ok bool) {
+	e := a.lookup(addr, id)
 	if e == nil {
 		a.stallsFull++
 		return Violation{}, false, false
 	}
 	a.stores++
-	ta := a.access(e, addr, taskID)
+	ta := a.access(e, id, taskID)
 	ta.stored = true
 
 	var closest *taskRecord
@@ -258,40 +275,34 @@ func (a *ARB) SquashTask(taskID uint64) {
 
 //memdep:hotpath
 func (a *ARB) dropTask(taskID uint64) {
-	addrs, ok := a.touched[taskID]
-	if !ok {
+	ids := a.touched[taskID]
+	if ids == nil {
 		return
 	}
-	for _, addr := range addrs {
-		bank := a.banks[a.bankOf(addr)]
-		e, ok := bank[addr]
-		if !ok {
-			continue
-		}
-		for i := range e.tasks {
-			if e.tasks[i].id == taskID {
+	for _, id := range ids {
+		i := a.slot[id] - 1
+		e := &a.entries[i]
+		for k := range e.tasks {
+			if e.tasks[k].id == taskID {
 				last := len(e.tasks) - 1
-				e.tasks[i] = e.tasks[last]
+				e.tasks[k] = e.tasks[last]
 				e.tasks = e.tasks[:last]
 				break
 			}
 		}
 		if len(e.tasks) == 0 {
-			delete(bank, addr)
-			a.entryFree = append(a.entryFree, e) //lint:alloc-ok pooled free list grows to working-set size once
+			a.slot[id] = 0
+			a.fill[e.bank]--
+			a.free = append(a.free, i) //lint:alloc-ok never grows: its capacity is the slab size
 		}
 	}
-	a.touchedFree = append(a.touchedFree, addrs[:0]) //lint:alloc-ok pooled free list grows to working-set size once
-	delete(a.touched, taskID)
+	a.touchedFree = append(a.touchedFree, ids[:0]) //lint:alloc-ok pooled free list grows to the tasks in flight once
+	a.touched[taskID] = nil
 }
 
 // Entries returns the total number of addresses currently tracked.
 func (a *ARB) Entries() int {
-	n := 0
-	for _, b := range a.banks {
-		n += len(b)
-	}
-	return n
+	return len(a.entries) - len(a.free)
 }
 
 // Stats summarises ARB activity.
@@ -299,6 +310,8 @@ type Stats struct {
 	Loads      uint64
 	Stores     uint64
 	Violations uint64
+	// StallsFull counts the loads and stores refused because their bank
+	// was full; each refused access counts once.
 	StallsFull uint64
 }
 
@@ -307,20 +320,33 @@ func (a *ARB) Stats() Stats {
 	return Stats{Loads: a.loads, Stores: a.stores, Violations: a.violations, StallsFull: a.stallsFull}
 }
 
-// Reset clears all entries and counters in place: live address entries and
-// touched-index slices are drained back into the free pools, so a reused ARB
+// Reset clears all entries and counters in place and sizes the buffer for
+// address ids in [0, addrs) and task ids in [0, tasks).  The slot and
+// touched arrays grow only when a run needs more ids than any before, and
+// entries and touched lists go back to their free pools, so a reused ARB
 // performs no steady-state allocations.
-func (a *ARB) Reset() {
-	for _, b := range a.banks {
-		for addr, e := range b {
-			e.tasks = e.tasks[:0]
-			a.entryFree = append(a.entryFree, e)
-			delete(b, addr)
+func (a *ARB) Reset(addrs, tasks int) {
+	if cap(a.slot) < addrs {
+		a.slot = make([]int32, addrs)
+	}
+	a.slot = a.slot[:addrs]
+	clear(a.slot)
+	clear(a.fill)
+	a.free = a.free[:0]
+	for i := len(a.entries) - 1; i >= 0; i-- {
+		a.entries[i].tasks = a.entries[i].tasks[:0]
+		a.free = append(a.free, int32(i))
+	}
+	// Every touched list past len(touched) is already nil.
+	for i, ts := range a.touched {
+		if ts != nil {
+			a.touchedFree = append(a.touchedFree, ts[:0])
+			a.touched[i] = nil
 		}
 	}
-	for taskID, addrs := range a.touched {
-		a.touchedFree = append(a.touchedFree, addrs[:0])
-		delete(a.touched, taskID)
+	if cap(a.touched) < tasks {
+		a.touched = make([][]int32, tasks)
 	}
+	a.touched = a.touched[:tasks]
 	a.loads, a.stores, a.violations, a.stallsFull = 0, 0, 0, 0
 }

@@ -5,8 +5,28 @@ import (
 	"testing/quick"
 )
 
+// Test addresses are multiples of 8 below 8*testAddrs, numbered by idOf;
+// test task ids are below testTasks.
+const testAddrs, testTasks = 1024, 16
+
+func idOf(addr uint64) int32 { return int32(addr / 8) }
+
+// newARB returns an ARB sized for the test addresses and tasks.
+func newARB(cfg Config) *ARB {
+	a := New(cfg)
+	a.Reset(testAddrs, testTasks)
+	return a
+}
+
 func newTestARB() *ARB {
-	return New(Config{Banks: 2, EntriesPerBank: 8, BlockSize: 64})
+	return newARB(Config{Banks: 2, EntriesPerBank: 8, BlockSize: 64})
+}
+
+// load and store access a test address under its id.
+func load(a *ARB, addr, taskID, loadPC uint64) bool { return a.Load(addr, idOf(addr), taskID, loadPC) }
+
+func store(a *ARB, addr, taskID uint64) (Violation, bool, bool) {
+	return a.Store(addr, idOf(addr), taskID)
 }
 
 func TestDefaultConfig(t *testing.T) {
@@ -22,10 +42,10 @@ func TestDefaultConfig(t *testing.T) {
 func TestStoreAfterPrematureLoadIsViolation(t *testing.T) {
 	a := newTestARB()
 	// Task 5 (younger) loads address A before task 4 (older) stores it.
-	if ok := a.Load(0x100, 5, 0x40); !ok {
+	if ok := load(a, 0x100, 5, 0x40); !ok {
 		t.Fatal("load must be accepted")
 	}
-	v, violated, ok := a.Store(0x100, 4)
+	v, violated, ok := store(a, 0x100, 4)
 	if !ok {
 		t.Fatal("store must be accepted")
 	}
@@ -42,12 +62,12 @@ func TestStoreAfterPrematureLoadIsViolation(t *testing.T) {
 
 func TestStoreBeforeLoadNoViolation(t *testing.T) {
 	a := newTestARB()
-	if _, violated, _ := a.Store(0x100, 4); violated {
+	if _, violated, _ := store(a, 0x100, 4); violated {
 		t.Fatal("store with no younger load must not violate")
 	}
 	// The younger load now happens after the store: no violation to detect
 	// (the timing simulator would have forwarded or re-read the value).
-	if ok := a.Load(0x100, 5, 0x40); !ok {
+	if ok := load(a, 0x100, 5, 0x40); !ok {
 		t.Fatal("load must be accepted")
 	}
 	if a.Stats().Violations != 0 {
@@ -59,8 +79,8 @@ func TestOlderLoadNotAViolation(t *testing.T) {
 	a := newTestARB()
 	// Task 3 (older than the store's task 4) loads first; a store by task 4
 	// must not squash an older task.
-	a.Load(0x100, 3, 0x40)
-	if v, violated, _ := a.Store(0x100, 4); violated {
+	load(a, 0x100, 3, 0x40)
+	if v, violated, _ := store(a, 0x100, 4); violated {
 		t.Errorf("older load must not be reported: %+v", v)
 	}
 }
@@ -69,9 +89,9 @@ func TestLoadCoveredByOwnStoreIsNotExposed(t *testing.T) {
 	a := newTestARB()
 	// Task 5 stores to A and then loads it: the load reads its own version
 	// and must not be vulnerable to an older store.
-	a.Store(0x100, 5)
-	a.Load(0x100, 5, 0x40)
-	if v, violated, _ := a.Store(0x100, 4); violated {
+	store(a, 0x100, 5)
+	load(a, 0x100, 5, 0x40)
+	if v, violated, _ := store(a, 0x100, 4); violated {
 		t.Errorf("load covered by the task's own store must be safe: %+v", v)
 	}
 }
@@ -79,20 +99,20 @@ func TestLoadCoveredByOwnStoreIsNotExposed(t *testing.T) {
 func TestInterveningStoreInsulatesYoungerLoads(t *testing.T) {
 	a := newTestARB()
 	// Task 5 stores to A; task 6 loads A (reads task 5's version).
-	a.Store(0x100, 5)
-	a.Load(0x100, 6, 0x60)
+	store(a, 0x100, 5)
+	load(a, 0x100, 6, 0x60)
 	// Task 4 now stores A.  Task 6 read task 5's version, which is still the
 	// closest preceding store, so no violation.
-	if v, violated, _ := a.Store(0x100, 4); violated {
+	if v, violated, _ := store(a, 0x100, 4); violated {
 		t.Errorf("younger load insulated by intervening store must be safe: %+v", v)
 	}
 }
 
 func TestViolationReportsOldestOffendingTask(t *testing.T) {
 	a := newTestARB()
-	a.Load(0x100, 5, 0x50)
-	a.Load(0x100, 6, 0x60)
-	v, violated, _ := a.Store(0x100, 4)
+	load(a, 0x100, 5, 0x50)
+	load(a, 0x100, 6, 0x60)
+	v, violated, _ := store(a, 0x100, 4)
 	if !violated || v.LoadTask != 5 {
 		t.Errorf("violation must name the oldest offending task: %+v", v)
 	}
@@ -100,17 +120,17 @@ func TestViolationReportsOldestOffendingTask(t *testing.T) {
 
 func TestDifferentAddressesDoNotConflict(t *testing.T) {
 	a := newTestARB()
-	a.Load(0x100, 5, 0x50)
-	if v, violated, _ := a.Store(0x180, 4); violated {
+	load(a, 0x100, 5, 0x50)
+	if v, violated, _ := store(a, 0x180, 4); violated {
 		t.Errorf("different address must not conflict: %+v", v)
 	}
 }
 
 func TestCommitTaskClearsState(t *testing.T) {
 	a := newTestARB()
-	a.Load(0x100, 5, 0x50)
+	load(a, 0x100, 5, 0x50)
 	a.CommitTask(5)
-	if v, violated, _ := a.Store(0x100, 4); violated {
+	if v, violated, _ := store(a, 0x100, 4); violated {
 		t.Errorf("committed task must not be reported: %+v", v)
 	}
 	if a.Entries() != 1 {
@@ -121,56 +141,56 @@ func TestCommitTaskClearsState(t *testing.T) {
 
 func TestSquashTaskClearsState(t *testing.T) {
 	a := newTestARB()
-	a.Load(0x100, 5, 0x50)
+	load(a, 0x100, 5, 0x50)
 	a.SquashTask(5)
-	if v, violated, _ := a.Store(0x100, 4); violated {
+	if v, violated, _ := store(a, 0x100, 4); violated {
 		t.Errorf("squashed task must not be reported: %+v", v)
 	}
 }
 
 func TestBankCapacityStalls(t *testing.T) {
-	a := New(Config{Banks: 1, EntriesPerBank: 2, BlockSize: 64})
-	if ok := a.Load(0x000, 1, 0x10); !ok {
+	a := newARB(Config{Banks: 1, EntriesPerBank: 2, BlockSize: 64})
+	if ok := load(a, 0x000, 1, 0x10); !ok {
 		t.Fatal("first entry must fit")
 	}
-	if ok := a.Load(0x040, 1, 0x14); !ok {
+	if ok := load(a, 0x040, 1, 0x14); !ok {
 		t.Fatal("second entry must fit")
 	}
-	if ok := a.Load(0x080, 1, 0x18); ok {
-		t.Fatal("third address must stall (bank full)")
+	if ok := load(a, 0x080, 1, 0x18); ok {
+		t.Fatal("third address must be refused (bank full)")
 	}
 	if a.Stats().StallsFull != 1 {
-		t.Errorf("stalls = %d", a.Stats().StallsFull)
+		t.Errorf("refused accesses = %d", a.Stats().StallsFull)
 	}
 	// Committing the task frees the entries and the access can proceed.
 	a.CommitTask(1)
-	if ok := a.Load(0x080, 1, 0x18); !ok {
+	if ok := load(a, 0x080, 1, 0x18); !ok {
 		t.Fatal("access must succeed after space frees up")
 	}
 }
 
 func TestExistingAddressDoesNotStallWhenFull(t *testing.T) {
-	a := New(Config{Banks: 1, EntriesPerBank: 1, BlockSize: 64})
-	a.Load(0x000, 1, 0x10)
-	// The same address is already tracked: accesses to it must not stall even
+	a := newARB(Config{Banks: 1, EntriesPerBank: 1, BlockSize: 64})
+	load(a, 0x000, 1, 0x10)
+	// The same address is already tracked: accesses to it must not be refused even
 	// though the bank has no free entries.
-	if ok := a.Load(0x000, 2, 0x20); !ok {
-		t.Fatal("tracked address must not stall")
+	if ok := load(a, 0x000, 2, 0x20); !ok {
+		t.Fatal("tracked address must not be refused")
 	}
-	if _, _, ok := a.Store(0x000, 1); !ok {
-		t.Fatal("tracked address store must not stall")
+	if _, _, ok := store(a, 0x000, 1); !ok {
+		t.Fatal("tracked address store must not be refused")
 	}
 }
 
 func TestStatsAndReset(t *testing.T) {
 	a := newTestARB()
-	a.Load(0x100, 5, 0x50)
-	a.Store(0x100, 4)
+	load(a, 0x100, 5, 0x50)
+	store(a, 0x100, 4)
 	st := a.Stats()
 	if st.Loads != 1 || st.Stores != 1 {
 		t.Errorf("stats = %+v", st)
 	}
-	a.Reset()
+	a.Reset(testAddrs, testTasks)
 	if a.Entries() != 0 || a.Stats() != (Stats{}) {
 		t.Error("reset must clear everything")
 	}
@@ -186,7 +206,7 @@ func TestARBMatchesOracleTwoTasks(t *testing.T) {
 		Store bool
 	}
 	f := func(ops []op) bool {
-		a := New(Config{Banks: 1, EntriesPerBank: 8, BlockSize: 64})
+		a := newARB(Config{Banks: 1, EntriesPerBank: 8, BlockSize: 64})
 		const addr = 0x40
 		youngerExposedLoad := false
 		youngerStored := false
@@ -198,7 +218,7 @@ func TestARBMatchesOracleTwoTasks(t *testing.T) {
 				task = 1
 			}
 			if o.Store {
-				_, violated, ok := a.Store(addr, task)
+				_, violated, ok := store(a, addr, task)
 				if !ok {
 					return false
 				}
@@ -218,7 +238,7 @@ func TestARBMatchesOracleTwoTasks(t *testing.T) {
 					}
 				}
 			} else {
-				if !a.Load(addr, task, 0x99) {
+				if !load(a, addr, task, 0x99) {
 					return false
 				}
 				if !o.Older && !youngerStored {
@@ -244,13 +264,13 @@ func youngerStoredBeforeLoad(stored, exposed bool) bool {
 // Property: entries never exceed banks*entriesPerBank.
 func TestARBCapacityInvariant(t *testing.T) {
 	f := func(addrs []uint8, tasks []uint8) bool {
-		a := New(Config{Banks: 2, EntriesPerBank: 4, BlockSize: 64})
+		a := newARB(Config{Banks: 2, EntriesPerBank: 4, BlockSize: 64})
 		for i, ad := range addrs {
 			task := uint64(1)
 			if i < len(tasks) {
 				task = uint64(tasks[i]%4) + 1
 			}
-			a.Load(uint64(ad)*16, task, 0)
+			load(a, uint64(ad)*16, task, 0)
 			if a.Entries() > 8 {
 				return false
 			}

@@ -30,9 +30,9 @@ func TestResetEquivalence(t *testing.T) {
 			task := rnd.next() % 6
 			switch i % 5 {
 			case 0, 1:
-				digest = append(digest, a.Load(addr, task, 0x1000+addr))
+				digest = append(digest, load(a, addr, task, 0x1000+addr))
 			case 2:
-				v, violated, ok := a.Store(addr, task)
+				v, violated, ok := store(a, addr, task)
 				digest = append(digest, v, violated, ok)
 			case 3:
 				a.CommitTask(task)
@@ -44,11 +44,11 @@ func TestResetEquivalence(t *testing.T) {
 	}
 
 	cfg := Config{Banks: 2, EntriesPerBank: 8, BlockSize: 64}
-	reused := New(cfg)
+	reused := newARB(cfg)
 	drive(reused)
-	reused.Reset()
+	reused.Reset(testAddrs, testTasks)
 	got := drive(reused)
-	want := drive(New(cfg))
+	want := drive(newARB(cfg))
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("drive after Reset diverges from fresh instance:\nreset: %+v\nfresh: %+v", got, want)
 	}

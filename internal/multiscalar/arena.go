@@ -79,8 +79,9 @@ func (sm *Simulator) reset(ctx context.Context, w *WorkItem, cfg Config) {
 		sm.stages = cfg.Stages
 	} else {
 		s.hier.Reset()
-		s.arb.Reset()
 	}
+	// The ARB indexes by the work item's address ids and task ids.
+	s.arb.Reset(w.addrs, len(w.tasks))
 	if s.seq == nil {
 		s.seq = ctrlflow.NewSequencer(ctrlflow.DefaultSequencerConfig())
 	} else {

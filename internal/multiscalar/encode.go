@@ -28,9 +28,9 @@ const memProdFlag = 1
 // the extended slice.  The encoding stores only the irreducible fields of the
 // preprocessed stream -- task boundaries, per-instruction op/pc/address and
 // the resolved register and memory producers; everything Preprocess derives
-// (instruction classes, source counts, load ordinals, the memory producer's
-// PC, per-task and global op counts) is reconstructed by DecodeWorkItem, so
-// the two can never disagree.
+// (instruction classes, source counts, load ordinals, address ids, per-task
+// and global op counts) is reconstructed by DecodeWorkItem, so the two can
+// never disagree.
 //
 // Format version 2, every integer a uvarint unless marked otherwise:
 //
@@ -170,8 +170,10 @@ func (d *wiReader) producer(self int32) int32 {
 // memory producer must be a store to the load's address inside the task the
 // encoding names, and any violation returns an error.  An encoding of another
 // format version returns an error wrapping ErrWorkItemVersion.  Derived state
-// (classes, source counts, load ordinals, producer PCs, op counts) is
-// recomputed exactly as Preprocess computes it.
+// (classes, source counts, load ordinals, address ids, op counts) is
+// recomputed exactly as Preprocess computes it; address ids borrow
+// Preprocess's pooled address numbering, so a warm decode allocates only the
+// work item.
 func DecodeWorkItem(data []byte) (*WorkItem, error) {
 	d := &wiReader{data: data}
 	if v := d.uvarint(); d.err == nil && v != workItemVersion {
@@ -195,6 +197,9 @@ func DecodeWorkItem(data []byte) (*WorkItem, error) {
 		insts:        make([]inst, numInsts),
 		tasks:        make([]task, numTasks),
 	}
+	b := prepPool.Get().(*prepScratch)
+	defer prepPool.Put(b)
+	b.Reset()
 	self := int32(0)
 	for ti := range w.tasks {
 		t := &w.tasks[ti]
@@ -243,13 +248,18 @@ func DecodeWorkItem(data []byte) (*WorkItem, error) {
 				r.loadOrd = t.loads
 				t.loads++
 				w.Loads++
-				if flags != 0 {
+				if flags == 0 {
+					r.addrID = b.id(r.addr)
+				} else {
 					if err := d.memProducer(w, int32(ti), self); err != nil {
 						return nil, err
 					}
+					// The producer stored to this address, so it is numbered.
+					r.addrID = w.insts[r.memProd].addrID
 				}
 			case isa.IsStore(op):
 				r.flags = flagStore
+				r.addrID = b.id(r.addr)
 				t.stores++
 				w.Stores++
 			}
@@ -264,6 +274,7 @@ func DecodeWorkItem(data []byte) (*WorkItem, error) {
 	if uint64(self) != numInsts {
 		return nil, fmt.Errorf("multiscalar: tasks cover %d of %d instructions", self, numInsts)
 	}
+	w.addrs = len(b.ids)
 	return w, nil
 }
 
@@ -288,6 +299,6 @@ func (d *wiReader) memProducer(w *WorkItem, ti, self int32) error {
 		return fmt.Errorf("multiscalar: memory producer %d of instruction %d is not a store to %#x in task %d",
 			prod, self, r.addr, pt)
 	}
-	r.memProd, r.memTask, r.memProdPC = prod, pt, p.pc
+	r.memProd, r.memTask = prod, pt
 	return nil
 }

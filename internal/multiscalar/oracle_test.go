@@ -21,19 +21,21 @@ import (
 // refInst is what Preprocess must resolve for one committed instruction,
 // recomputed by referencePreprocess.
 type refInst struct {
-	task      int
-	src       [2]int32
-	memProd   int32
-	memTask   int32
-	memProdPC uint64
-	loadOrd   int32
+	task    int
+	src     [2]int32
+	memProd int32
+	memTask int32
+	addrID  int32
+	loadOrd int32
 }
 
-// referencePreprocess recomputes every instruction's producers and load
-// ordinal straight from the collected trace, the plain way: tasks come from
-// the functional simulator's TaskID (not from TaskStart, which Preprocess
-// uses), producers from whole-stream maps of the last writer, and the
-// memory producer's PC and task from the collected record it names.
+// referencePreprocess recomputes every instruction's producers, address id
+// and load ordinal straight from the collected trace, the plain way: tasks
+// come from the functional simulator's TaskID (not from TaskStart, which
+// Preprocess uses), producers from whole-stream maps of the last writer,
+// the memory producer's task from the collected record it names, and
+// address ids from a map numbering the addresses of loads and stores in
+// order of first appearance.
 func referencePreprocess(t *testing.T, p *program.Program, cfg trace.Config) []refInst {
 	t.Helper()
 	stream, _, err := trace.Collect(p, cfg)
@@ -42,6 +44,7 @@ func referencePreprocess(t *testing.T, p *program.Program, cfg trace.Config) []r
 	}
 	lastWriter := map[isa.Reg]int{}
 	lastStore := map[uint64]int{}
+	addrIDs := map[uint64]int32{}
 	loadsInTask := map[uint64]int32{}
 	ref := make([]refInst, len(stream))
 	for i, d := range stream {
@@ -53,11 +56,18 @@ func referencePreprocess(t *testing.T, p *program.Program, cfg trace.Config) []r
 				r.src[k] = int32(w)
 			}
 		}
+		if d.IsLoad() || d.IsStore() {
+			id, ok := addrIDs[d.Addr]
+			if !ok {
+				id = int32(len(addrIDs))
+				addrIDs[d.Addr] = id
+			}
+			r.addrID = id
+		}
 		if d.IsLoad() {
 			if s, ok := lastStore[d.Addr]; ok {
 				r.memProd = int32(s)
 				r.memTask = int32(stream[s].TaskID)
-				r.memProdPC = stream[s].PC
 			}
 			r.loadOrd = loadsInTask[d.TaskID]
 			loadsInTask[d.TaskID]++
@@ -74,7 +84,8 @@ func referencePreprocess(t *testing.T, p *program.Program, cfg trace.Config) []r
 }
 
 // checkAgainstReference asserts that w agrees with the reference field for
-// field: instruction records, task windows and the aggregate counts.
+// field: instruction records, task windows and the aggregate counts,
+// including the number of address ids.
 func checkAgainstReference(t *testing.T, w *WorkItem, ref []refInst) {
 	t.Helper()
 	if len(w.insts) != len(ref) || w.Instructions != uint64(len(ref)) {
@@ -82,6 +93,7 @@ func checkAgainstReference(t *testing.T, w *WorkItem, ref []refInst) {
 			len(w.insts), w.Instructions, len(ref))
 	}
 	var loads, stores uint64
+	addrs := 0
 	for ti, tk := range w.tasks {
 		if tk.start >= tk.end || (ti > 0 && tk.start != w.tasks[ti-1].end) {
 			t.Fatalf("task %d window [%d,%d) does not continue the previous one", ti, tk.start, tk.end)
@@ -95,13 +107,17 @@ func checkAgainstReference(t *testing.T, w *WorkItem, ref []refInst) {
 			if r.class != isa.ClassOf(r.op) || r.isLoad() != isa.IsLoad(r.op) || r.isStore() != isa.IsStore(r.op) {
 				t.Fatalf("instruction %d: derived class/flags disagree with op %v", i, r.op)
 			}
-			got := refInst{task: ti, src: r.src, memProd: r.memProd, memTask: r.memTask, memProdPC: r.memProdPC}
+			got := refInst{task: ti, src: r.src, memProd: r.memProd, memTask: r.memTask}
 			if r.isLoad() {
 				got.loadOrd = r.loadOrd
 				tl++
 			}
 			if r.isStore() {
 				ts++
+			}
+			if r.isLoad() || r.isStore() {
+				got.addrID = r.addrID
+				addrs = max(addrs, int(r.addrID)+1)
 			}
 			if got != want {
 				t.Fatalf("instruction %d (%v at pc %#x):\ngot       %+v\nreference %+v", i, r.op, r.pc, got, want)
@@ -118,6 +134,9 @@ func checkAgainstReference(t *testing.T, w *WorkItem, ref []refInst) {
 	}
 	if w.Loads != loads || w.Stores != stores {
 		t.Fatalf("work item counts loads=%d stores=%d, tasks say %d/%d", w.Loads, w.Stores, loads, stores)
+	}
+	if w.addrs != addrs {
+		t.Fatalf("work item counts %d address ids, its memory operations use %d", w.addrs, addrs)
 	}
 }
 

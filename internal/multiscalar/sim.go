@@ -447,7 +447,7 @@ func (s *sim) actualDependence(t *execTask, r *inst) (bool, uint64) {
 	if s.committed[r.memTask] {
 		return false, 0
 	}
-	return true, r.memProdPC
+	return true, s.w.insts[r.memProd].pc
 }
 
 // taskPCAt lets the ESYNC predictor look up the task PC at a given instance
@@ -727,7 +727,7 @@ func (s *sim) advance(t *execTask) {
 //
 //memdep:hotpath
 func (s *sim) arbLoad(t *execTask, r *inst) bool {
-	ok := s.arb.Load(r.addr, uint64(t.id), r.pc)
+	ok := s.arb.Load(r.addr, r.addrID, uint64(t.id), r.pc)
 	if !ok {
 		s.arbBypasses++
 	}
@@ -739,7 +739,7 @@ func (s *sim) arbLoad(t *execTask, r *inst) bool {
 //
 //memdep:hotpath
 func (s *sim) handleStore(t *execTask, r *inst, instIdx int) {
-	v, violated, ok := s.arb.Store(r.addr, uint64(t.id))
+	v, violated, ok := s.arb.Store(r.addr, r.addrID, uint64(t.id))
 	if !ok {
 		s.arbBypasses++
 	}

@@ -44,8 +44,6 @@ const (
 type inst struct {
 	pc   uint64
 	addr uint64
-	// memProdPC is the PC of memProd (for predictor updates).
-	memProdPC uint64
 
 	// src holds the producers of the nSrc register sources.
 	src [2]int32
@@ -59,6 +57,10 @@ type inst struct {
 	// instruction order); it indexes the simulator's per-task loadRecord
 	// slice.  Only meaningful for loads.
 	loadOrd int32
+	// addrID numbers addr densely within the work item, in order of first
+	// appearance over loads and stores, so the core's ARB indexes arrays
+	// instead of hashing addresses.  Only meaningful for loads and stores.
+	addrID int32
 
 	op    isa.Op
 	class isa.Class
@@ -95,6 +97,9 @@ type WorkItem struct {
 
 	insts []inst
 	tasks []task
+	// addrs is the number of distinct data addresses, the range of
+	// inst.addrID.
+	addrs int
 }
 
 // Tasks returns the number of dynamic tasks.
@@ -116,34 +121,51 @@ var ErrTooManyInstructions = errors.New("multiscalar: committed stream exceeds t
 // so a test can reach the limit without committing two billion instructions.
 var instLimit = math.MaxInt32
 
-// storeRef is the most recent store to one address.
-type storeRef struct {
-	idx  int32
-	task int32
-	pc   uint64
+// lastStore is the most recent store to one address (store is -1 before
+// the first).
+type lastStore struct {
+	store int32
+	task  int32
 }
 
 // prepScratch is Preprocess's build state.  The stream is built into these
 // growable buffers and copied out at its exact length, so a work item owns
 // one instruction allocation with no growth slack, and a warm process builds
-// without regrowing anything.
+// without regrowing anything.  DecodeWorkItem borrows ids to number
+// addresses the same way.
 //
 //memdep:resettable
 type prepScratch struct {
-	insts     []inst
-	tasks     []task
-	lastStore map[uint64]storeRef
+	insts []inst
+	tasks []task
+	// ids numbers the addresses in order of first appearance; last is
+	// indexed by address id.
+	ids  map[uint64]int32
+	last []lastStore
 }
 
 // Reset empties the scratch, keeping its capacity.
 func (b *prepScratch) Reset() {
 	b.insts = b.insts[:0]
 	b.tasks = b.tasks[:0]
-	clear(b.lastStore)
+	clear(b.ids)
+	b.last = b.last[:0]
+}
+
+// id returns the address's id, numbering the address on its first
+// appearance.
+func (b *prepScratch) id(addr uint64) int32 {
+	id, ok := b.ids[addr]
+	if !ok {
+		id = int32(len(b.ids))
+		b.ids[addr] = id
+		b.last = append(b.last, lastStore{store: -1})
+	}
+	return id
 }
 
 var prepPool = sync.Pool{New: func() any {
-	return &prepScratch{lastStore: make(map[uint64]storeRef)}
+	return &prepScratch{ids: make(map[uint64]int32)}
 }}
 
 // Preprocess runs the program in the functional simulator and builds the
@@ -200,15 +222,17 @@ func Preprocess(p *program.Program, cfg trace.Config) (*WorkItem, error) {
 		switch {
 		case d.IsLoad():
 			r.flags = flagLoad
-			if s, ok := b.lastStore[d.Addr]; ok {
-				r.memProd, r.memTask, r.memProdPC = s.idx, s.task, s.pc
+			r.addrID = b.id(d.Addr)
+			if s := b.last[r.addrID]; s.store >= 0 {
+				r.memProd, r.memTask = s.store, s.task
 			}
 			r.loadOrd = t.loads
 			t.loads++
 			w.Loads++
 		case d.IsStore():
 			r.flags = flagStore
-			b.lastStore[d.Addr] = storeRef{idx: int32(self), task: ti, pc: d.PC}
+			r.addrID = b.id(d.Addr)
+			b.last[r.addrID] = lastStore{store: int32(self), task: ti}
 			t.stores++
 			w.Stores++
 		}
@@ -229,6 +253,7 @@ func Preprocess(p *program.Program, cfg trace.Config) (*WorkItem, error) {
 		return nil, fmt.Errorf("multiscalar: program %q produced no instructions", p.Name)
 	}
 	w.Instructions = uint64(len(b.insts))
+	w.addrs = len(b.ids)
 	w.insts = slices.Clone(b.insts)
 	w.tasks = slices.Clone(b.tasks)
 	return w, nil

@@ -46,7 +46,7 @@ type ARBStats struct {
 	Loads      uint64 `json:"loads"`       // Loads counts load addresses resolved through the ARB.
 	Stores     uint64 `json:"stores"`      // Stores counts store addresses resolved through the ARB.
 	Violations uint64 `json:"violations"`  // Violations counts store→load order violations the ARB detected.
-	StallsFull uint64 `json:"stalls_full"` // StallsFull counts cycles an access stalled on a full ARB.
+	StallsFull uint64 `json:"stalls_full"` // StallsFull counts loads and stores whose ARB bank was full: each counts once and proceeds untracked; nothing stalls.
 }
 
 // CacheStats mirrors the memory hierarchy counters.
@@ -107,7 +107,7 @@ type Result struct {
 	LoadsWaited             uint64  `json:"loads_waited"`              // LoadsWaited counts loads the policy made wait for a store.
 	WaitCycles              uint64  `json:"wait_cycles"`               // WaitCycles accumulates cycles loads spent waiting.
 	FalseDependenceReleases uint64  `json:"false_dependence_releases"` // FalseDependenceReleases counts waits for dependences that never materialized.
-	ARBBypasses             uint64  `json:"arb_bypasses"`              // ARBBypasses counts loads satisfied by store-to-load forwarding.
+	ARBBypasses             uint64  `json:"arb_bypasses"`              // ARBBypasses counts loads and stores whose ARB bank was full: each counts once and proceeds untracked; nothing stalls.
 
 	// Breakdown classifies committed loads for Table 8 (meaningful for the
 	// predictor-driven policies).
