@@ -125,17 +125,18 @@ func BenchmarkFunctionalSimulator(b *testing.B) {
 	}
 }
 
-// BenchmarkWindowAnalysis measures the unrealistic OOO dependence analysis.
+// BenchmarkWindowAnalysis measures the unrealistic OOO dependence analysis at
+// the Tables 3-5 sizes over a preprocessed espresso work item (50k
+// instructions), built outside the timer.
 func BenchmarkWindowAnalysis(b *testing.B) {
-	prog := workload.MustGet("espresso").Build(1)
+	item, err := multiscalar.Preprocess(workload.MustGet("espresso").Build(1),
+		trace.Config{MaxInstructions: 50_000})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, err := window.Analyze(prog, window.Config{
-			Trace: trace.Config{MaxInstructions: 50_000},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+	for b.Loop() {
+		window.Analyze(item, window.Config{})
 	}
 }
 

@@ -25,6 +25,9 @@
 //   - workitem/{encode,decode}: the store codec of the synthetic work item.
 //   - engine/key/simulate: one engine.Key of the ESYNC xlisp SimulateJob
 //     above, the engine lookup every request pays, cache hits included.
+//   - window/analyze: one window analysis (Tables 3-5) at the default window
+//     and DDC sizes over the preprocessed xlisp work item at 50k
+//     instructions, built outside the timer.
 //   - sweep/quick/event/jobs=N: wall-clock seconds for the full experiment
 //     suite (every table, figure and ablation of EXPERIMENTS.md) on a fresh
 //     session, at 1 worker and at GOMAXPROCS workers.
@@ -54,6 +57,7 @@ import (
 	"memdep/internal/policy"
 	"memdep/internal/synth"
 	"memdep/internal/trace"
+	"memdep/internal/window"
 	"memdep/internal/workload"
 	"memdep/sim"
 )
@@ -219,11 +223,16 @@ func fastest(count int, f func() error) (testing.BenchmarkResult, error) {
 }
 
 // benchLayers records the layers of a request outside the timing core: the
-// preprocess and work-item codec entries and the engine key.
+// preprocess and work-item codec entries, the engine key and the window
+// analysis.
 func benchLayers(count int, stderr io.Writer, rep *report) error {
 	synth20k := synth.Spec{Ops: 20_000}.Build(1)
 	xlisp := workload.MustGet("xlisp").Build(1)
 	w, err := multiscalar.Preprocess(synth20k, trace.Config{})
+	if err != nil {
+		return err
+	}
+	xlispItem, err := multiscalar.Preprocess(xlisp, trace.Config{MaxInstructions: 50_000})
 	if err != nil {
 		return err
 	}
@@ -257,6 +266,10 @@ func benchLayers(count int, stderr io.Writer, rep *report) error {
 		}},
 		{"engine/key/simulate", func() error {
 			engine.Key(xlispJob)
+			return nil
+		}},
+		{"window/analyze", func() error {
+			window.Analyze(xlispItem, window.Config{})
 			return nil
 		}},
 	}

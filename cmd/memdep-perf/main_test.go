@@ -42,6 +42,7 @@ func TestReportStructure(t *testing.T) {
 		"workitem/encode":         false,
 		"workitem/decode":         false,
 		"engine/key/simulate":     false,
+		"window/analyze":          false,
 	}
 	for _, rec := range rep.Benchmarks {
 		if _, ok := want[rec.Name]; ok {

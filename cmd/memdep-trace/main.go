@@ -56,9 +56,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	// All inspection modes resolve their inputs through one session, so a
-	// shell loop over modes shares programs and functional runs via the
-	// session cache.
+	// All inspection modes resolve their inputs through one session: the
+	// tasks and deps modes read the workload's preprocessed work item, and
+	// with -store a shell loop over modes shares it through the store.
 	session := sim.NewSession(append([]sim.Option{sim.WithWorkers(*jobs)}, storeFlags.Options()...)...)
 	ctx := context.Background()
 	treq := sim.TraceRequest{Bench: benchName, Synth: synthSpec, Scale: *scale, MaxInstructions: *maxInstr}

@@ -48,6 +48,7 @@ func TestBadInputsFail(t *testing.T) {
 	for _, args := range [][]string{
 		{"-bench", "no-such-benchmark"},
 		{"-mode", "no-such-mode"},
+		{"-mode", "deps", "-window", "0"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code == 0 {

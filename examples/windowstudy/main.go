@@ -7,7 +7,9 @@
 //
 // With several -bench values (comma-separated) the analyses are one
 // WindowGrid call: they run in parallel on the -jobs worker pool and are
-// memoized, so repeating a benchmark costs one functional run.
+// memoized.  Each reads its benchmark's preprocessed work item, so
+// repeating a benchmark costs one functional run, shared with any timing
+// simulation of the same benchmark and instruction bound.
 package main
 
 import (

@@ -80,19 +80,12 @@ func TestWindowModelConsistentWithMultiscalarLearning(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration runs are skipped in -short mode")
 	}
-	prog := workload.MustGet("compress").Build(1)
-	windowRes, err := window.Analyze(prog, window.Config{
-		WindowSizes: []int{512},
-		DDCSizes:    []int{512},
-		Trace:       trace.Config{MaxInstructions: 60_000},
-	})
+	// One work item feeds both models, as in the experiment sweep.
+	item, err := multiscalar.Preprocess(workload.MustGet("compress").Build(1), trace.Config{MaxInstructions: 60_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	item, err := multiscalar.Preprocess(prog, trace.Config{MaxInstructions: 60_000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	windowRes := window.Analyze(item, window.Config{WindowSizes: []int{512}, DDCSizes: []int{512}})
 	res, err := multiscalar.Simulate(item, multiscalar.DefaultConfig(8, policy.Always))
 	if err != nil {
 		t.Fatal(err)

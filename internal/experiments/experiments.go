@@ -152,16 +152,11 @@ func (r *Runner) simSpecWith(name string, cfg multiscalar.Config) engine.Spec {
 	return multiscalar.SimulateJob{Item: r.workItemSpec(name), Config: cfg}
 }
 
-// windowSpec declares the unrealistic-OOO analysis of one benchmark.
-func (r *Runner) windowSpec(name string, windows, ddcSizes []int) engine.Spec {
-	return window.AnalyzeJob{
-		Program: r.programSpec(name),
-		Config: window.Config{
-			WindowSizes: windows,
-			DDCSizes:    ddcSizes,
-			Trace:       r.traceConfig(),
-		},
-	}
+// windowSpec declares the unrealistic-OOO analysis of one benchmark at the
+// Tables 3-5 window and DDC sizes, over the work item its timing simulations
+// share.
+func (r *Runner) windowSpec(name string) engine.Spec {
+	return window.AnalyzeJob{Item: r.workItemSpec(name)}
 }
 
 // --- direct resolution (single jobs through the memoized engine) ------------

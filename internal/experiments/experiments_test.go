@@ -9,6 +9,9 @@ import (
 
 	"memdep/internal/engine"
 	"memdep/internal/policy"
+	"memdep/internal/stats"
+	"memdep/internal/store"
+	"memdep/internal/window"
 	"memdep/internal/workload"
 )
 
@@ -87,14 +90,14 @@ func TestTable3And4Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if t3.NumRows() != len(windowSizes()) {
+	if t3.NumRows() != len(window.DefaultWindowSizes()) {
 		t.Fatalf("table 3 rows = %d", t3.NumRows())
 	}
 	t4, err := r.Table4StaticCoverage(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if t4.NumRows() != len(windowSizes()) {
+	if t4.NumRows() != len(window.DefaultWindowSizes()) {
 		t.Fatalf("table 4 rows = %d", t4.NumRows())
 	}
 	// The number of static pairs covering 99.9% of mis-speculations at the
@@ -128,6 +131,39 @@ func TestTable5MissRatesDecreaseWithDDCSize(t *testing.T) {
 					g, col, small, large)
 			}
 		}
+	}
+}
+
+// TestWindowTablesReuseStoredWorkItems runs Tables 3-5 twice over one store
+// directory, each pass on a fresh engine.  The window analyses read the
+// persisted work items the timing simulations share, and the three tables
+// share one analysis per benchmark, so the second pass executes exactly the
+// five SPECint92 window analyses, which stay memory-only.
+func TestWindowTablesReuseStoredWorkItems(t *testing.T) {
+	dir := t.TempDir()
+	tables := []func(*Runner, context.Context) (*stats.Table, error){
+		(*Runner).Table3WindowMisspec, (*Runner).Table4StaticCoverage, (*Runner).Table5DDCMissRate,
+	}
+	var executed [2]uint64
+	var rendered [2]string
+	for pass := range executed {
+		eng := NewEngine(2)
+		eng.SetTier(store.Open(dir, store.DefaultCodecs()...))
+		r := NewRunnerWithEngine(Quick(), eng)
+		for _, table := range tables {
+			tab, err := table(r, context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rendered[pass] += tab.Render()
+		}
+		executed[pass] = eng.Executed()
+	}
+	if want := uint64(len(workload.SPECint92Names())); executed[1] != want {
+		t.Errorf("warm pass executed %d jobs, want %d (cold pass: %d)", executed[1], want, executed[0])
+	}
+	if rendered[0] != rendered[1] {
+		t.Error("warm tables differ from cold ones")
 	}
 }
 

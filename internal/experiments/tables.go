@@ -44,17 +44,15 @@ func (r *Runner) Table1DynamicCounts(ctx context.Context) (*stats.Table, error) 
 	return t, nil
 }
 
-// windowSizes returns the window sizes of Tables 3-5.
-func windowSizes() []int { return []int{8, 16, 32, 64, 128, 256, 512} }
-
 // windowBatch runs the unrealistic OOO analysis for every SPECint92 benchmark
 // as one parallel job set and returns the per-benchmark results in
-// window-size order.
-func (r *Runner) windowBatch(ctx context.Context, ddcSizes []int) (map[string][]window.Result, error) {
+// window-size order.  Tables 3-5 share these analyses: each reads its own
+// columns of the same results.
+func (r *Runner) windowBatch(ctx context.Context) (map[string][]window.Result, error) {
 	b := r.eng.NewBatch()
 	refs := map[string]engine.Ref{}
 	for _, name := range workload.SPECint92Names() {
-		refs[name] = b.Add(r.windowSpec(name, windowSizes(), ddcSizes))
+		refs[name] = b.Add(r.windowSpec(name))
 	}
 	if err := b.Run(ctx); err != nil {
 		return nil, err
@@ -70,13 +68,13 @@ func (r *Runner) windowBatch(ctx context.Context, ddcSizes []int) (map[string][]
 // dependences (worst-case mis-speculations) observed as a function of the
 // window size, under the unrealistic OOO model.
 func (r *Runner) Table3WindowMisspec(ctx context.Context) (*stats.Table, error) {
-	perBench, err := r.windowBatch(ctx, []int{32})
+	perBench, err := r.windowBatch(ctx)
 	if err != nil {
 		return nil, err
 	}
 	cols := append([]string{"WS"}, workload.SPECint92Names()...)
 	t := stats.NewTable("Table 3: unrealistic OOO model, dynamic memory dependences vs window size", cols...)
-	for i, ws := range windowSizes() {
+	for i, ws := range window.DefaultWindowSizes() {
 		row := []string{fmt.Sprint(ws)}
 		for _, name := range workload.SPECint92Names() {
 			row = append(row, stats.FormatCount(perBench[name][i].Misspeculations))
@@ -89,13 +87,13 @@ func (r *Runner) Table3WindowMisspec(ctx context.Context) (*stats.Table, error) 
 // Table4StaticCoverage reproduces Table 4: the number of static dependences
 // responsible for 99.9% of all mis-speculations, per window size.
 func (r *Runner) Table4StaticCoverage(ctx context.Context) (*stats.Table, error) {
-	perBench, err := r.windowBatch(ctx, []int{32})
+	perBench, err := r.windowBatch(ctx)
 	if err != nil {
 		return nil, err
 	}
 	cols := append([]string{"WS"}, workload.SPECint92Names()...)
 	t := stats.NewTable("Table 4: static dependences covering 99.9% of mis-speculations", cols...)
-	for i, ws := range windowSizes() {
+	for i, ws := range window.DefaultWindowSizes() {
 		row := []string{fmt.Sprint(ws)}
 		for _, name := range workload.SPECint92Names() {
 			row = append(row, fmt.Sprint(perBench[name][i].PairsForCoverage))
@@ -109,14 +107,14 @@ func (r *Runner) Table4StaticCoverage(ctx context.Context) (*stats.Table, error)
 // caches of 32, 128 and 512 entries as a function of the window size.
 func (r *Runner) Table5DDCMissRate(ctx context.Context) (*stats.Table, error) {
 	ddcSizes := window.DefaultDDCSizes()
-	perBench, err := r.windowBatch(ctx, ddcSizes)
+	perBench, err := r.windowBatch(ctx)
 	if err != nil {
 		return nil, err
 	}
 	cols := []string{"WS", "CS"}
 	cols = append(cols, workload.SPECint92Names()...)
 	t := stats.NewTable("Table 5: unrealistic OOO model, DDC miss rate (%) vs window size and DDC size", cols...)
-	for i, ws := range windowSizes() {
+	for i, ws := range window.DefaultWindowSizes() {
 		for _, cs := range ddcSizes {
 			row := []string{fmt.Sprint(ws), fmt.Sprint(cs)}
 			for _, name := range workload.SPECint92Names() {

@@ -18,11 +18,13 @@ package multiscalar
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"slices"
 	"sync"
 
 	"memdep/internal/isa"
+	"memdep/internal/memdep"
 	"memdep/internal/program"
 	"memdep/internal/trace"
 )
@@ -104,6 +106,24 @@ type WorkItem struct {
 
 // Tasks returns the number of dynamic tasks.
 func (w *WorkItem) Tasks() int { return len(w.tasks) }
+
+// TaskLen returns the number of instructions of dynamic task i.
+func (w *WorkItem) TaskLen(i int) int { return int(w.tasks[i].end - w.tasks[i].start) }
+
+// Dependences yields, in stream order, every load whose most recent store to
+// the same address is in the stream: the static (load PC, store PC) pair and
+// the distance from the store to the load in the committed order (at least
+// 1).
+func (w *WorkItem) Dependences() iter.Seq2[memdep.PairKey, int] {
+	return func(yield func(memdep.PairKey, int) bool) {
+		for i := range w.insts {
+			r := &w.insts[i]
+			if r.memProd >= 0 && !yield(memdep.PairKey{LoadPC: r.pc, StorePC: w.insts[r.memProd].pc}, i-int(r.memProd)) {
+				return
+			}
+		}
+	}
+}
 
 // AvgTaskSize returns the average dynamic task size in instructions.
 func (w *WorkItem) AvgTaskSize() float64 {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"memdep/internal/multiscalar"
 	"memdep/internal/trace"
 	"memdep/internal/window"
 )
@@ -179,11 +180,11 @@ func mustTraceScaled(t *testing.T, spec Spec, scale int) trace.Stats {
 // stream, returning the 64-instruction window result.
 func analyze(t *testing.T, spec Spec) window.Result {
 	t.Helper()
-	results, err := window.Analyze(spec.Build(1), window.Config{WindowSizes: []int{64}})
+	w, err := multiscalar.Preprocess(spec.Build(1), trace.Config{})
 	if err != nil {
-		t.Fatalf("window: %v", err)
+		t.Fatalf("preprocess: %v", err)
 	}
-	return results[0]
+	return window.Analyze(w, window.Config{WindowSizes: []int{64}})[0]
 }
 
 // TestNormalizeRobustToAbsurdAlias pins the ceilPow2 guard: Normalize runs

@@ -13,7 +13,8 @@ const RunKind = "trace/run"
 
 // RunJob is the engine spec for executing a program on the functional
 // simulator.  Program must resolve to a *program.Program (typically a
-// workload.BuildJob).  The job resolves to a trace.Stats.
+// workload.BuildJob).  The job resolves to a trace.Stats; the facade's trace
+// summary is its one consumer.
 type RunJob struct {
 	Program engine.Spec
 	Config  Config

@@ -1,8 +1,9 @@
 // Package trace contains the functional simulator.  It executes a program of
 // the synthetic ISA sequentially and produces the committed dynamic
-// instruction stream -- the "total order" of section 2 of the paper -- that
-// all other components (the unrealistic OOO window model, the dependence
-// profiler and the Multiscalar timing simulator) consume.
+// instruction stream -- the "total order" of section 2 of the paper.  One
+// pass per workload feeds multiscalar.Preprocess, whose work item both the
+// unrealistic OOO window model and the Multiscalar timing simulator read;
+// the trace/run job kind (RunJob) only summarises a stream for inspection.
 //
 // The functional simulator is the architectural reference: whatever the
 // timing simulators do with speculation and squashes, the committed result

@@ -5,19 +5,20 @@ import (
 	"fmt"
 
 	"memdep/internal/engine"
-	"memdep/internal/program"
+	"memdep/internal/multiscalar"
 )
 
 // AnalyzeKind is the engine job kind for the unrealistic OOO window analysis.
 const AnalyzeKind = "window/analyze"
 
-// AnalyzeJob is the engine spec for running the window analyzer over a
-// program.  Program must resolve to a *program.Program (typically a
-// workload.BuildJob).  The job resolves to a []window.Result, one per window
-// size in increasing order.
+// AnalyzeJob is the engine spec for running the window analysis over a work
+// item.  Item must resolve to a *multiscalar.WorkItem (typically the
+// multiscalar.PreprocessJob the timing simulations of the same workload
+// share).  The job resolves to a []window.Result, one per window size in
+// increasing order.
 type AnalyzeJob struct {
-	Program engine.Spec
-	Config  Config
+	Item   engine.Spec
+	Config Config
 }
 
 // JobKind implements engine.Spec.
@@ -26,9 +27,7 @@ func (AnalyzeJob) JobKind() string { return AnalyzeKind }
 // CacheKey implements engine.Spec.
 func (j AnalyzeJob) CacheKey() string {
 	cfg := j.Config.withDefaults()
-	return fmt.Sprintf("%s|ws=%v,ddc=%v,max=%d,tasklen=%d",
-		engine.Key(j.Program), cfg.WindowSizes, cfg.DDCSizes,
-		cfg.Trace.MaxInstructions, cfg.Trace.MaxTaskLen)
+	return fmt.Sprintf("%s|ws=%v,ddc=%v", engine.Key(j.Item), cfg.WindowSizes, cfg.DDCSizes)
 }
 
 // analyzeSimulator executes AnalyzeJob specs.
@@ -44,9 +43,9 @@ func (analyzeSimulator) Simulate(ctx context.Context, eng *engine.Engine, spec e
 	if !ok {
 		return nil, fmt.Errorf("window: spec %T is not an AnalyzeJob", spec)
 	}
-	p, err := engine.Resolve[*program.Program](ctx, eng, job.Program)
+	w, err := engine.Resolve[*multiscalar.WorkItem](ctx, eng, job.Item)
 	if err != nil {
 		return nil, err
 	}
-	return Analyze(p, job.Config)
+	return Analyze(w, job.Config), nil
 }

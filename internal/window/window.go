@@ -5,15 +5,19 @@
 // the sequential order.  The model is the worst case with respect to the
 // number of mis-speculations and is used to characterise the dynamic
 // behaviour of memory dependences (Tables 3, 4 and 5).
+//
+// The analysis runs no program: it reads the committed stream of a
+// preprocessed multiscalar.WorkItem, which already records each load's most
+// recent same-address store, so one functional pass per workload serves both
+// this model and the timing simulator.
 package window
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 
 	"memdep/internal/memdep"
-	"memdep/internal/program"
-	"memdep/internal/trace"
+	"memdep/internal/multiscalar"
 )
 
 // DefaultWindowSizes are the window sizes of Tables 3-5.
@@ -59,7 +63,7 @@ func (r Result) MisspecRate() float64 {
 	return float64(r.Misspeculations) / float64(r.Loads)
 }
 
-// Config controls an analysis run.
+// Config selects the window and DDC sizes of an analysis.
 type Config struct {
 	// WindowSizes lists the window sizes to evaluate (default
 	// DefaultWindowSizes).
@@ -67,8 +71,6 @@ type Config struct {
 	// DDCSizes lists the data dependence cache sizes to evaluate per window
 	// (default DefaultDDCSizes).
 	DDCSizes []int
-	// Trace configures the underlying functional run.
-	Trace trace.Config
 }
 
 func (c Config) withDefaults() Config {
@@ -81,96 +83,40 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// perWindow is the per-window-size accumulation state.
-type perWindow struct {
-	size     int
-	misspecs uint64
-	pairs    map[memdep.PairKey]uint64
-	ddcs     []*memdep.DDC
-}
-
-// Analyzer accumulates dependence statistics over a committed instruction
-// stream.  Feed it with Observe (typically from trace.Run) and harvest with
-// Results.
-type Analyzer struct {
-	cfg     Config
-	windows []*perWindow
-	loads   uint64
-
-	// lastStore maps a data address to the most recent store that wrote it.
-	lastStore map[uint64]storeRecord
-}
-
-type storeRecord struct {
-	seq uint64
-	pc  uint64
-}
-
-// NewAnalyzer creates an analyzer for the given configuration.
-func NewAnalyzer(cfg Config) *Analyzer {
+// Analyze returns the dependence statistics of the work item's committed
+// stream, one Result per configured window size in increasing order.  A load
+// counts at window size n when the most recent store to its address, which
+// the work item records as the load's producer, lies fewer than n
+// instructions before it.
+func Analyze(w *multiscalar.WorkItem, cfg Config) []Result {
 	cfg = cfg.withDefaults()
-	a := &Analyzer{
-		cfg:       cfg,
-		lastStore: make(map[uint64]storeRecord),
-	}
-	sizes := append([]int(nil), cfg.WindowSizes...)
-	sort.Ints(sizes)
-	for _, ws := range sizes {
-		pw := &perWindow{
-			size:  ws,
-			pairs: make(map[memdep.PairKey]uint64),
-		}
+	out := make([]Result, len(cfg.WindowSizes))
+	ddcs := make([][]*memdep.DDC, len(out)) // per window
+	for i, ws := range slices.Sorted(slices.Values(cfg.WindowSizes)) {
+		out[i] = Result{WindowSize: ws, Loads: w.Loads, PairCounts: make(map[memdep.PairKey]uint64)}
 		for _, ds := range cfg.DDCSizes {
-			pw.ddcs = append(pw.ddcs, memdep.NewDDC(ds))
+			ddcs[i] = append(ddcs[i], memdep.NewDDC(ds))
 		}
-		a.windows = append(a.windows, pw)
 	}
-	return a
-}
-
-// Observe processes one committed dynamic instruction.
-func (a *Analyzer) Observe(d trace.DynInst) {
-	switch {
-	case d.IsStore():
-		a.lastStore[d.Addr] = storeRecord{seq: d.Seq, pc: d.PC}
-	case d.IsLoad():
-		a.loads++
-		st, ok := a.lastStore[d.Addr]
-		if !ok {
-			return
-		}
-		dist := d.Seq - st.seq
-		pair := memdep.PairKey{LoadPC: d.PC, StorePC: st.pc}
-		for _, pw := range a.windows {
-			if dist < uint64(pw.size) {
-				pw.misspecs++
-				pw.pairs[pair]++
-				for _, ddc := range pw.ddcs {
+	for pair, dist := range w.Dependences() {
+		for i := range out {
+			if r := &out[i]; dist < r.WindowSize {
+				r.Misspeculations++
+				r.PairCounts[pair]++
+				for _, ddc := range ddcs[i] {
 					ddc.Access(pair)
 				}
 			}
 		}
 	}
-}
-
-// Results returns the accumulated statistics, one Result per window size in
-// increasing order.
-func (a *Analyzer) Results() []Result {
-	out := make([]Result, 0, len(a.windows))
-	for _, pw := range a.windows {
-		r := Result{
-			WindowSize:       pw.size,
-			Loads:            a.loads,
-			Misspeculations:  pw.misspecs,
-			StaticPairs:      len(pw.pairs),
-			PairsForCoverage: pairsForCoverage(pw.pairs, pw.misspecs, Coverage),
-			DDCMissRate:      make(map[int]float64, len(pw.ddcs)),
-			PairCounts:       pw.pairs,
-		}
-		for _, ddc := range pw.ddcs {
+	for i := range out {
+		r := &out[i]
+		r.StaticPairs = len(r.PairCounts)
+		r.PairsForCoverage = pairsForCoverage(r.PairCounts, r.Misspeculations, Coverage)
+		r.DDCMissRate = make(map[int]float64, len(ddcs[i]))
+		for _, ddc := range ddcs[i] {
 			r.DDCMissRate[ddc.Capacity()] = ddc.MissRate() * 100
 		}
-		out = append(out, r)
 	}
 	return out
 }
@@ -195,18 +141,4 @@ func pairsForCoverage(pairs map[memdep.PairKey]uint64, total uint64, coverage fl
 		}
 	}
 	return len(counts)
-}
-
-// Analyze runs the program under the functional simulator and returns the
-// dependence statistics for every configured window size.
-func Analyze(p *program.Program, cfg Config) ([]Result, error) {
-	a := NewAnalyzer(cfg)
-	_, err := trace.Run(p, cfg.Trace, func(d trace.DynInst) bool {
-		a.Observe(d)
-		return true
-	})
-	if err != nil {
-		return nil, fmt.Errorf("window: analysis of %q failed: %w", p.Name, err)
-	}
-	return a.Results(), nil
 }

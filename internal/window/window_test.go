@@ -6,26 +6,63 @@ import (
 
 	"memdep/internal/isa"
 	"memdep/internal/memdep"
+	"memdep/internal/multiscalar"
 	"memdep/internal/program"
 	"memdep/internal/trace"
 	"memdep/internal/workload"
 )
 
-// synthInst builds a minimal DynInst for driving the analyzer directly.
-func synthInst(seq uint64, op isa.Op, pc, addr uint64) trace.DynInst {
-	return trace.DynInst{Seq: seq, Op: op, PC: pc, Addr: addr}
+// op kinds of a straight-line test program.
+const (
+	opALU = iota
+	opStore
+	opLoad
+)
+
+// memOp is one instruction of a straight-line test program: a store to or a
+// load from the word at addr, or an ALU filler.
+type memOp struct {
+	kind int
+	addr uint64
 }
 
-func TestAnalyzerCountsDependenceWithinWindow(t *testing.T) {
-	a := NewAnalyzer(Config{WindowSizes: []int{4, 16}, DDCSizes: []int{32}})
-	// store @pc=0x10 to addr A at seq 0; load @pc=0x20 from A at seq 5.
-	a.Observe(synthInst(0, isa.SW, 0x10, 0xA0))
-	for s := uint64(1); s < 5; s++ {
-		a.Observe(synthInst(s, isa.ADD, 0x14, 0))
-	}
-	a.Observe(synthInst(5, isa.LW, 0x20, 0xA0))
+func st(addr uint64) memOp { return memOp{opStore, addr} }
+func ld(addr uint64) memOp { return memOp{opLoad, addr} }
+func alu() memOp           { return memOp{kind: opALU} }
 
-	res := a.Results()
+// straightLine assembles ops into a program, one instruction each, and
+// preprocesses it.  Op i therefore commits at position i with PC 4i, and
+// every memory operand is an absolute address.  A closing ALU filler keeps
+// the committed stream non-empty when ops is.
+func straightLine(t testing.TB, ops ...memOp) *multiscalar.WorkItem {
+	t.Helper()
+	b := program.NewBuilder("straight-line")
+	for _, op := range ops {
+		switch op.kind {
+		case opStore:
+			b.Store(isa.Zero, isa.Zero, int64(op.addr))
+		case opLoad:
+			b.Load(isa.RV, isa.Zero, int64(op.addr))
+		default:
+			b.Add(isa.RV, isa.RV, isa.RV)
+		}
+	}
+	b.Add(isa.RV, isa.RV, isa.RV)
+	b.Halt()
+	w, err := multiscalar.Preprocess(b.MustBuild(), trace.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// pc is the PC of op i of a straight-line program.
+func pc(i int) uint64 { return uint64(i) * isa.InstrBytes }
+
+func TestAnalyzerCountsDependenceWithinWindow(t *testing.T) {
+	// store to A at position 0; load from A at position 5.
+	w := straightLine(t, st(0xA0), alu(), alu(), alu(), alu(), ld(0xA0))
+	res := Analyze(w, Config{WindowSizes: []int{4, 16}, DDCSizes: []int{32}})
 	if len(res) != 2 {
 		t.Fatalf("results = %d, want 2", len(res))
 	}
@@ -45,34 +82,30 @@ func TestAnalyzerCountsDependenceWithinWindow(t *testing.T) {
 }
 
 func TestAnalyzerUsesMostRecentStore(t *testing.T) {
-	a := NewAnalyzer(Config{WindowSizes: []int{64}, DDCSizes: []int{32}})
-	a.Observe(synthInst(0, isa.SW, 0x10, 0xA0)) // old store
-	a.Observe(synthInst(1, isa.SW, 0x18, 0xA0)) // most recent store to A
-	a.Observe(synthInst(2, isa.LW, 0x20, 0xA0))
-	res := a.Results()[0]
+	w := straightLine(t,
+		st(0xA0), // old store
+		st(0xA0), // most recent store to A
+		ld(0xA0))
+	res := Analyze(w, Config{WindowSizes: []int{64}, DDCSizes: []int{32}})[0]
 	if res.Misspeculations != 1 {
 		t.Fatalf("misspeculations = %d, want 1", res.Misspeculations)
 	}
-	pair := memdep.PairKey{LoadPC: 0x20, StorePC: 0x18}
+	pair := memdep.PairKey{LoadPC: pc(2), StorePC: pc(1)}
 	if res.PairCounts[pair] != 1 {
 		t.Errorf("dependence must be attributed to the most recent store: %v", res.PairCounts)
 	}
 }
 
 func TestAnalyzerLoadWithNoPriorStore(t *testing.T) {
-	a := NewAnalyzer(Config{WindowSizes: []int{64}})
-	a.Observe(synthInst(0, isa.LW, 0x20, 0xA0))
-	res := a.Results()[0]
+	res := Analyze(straightLine(t, ld(0xA0)), Config{WindowSizes: []int{64}})[0]
 	if res.Misspeculations != 0 || res.Loads != 1 {
 		t.Errorf("result = %+v", res)
 	}
 }
 
 func TestAnalyzerDifferentAddressesIndependent(t *testing.T) {
-	a := NewAnalyzer(Config{WindowSizes: []int{64}})
-	a.Observe(synthInst(0, isa.SW, 0x10, 0xA0))
-	a.Observe(synthInst(1, isa.LW, 0x20, 0xB0)) // different address
-	res := a.Results()[0]
+	w := straightLine(t, st(0xA0), ld(0xB0)) // different address
+	res := Analyze(w, Config{WindowSizes: []int{64}})[0]
 	if res.Misspeculations != 0 {
 		t.Errorf("load from unrelated address must not be a dependence: %+v", res)
 	}
@@ -109,8 +142,7 @@ func TestPairsForCoverage(t *testing.T) {
 }
 
 func TestDefaultsApplied(t *testing.T) {
-	a := NewAnalyzer(Config{})
-	res := a.Results()
+	res := Analyze(straightLine(t, alu()), Config{})
 	if len(res) != len(DefaultWindowSizes()) {
 		t.Fatalf("results = %d, want %d", len(res), len(DefaultWindowSizes()))
 	}
@@ -124,24 +156,32 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 }
 
+// quickOp is one generated instruction of the property tests below.
+type quickOp struct {
+	Store bool
+	Addr  uint8
+}
+
+// quickProgram turns generated ops into a straight-line program over 16
+// words, so loads meet stores to their address often.
+func quickProgram(t *testing.T, ops []quickOp) *multiscalar.WorkItem {
+	t.Helper()
+	mem := make([]memOp, len(ops))
+	for i, op := range ops {
+		mem[i] = ld(uint64(op.Addr%16) * 8)
+		if op.Store {
+			mem[i].kind = opStore
+		}
+	}
+	return straightLine(t, mem...)
+}
+
 // Property: mis-speculation counts are monotonically non-decreasing in the
 // window size (a dependence visible in a small window is visible in every
 // larger window).
 func TestMisspecsMonotoneInWindowSize(t *testing.T) {
-	f := func(ops []struct {
-		Store bool
-		PC    uint8
-		Addr  uint8
-	}) bool {
-		a := NewAnalyzer(Config{WindowSizes: []int{4, 16, 64, 256}, DDCSizes: []int{16}})
-		for i, op := range ops {
-			opcode := isa.LW
-			if op.Store {
-				opcode = isa.SW
-			}
-			a.Observe(synthInst(uint64(i), opcode, uint64(op.PC)*4, uint64(op.Addr)*8))
-		}
-		res := a.Results()
+	f := func(ops []quickOp) bool {
+		res := Analyze(quickProgram(t, ops), Config{WindowSizes: []int{4, 16, 64, 256}, DDCSizes: []int{16}})
 		for i := 1; i < len(res); i++ {
 			if res[i].Misspeculations < res[i-1].Misspeculations {
 				return false
@@ -154,49 +194,29 @@ func TestMisspecsMonotoneInWindowSize(t *testing.T) {
 	}
 }
 
-// Property: the analyzer agrees with a brute-force reference that scans the
+// Property: the analysis agrees with a brute-force reference that scans the
 // previous n-1 instructions for each load.
 func TestAnalyzerMatchesBruteForce(t *testing.T) {
-	f := func(ops []struct {
-		Store bool
-		PC    uint8
-		Addr  uint8
-	}) bool {
+	f := func(ops []quickOp) bool {
 		const ws = 8
-		a := NewAnalyzer(Config{WindowSizes: []int{ws}, DDCSizes: []int{16}})
-		type rec struct {
-			isStore bool
-			pc      uint64
-			addr    uint64
-		}
-		var stream []rec
-		for i, op := range ops {
-			opcode := isa.LW
-			if op.Store {
-				opcode = isa.SW
-			}
-			pc := uint64(op.PC) * 4
-			addr := uint64(op.Addr%16) * 8
-			a.Observe(synthInst(uint64(i), opcode, pc, addr))
-			stream = append(stream, rec{isStore: op.Store, pc: pc, addr: addr})
-		}
+		res := Analyze(quickProgram(t, ops), Config{WindowSizes: []int{ws}, DDCSizes: []int{16}})
 		// Brute force: for each load, find the most recent prior store to the
 		// same address; count a mis-speculation if it is within ws.
 		var want uint64
-		for i, r := range stream {
-			if r.isStore {
+		for i, op := range ops {
+			if op.Store {
 				continue
 			}
 			for j := i - 1; j >= 0; j-- {
-				if stream[j].isStore && stream[j].addr == r.addr {
-					if uint64(i-j) < ws {
+				if ops[j].Store && ops[j].Addr%16 == op.Addr%16 {
+					if i-j < ws {
 						want++
 					}
 					break
 				}
 			}
 		}
-		return a.Results()[0].Misspeculations == want
+		return res[0].Misspeculations == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -210,15 +230,14 @@ func TestAnalyzeWorkloadShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping workload analysis in -short mode")
 	}
-	w := workload.MustGet("compress")
-	results, err := Analyze(w.Build(1), Config{
-		WindowSizes: []int{8, 32, 512},
-		DDCSizes:    []int{32, 512},
-		Trace:       trace.Config{MaxInstructions: 150_000},
-	})
+	w, err := multiscalar.Preprocess(workload.MustGet("compress").Build(1), trace.Config{MaxInstructions: 150_000})
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := Analyze(w, Config{
+		WindowSizes: []int{8, 32, 512},
+		DDCSizes:    []int{32, 512},
+	})
 	if len(results) != 3 {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -249,17 +268,19 @@ func TestAnalyzeWorkloadShapes(t *testing.T) {
 	}
 }
 
-// TestAnalyzeProgramError checks error propagation from the functional run.
+// TestAnalyzeProgramError checks that a program which never halts is
+// analysed up to its instruction bound: the bound ends the functional pass
+// of the preprocess, not with an error.
 func TestAnalyzeProgramError(t *testing.T) {
 	// A program whose only instruction jumps to itself never halts; bound it.
 	b := program.NewBuilder("spin")
 	b.Label("top")
 	b.Jump("top")
-	p := b.MustBuild()
-	res, err := Analyze(p, Config{Trace: trace.Config{MaxInstructions: 1000}})
+	w, err := multiscalar.Preprocess(b.MustBuild(), trace.Config{MaxInstructions: 1000})
 	if err != nil {
 		t.Fatalf("bounded analysis must succeed: %v", err)
 	}
+	res := Analyze(w, Config{})
 	if res[0].Loads != 0 {
 		t.Error("spin program has no loads")
 	}

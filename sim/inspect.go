@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"math"
 
 	"memdep/internal/engine"
+	"memdep/internal/multiscalar"
 	"memdep/internal/program"
 	"memdep/internal/trace"
 	"memdep/internal/window"
@@ -27,7 +29,7 @@ type TraceRequest struct {
 
 // validate resolves the workload's metadata, effective scale and program job.
 func (r TraceRequest) validate() (workloadMeta, error) {
-	return resolveWorkload(r.Bench, r.Synth, r.Scale)
+	return resolveWorkload(r.Bench, r.Synth, r.Scale, &ValidationError{})
 }
 
 // TraceSummary reports the static shape and committed dynamic stream of a
@@ -116,45 +118,31 @@ type TaskSizeBucket struct {
 // of task granularity.
 var taskSizeBuckets = []struct {
 	label string
-	max   uint64
+	max   int
 }{
 	{"1-16", 16}, {"17-32", 32}, {"33-64", 64}, {"65-128", 128},
-	{"129-256", 256}, {"257-512", 512}, {"513+", ^uint64(0)},
+	{"129-256", 256}, {"257-512", 512}, {"513+", math.MaxInt},
 }
 
 // TaskSizes histograms the benchmark's dynamic task sizes.  Every bucket is
-// present in range order, including empty ones.
+// present in range order, including empty ones.  It reads the task windows
+// of the workload's work item (memoized), the one Run simulates for the same
+// workload and instruction bound.
 func (s *Session) TaskSizes(ctx context.Context, req TraceRequest) ([]TaskSizeBucket, error) {
 	m, err := req.validate()
 	if err != nil {
 		return nil, err
 	}
-	prog, err := engine.Resolve[*program.Program](ctx, s.eng, m.job)
+	item, err := engine.Resolve[*multiscalar.WorkItem](ctx, s.eng, itemJob(m.job, req.MaxInstructions))
 	if err != nil {
 		return nil, err
-	}
-	sizes := map[uint64]uint64{}
-	var current, count uint64
-	_, err = trace.Run(prog, trace.Config{MaxInstructions: req.MaxInstructions}, func(d trace.DynInst) bool {
-		if d.TaskStart && count > 0 {
-			sizes[current] = count
-			count = 0
-		}
-		current = d.TaskID
-		count++
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if count > 0 {
-		sizes[current] = count
 	}
 	hist := make([]TaskSizeBucket, len(taskSizeBuckets))
 	for i, b := range taskSizeBuckets {
 		hist[i].Label = b.label
 	}
-	for _, n := range sizes { //lint:deterministic commutative bucket increments, keys unused
+	for t := range item.Tasks() {
+		n := item.TaskLen(t)
 		for i, b := range taskSizeBuckets {
 			if n <= b.max {
 				hist[i].Tasks++
@@ -179,10 +167,10 @@ type WindowRequest struct {
 	// MaxInstructions caps the committed instructions (0 = unlimited).
 	MaxInstructions uint64 `json:"max_instructions,omitempty"`
 	// WindowSizes lists the instruction window sizes to analyse (nil = the
-	// Tables 3-5 sizes 8..512).
+	// Tables 3-5 sizes 8..512).  Every size must be positive.
 	WindowSizes []int `json:"window_sizes,omitempty"`
 	// DDCSizes lists the data dependence cache sizes to study (nil = the
-	// Table 5 sizes 32, 128, 512).
+	// Table 5 sizes 32, 128, 512).  Every size must be positive.
 	DDCSizes []int `json:"ddc_sizes,omitempty"`
 }
 
@@ -201,8 +189,18 @@ type WindowResult struct {
 	Pairs []PairCount `json:"pairs,omitempty"`
 }
 
+// validate resolves the request's workload and checks its size lists.
+func (r WindowRequest) validate() (workloadMeta, error) {
+	v := &ValidationError{}
+	checkSizes("window_sizes", r.WindowSizes, v)
+	checkSizes("ddc_sizes", r.DDCSizes, v)
+	return resolveWorkload(r.Bench, r.Synth, r.Scale, v)
+}
+
 // Window runs the window analysis (memoized), one result per window size in
-// increasing order.
+// increasing order.  The analysis reads the workload's work item: the same
+// memoized job Run simulates for the workload and instruction bound, so the
+// two share one functional pass.
 func (s *Session) Window(ctx context.Context, req WindowRequest) ([]WindowResult, error) {
 	grids, err := s.WindowGrid(ctx, []WindowRequest{req})
 	if err != nil {
@@ -212,36 +210,36 @@ func (s *Session) Window(ctx context.Context, req WindowRequest) ([]WindowResult
 }
 
 // WindowGrid runs several window analyses as one job set: the analyses fan
-// out over the session's worker pool (one engine job each) and share the
-// memoized cache.  Results are positional: results[i] answers reqs[i].
+// out over the session's worker pool (one engine job each, over the
+// memoized work item of each workload) and share the memoized cache.  A
+// request with an invalid workload or a non-positive window or DDC size
+// fails the grid with a *ValidationError, prefixed with its index when the
+// grid holds several requests.  Results are positional: results[i] answers
+// reqs[i].
 func (s *Session) WindowGrid(ctx context.Context, reqs []WindowRequest) ([][]WindowResult, error) {
-	specs := make([]window.AnalyzeJob, len(reqs))
+	progs := make([]engine.Spec, len(reqs))
 	b := s.eng.NewBatch()
 	refs := make([]engine.Ref, len(reqs))
 	for i, req := range reqs {
-		m, err := TraceRequest{Bench: req.Bench, Synth: req.Synth, Scale: req.Scale}.validate()
+		m, err := req.validate()
 		if err != nil {
 			if len(reqs) > 1 {
 				return nil, fmt.Errorf("request %d: %w", i, err)
 			}
 			return nil, err
 		}
-		specs[i] = window.AnalyzeJob{
-			Program: m.job,
-			Config: window.Config{
-				WindowSizes: req.WindowSizes,
-				DDCSizes:    req.DDCSizes,
-				Trace:       trace.Config{MaxInstructions: req.MaxInstructions},
-			},
-		}
-		refs[i] = b.Add(specs[i])
+		progs[i] = m.job
+		refs[i] = b.Add(window.AnalyzeJob{
+			Item:   itemJob(m.job, req.MaxInstructions),
+			Config: window.Config{WindowSizes: req.WindowSizes, DDCSizes: req.DDCSizes},
+		})
 	}
 	if err := b.Run(ctx); err != nil {
 		return nil, err
 	}
 	out := make([][]WindowResult, len(reqs))
 	for i := range reqs {
-		prog, err := engine.Resolve[*program.Program](ctx, s.eng, specs[i].Program)
+		prog, err := engine.Resolve[*program.Program](ctx, s.eng, progs[i])
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,6 @@ import (
 
 	"memdep/internal/memdep"
 	"memdep/internal/multiscalar"
-	"memdep/internal/trace"
 	"memdep/internal/workload"
 )
 
@@ -154,11 +153,7 @@ func (r Request) Validate() error {
 	if r.MDPTWays < 0 {
 		v.add("mdpt_ways", fmt.Sprint(r.MDPTWays), "must not be negative")
 	}
-	for _, size := range r.DDCSizes {
-		if size <= 0 {
-			v.add("ddc_sizes", fmt.Sprint(size), "sizes must be positive")
-		}
-	}
+	checkSizes("ddc_sizes", r.DDCSizes, v)
 	if len(v.Fields) > 0 {
 		return v
 	}
@@ -174,6 +169,15 @@ func (r Request) Validate() error {
 		v.add("request", "", err.Error())
 	}
 	return v.errs()
+}
+
+// checkSizes appends a problem for every non-positive entry of a size list.
+func checkSizes(field string, sizes []int, v *ValidationError) {
+	for _, size := range sizes {
+		if size <= 0 {
+			v.add(field, fmt.Sprint(size), "sizes must be positive")
+		}
+	}
 }
 
 // config assembles the internal timing-simulator configuration of a
@@ -220,9 +224,4 @@ func (r Request) scale() (int, error) {
 		return r.Scale, nil
 	}
 	return w.DefaultScale, nil
-}
-
-// traceConfig returns the functional-run bounds of the request.
-func (r Request) traceConfig() trace.Config {
-	return trace.Config{MaxInstructions: r.MaxInstructions}
 }

@@ -9,6 +9,7 @@ import (
 	"memdep/internal/multiscalar"
 	"memdep/internal/program"
 	"memdep/internal/store"
+	"memdep/internal/trace"
 	"memdep/internal/workload"
 )
 
@@ -189,6 +190,13 @@ func (s *Session) Run(ctx context.Context, req Request) (*Result, error) {
 	return results[0], nil
 }
 
+// itemJob declares a workload's preprocessed work item under an instruction
+// bound.  Simulations, window analyses and the task-size histogram of one
+// workload and bound all resolve this one job.
+func itemJob(program engine.Spec, maxInstructions uint64) multiscalar.PreprocessJob {
+	return multiscalar.PreprocessJob{Program: program, Trace: trace.Config{MaxInstructions: maxInstructions}}
+}
+
 // itemKey groups grid requests that share a preprocessed work item.  The
 // workload identity is its canonical JSON (the benchmark name, or the full
 // normalized synthetic spec including its seed).
@@ -229,13 +237,7 @@ func (s *Session) RunGrid(ctx context.Context, reqs []Request) ([]*Result, error
 		if err != nil {
 			return nil, err
 		}
-		spec := multiscalar.SimulateJob{
-			Item: multiscalar.PreprocessJob{
-				Program: req.Workload().buildJob(scale),
-				Trace:   req.traceConfig(),
-			},
-			Config: cfg,
-		}
+		spec := multiscalar.SimulateJob{Item: itemJob(req.Workload().buildJob(scale), req.MaxInstructions), Config: cfg}
 		plan[i] = planned{
 			req:  req,
 			key:  itemKey{req.Workload().CanonicalJSON(), scale, req.MaxInstructions},
@@ -310,10 +312,7 @@ func (s *Session) Prepare(ctx context.Context, req Request) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	item, err := engine.Resolve[*multiscalar.WorkItem](ctx, s.eng, multiscalar.PreprocessJob{
-		Program: req.Workload().buildJob(scale),
-		Trace:   req.traceConfig(),
-	})
+	item, err := engine.Resolve[*multiscalar.WorkItem](ctx, s.eng, itemJob(req.Workload().buildJob(scale), req.MaxInstructions))
 	if err != nil {
 		return nil, err
 	}

@@ -346,6 +346,56 @@ func TestInspection(t *testing.T) {
 	}
 }
 
+// TestWindowSizesValidated checks that WindowGrid rejects non-positive window
+// and DDC sizes with structured fields, as Validate does for a simulation's
+// DDC sizes, and names the failing request of a multi-request grid.
+func TestWindowSizesValidated(t *testing.T) {
+	s := NewSession()
+	cases := []struct {
+		name   string
+		req    WindowRequest
+		fields []string
+	}{
+		{"negative window", WindowRequest{WindowSizes: []int{-1}}, []string{"window_sizes"}},
+		{"zero window", WindowRequest{WindowSizes: []int{64, 0}}, []string{"window_sizes"}},
+		{"negative ddc", WindowRequest{DDCSizes: []int{-5}}, []string{"ddc_sizes"}},
+		{"zero ddc", WindowRequest{DDCSizes: []int{0}}, []string{"ddc_sizes"}},
+		{"several at once", WindowRequest{WindowSizes: []int{-1}, DDCSizes: []int{0, 32, -5}},
+			[]string{"window_sizes", "ddc_sizes", "ddc_sizes"}},
+		{"with a bad workload", WindowRequest{Bench: "nope", WindowSizes: []int{0}}, []string{"window_sizes", "bench"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			req := tc.req
+			if req.Bench == "" {
+				req.Bench = "compress"
+			}
+			req.MaxInstructions = 40_000
+			valid := WindowRequest{Bench: "compress", MaxInstructions: 40_000}
+			for _, grid := range [][]WindowRequest{{req}, {valid, req}} {
+				_, err := s.WindowGrid(context.Background(), grid)
+				var verr *ValidationError
+				if !errors.As(err, &verr) {
+					t.Fatalf("%d-request grid: error %v, want a *ValidationError", len(grid), err)
+				}
+				var got []string
+				for _, f := range verr.Fields {
+					got = append(got, f.Field)
+					if f.Field != "bench" && f.Msg != "sizes must be positive" {
+						t.Errorf("%s: reason %q", f.Field, f.Msg)
+					}
+				}
+				if !reflect.DeepEqual(got, tc.fields) {
+					t.Errorf("fields = %v, want %v", got, tc.fields)
+				}
+				if prefixed := strings.HasPrefix(err.Error(), "request 1: "); prefixed != (len(grid) > 1) {
+					t.Errorf("%d-request grid: error %q", len(grid), err)
+				}
+			}
+		})
+	}
+}
+
 // TestConcurrentRunGridReusesWorkerArenas hammers one session's RunGrid from
 // many goroutines at once.  Each grid fans out over the engine's worker pool,
 // where every worker reuses a per-goroutine simulator arena (and misses of

@@ -238,10 +238,10 @@ type workloadMeta struct {
 }
 
 // resolveWorkload validates a (bench, synth, scale) triple and resolves its
-// metadata and program job.  Problems come back as a *ValidationError.
-func resolveWorkload(bench string, spec *SynthSpec, scale int) (workloadMeta, error) {
+// metadata and program job.  The triple's problems join those already in v,
+// and any problem comes back as v.
+func resolveWorkload(bench string, spec *SynthSpec, scale int, v *ValidationError) (workloadMeta, error) {
 	wl := Workload{Bench: bench, Synth: spec}
-	v := &ValidationError{}
 	wl.validate(v)
 	if scale < 0 {
 		v.add("scale", fmt.Sprint(scale), "must not be negative")
