@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -36,6 +37,31 @@ func TestAPIDocCoversServerRoutes(t *testing.T) {
 		key := fmt.Sprintf("`%s %s`", r.Method, r.Pattern)
 		if !strings.Contains(doc, key) {
 			t.Errorf("docs/API.md does not document %s", key)
+		}
+	}
+}
+
+// TestAPIDocNamesAliasTargets asserts docs/API.md names the go doc target
+// of every counter group of sim.Result and of the synthetic spec.  The sim
+// types are aliases of the core types, so `go doc memdep/sim` shows only
+// the alias; the fields and their JSON names are documented where the
+// aliased type is defined.
+func TestAPIDocNamesAliasTargets(t *testing.T) {
+	doc := repoFile(t, filepath.Join("docs", "API.md"))
+	result := reflect.TypeFor[sim.Result]()
+	var types []reflect.Type
+	for _, field := range []string{"Breakdown", "MemDep", "ARB", "Cache", "Sequencer"} {
+		f, ok := result.FieldByName(field)
+		if !ok {
+			t.Fatalf("sim.Result has no field %s", field)
+		}
+		types = append(types, f.Type)
+	}
+	types = append(types, reflect.TypeFor[sim.SynthSpec]())
+	for _, typ := range types {
+		target := typ.PkgPath() + "." + typ.Name()
+		if !strings.Contains(doc, target) {
+			t.Errorf("docs/API.md does not name the go doc target %s", target)
 		}
 	}
 }

@@ -305,14 +305,19 @@ func (a *ARB) Entries() int {
 	return len(a.entries) - len(a.free)
 }
 
-// Stats summarises ARB activity.
+// Stats summarises ARB activity.  The JSON tags are the field names of the
+// public facade's result ("arb" object).
 type Stats struct {
-	Loads      uint64
-	Stores     uint64
-	Violations uint64
+	// Loads counts the loads recorded in the buffer.
+	Loads uint64 `json:"loads"`
+	// Stores counts the stores recorded in the buffer.
+	Stores uint64 `json:"stores"`
+	// Violations counts the store→load order violations the buffer detected.
+	Violations uint64 `json:"violations"`
 	// StallsFull counts the loads and stores refused because their bank
-	// was full; each refused access counts once.
-	StallsFull uint64
+	// was full; each refused access counts once.  The timing core lets a
+	// refused access proceed untracked: nothing stalls, despite the name.
+	StallsFull uint64 `json:"stalls_full"`
 }
 
 // Stats returns a snapshot of the counters.

@@ -132,15 +132,16 @@ func (h *Hierarchy) DataAccess(addr uint64, now int64) int64 {
 	return busStart + missPenalty
 }
 
-// Stats summarises hierarchy activity.
+// Stats summarises hierarchy activity.  The JSON tags are the field names of
+// the public facade's result ("cache" object).
 type Stats struct {
-	InstrAccesses uint64
-	InstrMisses   uint64
-	DataAccesses  uint64
-	DataMisses    uint64
-	BusTransfers  uint64
-	BusWait       uint64
-	BankWait      uint64
+	InstrAccesses uint64 `json:"instr_accesses"` // InstrAccesses counts instruction-cache accesses.
+	InstrMisses   uint64 `json:"instr_misses"`   // InstrMisses counts instruction-cache misses.
+	DataAccesses  uint64 `json:"data_accesses"`  // DataAccesses counts data-cache accesses.
+	DataMisses    uint64 `json:"data_misses"`    // DataMisses counts data-cache misses.
+	BusTransfers  uint64 `json:"bus_transfers"`  // BusTransfers counts memory-bus block transfers.
+	BusWait       uint64 `json:"bus_wait"`       // BusWait accumulates cycles spent waiting for the bus.
+	BankWait      uint64 `json:"bank_wait"`      // BankWait accumulates cycles spent waiting on a busy cache bank.
 }
 
 // Stats returns a snapshot of the hierarchy counters.

@@ -284,12 +284,13 @@ func (s *Sequencer) Dispatch(prevTaskPC uint64, prevKnown bool, nextTaskPC uint6
 	return out
 }
 
-// SequencerStats summarises sequencer activity.
+// SequencerStats summarises sequencer activity.  The JSON tags are the field
+// names of the public facade's result ("sequencer" object).
 type SequencerStats struct {
-	TaskDispatches   uint64
-	Mispredictions   uint64
-	DescriptorMisses uint64
-	PredictorAcc     float64
+	TaskDispatches   uint64  `json:"task_dispatches"`    // TaskDispatches counts tasks assigned to processing units.
+	Mispredictions   uint64  `json:"mispredictions"`     // Mispredictions counts dispatches the next-task predictor did not foresee.
+	DescriptorMisses uint64  `json:"descriptor_misses"`  // DescriptorMisses counts task-descriptor cache misses.
+	PredictorAcc     float64 `json:"predictor_accuracy"` // PredictorAcc is the next-task predictor hit rate in [0, 1].
 }
 
 // Stats returns a snapshot of the counters.

@@ -42,34 +42,38 @@ type System struct {
 	stats SystemStats
 }
 
-// SystemStats aggregates the counters of a System.
+// SystemStats aggregates the counters of a System.  The JSON tags are the
+// field names of the public facade's result ("memdep" object).
 type SystemStats struct {
-	// LoadQueries counts calls to LoadIssue.
-	LoadQueries uint64
+	// LoadQueries counts MDPT lookups made by issuing loads: one per
+	// LoadIssue call.
+	LoadQueries uint64 `json:"load_queries"`
 	// LoadsPredictedDependent counts loads for which at least one dependence
 	// (and synchronization) was predicted.
-	LoadsPredictedDependent uint64
-	// LoadsMadeToWait counts loads that had to wait on at least one empty
-	// condition variable.
-	LoadsMadeToWait uint64
+	LoadsPredictedDependent uint64 `json:"loads_predicted_dependent"`
+	// LoadsMadeToWait counts predicted loads that allocated at least one
+	// empty condition variable in the MDST and had to wait on it.
+	LoadsMadeToWait uint64 `json:"loads_made_to_wait"`
 	// LoadsSignalledEarly counts loads whose condition variable was already
 	// full when they arrived (store signalled first; no delay).
-	LoadsSignalledEarly uint64
-	// StoreQueries counts calls to StoreIssue.
-	StoreQueries uint64
+	LoadsSignalledEarly uint64 `json:"loads_signalled_early"`
+	// StoreQueries counts MDPT lookups made by issuing stores: one per
+	// StoreIssue call.
+	StoreQueries uint64 `json:"store_queries"`
 	// StoresSignalled counts stores that matched a prediction entry and
 	// performed a signal.
-	StoresSignalled uint64
-	// LoadsReleasedByStore counts loads released by a store's signal.
-	LoadsReleasedByStore uint64
-	// LoadsReleasedStale counts loads released because all prior stores
-	// resolved without a signal (incomplete synchronization).
-	LoadsReleasedStale uint64
-	// Misspeculations counts calls to RecordMisspeculation.
-	Misspeculations uint64
+	StoresSignalled uint64 `json:"stores_signalled"`
+	// LoadsReleasedByStore counts waiting loads released by a store's signal.
+	LoadsReleasedByStore uint64 `json:"loads_released_by_store"`
+	// LoadsReleasedStale counts waiting loads released because all prior
+	// stores resolved without a signal (incomplete synchronization).
+	LoadsReleasedStale uint64 `json:"loads_released_stale"`
+	// Misspeculations counts the dependence violations reported to the
+	// predictor: one per RecordMisspeculation call.
+	Misspeculations uint64 `json:"misspeculations"`
 	// ESyncFiltered counts prediction-entry matches that ESYNC suppressed
 	// because the task PC at the recorded distance did not match.
-	ESyncFiltered uint64
+	ESyncFiltered uint64 `json:"esync_filtered"`
 }
 
 // NewSystem creates a prediction/synchronization system; the prediction

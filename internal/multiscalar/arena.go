@@ -188,7 +188,6 @@ func (sm *Simulator) reset(ctx context.Context, w *WorkItem, cfg Config) {
 	s.cycle, s.head, s.nextDispatch = 0, 0, 0
 	s.changed, s.nextEvent = false, never
 	s.pairBuf = s.pairBuf[:0]
-	s.arbBypasses = 0
 	s.res = Result{}
 }
 

@@ -147,7 +147,8 @@ func (c Config) validate() error {
 
 // PredictionBreakdown counts committed loads by predicted-vs-actual
 // dependence outcome, the four rows of Table 8.  Indexing is
-// [predicted][actual] with 0 = no dependence, 1 = dependence.
+// [predicted][actual] with 0 = no dependence, 1 = dependence; it encodes to
+// JSON as a nested array [[n/n, n/y], [y/n, y/y]].
 type PredictionBreakdown [2][2]uint64
 
 // Total returns the number of classified loads.
@@ -205,7 +206,8 @@ type Result struct {
 	// ARBBypasses counts memory operations that could not be tracked because
 	// their ARB bank was full and proceeded unmonitored (a potential source
 	// of undetected mis-speculation; the paper's configuration makes this
-	// rare, but the counter keeps it observable).
+	// rare, but the counter keeps it observable).  It is ARB.StallsFull,
+	// repeated at the top level.
 	ARBBypasses uint64
 
 	// Breakdown classifies committed loads for Table 8.

@@ -109,6 +109,7 @@ func FuzzCoresAgree(f *testing.F) {
 			t.Fatalf("%+v at %d stages under %v: cores disagree:\nevent:   %+v\nstepped: %+v",
 				spec, cfg.Stages, cfg.Policy, event, stepped)
 		}
+		checkResultLaws(t, cfg, event)
 	})
 }
 

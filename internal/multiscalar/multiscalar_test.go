@@ -308,7 +308,74 @@ func TestCoresCycleIdentical(t *testing.T) {
 				t.Errorf("%s/%d stages/%v/%v: event and stepped cores disagree:\nevent:   %+v\nstepped: %+v",
 					name, cfg.Stages, cfg.Policy, cfg.MemDep.Table, re, rs)
 			}
+			checkResultLaws(t, cfg, re)
 		}
+	}
+}
+
+// checkResultLaws asserts the conservation laws of a completed run's
+// counters, each of which follows from the code that maintains them:
+//
+//   - Breakdown.Total() == Loads.  commitTask classifies every load of a
+//     committing task, and a task commits only after all its loads issued.
+//   - Misspeculations == ARB.Violations == the sum of MisspecPairs.
+//     handleViolation runs once per violation ARB.Store reports, and bumps
+//     the counter and one pair.
+//   - Misspeculations == 0 under NEVER, WAIT and PSYNC.  loadMayIssue holds
+//     back every load with a dependence on an in-flight store until that
+//     store has issued (NEVER and WAIT wait for all prior stores, PSYNC for
+//     the producer), so no store finds an exposed younger load.
+//   - Under SYNC and ESYNC, MemDep.Misspeculations == Misspeculations
+//     (handleViolation reports every violation to the predictor) and
+//     LoadsWaited == MemDep.LoadsMadeToWait (a load begins a wait exactly
+//     when LoadIssue decides Wait).  The other policies run no
+//     memdep.System, so MemDep is zero.
+//   - LoadsReleasedByStore + LoadsReleasedStale <= LoadsMadeToWait <=
+//     LoadsPredictedDependent.  A release ends a wait, by a store's signal
+//     or stale, and LoadIssue decides Wait only for a predicted load.
+//   - Squashes >= Misspeculations.  A violation squashes at least the
+//     violating load's task, which is younger than the store's and so not
+//     yet committed.
+//
+// FalseDependenceReleases == LoadsReleasedStale is not a law: ReleaseLoad
+// counts a stale release only when it frees an MDST entry.
+func checkResultLaws(t *testing.T, cfg Config, r Result) {
+	t.Helper()
+	where := fmt.Sprintf("%s at %d stages under %v (%v table)", r.Benchmark, cfg.Stages, cfg.Policy, cfg.MemDep.Table)
+	if got := r.Breakdown.Total(); got != r.Loads {
+		t.Errorf("%s: Breakdown.Total() = %d, want Loads = %d", where, got, r.Loads)
+	}
+	var pairs uint64
+	for _, n := range r.MisspecPairs {
+		pairs += n
+	}
+	if r.ARB.Violations != r.Misspeculations || pairs != r.Misspeculations {
+		t.Errorf("%s: Misspeculations = %d, ARB.Violations = %d, sum of MisspecPairs = %d; want all equal",
+			where, r.Misspeculations, r.ARB.Violations, pairs)
+	}
+	switch cfg.Policy {
+	case policy.Never, policy.Wait, policy.PerfectSync:
+		if r.Misspeculations != 0 {
+			t.Errorf("%s: %d misspeculations, want 0 under a policy that waits for true dependences", where, r.Misspeculations)
+		}
+	}
+	m := r.MemDep
+	if cfg.Policy.UsesPredictor() {
+		if m.Misspeculations != r.Misspeculations {
+			t.Errorf("%s: MemDep.Misspeculations = %d, want Misspeculations = %d", where, m.Misspeculations, r.Misspeculations)
+		}
+		if r.LoadsWaited != m.LoadsMadeToWait {
+			t.Errorf("%s: LoadsWaited = %d, want MemDep.LoadsMadeToWait = %d", where, r.LoadsWaited, m.LoadsMadeToWait)
+		}
+	} else if m != (memdep.SystemStats{}) {
+		t.Errorf("%s: MemDep = %+v, want zero without the predictor", where, m)
+	}
+	if m.LoadsReleasedByStore+m.LoadsReleasedStale > m.LoadsMadeToWait || m.LoadsMadeToWait > m.LoadsPredictedDependent {
+		t.Errorf("%s: released by store %d + released stale %d <= made to wait %d <= predicted dependent %d does not hold",
+			where, m.LoadsReleasedByStore, m.LoadsReleasedStale, m.LoadsMadeToWait, m.LoadsPredictedDependent)
+	}
+	if r.Squashes < r.Misspeculations {
+		t.Errorf("%s: Squashes = %d, want at least Misspeculations = %d", where, r.Squashes, r.Misspeculations)
 	}
 }
 
@@ -338,12 +405,14 @@ func TestGoldenResults(t *testing.T) {
 	checkGoldens(t, prep(t, buildRecurrence(30), 0), golden)
 }
 
-// checkGoldens simulates w at 4 stages under every policy and compares each
-// Result's fingerprint with its golden line.
+// checkGoldens simulates w at 4 stages under every policy, checks each
+// Result's conservation laws and compares its fingerprint with its golden
+// line.
 func checkGoldens(t *testing.T, w *WorkItem, golden map[policy.Kind]string) {
 	t.Helper()
 	for _, pol := range policy.All() {
 		res := simulate(t, w, 4, pol)
+		checkResultLaws(t, DefaultConfig(4, pol), res)
 		got := goldenFingerprint(res)
 		want, ok := golden[pol]
 		if !ok {

@@ -174,8 +174,7 @@ type sim struct {
 	loadAll []loadRecord //memdep:arena
 	fuAll   []int64      //memdep:arena
 
-	arbBypasses uint64
-	res         Result
+	res Result
 }
 
 // Simulate runs the work item on the configured processor and returns the
@@ -696,9 +695,9 @@ func (s *sim) advance(t *execTask) {
 		var done int64
 		switch {
 		case r.isLoad():
-			if !s.arbLoad(t, r) {
-				// ARB bank overflow: proceed untracked (counted).
-			}
+			// A load its full ARB bank refuses proceeds untracked; the
+			// ARB counts it in Stats.StallsFull.
+			s.arb.Load(r.addr, r.addrID, uint64(t.id), r.pc)
 			done = s.hier.DataAccess(r.addr, s.cycle+1)
 		case r.isStore():
 			t.storesLeft--
@@ -723,26 +722,12 @@ func (s *sim) advance(t *execTask) {
 	}
 }
 
-// arbLoad records the load in the address resolution buffer.
-//
-//memdep:hotpath
-func (s *sim) arbLoad(t *execTask, r *inst) bool {
-	ok := s.arb.Load(r.addr, r.addrID, uint64(t.id), r.pc)
-	if !ok {
-		s.arbBypasses++
-	}
-	return ok
-}
-
 // handleStore performs the store-side dependence work: ARB violation
 // detection (and the resulting squash) and MDST signalling.
 //
 //memdep:hotpath
 func (s *sim) handleStore(t *execTask, r *inst, instIdx int) {
-	v, violated, ok := s.arb.Store(r.addr, r.addrID, uint64(t.id))
-	if !ok {
-		s.arbBypasses++
-	}
+	v, violated, _ := s.arb.Store(r.addr, r.addrID, uint64(t.id))
 	if violated {
 		s.handleViolation(t, r, v)
 	}
@@ -829,8 +814,8 @@ func (s *sim) result() Result {
 	r.Instructions = s.w.Instructions
 	r.Loads = s.w.Loads
 	r.Stores = s.w.Stores
-	r.ARBBypasses = s.arbBypasses
 	r.ARB = s.arb.Stats()
+	r.ARBBypasses = r.ARB.StallsFull
 	r.Cache = s.hier.Stats()
 	r.Sequencer = s.seq.Stats()
 	if s.mds != nil {

@@ -8,13 +8,15 @@ import (
 	"strings"
 )
 
-// Table is a titled grid of string cells with a header row.
+// Table is a titled grid of string cells with a header row: the rendered
+// form of one experiment, matching the corresponding table or figure of the
+// paper.
 type Table struct {
-	Title   string
-	Columns []string
-	Rows    [][]string
+	Title   string     `json:"title"`   // Title is the table's heading.
+	Columns []string   `json:"columns"` // Columns is the header row.
+	Rows    [][]string `json:"rows"`    // Rows is the cell grid, one slice per row.
 	// Note is free-form text rendered under the table (provenance, caveats).
-	Note string
+	Note string `json:"note,omitempty"`
 }
 
 // NewTable creates a table with the given title and column headers.

@@ -2,8 +2,11 @@ package store
 
 import (
 	"context"
+	"encoding/json"
+	"maps"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"memdep/internal/engine"
@@ -60,5 +63,105 @@ func TestStaleWorkItemFormatIsMissAndRewritten(t *testing.T) {
 	}
 	if data, err := os.ReadFile(s.objectPath(kind, digest)); err != nil || len(data) <= headerLen+len(v1) {
 		t.Fatalf("object was not rewritten in the current format (%d bytes, err %v)", len(data), err)
+	}
+}
+
+// resultKeyPaths are the sorted JSON key paths of a fully populated
+// multiscalar.Result as the result codec persists it.  encoding/json skips
+// keys it does not know, so a renamed or added key would read an object
+// written by an earlier build as a hit with zeroed counters.
+var resultKeyPaths = []string{
+	"ARB.loads", "ARB.stalls_full", "ARB.stores", "ARB.violations",
+	"ARBBypasses", "Benchmark", "Breakdown[][]",
+	"Cache.bank_wait", "Cache.bus_transfers", "Cache.bus_wait", "Cache.data_accesses",
+	"Cache.data_misses", "Cache.instr_accesses", "Cache.instr_misses",
+	"Cycles", "DDCMissRate.1", "FalseDependenceReleases", "Instructions", "Loads", "LoadsWaited",
+	"MemDep.esync_filtered", "MemDep.load_queries", "MemDep.loads_made_to_wait",
+	"MemDep.loads_predicted_dependent", "MemDep.loads_released_by_store",
+	"MemDep.loads_released_stale", "MemDep.loads_signalled_early", "MemDep.misspeculations",
+	"MemDep.store_queries", "MemDep.stores_signalled",
+	"MisspecPairs.st@0x1->ld@0x1", "Misspeculations", "Policy",
+	"Sequencer.descriptor_misses", "Sequencer.mispredictions", "Sequencer.predictor_accuracy",
+	"Sequencer.task_dispatches",
+	"SquashedInstructions", "Squashes", "Stages", "Stores", "Tasks", "WaitCycles",
+}
+
+// TestResultJSONKeyPaths pins the persisted shape of a simulation result.
+// When it fails, the result codec's payload changed: bump store.Version, so
+// objects written by earlier builds read as misses, then update
+// resultKeyPaths.
+func TestResultJSONKeyPaths(t *testing.T) {
+	var res multiscalar.Result
+	populate(reflect.ValueOf(&res).Elem())
+	data, err := resultCodec{}.Encode(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	paths := map[string]bool{}
+	keyPaths(doc, "", paths)
+	got := slices.Sorted(maps.Keys(paths))
+	if !slices.Equal(got, resultKeyPaths) {
+		t.Fatalf("the JSON key paths of a persisted multiscalar.Result changed: bump store.Version (now %d), then update resultKeyPaths to\n%#v", Version, got)
+	}
+}
+
+// populate sets every exported field reachable from v to a non-zero value:
+// one element per slice and map, every element of an array.
+func populate(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if v.Type().Field(i).IsExported() {
+				populate(v.Field(i))
+			}
+		}
+	case reflect.Array:
+		for i := range v.Len() {
+			populate(v.Index(i))
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		populate(v.Index(0))
+	case reflect.Map:
+		k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+		populate(k)
+		populate(e)
+		v.Set(reflect.MakeMap(v.Type()))
+		v.SetMapIndex(k, e)
+	case reflect.String:
+		v.SetString("x")
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(1)
+	}
+}
+
+// keyPaths adds the dotted path of every leaf of a decoded JSON document to
+// paths; array elements share their array's path with a "[]" suffix.
+func keyPaths(doc any, prefix string, paths map[string]bool) {
+	switch d := doc.(type) {
+	case map[string]any:
+		for k, v := range d {
+			p := k
+			if prefix != "" {
+				p = prefix + "." + k
+			}
+			keyPaths(v, p, paths)
+		}
+	case []any:
+		for _, v := range d {
+			keyPaths(v, prefix+"[]", paths)
+		}
+	default:
+		paths[prefix] = true
 	}
 }

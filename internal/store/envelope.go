@@ -10,7 +10,9 @@ import (
 // Version is the envelope schema version.  Bumping it invalidates every
 // object written by earlier builds: readers treat the mismatch as a cache
 // miss and rewrite the entry, so a format change never needs a migration.
-const Version = 1
+// Bump it whenever a codec's payload changes shape: TestResultJSONKeyPaths
+// fails when the JSON keys of a persisted result change.
+const Version = 2
 
 // magic brands every object file so that a foreign file dropped into the
 // store tree is recognized as garbage rather than misdecoded.

@@ -73,7 +73,7 @@ func FuzzSynthBuild(f *testing.F) {
 			scale = 1
 		}
 
-		if specKey, normKey := spec.Key(), norm.Key(); specKey != normKey {
+		if specKey, normKey := spec.CanonicalJSON(), norm.CanonicalJSON(); specKey != normKey {
 			t.Errorf("cache key changed across Normalize:\nraw:  %s\nnorm: %s", specKey, normKey)
 		}
 		first := digestProgram(spec.Build(scale))

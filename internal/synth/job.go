@@ -24,7 +24,7 @@ type BuildJob struct {
 func (BuildJob) JobKind() string { return BuildKind }
 
 // CacheKey implements engine.Spec.
-func (j BuildJob) CacheKey() string { return fmt.Sprintf("%s@%d", j.Spec.Key(), j.Scale) }
+func (j BuildJob) CacheKey() string { return fmt.Sprintf("%s@%d", j.Spec.CanonicalJSON(), j.Scale) }
 
 // buildSimulator executes BuildJob specs.
 type buildSimulator struct{}

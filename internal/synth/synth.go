@@ -79,12 +79,14 @@ func DefaultDepDists() []DistBucket {
 
 // Spec parameterizes one synthetic workload.  The zero value of every field
 // selects the default above, so the empty Spec is a complete, valid workload
-// description.  The canonical JSON encoding of the normalized Spec (Key) is
-// the workload's identity: it seeds the program generator and keys the
-// engine's memoized cache, so two requests naming the same spec and seed
-// share one build, one trace and one preprocessed work item.
+// description (`{"synth": {}}` is a complete facade request workload).  The
+// canonical JSON encoding of the normalized Spec (CanonicalJSON) is the
+// workload's identity: it seeds the program generator and keys the engine's
+// memoized cache, so two requests naming the same spec and seed share one
+// build, one trace and one preprocessed work item.  The JSON tags are the
+// field names of the facade's "synth" request object.
 type Spec struct {
-	// Name labels the workload in output (0 = "synth").  It participates in
+	// Name labels the workload in output ("" = "synth").  It participates in
 	// the cache key but not in generation: renaming a spec re-runs nothing
 	// but the label.
 	Name string `json:"name,omitempty"`
@@ -261,10 +263,10 @@ func (s Spec) Validate() error {
 	return errors.New("synth: invalid spec: " + strings.Join(msgs, "; "))
 }
 
-// Key returns the canonical JSON encoding of the normalized spec: the
-// workload's identity for caching and reporting.  Two specs with the same
-// key build byte-identical programs.
-func (s Spec) Key() string {
+// CanonicalJSON returns the canonical JSON encoding of the normalized spec:
+// the workload's identity for caching and reporting.  Two specs with the
+// same encoding build byte-identical programs.
+func (s Spec) CanonicalJSON() string {
 	data, err := json.Marshal(s.Normalize())
 	if err != nil {
 		// A Spec contains only plain values; Marshal cannot fail.

@@ -115,13 +115,13 @@ func TestNormalizeAndKey(t *testing.T) {
 	}
 	// The key is the canonical JSON of the normalized spec: the zero spec
 	// and its normalized form share one identity.
-	if (Spec{}).Key() != (Spec{}).Normalize().Key() {
+	if (Spec{}).CanonicalJSON() != (Spec{}).Normalize().CanonicalJSON() {
 		t.Error("zero spec and normalized spec have different keys")
 	}
-	if !strings.Contains((Spec{}).Key(), `"name":"synth"`) {
-		t.Errorf("key is not canonical JSON: %s", (Spec{}).Key())
+	if !strings.Contains((Spec{}).CanonicalJSON(), `"name":"synth"`) {
+		t.Errorf("key is not canonical JSON: %s", (Spec{}).CanonicalJSON())
 	}
-	if (Spec{Seed: 1}).Key() == (Spec{Seed: 2}).Key() {
+	if (Spec{Seed: 1}).CanonicalJSON() == (Spec{Seed: 2}).CanonicalJSON() {
 		t.Error("different seeds share a key")
 	}
 }

@@ -75,7 +75,8 @@ func (r Request) Normalize() Request {
 		r.MDPTEntries = memdep.DefaultEntries
 	}
 	if r.Synth != nil {
-		r.Synth = r.Synth.Normalize()
+		spec := r.Synth.Normalize()
+		r.Synth = &spec
 		if r.Scale <= 0 {
 			r.Scale = 1
 		}
@@ -207,21 +208,3 @@ func (r Request) Workload() Workload {
 // WorkloadName returns the display name of the request's workload: the
 // benchmark name, or the synthetic spec's (defaulted) name.
 func (r Request) WorkloadName() string { return r.Workload().Name() }
-
-// scale resolves the effective workload scale.
-func (r Request) scale() (int, error) {
-	if r.Synth != nil {
-		if r.Scale > 0 {
-			return r.Scale, nil
-		}
-		return 1, nil
-	}
-	w, err := workload.Get(r.Bench)
-	if err != nil {
-		return 0, err
-	}
-	if r.Scale > 0 {
-		return r.Scale, nil
-	}
-	return w.DefaultScale, nil
-}

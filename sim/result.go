@@ -4,69 +4,35 @@ import (
 	"fmt"
 	"maps"
 
+	"memdep/internal/arb"
+	"memdep/internal/cache"
+	"memdep/internal/ctrlflow"
 	"memdep/internal/memdep"
 	"memdep/internal/multiscalar"
 	"memdep/internal/program"
 )
 
 // Breakdown classifies committed loads by predicted-vs-actual dependence
-// outcome, the four cells of the paper's Table 8.  Indexing is
-// [predicted][actual] with 0 = no dependence, 1 = dependence; it encodes to
-// JSON as a nested array [[n/n, n/y], [y/n, y/y]].
-type Breakdown [2][2]uint64
+// outcome, the four cells of the paper's Table 8.  It is the core's own
+// type: go doc memdep/internal/multiscalar.PredictionBreakdown.
+type Breakdown = multiscalar.PredictionBreakdown
 
-// Total returns the number of classified loads.
-func (b Breakdown) Total() uint64 { return b[0][0] + b[0][1] + b[1][0] + b[1][1] }
+// MemDepStats is the MDPT/MDST predictor counters.  Its fields and JSON
+// names are documented where the core defines them: go doc
+// memdep/internal/memdep.SystemStats.
+type MemDepStats = memdep.SystemStats
 
-// Percent returns the percentage of loads in the given cell.
-func (b Breakdown) Percent(predicted, actual int) float64 {
-	t := b.Total()
-	if t == 0 {
-		return 0
-	}
-	return 100 * float64(b[predicted][actual]) / float64(t)
-}
+// ARBStats is the address resolution buffer counters: go doc
+// memdep/internal/arb.Stats.
+type ARBStats = arb.Stats
 
-// MemDepStats mirrors the MDPT/MDST system counters.
-type MemDepStats struct {
-	LoadQueries             uint64 `json:"load_queries"`              // LoadQueries counts MDPT lookups made by issuing loads.
-	LoadsPredictedDependent uint64 `json:"loads_predicted_dependent"` // LoadsPredictedDependent counts loads the MDPT predicted dependent.
-	LoadsMadeToWait         uint64 `json:"loads_made_to_wait"`        // LoadsMadeToWait counts predicted loads that allocated an MDST entry and waited.
-	LoadsSignalledEarly     uint64 `json:"loads_signalled_early"`     // LoadsSignalledEarly counts loads whose producing store had already signalled.
-	StoreQueries            uint64 `json:"store_queries"`             // StoreQueries counts MDPT lookups made by issuing stores.
-	StoresSignalled         uint64 `json:"stores_signalled"`          // StoresSignalled counts stores that signalled a waiting dependence.
-	LoadsReleasedByStore    uint64 `json:"loads_released_by_store"`   // LoadsReleasedByStore counts waiting loads released by their store's signal.
-	LoadsReleasedStale      uint64 `json:"loads_released_stale"`      // LoadsReleasedStale counts waiting loads released without a matching signal.
-	Misspeculations         uint64 `json:"misspeculations"`           // Misspeculations counts dependence violations the predictor failed to avoid.
-	ESyncFiltered           uint64 `json:"esync_filtered"`            // ESyncFiltered counts waits the ESYNC policy's confidence filter suppressed.
-}
+// CacheStats is the memory hierarchy counters: go doc
+// memdep/internal/cache.Stats.
+type CacheStats = cache.Stats
 
-// ARBStats mirrors the address resolution buffer counters.
-type ARBStats struct {
-	Loads      uint64 `json:"loads"`       // Loads counts load addresses resolved through the ARB.
-	Stores     uint64 `json:"stores"`      // Stores counts store addresses resolved through the ARB.
-	Violations uint64 `json:"violations"`  // Violations counts store→load order violations the ARB detected.
-	StallsFull uint64 `json:"stalls_full"` // StallsFull counts loads and stores whose ARB bank was full: each counts once and proceeds untracked; nothing stalls.
-}
-
-// CacheStats mirrors the memory hierarchy counters.
-type CacheStats struct {
-	InstrAccesses uint64 `json:"instr_accesses"` // InstrAccesses counts instruction-cache accesses.
-	InstrMisses   uint64 `json:"instr_misses"`   // InstrMisses counts instruction-cache misses.
-	DataAccesses  uint64 `json:"data_accesses"`  // DataAccesses counts data-cache accesses.
-	DataMisses    uint64 `json:"data_misses"`    // DataMisses counts data-cache misses.
-	BusTransfers  uint64 `json:"bus_transfers"`  // BusTransfers counts memory-bus block transfers.
-	BusWait       uint64 `json:"bus_wait"`       // BusWait accumulates cycles spent waiting for the bus.
-	BankWait      uint64 `json:"bank_wait"`      // BankWait accumulates cycles spent waiting on a busy cache bank.
-}
-
-// SequencerStats mirrors the task sequencer counters.
-type SequencerStats struct {
-	TaskDispatches   uint64  `json:"task_dispatches"`    // TaskDispatches counts tasks assigned to processing units.
-	Mispredictions   uint64  `json:"mispredictions"`     // Mispredictions counts next-task predictions that squashed.
-	DescriptorMisses uint64  `json:"descriptor_misses"`  // DescriptorMisses counts task-descriptor cache misses.
-	PredictorAcc     float64 `json:"predictor_accuracy"` // PredictorAcc is the next-task predictor hit rate in [0, 1].
-}
+// SequencerStats is the task sequencer counters: go doc
+// memdep/internal/ctrlflow.SequencerStats.
+type SequencerStats = ctrlflow.SequencerStats
 
 // PairCount is one static store→load dependence pair with its observed event
 // count, annotated with the static instruction indices and disassembled text
@@ -107,7 +73,7 @@ type Result struct {
 	LoadsWaited             uint64  `json:"loads_waited"`              // LoadsWaited counts loads the policy made wait for a store.
 	WaitCycles              uint64  `json:"wait_cycles"`               // WaitCycles accumulates cycles loads spent waiting.
 	FalseDependenceReleases uint64  `json:"false_dependence_releases"` // FalseDependenceReleases counts waits for dependences that never materialized.
-	ARBBypasses             uint64  `json:"arb_bypasses"`              // ARBBypasses counts loads and stores whose ARB bank was full: each counts once and proceeds untracked; nothing stalls.
+	ARBBypasses             uint64  `json:"arb_bypasses"`              // ARBBypasses counts loads and stores whose ARB bank was full, as arb.stalls_full does: each counts once and proceeds untracked; nothing stalls.
 
 	// Breakdown classifies committed loads for Table 8 (meaningful for the
 	// predictor-driven policies).
@@ -168,12 +134,12 @@ func newResult(req Request, res multiscalar.Result, item *multiscalar.WorkItem, 
 		FalseDependenceReleases: res.FalseDependenceReleases,
 		ARBBypasses:             res.ARBBypasses,
 
-		Breakdown: Breakdown(res.Breakdown),
+		Breakdown: res.Breakdown,
 
-		MemDep:    MemDepStats(res.MemDep),
-		ARB:       ARBStats(res.ARB),
-		Cache:     CacheStats(res.Cache),
-		Sequencer: SequencerStats(res.Sequencer),
+		MemDep:    res.MemDep,
+		ARB:       res.ARB,
+		Cache:     res.Cache,
+		Sequencer: res.Sequencer,
 	}
 	if item != nil {
 		out.AvgTaskSize = item.AvgTaskSize()

@@ -88,21 +88,9 @@ type Stats struct {
 	Store *StoreStats `json:"store,omitempty"`
 }
 
-// StoreCounters is the disk-tier traffic of one kind (or in aggregate).
-type StoreCounters struct {
-	// Hits counts results served from an intact on-disk object.
-	Hits uint64 `json:"hits"`
-	// Misses counts loads that found no current-version object.
-	Misses uint64 `json:"misses"`
-	// Bypassed counts loads of memory-only kinds (no codec registered).
-	Bypassed uint64 `json:"bypassed"`
-	// Corrupt counts undecodable objects, degraded to misses and rewritten.
-	Corrupt uint64 `json:"corrupt"`
-	// Writes counts results persisted behind the computation.
-	Writes uint64 `json:"writes"`
-	// WriteErrors counts failed persists (the result itself is unaffected).
-	WriteErrors uint64 `json:"write_errors"`
-}
+// StoreCounters is the disk-tier traffic of one kind (or in aggregate): the
+// store's own counter snapshot, go doc memdep/internal/store.Counters.
+type StoreCounters = store.Counters
 
 // StoreStats is a snapshot of the persistent store's counters: the aggregate
 // traffic since the session opened plus the same counters split by job kind.
@@ -115,18 +103,6 @@ type StoreStats struct {
 	Kinds map[string]StoreCounters `json:"kinds,omitempty"`
 }
 
-// storeCounters mirrors the internal counter snapshot into the public shape.
-func storeCounters(c store.Counters) StoreCounters {
-	return StoreCounters{
-		Hits:        c.Hits,
-		Misses:      c.Misses,
-		Bypassed:    c.Bypassed,
-		Corrupt:     c.Corrupt,
-		Writes:      c.Writes,
-		WriteErrors: c.WriteErrors,
-	}
-}
-
 // Stats returns a snapshot of the session's engine counters.
 func (s *Session) Stats() Stats {
 	st := Stats{
@@ -136,14 +112,10 @@ func (s *Session) Stats() Stats {
 		CachedJobs: s.eng.CacheLen(),
 	}
 	if s.store != nil {
-		kinds := make(map[string]StoreCounters)
-		for kind, c := range s.store.KindCounters() { //lint:deterministic map-to-map copy, order-insensitive
-			kinds[kind] = storeCounters(c)
-		}
 		st.Store = &StoreStats{
 			Dir:      s.store.Dir(),
-			Counters: storeCounters(s.store.Counters()),
-			Kinds:    kinds,
+			Counters: s.store.Counters(),
+			Kinds:    s.store.KindCounters(),
 		}
 	}
 	return st
@@ -229,18 +201,14 @@ func (s *Session) RunGrid(ctx context.Context, reqs []Request) ([]*Result, error
 			return nil, err
 		}
 		req = req.Normalize()
-		scale, err := req.scale()
-		if err != nil {
-			return nil, err
-		}
 		cfg, err := req.config()
 		if err != nil {
 			return nil, err
 		}
-		spec := multiscalar.SimulateJob{Item: itemJob(req.Workload().buildJob(scale), req.MaxInstructions), Config: cfg}
+		spec := multiscalar.SimulateJob{Item: itemJob(req.Workload().buildJob(req.Scale), req.MaxInstructions), Config: cfg}
 		plan[i] = planned{
 			req:  req,
-			key:  itemKey{req.Workload().CanonicalJSON(), scale, req.MaxInstructions},
+			key:  itemKey{req.Workload().CanonicalJSON(), req.Scale, req.MaxInstructions},
 			spec: spec,
 			ref:  b.Add(spec),
 		}
@@ -304,15 +272,11 @@ func (s *Session) Prepare(ctx context.Context, req Request) (*Prepared, error) {
 		return nil, err
 	}
 	req = req.Normalize()
-	scale, err := req.scale()
-	if err != nil {
-		return nil, err
-	}
 	cfg, err := req.config()
 	if err != nil {
 		return nil, err
 	}
-	item, err := engine.Resolve[*multiscalar.WorkItem](ctx, s.eng, itemJob(req.Workload().buildJob(scale), req.MaxInstructions))
+	item, err := engine.Resolve[*multiscalar.WorkItem](ctx, s.eng, itemJob(req.Workload().buildJob(req.Scale), req.MaxInstructions))
 	if err != nil {
 		return nil, err
 	}

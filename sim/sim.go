@@ -15,6 +15,14 @@
 // versioned surface that other programs -- and the cmd/memdep-server HTTP
 // service -- can depend on.
 //
+// A few of this package's types are aliases of the core types they expose,
+// so each field is declared and documented once: the result's counter
+// groups (Breakdown, MemDepStats, ARBStats, CacheStats, SequencerStats),
+// the synthetic spec (SynthSpec, DistBucket), the experiment Table and the
+// store's StoreCounters.  Those core types are public surface too: their
+// fields and JSON tags are the wire contract the server goldens pin, and
+// each alias's doc names the go doc target that documents its fields.
+//
 // The entry point is a Session, which wraps one job engine and its memoized
 // cache:
 //

@@ -95,11 +95,12 @@ func (o SuiteOptions) options() (experiments.Options, error) {
 	if o.Synth != nil {
 		// Validate through the facade so problems keep the structured
 		// synth.-prefixed field shape the rest of the API reports.
-		if err := o.Synth.Validate(); err != nil {
+		v := &ValidationError{}
+		validateSynth(o.Synth, v)
+		if err := v.errs(); err != nil {
 			return opts, err
 		}
-		sp := o.Synth.internal()
-		opts.SynthBase = &sp
+		opts.SynthBase = o.Synth
 	}
 	return opts, nil
 }
@@ -117,43 +118,20 @@ func (o SuiteOptions) Effective() SuiteOptions {
 		o.Predictor = t
 	}
 	if o.Synth != nil {
-		o.Synth = o.Synth.Normalize()
+		spec := o.Synth.Normalize()
+		o.Synth = &spec
 	}
 	return o
 }
 
 // Table is a titled grid of string cells: the rendered form of one
-// experiment, matching the corresponding table or figure of the paper.
-type Table struct {
-	Title   string     `json:"title"`   // Title is the table's heading.
-	Columns []string   `json:"columns"` // Columns is the header row.
-	Rows    [][]string `json:"rows"`    // Rows is the cell grid, one slice per row.
-	// Note is free-form text rendered under the table.
-	Note string `json:"note,omitempty"`
-}
+// experiment.  It is the renderer's own type, so its fields, JSON names and
+// methods (AddRow, NumRows, Cell, Render, CSV) are documented there: go doc
+// memdep/internal/stats.Table.
+type Table = stats.Table
 
 // NewTable creates a table with the given title and column headers.
-func NewTable(title string, columns ...string) *Table {
-	return &Table{Title: title, Columns: columns}
-}
-
-// AddRow appends a row, padding it to the header width.
-func (t *Table) AddRow(cells ...string) {
-	st := t.internal()
-	st.AddRow(cells...)
-	t.Rows = st.Rows
-}
-
-// internal converts to the rendering representation.
-func (t *Table) internal() *stats.Table {
-	return &stats.Table{Title: t.Title, Columns: t.Columns, Rows: t.Rows, Note: t.Note}
-}
-
-// Render returns the aligned-text rendering.
-func (t *Table) Render() string { return t.internal().Render() }
-
-// CSV returns the CSV rendering.
-func (t *Table) CSV() string { return t.internal().CSV() }
+func NewTable(title string, columns ...string) *Table { return stats.NewTable(title, columns...) }
 
 // RunExperiment executes one experiment by ID against the session cache and
 // returns its table.  Unknown IDs and malformed options are reported as a
@@ -175,10 +153,5 @@ func (s *Session) RunExperiment(ctx context.Context, id string, opts SuiteOption
 		v.add("options", "", err.Error())
 		return nil, v
 	}
-	runner := experiments.NewRunnerWithEngine(iopts, s.eng)
-	tab, err := e.Run(runner, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &Table{Title: tab.Title, Columns: tab.Columns, Rows: tab.Rows, Note: tab.Note}, nil
+	return e.Run(experiments.NewRunnerWithEngine(iopts, s.eng), ctx)
 }

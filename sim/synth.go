@@ -10,134 +10,26 @@ import (
 )
 
 // DistBucket is one bucket of a synthetic workload's dependence-distance
-// histogram: Weight relative units of store→load dependences at
-// (approximately) Dist dynamic instructions.
-type DistBucket struct {
-	Dist   int `json:"dist"`   // Dist is the dependence distance in dynamic instructions.
-	Weight int `json:"weight"` // Weight is the bucket's relative share of dependences.
-}
+// histogram: go doc memdep/internal/synth.DistBucket.
+type DistBucket = synth.DistBucket
 
-// SynthSpec parameterizes a synthetic workload (internal/synth): a seeded,
-// deterministic generator whose committed instruction stream follows the
-// described memory-dependence model.  The zero value of every field selects
-// the generator's default, so `{"synth": {}}` is a complete request
-// workload.  The same spec and seed always produce a byte-identical program
-// -- and therefore byte-identical traces and DeepEqual simulation results --
-// at every engine worker count, on every platform.
-type SynthSpec struct {
-	// Name labels the workload in output ("" = "synth").
-	Name string `json:"name,omitempty"`
-	// Seed seeds the generator; different seeds give structurally different
-	// workloads under the same model parameters.
-	Seed uint64 `json:"seed,omitempty"`
-	// Ops is the approximate committed dynamic instruction count (0 = 32768).
-	Ops int `json:"ops,omitempty"`
-	// Body is the approximate static loop-body length (0 = 512); it bounds
-	// the number of distinct static load/store PCs the predictors see.
-	Body int `json:"body,omitempty"`
-	// TaskSize is the mean task size in instructions (0 = 28).
-	TaskSize int `json:"task_size,omitempty"`
-	// TaskSpread is the half-width of the uniform task-size distribution
-	// (0 = 12).
-	TaskSpread int `json:"task_spread,omitempty"`
-	// LoadFrac is the fraction of body slots that are loads (0 = 0.25).
-	LoadFrac float64 `json:"load_frac,omitempty"`
-	// StoreFrac is the fraction of body slots that are stores (0 = 0.15).
-	StoreFrac float64 `json:"store_frac,omitempty"`
-	// DepFrac is the fraction of loads given an engineered store→load
-	// dependence (0 = 0.5).
-	DepFrac float64 `json:"dep_frac,omitempty"`
-	// DepDists is the dependence-distance histogram (nil = 8:4, 32:2, 128:1).
-	DepDists []DistBucket `json:"dep_dists,omitempty"`
-	// AliasSetSize makes each store rotate over this many addresses (0 = 1):
-	// its dependent loads collide with it every AliasSetSize-th iteration
-	// only, the mispredict-prone regime.  Rounded up to a power of two.
-	AliasSetSize int `json:"alias_set_size,omitempty"`
-	// LoopCarried is the fraction of engineered dependences produced in the
-	// previous loop iteration (0 = none).
-	LoopCarried float64 `json:"loop_carried,omitempty"`
-}
+// SynthSpec parameterizes a synthetic workload: a seeded, deterministic
+// generator whose committed instruction stream follows the described
+// memory-dependence model.  It is the generator's own type, so its fields,
+// JSON names and methods (Normalize, Problems, Validate, CanonicalJSON,
+// Build) are documented there: go doc memdep/internal/synth.Spec.  The same
+// spec and seed always produce a byte-identical program -- and therefore
+// byte-identical traces and DeepEqual simulation results -- at every engine
+// worker count, on every platform.  Request.Validate and Workload.Validate
+// report its problems as *ValidationError fields named "synth.<field>".
+type SynthSpec = synth.Spec
 
-// internal converts to the generator's spec type.  A nil receiver is the
-// zero spec.
-func (s *SynthSpec) internal() synth.Spec {
-	if s == nil {
-		return synth.Spec{}
-	}
-	sp := synth.Spec{
-		Name:         s.Name,
-		Seed:         s.Seed,
-		Ops:          s.Ops,
-		Body:         s.Body,
-		TaskSize:     s.TaskSize,
-		TaskSpread:   s.TaskSpread,
-		LoadFrac:     s.LoadFrac,
-		StoreFrac:    s.StoreFrac,
-		DepFrac:      s.DepFrac,
-		AliasSetSize: s.AliasSetSize,
-		LoopCarried:  s.LoopCarried,
-	}
-	if len(s.DepDists) > 0 {
-		sp.DepDists = make([]synth.DistBucket, len(s.DepDists))
-		for i, b := range s.DepDists {
-			sp.DepDists[i] = synth.DistBucket{Dist: b.Dist, Weight: b.Weight}
-		}
-	}
-	return sp
-}
-
-// synthFromInternal converts a generator spec to the public shape.
-func synthFromInternal(sp synth.Spec) *SynthSpec {
-	out := &SynthSpec{
-		Name:         sp.Name,
-		Seed:         sp.Seed,
-		Ops:          sp.Ops,
-		Body:         sp.Body,
-		TaskSize:     sp.TaskSize,
-		TaskSpread:   sp.TaskSpread,
-		LoadFrac:     sp.LoadFrac,
-		StoreFrac:    sp.StoreFrac,
-		DepFrac:      sp.DepFrac,
-		AliasSetSize: sp.AliasSetSize,
-		LoopCarried:  sp.LoopCarried,
-	}
-	if len(sp.DepDists) > 0 {
-		out.DepDists = make([]DistBucket, len(sp.DepDists))
-		for i, b := range sp.DepDists {
-			out.DepDists[i] = DistBucket{Dist: b.Dist, Weight: b.Weight}
-		}
-	}
-	return out
-}
-
-// Normalize returns the spec with every defaulted field materialized,
-// without touching the receiver.
-func (s *SynthSpec) Normalize() *SynthSpec {
-	return synthFromInternal(s.internal().Normalize())
-}
-
-// validate appends the spec's field problems to v, prefixing field names
-// with "synth.".
-func (s *SynthSpec) validate(v *ValidationError) {
-	for _, p := range s.internal().Problems() {
+// validateSynth appends the spec's field problems to v, prefixing field
+// names with "synth.".
+func validateSynth(spec *SynthSpec, v *ValidationError) {
+	for _, p := range spec.Problems() {
 		v.add("synth."+p.Field, p.Value, p.Msg)
 	}
-}
-
-// Validate reports every invalid field as a *ValidationError (nil when the
-// spec is well-formed).
-func (s *SynthSpec) Validate() error {
-	v := &ValidationError{}
-	s.validate(v)
-	return v.errs()
-}
-
-// CanonicalJSON returns the canonical JSON identity of the spec: the
-// encoding of its normalized form.  It seeds the generator and keys the
-// session cache, so two requests with the same canonical spec share one
-// build, trace and preprocessed work item.
-func (s *SynthSpec) CanonicalJSON() string {
-	return s.internal().Key()
 }
 
 // Workload identifies the workload of a request: exactly one of Bench (a
@@ -151,7 +43,8 @@ type Workload struct {
 // Normalize returns the workload with synthetic defaults materialized.
 func (w Workload) Normalize() Workload {
 	if w.Synth != nil {
-		w.Synth = w.Synth.Normalize()
+		spec := w.Synth.Normalize()
+		w.Synth = &spec
 	}
 	return w
 }
@@ -164,7 +57,7 @@ func (w Workload) validate(v *ValidationError) {
 	case w.Bench != "" && w.Synth != nil:
 		v.add("bench", w.Bench, "bench and synth are mutually exclusive")
 	case w.Synth != nil:
-		w.Synth.validate(v)
+		validateSynth(w.Synth, v)
 	default:
 		if _, err := workload.Get(w.Bench); err != nil {
 			v.add("bench", w.Bench, "unknown benchmark")
@@ -199,15 +92,17 @@ func (w Workload) CanonicalJSON() string {
 // synthetic spec's (defaulted) name.
 func (w Workload) Name() string {
 	if w.Synth != nil {
-		return w.Synth.internal().Normalize().Name
+		return w.Synth.Normalize().Name
 	}
 	return w.Bench
 }
 
 // buildJob returns the engine spec that resolves to the workload's program.
+// A synthetic job holds the normalized copy of the spec, so the memoized job
+// never shares the caller's DepDists.
 func (w Workload) buildJob(scale int) engine.Spec {
 	if w.Synth != nil {
-		return synth.BuildJob{Spec: w.Synth.internal(), Scale: scale}
+		return synth.BuildJob{Spec: w.Synth.Normalize(), Scale: scale}
 	}
 	return workload.BuildJob{Name: w.Bench, Scale: scale}
 }
@@ -220,7 +115,7 @@ func checkSynthScale(spec *SynthSpec, scale int, v *ValidationError) {
 	if spec == nil || scale <= 1 {
 		return
 	}
-	ops := spec.internal().Normalize().Ops
+	ops := spec.Normalize().Ops
 	if ops > 0 && scale > synth.MaxOps/ops {
 		v.add("scale", fmt.Sprint(scale),
 			fmt.Sprintf("scale × ops exceeds the %d dynamic-instruction cap", synth.MaxOps))

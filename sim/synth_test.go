@@ -185,7 +185,7 @@ func TestWorkloadCanonicalJSON(t *testing.T) {
 		t.Errorf("synth identity %s", got)
 	}
 	// The identity is the normalized spec: zero and normalized agree.
-	if (Workload{Synth: &SynthSpec{}}).CanonicalJSON() != (Workload{Synth: (&SynthSpec{}).Normalize()}).CanonicalJSON() {
+	if (Workload{Synth: &SynthSpec{}}).CanonicalJSON() != (Workload{Synth: &SynthSpec{}}).Normalize().CanonicalJSON() {
 		t.Error("zero and normalized specs have different identities")
 	}
 	if err := (Workload{Bench: "compress"}).Validate(); err != nil {
