@@ -159,9 +159,10 @@ func BenchmarkSimulate(b *testing.B) {
 	}
 }
 
-// BenchmarkMDPTLookup measures prediction-table lookups on a warm table,
-// once per table organization (the fully associative scan vs the
-// set-associative probe vs the store-set SSIT lookup).
+// BenchmarkMDPTLookup measures prediction-table load lookups on a warm
+// table, once per table organization.  The fully associative and
+// set-associative tables are one type, differing only in set count, so
+// they share one indexed lookup; the store set reads its SSIT.
 func BenchmarkMDPTLookup(b *testing.B) {
 	for _, table := range []memdep.TableKind{memdep.TableFullAssoc, memdep.TableSetAssoc, memdep.TableStoreSet} {
 		b.Run(table.String(), func(b *testing.B) {

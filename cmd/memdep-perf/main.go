@@ -14,8 +14,8 @@
 //     The names keep their "event" segment, so the CI gate's
 //     simulate/event prefix and the recorded history still line up.
 //   - simulate/event/{setassoc,storeset}: the same simulation per
-//     alternative predictor organization, recording the hot-path cost of
-//     the table lookup against the fully associative baseline.
+//     alternative predictor organization, whose placement and replacement
+//     change which loads wait and so the cost of the whole run.
 //   - simulate/event/reused: the same simulation on an explicitly warmed
 //     Prepared, whose private simulator arena is already sized by a prior
 //     run -- the zero-allocation steady state of a reused simulator.
@@ -143,10 +143,9 @@ func run(args []string, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	// The same simulation per alternative predictor organization, so the
-	// trajectory records the hot-path cost of the table lookup: the
-	// set-associative O(ways) probe vs the fully associative O(entries) scan
-	// recorded above ("simulate/event"), plus the store-set variant.
+	// The same simulation per alternative predictor organization: the
+	// 4-way set-associative pair table (the baseline's table type with 16
+	// sets instead of one) and the store-set variant.
 	for _, table := range []sim.TableKind{sim.TableSetAssoc, sim.TableStoreSet} {
 		req := baseReq
 		req.Predictor = table

@@ -66,6 +66,63 @@ func TestAPIDocNamesAliasTargets(t *testing.T) {
 	}
 }
 
+// TestAPIDocRequestEnumsParse asserts the value lists the /v1/simulate
+// request example gives in its policy and predictor comments are what the
+// server accepts: every listed name parses, and every policy and table
+// organization is listed.
+func TestAPIDocRequestEnumsParse(t *testing.T) {
+	doc := repoFile(t, filepath.Join("docs", "API.md"))
+	start := strings.Index(doc, "## `POST /v1/simulate`")
+	if start < 0 {
+		t.Fatal("docs/API.md has no POST /v1/simulate section")
+	}
+	example, _, _ := strings.Cut(doc[start:], "\n```\n")
+	// listed returns the names after the last colon of the field's comment.
+	listed := func(field string) []string {
+		for _, line := range strings.Split(example, "\n") {
+			if !strings.HasPrefix(strings.TrimSpace(line), `"`+field+`":`) {
+				continue
+			}
+			_, comment, _ := strings.Cut(line, "//")
+			if i := strings.LastIndex(comment, ":"); i >= 0 {
+				comment = comment[i+1:]
+			}
+			var names []string
+			for _, name := range strings.Split(comment, "|") {
+				names = append(names, strings.TrimSpace(name))
+			}
+			return names
+		}
+		t.Fatalf("the /v1/simulate request example has no %q line", field)
+		return nil
+	}
+	covered := map[string]bool{}
+	for _, name := range listed("policy") {
+		p, err := sim.ParsePolicy(name)
+		if err != nil {
+			t.Errorf("docs/API.md lists policy %q: %v", name, err)
+		}
+		covered[string(p)] = true
+	}
+	for _, p := range sim.Policies() {
+		if !covered[string(p)] {
+			t.Errorf("docs/API.md does not list policy %s", p)
+		}
+	}
+	for _, name := range listed("predictor") {
+		k, err := sim.ParseTableKind(name)
+		if err != nil {
+			t.Errorf("docs/API.md lists predictor %q: %v", name, err)
+		}
+		covered[string(k)] = true
+	}
+	for _, k := range sim.TableKinds() {
+		if !covered[string(k)] {
+			t.Errorf("docs/API.md does not list predictor %s", k)
+		}
+	}
+}
+
 // TestServerServesDeclaredRoutes asserts the standalone handler actually
 // serves every route fleet.Routes declares for it: no dead documentation.
 func TestServerServesDeclaredRoutes(t *testing.T) {

@@ -15,11 +15,16 @@ type mdptEntry struct {
 	lastUse     uint64
 }
 
-// MDPT is the memory dependence prediction table.  It is a small, fully
-// associative, LRU-managed table; an entry identifies a static dependence and
-// predicts whether its future dynamic instances should be synchronized.  It
-// is the TableFullAssoc implementation of the Predictor interface; see
-// SetAssocMDPT and StoreSetPredictor for the other organizations.
+// MDPT is the memory dependence prediction table: an LRU-managed table of
+// static store→load pairs, arranged as sets × ways.  An entry identifies a
+// static dependence and predicts whether its future dynamic instances should
+// be synchronized.  The paper's table (TableFullAssoc) is one set of Entries
+// ways; TableSetAssoc arranges Entries/Ways sets indexed by the load PC, so
+// a pair may only occupy, and only evict within, its load's set.  A
+// dependence working set that conflicts in one set can therefore thrash a
+// low-way table even when the table as a whole has room -- the
+// capacity/conflict sensitivity the sweep experiment measures.  See
+// StoreSetPredictor for the other organization.
 //
 // Lookups run once per load and store the timing core issues, so the table
 // keeps three incrementally maintained indexes over its entry array: pairIdx
@@ -27,11 +32,15 @@ type mdptEntry struct {
 // slot order).  Ascending order matters: MatchesForLoad/MatchesForStore touch
 // every match, each touch advances the LRU clock, and replacement decisions
 // observe those clocks -- so index traversal must visit entries in exactly
-// the order the former full scan did.
+// the order a scan of the table would.
 //
 //memdep:resettable
 type MDPT struct {
-	cfg     Config //lint:reset-exempt construction-time configuration, immutable across runs
+	cfg  Config //lint:reset-exempt construction-time configuration, immutable across runs
+	ways int    //lint:reset-exempt table geometry fixed at construction
+	sets int    //lint:reset-exempt table geometry fixed at construction
+	// entries holds the sets back to back: set i occupies
+	// entries[i*ways : (i+1)*ways].
 	entries []mdptEntry
 	clock   uint64
 
@@ -47,11 +56,21 @@ type MDPT struct {
 
 var _ Predictor = (*MDPT)(nil)
 
-// NewMDPT creates a prediction table from the configuration.
+// NewMDPT creates a pair table from the configuration: Entries/Ways sets
+// for TableSetAssoc, otherwise the fully associative table of one set.
 func NewMDPT(cfg Config) *MDPT {
+	if cfg.Table != TableSetAssoc {
+		cfg.Table = TableFullAssoc
+	}
 	cfg = cfg.withDefaults()
+	ways := cfg.Entries
+	if cfg.Table == TableSetAssoc {
+		ways = cfg.Ways
+	}
 	return &MDPT{
 		cfg:      cfg,
+		ways:     ways,
+		sets:     cfg.Entries / ways,
 		entries:  make([]mdptEntry, cfg.Entries),
 		pairIdx:  make(map[PairKey]int32, cfg.Entries),
 		loadIdx:  make(map[uint64][]int32, cfg.Entries),
@@ -66,9 +85,7 @@ func (t *MDPT) Len() int { return len(t.pairIdx) }
 func (t *MDPT) Capacity() int { return len(t.entries) }
 
 // Kind implements Predictor.
-func (t *MDPT) Kind() TableKind { return TableFullAssoc }
-
-func (t *MDPT) counterMax() int { return t.cfg.counterMax() }
+func (t *MDPT) Kind() TableKind { return t.cfg.Table }
 
 func (t *MDPT) touch(e *mdptEntry) {
 	t.clock++
@@ -153,13 +170,8 @@ func (t *MDPT) prediction(e *mdptEntry) Prediction {
 		Dist:        e.dist,
 		Counter:     e.counter,
 		StoreTaskPC: e.storeTaskPC,
-		Sync:        t.predicts(e),
+		Sync:        t.cfg.syncPredicted(e.counter),
 	}
-}
-
-// predicts applies the prediction policy to an entry.
-func (t *MDPT) predicts(e *mdptEntry) bool {
-	return t.cfg.syncPredicted(e.counter)
 }
 
 // MatchesForLoad appends to dst the predictions of all valid entries whose
@@ -203,7 +215,7 @@ func (t *MDPT) RecordMisspeculation(pair PairKey, dist uint64, storeTaskPC uint6
 		t.touch(e)
 		return
 	}
-	i := t.victim()
+	i := t.victim(pair.LoadPC)
 	e := &t.entries[i]
 	if e.valid {
 		t.replacements++
@@ -222,24 +234,27 @@ func (t *MDPT) RecordMisspeculation(pair PairKey, dist uint64, storeTaskPC uint6
 	t.touch(e)
 }
 
-// victim returns the slot to allocate into: an invalid entry if one exists,
-// otherwise the least recently used entry.
-func (t *MDPT) victim() int32 {
-	lru := int32(-1)
-	for i := range t.entries {
-		e := &t.entries[i]
-		if !e.valid {
-			return int32(i)
+// victim returns the slot to allocate into within the load's set: an invalid
+// way if one exists, otherwise the least recently used way.  Instructions
+// are word-aligned, so the low PC bits are dropped before the modulo to
+// spread consecutive static loads across sets.
+func (t *MDPT) victim(loadPC uint64) int32 {
+	base := int((loadPC>>2)%uint64(t.sets)) * t.ways
+	set := t.entries[base : base+t.ways]
+	lru := 0
+	for i := range set {
+		if !set[i].valid {
+			return int32(base + i)
 		}
-		if lru < 0 || e.lastUse < t.entries[lru].lastUse {
-			lru = int32(i)
+		if set[i].lastUse < set[lru].lastUse {
+			lru = i
 		}
 	}
-	return lru
+	return int32(base + lru)
 }
 
 func (t *MDPT) strengthen(e *mdptEntry) {
-	if e.counter < t.counterMax() {
+	if e.counter < t.cfg.counterMax() {
 		e.counter++
 	}
 	t.strengthens++

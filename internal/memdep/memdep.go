@@ -137,7 +137,9 @@ const (
 // Config describes a prediction/synchronization system.  Zero values take
 // the paper's configuration.
 type Config struct {
-	// Entries is the number of MDPT entries (default DefaultEntries).
+	// Entries is the number of MDPT entries (default DefaultEntries).  The
+	// set-associative and store-set organizations round it down to whole
+	// sets of Ways.
 	Entries int
 	// SyncSlots is the number of MDST entries carried per prediction entry in
 	// the combined structure -- one per stage in the paper's evaluated
@@ -151,7 +153,7 @@ type Config struct {
 	// Ways is the associativity of the set-associative organization and the
 	// per-set member bound of the store-set organization (default 4, clamped
 	// to Entries).  Ignored -- and normalized to zero -- for the fully
-	// associative table.
+	// associative table, which is one set of Entries ways.
 	Ways int
 	// CounterBits is the width of the up/down counter (default 3).  It must
 	// hold Threshold, so at least 2.
@@ -189,6 +191,7 @@ func (c Config) withDefaults() Config {
 			c.Ways = defaultWays
 		}
 		c.Ways = min(c.Ways, c.Entries)
+		c.Entries -= c.Entries % c.Ways // whole sets only
 	}
 	return c
 }

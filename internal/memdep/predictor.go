@@ -7,12 +7,13 @@ import (
 
 // Predictor is the interface of a memory dependence prediction table.  The
 // MDPT of the paper (section 4.1) is one organization of it; the package
-// provides three:
+// provides three, in two types:
 //
-//   - MDPT: the fully associative, LRU-managed table evaluated in the paper
-//     (TableFullAssoc, the default)
-//   - SetAssocMDPT: a set-associative, load-PC-indexed organization with
-//     per-set LRU and O(ways) lookups (TableSetAssoc)
+//   - MDPT: the LRU-managed pair table, either fully associative as
+//     evaluated in the paper (TableFullAssoc, the default) or
+//     set-associative and indexed by the load PC, with per-set LRU
+//     (TableSetAssoc).  The fully associative table is the set-associative
+//     one with a single set.
 //   - StoreSetPredictor: a store-set-style organization that groups the
 //     loads and stores of transitively related dependences into one set with
 //     a shared confidence counter (TableStoreSet)
@@ -69,7 +70,7 @@ const (
 	// (the default).
 	TableFullAssoc TableKind = iota
 	// TableSetAssoc is the set-associative, load-PC-indexed MDPT: Entries
-	// slots organized as Entries/Ways sets, per-set LRU, O(ways) lookups.
+	// slots organized as Entries/Ways sets, with per-set LRU replacement.
 	TableSetAssoc
 	// TableStoreSet is the store-set-style organization: related loads and
 	// stores are merged into one set with a shared confidence counter.
@@ -109,12 +110,8 @@ func ParseTableKind(s string) (TableKind, error) {
 
 // NewPredictor creates the prediction table selected by cfg.Table.
 func NewPredictor(cfg Config) Predictor {
-	switch cfg.withDefaults().Table {
-	case TableSetAssoc:
-		return NewSetAssocMDPT(cfg)
-	case TableStoreSet:
+	if cfg.Table == TableStoreSet {
 		return NewStoreSetPredictor(cfg)
-	default:
-		return NewMDPT(cfg)
 	}
+	return NewMDPT(cfg)
 }

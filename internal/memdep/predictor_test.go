@@ -52,8 +52,8 @@ func TestNewPredictorSelectsOrganization(t *testing.T) {
 	if _, ok := NewPredictor(Config{}).(*MDPT); !ok {
 		t.Error("default organization must be the fully associative MDPT")
 	}
-	if _, ok := NewPredictor(Config{Table: TableSetAssoc}).(*SetAssocMDPT); !ok {
-		t.Error("TableSetAssoc must build a SetAssocMDPT")
+	if m, ok := NewPredictor(Config{Table: TableSetAssoc}).(*MDPT); !ok || m.sets != 16 || m.ways != 4 {
+		t.Error("TableSetAssoc must build an MDPT of 16 sets × 4 ways")
 	}
 	if _, ok := NewPredictor(Config{Table: TableStoreSet}).(*StoreSetPredictor); !ok {
 		t.Error("TableStoreSet must build a StoreSetPredictor")
@@ -198,9 +198,9 @@ func TestPredictorCapacityPressure(t *testing.T) {
 // TestSetAssocLRUWithinSet pins the per-set LRU policy: with 2 ways, three
 // pairs that index the same set evict the least recently touched way.
 func TestSetAssocLRUWithinSet(t *testing.T) {
-	m := NewSetAssocMDPT(Config{Entries: 8, Ways: 2, Predictor: PredictSync, Table: TableSetAssoc})
-	if m.Sets() != 4 || m.Ways() != 2 {
-		t.Fatalf("geometry = %d sets × %d ways, want 4×2", m.Sets(), m.Ways())
+	m := NewMDPT(Config{Entries: 8, Ways: 2, Predictor: PredictSync, Table: TableSetAssoc})
+	if m.sets != 4 || m.ways != 2 {
+		t.Fatalf("geometry = %d sets × %d ways, want 4×2", m.sets, m.ways)
 	}
 	// Load PCs 16k all index set 0 ((pc>>2) % 4 == 0).
 	pairs := []PairKey{
@@ -236,16 +236,26 @@ func TestSetAssocLRUWithinSet(t *testing.T) {
 	}
 }
 
-// TestConstructorsImplyTheirOrganization: the exported constructors must
-// honour cfg.Ways even when the caller leaves cfg.Table at its zero value
-// (the full-assoc normalization would otherwise silently zero it).
+// TestConstructorsImplyTheirOrganization pins the geometry each constructor
+// builds: NewMDPT honours cfg.Table (the fully associative table is one set
+// and ignores cfg.Ways), and NewStoreSetPredictor implies its organization,
+// so it honours cfg.Ways even when cfg.Table is left at its zero value.
 func TestConstructorsImplyTheirOrganization(t *testing.T) {
-	m := NewSetAssocMDPT(Config{Entries: 64, Ways: 1})
-	if m.Ways() != 1 || m.Sets() != 64 {
-		t.Errorf("geometry = %d sets × %d ways, want 64×1", m.Sets(), m.Ways())
-	}
-	if NewSetAssocMDPT(Config{Entries: 64}).Ways() != 4 {
-		t.Error("unset ways must default to 4")
+	for _, tc := range []struct {
+		cfg        Config
+		sets, ways int
+	}{
+		{Config{Entries: 64, Ways: 1, Table: TableSetAssoc}, 64, 1},
+		{Config{Entries: 64, Table: TableSetAssoc}, 16, 4},
+		{Config{Entries: 10, Ways: 4, Table: TableSetAssoc}, 2, 4},
+		{Config{Entries: 64, Ways: 2}, 1, 64},
+		{Config{Entries: 64, Table: TableStoreSet}, 1, 64},
+	} {
+		m := NewMDPT(tc.cfg)
+		if m.sets != tc.sets || m.ways != tc.ways || m.Capacity() != tc.sets*tc.ways {
+			t.Errorf("NewMDPT(%+v): geometry = %d sets × %d ways, capacity %d; want %d×%d",
+				tc.cfg, m.sets, m.ways, m.Capacity(), tc.sets, tc.ways)
+		}
 	}
 	if got := NewStoreSetPredictor(Config{Entries: 64, Ways: 2}).Capacity(); got != 32 {
 		t.Errorf("store-set pool = %d sets, want 64/2 = 32", got)
@@ -269,9 +279,9 @@ func TestStoreSetStrengthensCountsOnlyKnownPairs(t *testing.T) {
 }
 
 // TestSetAssocIsolatedSets checks that pairs in different sets do not evict
-// each other and that load lookups only probe the indexed set.
+// each other and that each load matches only its own pair.
 func TestSetAssocIsolatedSets(t *testing.T) {
-	m := NewSetAssocMDPT(Config{Entries: 8, Ways: 2, Predictor: PredictSync, Table: TableSetAssoc})
+	m := NewMDPT(Config{Entries: 8, Ways: 2, Predictor: PredictSync, Table: TableSetAssoc})
 	// One pair per set: load PCs 4k index sets 0..3.
 	for i := 0; i < 4; i++ {
 		m.RecordMisspeculation(PairKey{LoadPC: uint64(4 * i), StorePC: uint64(0x100 + 4*i)}, 1, 0)

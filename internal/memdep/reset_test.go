@@ -47,7 +47,7 @@ func TestResetEquivalence(t *testing.T) {
 		},
 		{
 			name:  "SetAssocMDPT",
-			fresh: func() interface{ Reset() } { return NewSetAssocMDPT(cfg) },
+			fresh: func() interface{ Reset() } { return NewMDPT(Config{Entries: 16, Ways: 4, Table: TableSetAssoc}) },
 			drive: func(r interface{ Reset() }) any { return drivePredictor(r.(Predictor)) },
 		},
 		{

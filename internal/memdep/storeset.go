@@ -65,15 +65,10 @@ type storeSet struct {
 func NewStoreSetPredictor(cfg Config) *StoreSetPredictor {
 	cfg.Table = TableStoreSet // so withDefaults applies the ways rules, not full-assoc's
 	cfg = cfg.withDefaults()
-	ways := cfg.Ways
-	sets := cfg.Entries / ways
-	if sets < 1 {
-		sets = 1
-	}
 	return &StoreSetPredictor{
 		cfg:       cfg,
-		ways:      ways,
-		sets:      make([]storeSet, sets),
+		ways:      cfg.Ways,
+		sets:      make([]storeSet, cfg.Entries/cfg.Ways),
 		loadSSIT:  make(map[uint64]int),
 		storeSSIT: make(map[uint64]int),
 	}

@@ -94,11 +94,6 @@ func (s *System) Config() Config { return s.cfg }
 // tools).
 func (s *System) Predictor() Predictor { return s.pred }
 
-// MDPT exposes the prediction table under its historical name.  It returns
-// the Predictor interface: the table is only an MDPT in the paper's default
-// fully associative organization.
-func (s *System) MDPT() Predictor { return s.pred }
-
 // MDST exposes the synchronization table.
 func (s *System) MDST() *MDST { return s.mdst }
 

@@ -26,6 +26,22 @@ func (l *releaseLog) take() []int64 {
 	return got
 }
 
+// TestSystemSizesInWholeSets: a set-associative table keeps whole sets
+// only, so 10 entries at 4 ways hold 8 pairs, and the MDST carries one slot
+// per stage for each of those 8, not for the 10 requested.
+func TestSystemSizesInWholeSets(t *testing.T) {
+	s := NewSystem(Config{Table: TableSetAssoc, Entries: 10, Ways: 4, SyncSlots: 8})
+	if got := s.Config().Entries; got != 8 {
+		t.Errorf("effective entries = %d, want 8", got)
+	}
+	if got := s.Predictor().Capacity(); got != 8 {
+		t.Errorf("prediction table capacity = %d, want 8", got)
+	}
+	if got := s.MDST().Capacity(); got != 64 {
+		t.Errorf("MDST capacity = %d, want 8 entries × 8 slots = 64", got)
+	}
+}
+
 func TestSystemColdLoadDoesNotWait(t *testing.T) {
 	s := newTestSystem(PredictSync)
 	d := s.LoadIssue(LoadQuery{PC: 0x100, Instance: 5, LDID: 1})
@@ -145,7 +161,7 @@ func TestSystemReleaseLoadWeakensPrediction(t *testing.T) {
 	pair := PairKey{LoadPC: 0x100, StorePC: 0x80}
 	s.RecordMisspeculation(pair, 1, 0)
 
-	before, _ := s.MDPT().Lookup(pair)
+	before, _ := s.Predictor().Lookup(pair)
 	d := s.LoadIssue(LoadQuery{PC: 0x100, Instance: 7, LDID: 11})
 	if !d.Wait {
 		t.Fatal("load must wait")
@@ -155,7 +171,7 @@ func TestSystemReleaseLoadWeakensPrediction(t *testing.T) {
 	if n := s.ReleaseLoad(11); n != 1 {
 		t.Fatalf("released %d entries, want 1", n)
 	}
-	after, _ := s.MDPT().Lookup(pair)
+	after, _ := s.Predictor().Lookup(pair)
 	if after.Counter >= before.Counter {
 		t.Errorf("counter %d -> %d, want weakened", before.Counter, after.Counter)
 	}
@@ -168,13 +184,13 @@ func TestSystemSquashDoesNotTouchPredictor(t *testing.T) {
 	s := newTestSystem(PredictSync)
 	pair := PairKey{LoadPC: 0x100, StorePC: 0x80}
 	s.RecordMisspeculation(pair, 1, 0)
-	before, _ := s.MDPT().Lookup(pair)
+	before, _ := s.Predictor().Lookup(pair)
 
 	s.LoadIssue(LoadQuery{PC: 0x100, Instance: 7, LDID: 11})
 	if n := s.SquashLoad(11); n != 1 {
 		t.Fatalf("squash freed %d entries, want 1", n)
 	}
-	after, _ := s.MDPT().Lookup(pair)
+	after, _ := s.Predictor().Lookup(pair)
 	if after.Counter != before.Counter {
 		t.Error("squash must not update the predictor (updates are non-speculative)")
 	}
@@ -216,15 +232,15 @@ func TestSystemCommitLoadStrengthensConfirmedDependence(t *testing.T) {
 	s := newTestSystem(PredictSync)
 	pair := PairKey{LoadPC: 0x100, StorePC: 0x80}
 	s.RecordMisspeculation(pair, 1, 0)
-	before, _ := s.MDPT().Lookup(pair)
+	before, _ := s.Predictor().Lookup(pair)
 	s.CommitLoad(0x100, 0x80, []PairKey{pair})
-	after, _ := s.MDPT().Lookup(pair)
+	after, _ := s.Predictor().Lookup(pair)
 	if after.Counter <= before.Counter {
 		t.Errorf("counter %d -> %d, want strengthened", before.Counter, after.Counter)
 	}
 	// A commit whose actual producer differs weakens it.
 	s.CommitLoad(0x100, 0x9999, []PairKey{pair})
-	final, _ := s.MDPT().Lookup(pair)
+	final, _ := s.Predictor().Lookup(pair)
 	if final.Counter >= after.Counter {
 		t.Error("mismatched producer must weaken the entry")
 	}
@@ -348,7 +364,7 @@ func TestSystemStatsAccumulate(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 	s.Reset()
-	if s.Stats() != (SystemStats{}) || s.MDPT().Len() != 0 || s.MDST().Len() != 0 {
+	if s.Stats() != (SystemStats{}) || s.Predictor().Len() != 0 || s.MDST().Len() != 0 {
 		t.Error("reset must clear everything")
 	}
 }

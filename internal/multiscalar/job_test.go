@@ -41,6 +41,7 @@ func TestCacheKeyEquivalences(t *testing.T) {
 		{"entries 0 and 64", withMemDep(policy.ESync, memdep.Config{}), withMemDep(policy.ESync, memdep.Config{Entries: 64}), true},
 		{"setassoc ways 0 and 4", withMemDep(policy.ESync, memdep.Config{Table: setassoc}), withMemDep(policy.ESync, memdep.Config{Table: setassoc, Ways: 4}), true},
 		{"full-assoc ways 0 and 7", withMemDep(policy.ESync, memdep.Config{}), withMemDep(policy.ESync, memdep.Config{Ways: 7}), true},
+		{"setassoc entries 10 and 8 at 4 ways", withMemDep(policy.ESync, memdep.Config{Table: setassoc, Entries: 10, Ways: 4}), withMemDep(policy.ESync, memdep.Config{Table: setassoc, Entries: 8, Ways: 4}), true},
 		{"zero stages and 8", Config{Policy: policy.ESync}, DefaultConfig(8, policy.ESync), true},
 		{"always-sync and sync", withMemDep(policy.Sync, memdep.Config{Predictor: memdep.PredictAlways}), DefaultConfig(8, policy.Sync), false},
 		{"counter bits 3 and 2", withMemDep(policy.Sync, memdep.Config{}), withMemDep(policy.Sync, memdep.Config{CounterBits: 2}), false},

@@ -265,6 +265,46 @@ func TestInstRecordIs48Bytes(t *testing.T) {
 	}
 }
 
+// TestOneSetEqualsFullAssociativity is a metamorphic relation across table
+// organizations: a set-associative MDPT whose ways equal its entries has one
+// set, and one set of n ways is the fully associative table of n entries.
+// The two are one type with one geometry, so their Results must be deeply
+// equal under every predictor setting.
+func TestOneSetEqualsFullAssociativity(t *testing.T) {
+	const max = 40_000
+	ctx := context.Background()
+	sm := NewSimulator()
+	for _, bench := range []string{"espresso", "compress"} {
+		w := prep(t, workload.MustGet(bench).Build(1), max)
+		for _, n := range []int{4, 64} {
+			for _, stages := range []int{4, 8} {
+				for _, pol := range []policy.Kind{policy.Sync, policy.ESync} {
+					for _, bits := range []int{2, 3} {
+						var results [2]Result
+						for i, md := range []memdep.Config{
+							{Table: memdep.TableSetAssoc, Entries: n, Ways: n, CounterBits: bits},
+							{Table: memdep.TableFullAssoc, Entries: n, CounterBits: bits},
+						} {
+							cfg := DefaultConfig(stages, pol)
+							cfg.MemDep = md
+							res, err := sm.Simulate(ctx, w, cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							checkResultLaws(t, cfg, res)
+							results[i] = res
+						}
+						if !reflect.DeepEqual(results[0], results[1]) {
+							t.Errorf("%s, %d stages, %v, %d-bit counters: %d×%d set-associative differs from %d-entry fully associative:\nsetassoc: %+v\nfull:     %+v",
+								bench, stages, pol, bits, n, n, n, results[0], results[1])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPredictorFreePoliciesIgnoreMemDep is a metamorphic relation: NEVER,
 // ALWAYS, WAIT and PSYNC never consult the dependence predictor, so their
 // Results are identical under every table organization, size,

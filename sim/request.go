@@ -41,6 +41,8 @@ type Request struct {
 	// benchmark to completion).
 	MaxInstructions uint64 `json:"max_instructions,omitempty"`
 	// MDPTEntries is the prediction-table size (0 = 64, the paper's value).
+	// The setassoc/storeset organizations keep whole sets only, so Normalize
+	// rounds it down to a multiple of MDPTWays.
 	MDPTEntries int `json:"mdpt_entries,omitempty"`
 	// Predictor selects the prediction-table organization ("" = the paper's
 	// fully associative MDPT).
@@ -85,11 +87,12 @@ func (r Request) Normalize() Request {
 			r.Scale = w.DefaultScale
 		}
 	}
-	// Echo the effective (clamped) table geometry, matching what a
-	// constructed predictor actually runs with.
+	// Echo the effective table geometry (ways clamped to the entries, the
+	// entries rounded down to whole sets), matching what a constructed
+	// predictor actually runs with.
 	if table, err := r.Predictor.kind(); err == nil {
 		eff := memdep.Config{Entries: r.MDPTEntries, Table: table, Ways: r.MDPTWays}.Effective()
-		r.MDPTWays = eff.Ways
+		r.MDPTEntries, r.MDPTWays = eff.Entries, eff.Ways
 	}
 	return r
 }

@@ -212,6 +212,11 @@ func TestNormalizeDefaults(t *testing.T) {
 	if n.MDPTWays != 8 {
 		t.Errorf("ways not clamped to entries: %d", n.MDPTWays)
 	}
+	// Entries are echoed in whole sets: 10 entries at 4 ways hold 2 sets.
+	n = Request{Bench: "compress", Predictor: TableSetAssoc, MDPTEntries: 10, MDPTWays: 4}.Normalize()
+	if n.MDPTEntries != 8 || n.MDPTWays != 4 {
+		t.Errorf("10 entries at 4 ways echoed as %d×%d, want 8×4", n.MDPTEntries, n.MDPTWays)
+	}
 	// Normalize is idempotent.
 	once := Request{Bench: "sc", Predictor: TableStoreSet}.Normalize()
 	if twice := once.Normalize(); !reflect.DeepEqual(once, twice) {
