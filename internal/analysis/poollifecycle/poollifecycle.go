@@ -2,7 +2,7 @@
 // values drawn from a sync.Pool.
 //
 // The arena-reuse layer leans on pooling (the SimulateContext simulator pool,
-// per-worker scratch arenas): a Get whose value is not Put back on some
+// the preprocess build scratch): a Get whose value is not Put back on some
 // return path silently degrades the pool to an allocator, and a value used
 // after it was Put races with the next Get of the same object -- both defects
 // that no test catches until the pool is contended.  The analyzer builds the

@@ -1,9 +1,10 @@
 // Package ctrlflow provides the control-flow machinery of the Multiscalar
 // sequencer: a path-based next-task predictor (after Jacobson et al.,
-// reference [13] of the paper), a return address stack, and a task descriptor
-// cache.  The sequencer of section 5.2 uses a 1024-entry 2-way set
-// associative task descriptor cache, a path-based control flow predictor, and
-// a 64-entry return address stack.
+// reference [13] of the paper) and a task descriptor cache.  The sequencer of
+// section 5.2 uses a 1024-entry 2-way set associative task descriptor cache,
+// a path-based control flow predictor, and a 64-entry return address stack.
+// The return address stack is not modelled: next-task prediction comes from
+// the path predictor alone.
 package ctrlflow
 
 import "memdep/internal/cache"
@@ -129,131 +130,37 @@ func (p *PathPredictor) Reset() {
 	p.predictions, p.correct = 0, 0
 }
 
-// ReturnAddressStack is the sequencer's 64-entry return address stack.  It is
-// a circular stack: pushes beyond the capacity overwrite the oldest entries,
-// and pops of an empty stack return ok == false.
-//
-//memdep:resettable
-type ReturnAddressStack struct {
-	entries []uint64 //lint:reset-exempt stack storage dead once depth is zeroed
-	top     int
-	depth   int
-}
-
-// NewReturnAddressStack creates a RAS with the given capacity (64 in the
-// paper's configuration).
-func NewReturnAddressStack(capacity int) *ReturnAddressStack {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &ReturnAddressStack{entries: make([]uint64, capacity)}
-}
-
-// Push records a return address.
-func (r *ReturnAddressStack) Push(addr uint64) {
-	r.entries[r.top] = addr
-	r.top = (r.top + 1) % len(r.entries)
-	if r.depth < len(r.entries) {
-		r.depth++
-	}
-}
-
-// Pop removes and returns the most recently pushed address.
-func (r *ReturnAddressStack) Pop() (addr uint64, ok bool) {
-	if r.depth == 0 {
-		return 0, false
-	}
-	r.top = (r.top - 1 + len(r.entries)) % len(r.entries)
-	r.depth--
-	return r.entries[r.top], true
-}
-
-// Depth returns the number of live entries.
-func (r *ReturnAddressStack) Depth() int { return r.depth }
-
-// Capacity returns the stack capacity.
-func (r *ReturnAddressStack) Capacity() int { return len(r.entries) }
-
-// Reset empties the stack.
-func (r *ReturnAddressStack) Reset() { r.top, r.depth = 0, 0 }
-
 // Sequencer bundles the control-flow structures of the Multiscalar global
-// sequencer: the path-based next-task predictor, the task descriptor cache
-// and the return address stack.
+// sequencer: the path-based next-task predictor and the task descriptor
+// cache.
 //
 //memdep:resettable
 type Sequencer struct {
 	predictor *PathPredictor
 	descCache *cache.SetAssoc
-	ras       *ReturnAddressStack
 
 	descriptorMisses uint64
 	mispredictions   uint64
 	taskDispatches   uint64
 }
 
-// SequencerConfig describes the sequencer structures.
-type SequencerConfig struct {
-	// PredictorBits sizes the path predictor table (2^bits entries).
-	PredictorBits int
-	// PathLength is the number of task PCs in the path history.
-	PathLength int
-	// DescriptorEntries is the number of task descriptors cached (1024).
-	DescriptorEntries int
-	// DescriptorWays is the associativity of the descriptor cache (2).
-	DescriptorWays int
-	// RASEntries is the return address stack depth (64).
-	RASEntries int
-}
+// The section 5.2 sequencer: a 2^14-entry path predictor over 4 tasks of
+// history and a 1024-entry 2-way task descriptor cache.
+const (
+	predictorBits     = 14
+	pathLength        = 4
+	descriptorEntries = 1024
+	descriptorWays    = 2
+)
 
-// DefaultSequencerConfig returns the paper's sequencer configuration.
-func DefaultSequencerConfig() SequencerConfig {
-	return SequencerConfig{
-		PredictorBits:     14,
-		PathLength:        4,
-		DescriptorEntries: 1024,
-		DescriptorWays:    2,
-		RASEntries:        64,
-	}
-}
-
-func (c SequencerConfig) withDefaults() SequencerConfig {
-	d := DefaultSequencerConfig()
-	if c.PredictorBits <= 0 {
-		c.PredictorBits = d.PredictorBits
-	}
-	if c.PathLength <= 0 {
-		c.PathLength = d.PathLength
-	}
-	if c.DescriptorEntries <= 0 {
-		c.DescriptorEntries = d.DescriptorEntries
-	}
-	if c.DescriptorWays <= 0 {
-		c.DescriptorWays = d.DescriptorWays
-	}
-	if c.RASEntries <= 0 {
-		c.RASEntries = d.RASEntries
-	}
-	return c
-}
-
-// NewSequencer creates the sequencer structures.
-func NewSequencer(cfg SequencerConfig) *Sequencer {
-	cfg = cfg.withDefaults()
-	// Model each task descriptor as one 64-byte block: entries*64 bytes total.
-	desc := cache.MustNewSetAssoc(cfg.DescriptorEntries*64, cfg.DescriptorWays, 64)
+// NewSequencer creates the sequencer structures at the paper's sizes.
+func NewSequencer() *Sequencer {
 	return &Sequencer{
-		predictor: NewPathPredictor(cfg.PredictorBits, cfg.PathLength),
-		descCache: desc,
-		ras:       NewReturnAddressStack(cfg.RASEntries),
+		predictor: NewPathPredictor(predictorBits, pathLength),
+		// Each task descriptor is one 64-byte block.
+		descCache: cache.MustNewSetAssoc(descriptorEntries*64, descriptorWays, 64),
 	}
 }
-
-// Predictor exposes the path predictor.
-func (s *Sequencer) Predictor() *PathPredictor { return s.predictor }
-
-// RAS exposes the return address stack.
-func (s *Sequencer) RAS() *ReturnAddressStack { return s.ras }
 
 // DispatchOutcome reports the cost drivers of dispatching one task.
 type DispatchOutcome struct {
@@ -307,6 +214,5 @@ func (s *Sequencer) Stats() SequencerStats {
 func (s *Sequencer) Reset() {
 	s.predictor.Reset()
 	s.descCache.Reset()
-	s.ras.Reset()
 	s.descriptorMisses, s.mispredictions, s.taskDispatches = 0, 0, 0
 }

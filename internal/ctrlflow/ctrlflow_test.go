@@ -2,7 +2,6 @@ package ctrlflow
 
 import (
 	"testing"
-	"testing/quick"
 )
 
 func TestPathPredictorLearnsRepeatingSequence(t *testing.T) {
@@ -118,76 +117,8 @@ func TestPathPredictorReset(t *testing.T) {
 	}
 }
 
-func TestRASPushPop(t *testing.T) {
-	r := NewReturnAddressStack(4)
-	r.Push(0x10)
-	r.Push(0x20)
-	if a, ok := r.Pop(); !ok || a != 0x20 {
-		t.Errorf("pop = %#x/%v", a, ok)
-	}
-	if a, ok := r.Pop(); !ok || a != 0x10 {
-		t.Errorf("pop = %#x/%v", a, ok)
-	}
-	if _, ok := r.Pop(); ok {
-		t.Error("empty pop must fail")
-	}
-}
-
-func TestRASOverflowWrapsAround(t *testing.T) {
-	r := NewReturnAddressStack(2)
-	r.Push(1)
-	r.Push(2)
-	r.Push(3) // overwrites 1
-	if r.Depth() != 2 {
-		t.Errorf("depth = %d, want 2", r.Depth())
-	}
-	if a, _ := r.Pop(); a != 3 {
-		t.Errorf("pop = %d, want 3", a)
-	}
-	if a, _ := r.Pop(); a != 2 {
-		t.Errorf("pop = %d, want 2", a)
-	}
-	if _, ok := r.Pop(); ok {
-		t.Error("the overwritten entry must not reappear")
-	}
-}
-
-func TestRASCapacityClamp(t *testing.T) {
-	if NewReturnAddressStack(0).Capacity() != 1 {
-		t.Error("capacity must clamp to 1")
-	}
-}
-
-// Property: a RAS never reports more entries than its capacity, and pops
-// return pushes in LIFO order for stacks that never overflow.
-func TestRASLIFO(t *testing.T) {
-	f := func(values []uint64) bool {
-		if len(values) > 32 {
-			values = values[:32]
-		}
-		r := NewReturnAddressStack(64)
-		for _, v := range values {
-			r.Push(v)
-		}
-		if r.Depth() != len(values) {
-			return false
-		}
-		for i := len(values) - 1; i >= 0; i-- {
-			got, ok := r.Pop()
-			if !ok || got != values[i] {
-				return false
-			}
-		}
-		_, ok := r.Pop()
-		return !ok
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSequencerDispatch(t *testing.T) {
-	s := NewSequencer(SequencerConfig{})
+	s := NewSequencer()
 	// First task: nothing known about the predecessor.
 	out := s.Dispatch(0, false, 0x100)
 	if !out.PredictedCorrectly {
@@ -218,19 +149,14 @@ func TestSequencerDispatch(t *testing.T) {
 }
 
 func TestSequencerReset(t *testing.T) {
-	s := NewSequencer(SequencerConfig{})
+	s := NewSequencer()
 	s.Dispatch(0, false, 0x100)
-	s.RAS().Push(5)
+	s.Dispatch(0x100, true, 0x200)
 	s.Reset()
-	st := s.Stats()
-	if st.TaskDispatches != 0 || s.RAS().Depth() != 0 {
-		t.Error("reset must clear all structures")
+	if st := s.Stats(); st != (SequencerStats{}) {
+		t.Errorf("stats after reset = %+v, want zero", st)
 	}
-}
-
-func TestDefaultSequencerConfig(t *testing.T) {
-	c := DefaultSequencerConfig()
-	if c.DescriptorEntries != 1024 || c.DescriptorWays != 2 || c.RASEntries != 64 {
-		t.Errorf("config = %+v does not match the paper", c)
+	if s.Dispatch(0, false, 0x100).DescriptorHit {
+		t.Error("reset must clear the descriptor cache")
 	}
 }

@@ -19,8 +19,8 @@ func (r *resetRand) next() uint64 {
 
 // TestResetEquivalence drives each control-flow structure, Resets it and
 // drives it again: the second drive must observably match a fresh instance.
-// A leaked path-history ring, predictor entry or RAS depth diverges the
-// digests.
+// A leaked path-history ring, predictor entry or descriptor-cache line
+// diverges the digests.
 func TestResetEquivalence(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -43,28 +43,8 @@ func TestResetEquivalence(t *testing.T) {
 			},
 		},
 		{
-			name:  "ReturnAddressStack",
-			fresh: func() interface{ Reset() } { return NewReturnAddressStack(8) },
-			drive: func(r interface{ Reset() }) any {
-				ras := r.(*ReturnAddressStack)
-				rnd := resetRand(2)
-				var digest []any
-				for i := 0; i < 100; i++ {
-					if rnd.next()%3 == 0 {
-						addr, ok := ras.Pop()
-						digest = append(digest, addr, ok)
-					} else {
-						ras.Push(0x400 + (rnd.next()%64)*4)
-					}
-				}
-				return append(digest, ras.Depth())
-			},
-		},
-		{
-			name: "Sequencer",
-			fresh: func() interface{ Reset() } {
-				return NewSequencer(SequencerConfig{PredictorBits: 6, PathLength: 2, DescriptorEntries: 16, DescriptorWays: 2, RASEntries: 8})
-			},
+			name:  "Sequencer",
+			fresh: func() interface{ Reset() } { return NewSequencer() },
 			drive: func(r interface{ Reset() }) any {
 				s := r.(*Sequencer)
 				rnd := resetRand(3)

@@ -275,10 +275,8 @@ func (e *Engine) Run(ctx context.Context, specs []Spec) ([]any, error) {
 		workers = len(specs)
 	}
 	if workers <= 1 {
-		// One scratch store for the whole (serial) set.
-		sctx := WithScratch(ctx)
 		for i, s := range specs {
-			results[i], errs[i] = e.Do(sctx, s)
+			results[i], errs[i] = e.Do(ctx, s)
 		}
 	} else {
 		idx := make(chan int)
@@ -287,11 +285,8 @@ func (e *Engine) Run(ctx context.Context, specs []Spec) ([]any, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				// Each worker gets its own scratch store: the jobs it
-				// executes reuse one another's arenas without locking.
-				wctx := WithScratch(ctx)
 				for i := range idx {
-					results[i], errs[i] = e.Do(wctx, specs[i])
+					results[i], errs[i] = e.Do(ctx, specs[i])
 				}
 			}()
 		}
@@ -331,53 +326,4 @@ func Resolve[T any](ctx context.Context, e *Engine, spec Spec) (T, error) {
 			spec.JobKind(), spec.CacheKey(), v, zero)
 	}
 	return t, nil
-}
-
-// Scratch is a per-worker store of reusable simulation state -- arenas,
-// buffers -- keyed by job kind.  Run hands each worker goroutine its own
-// store through the context, so a Simulator that keeps expensive per-run
-// state can fetch the arena its worker used for the previous job and reuse
-// it instead of allocating afresh.  A Scratch is confined to one worker and
-// must not be shared across goroutines; jobs that resolve dependencies
-// re-entrantly run on the same worker and may therefore see (and reuse) the
-// same store.  All methods tolerate a nil receiver, which stands for "no
-// scratch available".
-type Scratch struct {
-	vals map[string]any
-}
-
-// Get returns the value stored under the kind, or nil.
-func (s *Scratch) Get(kind string) any {
-	if s == nil {
-		return nil
-	}
-	return s.vals[kind]
-}
-
-// Put stores a value under the kind, replacing any previous one.
-func (s *Scratch) Put(kind string, v any) {
-	if s == nil {
-		return
-	}
-	if s.vals == nil {
-		s.vals = make(map[string]any)
-	}
-	s.vals[kind] = v
-}
-
-// scratchCtxKey keys the per-worker scratch store in a context.
-type scratchCtxKey struct{}
-
-// WithScratch returns a context carrying a fresh per-worker scratch store.
-// Run applies it automatically; it is exported for drivers (and tests) that
-// call Do directly in a loop and want the same arena reuse.
-func WithScratch(ctx context.Context) context.Context {
-	return context.WithValue(ctx, scratchCtxKey{}, &Scratch{})
-}
-
-// ScratchFrom returns the context's scratch store, or nil when the context
-// does not carry one (methods on a nil Scratch are safe no-ops).
-func ScratchFrom(ctx context.Context) *Scratch {
-	s, _ := ctx.Value(scratchCtxKey{}).(*Scratch)
-	return s
 }

@@ -56,12 +56,6 @@ type MDST struct {
 	// freedScratch backs the slices returned by ReleaseLoad/ReleaseStore;
 	// the result is valid until the next call to either.
 	freedScratch []PairKey //lint:reset-exempt scratch backing, overwritten before every read
-
-	allocations    uint64
-	replacements   uint64
-	waitsRecorded  uint64
-	signalsMatched uint64
-	freedStale     uint64
 }
 
 // NewMDST creates a synchronization table with the given number of entries.
@@ -120,8 +114,8 @@ func (t *MDST) invalidate(e *mdstEntry) {
 // otherwise the least recently used entry whose full/empty flag is full (a
 // synchronization that has already fired and is only waiting for its load),
 // otherwise the least recently used entry overall (section 4.4.2 discusses
-// both reclamation policies).  A valid victim is invalidated (and counted as
-// a replacement) before being handed out.
+// both reclamation policies).  A valid victim is invalidated before being
+// handed out.
 func (t *MDST) victim() int {
 	lruFull, lruAny := -1, -1
 	for i := range t.entries {
@@ -140,14 +134,12 @@ func (t *MDST) victim() int {
 	if v < 0 {
 		v = lruAny
 	}
-	t.replacements++
 	t.invalidate(&t.entries[v])
 	return v
 }
 
 // install fills a victim slot and registers it in the indexes.
 func (t *MDST) install(i int, fill mdstEntry) {
-	t.allocations++
 	e := &t.entries[i]
 	*e = fill
 	t.index[mdstKey{e.loadPC, e.storePC, e.instance}] = int32(i)
@@ -169,7 +161,6 @@ func (t *MDST) AllocWaiting(pair PairKey, instance uint64, ldid int64) (mustWait
 			// Wait-after-signal: the store has already set the condition
 			// variable; consume the entry and let the load continue
 			// (figure 4 parts (e)/(f) of the paper).
-			t.signalsMatched++
 			t.invalidate(e)
 			return false
 		}
@@ -182,7 +173,6 @@ func (t *MDST) AllocWaiting(pair PairKey, instance uint64, ldid int64) (mustWait
 			e.ldid = ldid
 			t.addWaiter(ldid)
 		}
-		t.waitsRecorded++
 		return true
 	}
 	t.install(t.victim(), mdstEntry{
@@ -194,7 +184,6 @@ func (t *MDST) AllocWaiting(pair PairKey, instance uint64, ldid int64) (mustWait
 		instance: instance,
 		full:     false,
 	})
-	t.waitsRecorded++
 	return true
 }
 
@@ -211,7 +200,6 @@ func (t *MDST) Signal(pair PairKey, instance uint64, stid int64) (ldid int64, re
 		if !e.full && e.ldid != invalidID {
 			// Signal-after-wait: release the waiting load and free the entry
 			// (figure 4 part (d)).
-			t.signalsMatched++
 			id := e.ldid
 			t.invalidate(e)
 			return id, true
@@ -250,7 +238,6 @@ func (t *MDST) ReleaseLoad(ldid int64) []PairKey {
 		if e.valid && e.ldid == ldid {
 			freed = append(freed, PairKey{LoadPC: e.loadPC, StorePC: e.storePC})
 			t.invalidate(e)
-			t.freedStale++
 			if remaining--; remaining == 0 {
 				break
 			}
@@ -271,24 +258,10 @@ func (t *MDST) ReleaseStore(stid int64) []PairKey {
 		if e.valid && e.stid == stid && e.ldid == invalidID {
 			freed = append(freed, PairKey{LoadPC: e.loadPC, StorePC: e.storePC})
 			t.invalidate(e)
-			t.freedStale++
 		}
 	}
 	t.freedScratch = freed
 	return freed
-}
-
-// WaitingLoads returns the load identifiers of all entries whose full/empty
-// flag is still empty (loads currently blocked on a condition variable).
-func (t *MDST) WaitingLoads() []int64 {
-	var out []int64
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.valid && !e.full && e.ldid != invalidID {
-			out = append(out, e.ldid)
-		}
-	}
-	return out
 }
 
 // HasWaiter reports whether the given load identifier still has at least one
@@ -298,31 +271,9 @@ func (t *MDST) HasWaiter(ldid int64) bool {
 	return t.waiting[ldid] > 0
 }
 
-// MDSTStats summarises synchronization-table activity.
-type MDSTStats struct {
-	Allocations    uint64
-	Replacements   uint64
-	WaitsRecorded  uint64
-	SignalsMatched uint64
-	FreedStale     uint64
-	LiveEntries    int
-}
-
-// Stats returns a snapshot of the table's counters.
-func (t *MDST) Stats() MDSTStats {
-	return MDSTStats{
-		Allocations:    t.allocations,
-		Replacements:   t.replacements,
-		WaitsRecorded:  t.waitsRecorded,
-		SignalsMatched: t.signalsMatched,
-		FreedStale:     t.freedStale,
-		LiveEntries:    t.Len(),
-	}
-}
-
-// Reset invalidates all entries and clears counters.  The backing array, the
-// indexes and the scratch buffer are retained, so a reset table performs no
-// steady-state allocations when reused by a simulator arena.
+// Reset invalidates all entries.  The backing array, the indexes and the
+// scratch buffer are retained, so a reset table performs no steady-state
+// allocations when reused by a simulator arena.
 func (t *MDST) Reset() {
 	for i := range t.entries {
 		t.entries[i] = mdstEntry{}
@@ -330,5 +281,4 @@ func (t *MDST) Reset() {
 	clear(t.index)
 	clear(t.waiting)
 	t.clock = 0
-	t.allocations, t.replacements, t.waitsRecorded, t.signalsMatched, t.freedStale = 0, 0, 0, 0, 0
 }

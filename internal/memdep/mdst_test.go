@@ -13,8 +13,8 @@ func TestMDSTWaitThenSignal(t *testing.T) {
 	if !m.AllocWaiting(pair, 3, 77) {
 		t.Fatal("load arriving before the store must wait")
 	}
-	if got := m.WaitingLoads(); len(got) != 1 || got[0] != 77 {
-		t.Fatalf("waiting loads = %v", got)
+	if !m.HasWaiter(77) {
+		t.Fatal("load 77 must be waiting")
 	}
 	// Store signals the instance: the waiting load is released, the entry
 	// freed.
@@ -63,8 +63,8 @@ func TestMDSTInstanceDistinguishesDynamicDependences(t *testing.T) {
 	if !released || ldid != 40 {
 		t.Fatalf("expected release of load 40, got (%d,%v)", ldid, released)
 	}
-	if got := m.WaitingLoads(); len(got) != 1 || got[0] != 30 {
-		t.Fatalf("waiting loads = %v, want [30]", got)
+	if !m.HasWaiter(30) || m.HasWaiter(40) {
+		t.Fatalf("waiters: 30 = %v, 40 = %v, want only 30", m.HasWaiter(30), m.HasWaiter(40))
 	}
 }
 
@@ -161,14 +161,14 @@ func TestMDSTStatsAndReset(t *testing.T) {
 	m := NewMDST(4)
 	pair := PairKey{LoadPC: 1, StorePC: 2}
 	m.AllocWaiting(pair, 1, 1)
+	m.AllocWaiting(pair, 2, 3)
 	m.Signal(pair, 1, 2)
-	st := m.Stats()
-	if st.Allocations == 0 || st.WaitsRecorded == 0 || st.SignalsMatched == 0 {
-		t.Errorf("stats = %+v", st)
+	if m.Len() != 1 || m.HasWaiter(1) || !m.HasWaiter(3) {
+		t.Errorf("len = %d, waiters: 1 = %v, 3 = %v; want 1, false, true", m.Len(), m.HasWaiter(1), m.HasWaiter(3))
 	}
 	m.Reset()
-	if m.Len() != 0 || m.Stats() != (MDSTStats{}) {
-		t.Error("reset must clear entries and counters")
+	if m.Len() != 0 || m.HasWaiter(3) {
+		t.Error("reset must clear entries and waiters")
 	}
 }
 

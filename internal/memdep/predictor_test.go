@@ -466,7 +466,7 @@ func TestSystemAcrossOrganizations(t *testing.T) {
 			if !d.Predicted || !d.Wait {
 				t.Fatalf("load must be predicted and wait: %+v", d)
 			}
-			matched := s.StoreIssue(StoreQuery{PC: 0x80, Instance: 6, STID: 21, TaskPC: 0x1000})
+			matched := s.StoreIssue(StoreQuery{PC: 0x80, Instance: 6, STID: 21})
 			if got := rel.take(); !matched || len(got) != 1 || got[0] != 11 {
 				t.Fatalf("store matched=%v released %v, want release of load 11", matched, got)
 			}

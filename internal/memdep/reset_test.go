@@ -2,7 +2,6 @@ package memdep
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 )
 
@@ -133,9 +132,10 @@ func driveMDST(m *MDST) any {
 			digest = append(digest, append([]PairKey(nil), m.ReleaseStore(id)...), m.HasWaiter(id))
 		}
 	}
-	waiting := append([]int64(nil), m.WaitingLoads()...)
-	sort.Slice(waiting, func(i, j int) bool { return waiting[i] < waiting[j] })
-	return append(digest, waiting, m.Len(), m.Stats())
+	for id := int64(0); id < 16; id++ {
+		digest = append(digest, m.HasWaiter(id))
+	}
+	return append(digest, m.Len())
 }
 
 // driveDDC thrashes the 8-entry dependence cache to exercise LRU eviction.
@@ -162,10 +162,9 @@ func driveSystem(s *System) any {
 		case 0, 1:
 			dec := s.LoadIssue(LoadQuery{PC: pair.LoadPC, Instance: inst, LDID: id})
 			digest = append(digest, dec.Predicted, dec.Wait,
-				append([]PairKey(nil), dec.WaitPairs...),
-				append([]PairKey(nil), dec.ReadyPairs...))
+				append([]PairKey(nil), dec.WaitPairs...))
 		case 2, 3:
-			matched := s.StoreIssue(StoreQuery{PC: pair.StorePC, Instance: inst, STID: id, TaskPC: 0x3000})
+			matched := s.StoreIssue(StoreQuery{PC: pair.StorePC, Instance: inst, STID: id})
 			digest = append(digest, matched, rel.take())
 		case 4:
 			s.RecordMisspeculation(pair, rnd.next()%4, 0x3000)

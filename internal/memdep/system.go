@@ -29,10 +29,9 @@ type System struct {
 	// fills.  See SetReleaseHook.
 	onRelease func(ldid int64) //lint:reset-exempt wiring owned by SetReleaseHook, not run state
 
-	// Scratch backings for the slices returned in LoadDecision, reused
-	// across calls so the per-operation hot path does not allocate.
-	waitScratch  []PairKey //lint:reset-exempt scratch backing, overwritten before every read
-	readyScratch []PairKey //lint:reset-exempt scratch backing, overwritten before every read
+	// Scratch backing for LoadDecision.WaitPairs, reused across calls so
+	// the per-operation hot path does not allocate.
+	waitScratch []PairKey //lint:reset-exempt scratch backing, overwritten before every read
 
 	// Prediction buffers handed to the Predictor's append-into-buffer
 	// lookups, one per direction so the hot path stays allocation-free.
@@ -128,8 +127,8 @@ type LoadQuery struct {
 	TaskPCAt func(instance uint64) (uint64, bool)
 }
 
-// LoadDecision is the outcome of LoadIssue.  The pair slices share reusable
-// backing arrays owned by the System: they are valid until the next LoadIssue
+// LoadDecision is the outcome of LoadIssue.  WaitPairs shares a reusable
+// backing array owned by the System: it is valid until the next LoadIssue
 // call and must be copied to be retained.
 type LoadDecision struct {
 	// Predicted reports whether at least one dependence was predicted (after
@@ -139,9 +138,6 @@ type LoadDecision struct {
 	Wait bool
 	// WaitPairs lists the static dependences the load is waiting on.
 	WaitPairs []PairKey
-	// ReadyPairs lists predicted dependences whose condition variable was
-	// already full (no waiting necessary).
-	ReadyPairs []PairKey
 }
 
 // instanceTag selects how dynamic instances are distinguished: by instance
@@ -162,8 +158,10 @@ func (s *System) loadInstanceTag(q LoadQuery) uint64 {
 func (s *System) LoadIssue(q LoadQuery) LoadDecision {
 	s.stats.LoadQueries++
 	s.waitScratch = s.waitScratch[:0]
-	s.readyScratch = s.readyScratch[:0]
 	var d LoadDecision
+	// ready records a predicted dependence whose condition variable was
+	// already full: the store signalled first and the load need not wait.
+	ready := false
 	s.loadPredScratch = s.pred.MatchesForLoad(q.PC, s.loadPredScratch[:0])
 	for _, pred := range s.loadPredScratch {
 		if !pred.Sync {
@@ -185,21 +183,18 @@ func (s *System) LoadIssue(q LoadQuery) LoadDecision {
 			d.Wait = true
 			s.waitScratch = append(s.waitScratch, pred.Pair) //lint:alloc-ok reusable scratch, growth amortized across queries
 		} else {
-			s.readyScratch = append(s.readyScratch, pred.Pair) //lint:alloc-ok reusable scratch, growth amortized across queries
+			ready = true
 		}
 	}
 	if len(s.waitScratch) > 0 {
 		d.WaitPairs = s.waitScratch
-	}
-	if len(s.readyScratch) > 0 {
-		d.ReadyPairs = s.readyScratch
 	}
 	if d.Predicted {
 		s.stats.LoadsPredictedDependent++
 	}
 	if d.Wait {
 		s.stats.LoadsMadeToWait++
-	} else if len(d.ReadyPairs) > 0 {
+	} else if ready {
 		s.stats.LoadsSignalledEarly++
 	}
 	return d
@@ -214,10 +209,6 @@ type StoreQuery struct {
 	Instance uint64
 	// STID uniquely identifies this dynamic store within the window.
 	STID int64
-	// TaskPC is the PC of the task that issued the store (recorded for the
-	// ESYNC predictor when a mis-speculation is learned; also informational
-	// here).
-	TaskPC uint64
 	// Addr is the store's effective address (address-tagging ablation).
 	Addr uint64
 }

@@ -68,7 +68,7 @@ func TestSystemLearnsAfterMisspeculation(t *testing.T) {
 	}
 
 	// The matching store (instance 6 = 7 - dist) signals and releases it.
-	if !s.StoreIssue(StoreQuery{PC: 0x80, Instance: 6, STID: 21, TaskPC: 0x1000}) {
+	if !s.StoreIssue(StoreQuery{PC: 0x80, Instance: 6, STID: 21}) {
 		t.Fatal("store must match the prediction entry")
 	}
 	if got := rel.take(); len(got) != 1 || got[0] != 11 {
@@ -91,7 +91,7 @@ func TestSystemReleaseHook(t *testing.T) {
 	if len(released) != 0 {
 		t.Fatalf("hook fired before any store: %v", released)
 	}
-	if !s.StoreIssue(StoreQuery{PC: 0x80, Instance: 6, STID: 21, TaskPC: 0x1000}) {
+	if !s.StoreIssue(StoreQuery{PC: 0x80, Instance: 6, STID: 21}) {
 		t.Fatal("store must match the prediction entry")
 	}
 	if len(released) != 1 || released[0] != 11 {
@@ -104,7 +104,7 @@ func TestSystemReleaseHook(t *testing.T) {
 	// Without a hook, releases still happen but are only counted.
 	s.SetReleaseHook(nil)
 	s.LoadIssue(LoadQuery{PC: 0x100, Instance: 9, LDID: 13})
-	s.StoreIssue(StoreQuery{PC: 0x80, Instance: 8, STID: 23, TaskPC: 0x1000})
+	s.StoreIssue(StoreQuery{PC: 0x80, Instance: 8, STID: 23})
 	if len(released) != 1 {
 		t.Errorf("hook fired after removal: %v", released)
 	}
@@ -131,8 +131,8 @@ func TestSystemStoreFirstLoadDoesNotWait(t *testing.T) {
 	if d.Wait {
 		t.Error("load must not wait when the store has already signalled")
 	}
-	if len(d.ReadyPairs) != 1 {
-		t.Errorf("ready pairs = %v", d.ReadyPairs)
+	if got := s.Stats().LoadsSignalledEarly; got != 1 {
+		t.Errorf("loads signalled early = %d, want 1", got)
 	}
 }
 

@@ -21,9 +21,8 @@ import (
 // allocations per simulation (the per-run Result maps are the deliberate
 // exception; see sim.result).
 //
-// A Simulator is NOT safe for concurrent use; use one per goroutine (the
-// engine keeps one per worker) or go through SimulateContext, which draws
-// from a shared pool.
+// A Simulator is NOT safe for concurrent use; use one per goroutine or go
+// through SimulateContext, which draws from a shared pool.
 //
 //memdep:resettable
 type Simulator struct {
@@ -37,11 +36,6 @@ type Simulator struct {
 	stages   int           //lint:reset-exempt config-diff baseline, compared before state is cleared
 	mdsCfg   memdep.Config //lint:reset-exempt config-diff baseline, compared before state is cleared
 	ddcSizes []int         //lint:reset-exempt config-diff baseline, compared before state is cleared
-
-	// mdsCache parks the dependence-predictor system while runs alternate
-	// to a policy that does not use one, so flipping policies on a reused
-	// arena does not discard (and later rebuild) the tables.
-	mdsCache *memdep.System //lint:reset-exempt deliberately parked across runs, see doc comment
 }
 
 // NewSimulator returns an empty arena.  The first Simulate call sizes it.
@@ -83,15 +77,16 @@ func (sm *Simulator) reset(ctx context.Context, w *WorkItem, cfg Config) {
 	// The ARB indexes by the work item's address ids and task ids.
 	s.arb.Reset(w.addrs, len(w.tasks))
 	if s.seq == nil {
-		s.seq = ctrlflow.NewSequencer(ctrlflow.DefaultSequencerConfig())
+		s.seq = ctrlflow.NewSequencer()
 	} else {
 		s.seq.Reset()
 	}
 
-	if cfg.Policy.UsesPredictor() {
-		if s.mds == nil {
-			s.mds, sm.mdsCache = sm.mdsCache, nil
-		}
+	// A policy that does not predict leaves the predictor system as the
+	// last predicting run left it: the core neither reads nor writes it, and
+	// the next predicting run resets or rebuilds it here.
+	s.predicting = cfg.Policy.UsesPredictor()
+	if s.predicting {
 		if s.mds == nil || sm.mdsCfg != cfg.MemDep {
 			s.mds = memdep.NewSystem(cfg.MemDep)
 			sm.mdsCfg = cfg.MemDep
@@ -101,8 +96,6 @@ func (sm *Simulator) reset(ctx context.Context, w *WorkItem, cfg Config) {
 		} else {
 			s.mds.Reset()
 		}
-	} else if s.mds != nil {
-		sm.mdsCache, s.mds = s.mds, nil
 	}
 
 	if !slices.Equal(sm.ddcSizes, cfg.DDCSizes) {
@@ -191,16 +184,16 @@ func (sm *Simulator) reset(ctx context.Context, w *WorkItem, cfg Config) {
 	s.res = Result{}
 }
 
-// simulatorPool backs SimulateContext: one-shot callers still amortise arena
-// construction across calls without managing Simulator lifetimes themselves.
+// simulatorPool backs SimulateContext, and through it every
+// multiscalar/simulate job: callers amortise arena construction across calls
+// without managing Simulator lifetimes themselves.
 var simulatorPool = sync.Pool{New: func() any { return NewSimulator() }}
 
 // SimulateContext is Simulate with cooperative cancellation: the run loop
 // checks the context every few thousand scheduling passes and aborts with
 // ctx.Err(), so a cancelled service request stops burning CPU promptly
 // without a per-cycle branch on the hot path.  It draws a pooled Simulator
-// arena, so repeated calls reuse backing storage; callers with a natural
-// per-worker home for an arena should hold a Simulator directly instead.
+// arena, so repeated calls reuse backing storage.
 func SimulateContext(ctx context.Context, w *WorkItem, cfg Config) (Result, error) {
 	sm := simulatorPool.Get().(*Simulator)
 	res, err := sm.Simulate(ctx, w, cfg)

@@ -55,7 +55,7 @@ func TestSimulatorReuseMatchesFresh(t *testing.T) {
 }
 
 // TestSimulatorReuseAcrossConfigs exercises the arena's config-change paths:
-// alternating policies (predictor parked and restored), stage counts (FU and
+// alternating policies (predictor kept, then reset), stage counts (FU and
 // SoA re-carving) and work items on one Simulator must still match fresh
 // simulations every time.
 func TestSimulatorReuseAcrossConfigs(t *testing.T) {
@@ -70,8 +70,8 @@ func TestSimulatorReuseAcrossConfigs(t *testing.T) {
 		pol    policy.Kind
 	}{
 		{0, 4, policy.ESync},
-		{0, 4, policy.Always}, // predictor parked
-		{0, 4, policy.ESync},  // predictor restored (rebuilt state must not leak)
+		{0, 4, policy.Always}, // predictor kept but not consulted
+		{0, 4, policy.ESync},  // predictor reset (its earlier state must not leak)
 		{1, 8, policy.Sync},   // bigger item + more stages: everything re-carved
 		{0, 2, policy.Never},
 		{1, 8, policy.Sync}, // shrink back up again

@@ -50,8 +50,8 @@ func ParseCoreMode(s string) (CoreMode, error) {
 }
 
 // The fixed machine of section 5.2 and Table 2 of the paper.  The cache
-// hierarchy's parameters live in internal/cache, the ARB's and the
-// sequencer's in arb.DefaultConfig and ctrlflow.DefaultSequencerConfig.
+// hierarchy's and the sequencer's parameters live in internal/cache and
+// internal/ctrlflow, the ARB's in arb.DefaultConfig.
 const (
 	// DefaultStages is the stage count of the paper's main configuration.
 	DefaultStages = 8

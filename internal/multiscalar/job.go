@@ -100,16 +100,7 @@ func (simulateSimulator) Simulate(ctx context.Context, eng *engine.Engine, spec 
 	if err != nil {
 		return nil, err
 	}
-	// Engine workers carry a per-goroutine scratch store: reuse the worker's
-	// simulator arena across the jobs it executes.  Without one (a bare Do
-	// outside a worker pool), fall back to the package pool.
-	if sc := engine.ScratchFrom(ctx); sc != nil {
-		sm, _ := sc.Get(SimulateKind).(*Simulator)
-		if sm == nil {
-			sm = NewSimulator()
-			sc.Put(SimulateKind, sm)
-		}
-		return sm.Simulate(ctx, w, job.Config)
-	}
+	// The arena comes from the package pool, which every simulate job and
+	// one-shot call share, so a single request reuses one as a grid does.
 	return SimulateContext(ctx, w, job.Config)
 }

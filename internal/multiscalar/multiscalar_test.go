@@ -538,17 +538,6 @@ func TestResultDerivedMetrics(t *testing.T) {
 	}
 }
 
-func TestIDEncodeDecode(t *testing.T) {
-	cases := []struct{ task, inst int }{{0, 0}, {1, 5}, {999, 123}, {12345, 999_999}}
-	for _, c := range cases {
-		id := idEncode(c.task, c.inst)
-		ta, in := idDecode(id)
-		if ta != c.task || in != c.inst {
-			t.Errorf("round trip (%d,%d) -> %d -> (%d,%d)", c.task, c.inst, id, ta, in)
-		}
-	}
-}
-
 func TestStagesAffectThroughput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping workload timing comparison in -short mode")

@@ -310,8 +310,9 @@ func TestOneSetEqualsFullAssociativity(t *testing.T) {
 // Results are identical under every table organization, size,
 // associativity, counter width and tagging scheme.  Each variant runs on a
 // fresh arena and on one arena reused across the whole test, where a SYNC
-// run under the same variant precedes it, so the predictor the oracle run
-// parks is warm.  The arena's predictor parking relies on this invariant.
+// run under the same variant precedes it, so the predictor system the arena
+// keeps through the oracle run is warm.  The arena relies on this invariant:
+// it leaves that system untouched while a policy does not predict.
 func TestPredictorFreePoliciesIgnoreMemDep(t *testing.T) {
 	const max = 20_000
 	items := []struct {

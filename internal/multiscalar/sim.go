@@ -13,19 +13,6 @@ import (
 	"memdep/internal/policy"
 )
 
-// idEncode builds the load/store identifier (LDID/STID) for a dynamic memory
-// operation from its task index and instruction index.  The identifier is
-// stable across squash/re-execution, which is exactly what the MDST needs to
-// invalidate the entries of squashed instructions.
-func idEncode(taskIdx, instIdx int) int64 {
-	return int64(taskIdx)*1_000_000 + int64(instIdx)
-}
-
-// idDecode is the inverse of idEncode.
-func idDecode(id int64) (taskIdx, instIdx int) {
-	return int(id / 1_000_000), int(id % 1_000_000)
-}
-
 type waitKind int
 
 const (
@@ -56,6 +43,7 @@ type waitState struct {
 // they replace.  The predicted wait pairs are stored as an (offset, length)
 // window into the simulator's shared pairBuf arena rather than a per-record
 // slice, which removes the last per-dispatch allocation from the hot path.
+// A load's MDST identifier (LDID) is its global instruction index.
 //
 //memdep:soa
 type loadRecord struct {
@@ -66,7 +54,6 @@ type loadRecord struct {
 	producerPC uint64
 	pairsOff   int32
 	pairsLen   int32
-	ldid       int64
 }
 
 // execTask is the execution state of one task on its processing unit.  The
@@ -136,6 +123,11 @@ type sim struct {
 	seq  *ctrlflow.Sequencer
 	mds  *memdep.System
 	ddcs []*memdep.DDC
+
+	// predicting reports whether the run's policy consults mds.  The arena
+	// keeps mds across runs, so a policy that does not predict finds it
+	// built but must not touch it.
+	predicting bool
 
 	cycle        int64
 	head         int
@@ -367,7 +359,7 @@ func (s *sim) commitTask(t *execTask) {
 			act = 1
 		}
 		s.res.Breakdown[pred][act]++
-		if s.mds != nil && info.queried {
+		if s.predicting && info.queried {
 			actualPC := uint64(0)
 			if info.actualDep {
 				actualPC = info.producerPC
@@ -475,7 +467,7 @@ func (s *sim) beginWait(t *execTask, w waitState) {
 // the enabling action itself schedules the re-evaluation.
 //
 //memdep:hotpath
-func (s *sim) loadMayIssue(t *execTask, r *inst, instIdx int) bool {
+func (s *sim) loadMayIssue(t *execTask, r *inst, idx int) bool {
 	info := &t.loadInfo[r.loadOrd]
 	if !info.seen {
 		info.seen = true
@@ -524,7 +516,7 @@ func (s *sim) loadMayIssue(t *execTask, r *inst, instIdx int) bool {
 				// been released from its wait); do not re-query the tables.
 				return true
 			}
-			ldid := idEncode(t.id, instIdx)
+			ldid := int64(idx)
 			d := s.mds.LoadIssue(memdep.LoadQuery{
 				PC:       r.pc,
 				Instance: uint64(t.id),
@@ -534,7 +526,6 @@ func (s *sim) loadMayIssue(t *execTask, r *inst, instIdx int) bool {
 			})
 			info.predicted = d.Predicted
 			info.queried = true
-			info.ldid = ldid
 			// Copy the decision's pairs (which alias memdep.System scratch)
 			// into a fresh window of the pairBuf arena.
 			info.pairsOff = int32(len(s.pairBuf))
@@ -589,13 +580,10 @@ func (s *sim) release(t *execTask) {
 
 // wakeLoad marks a waiting load as signalled.  It is registered as the
 // memdep.System release hook, so a store's MDST signal pushes the release to
-// the waiting task instead of the task polling the table.
+// the waiting task instead of the task polling the table.  The LDID is the
+// load's global instruction index.
 func (s *sim) wakeLoad(ldid int64) {
-	taskIdx, _ := idDecode(ldid)
-	if taskIdx < 0 || taskIdx >= len(s.tasks) {
-		return
-	}
-	t := &s.tasks[taskIdx]
+	t := &s.tasks[s.taskOf[ldid]]
 	if t.wait.active && t.wait.kind == waitSignal && t.wait.ldid == ldid {
 		t.wait.signaled = true
 		s.changed = true
@@ -683,7 +671,7 @@ func (s *sim) advance(t *execTask) {
 			}
 		}
 
-		if r.isLoad() && !s.loadMayIssue(t, r, idx-int(t.rec.start)) {
+		if r.isLoad() && !s.loadMayIssue(t, r, idx) {
 			return
 		}
 
@@ -701,7 +689,7 @@ func (s *sim) advance(t *execTask) {
 			done = s.hier.DataAccess(r.addr, s.cycle+1)
 		case r.isStore():
 			t.storesLeft--
-			s.handleStore(t, r, idx-int(t.rec.start))
+			s.handleStore(t, r, idx)
 			// The stored value is visible to consumers one cycle after issue;
 			// the cache/bus occupancy is charged separately.
 			complete := s.hier.DataAccess(r.addr, s.cycle+1)
@@ -723,21 +711,21 @@ func (s *sim) advance(t *execTask) {
 }
 
 // handleStore performs the store-side dependence work: ARB violation
-// detection (and the resulting squash) and MDST signalling.
+// detection (and the resulting squash) and MDST signalling.  idx is the
+// store's global instruction index, which is also its STID.
 //
 //memdep:hotpath
-func (s *sim) handleStore(t *execTask, r *inst, instIdx int) {
+func (s *sim) handleStore(t *execTask, r *inst, idx int) {
 	v, violated, _ := s.arb.Store(r.addr, r.addrID, uint64(t.id))
 	if violated {
 		s.handleViolation(t, r, v)
 	}
-	if s.mds != nil {
+	if s.predicting {
 		// Released loads are delivered through the wakeLoad hook.
 		s.mds.StoreIssue(memdep.StoreQuery{
 			PC:       r.pc,
 			Instance: uint64(t.id),
-			STID:     idEncode(t.id, instIdx),
-			TaskPC:   t.rec.pc,
+			STID:     int64(idx),
 			Addr:     r.addr,
 		})
 	}
@@ -758,7 +746,7 @@ func (s *sim) handleViolation(storeTask *execTask, storeRec *inst, v arb.Violati
 	for _, ddc := range s.ddcs {
 		ddc.Access(pair)
 	}
-	if s.mds != nil {
+	if s.predicting {
 		dist := v.LoadTask - v.StoreTask
 		s.mds.RecordMisspeculation(pair, dist, storeTask.rec.pc)
 	}
@@ -782,21 +770,23 @@ func (s *sim) squashTask(t *execTask, delay int64) {
 	}
 	s.res.Squashes++
 	s.res.SquashedInstructions += uint64(t.next - int(t.rec.start))
-	if s.mds != nil {
+	if s.predicting {
 		// Ascending instruction order keeps MDST invalidations (and any
-		// predictor effects) deterministic.
+		// predictor effects) deterministic.  LDIDs and STIDs are global
+		// instruction indices.
+		start := int64(t.rec.start)
 		insts := s.w.insts[t.rec.start:t.rec.end]
-		for idx := range insts {
-			r := &insts[idx]
+		for i := range insts {
+			r := &insts[i]
 			if r.isLoad() {
 				if info := &t.loadInfo[r.loadOrd]; info.seen && info.queried {
-					s.mds.SquashLoad(info.ldid)
+					s.mds.SquashLoad(start + int64(i))
 				}
 			}
 		}
 		for i := range t.next - int(t.rec.start) {
 			if insts[i].isStore() {
-				s.mds.SquashStore(idEncode(t.id, i))
+				s.mds.SquashStore(start + int64(i))
 			}
 		}
 	}
@@ -818,7 +808,7 @@ func (s *sim) result() Result {
 	r.ARBBypasses = r.ARB.StallsFull
 	r.Cache = s.hier.Stats()
 	r.Sequencer = s.seq.Stats()
-	if s.mds != nil {
+	if s.predicting {
 		r.MemDep = s.mds.Stats()
 	}
 	if len(s.ddcs) > 0 {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -398,11 +399,10 @@ func TestWindowSizesValidated(t *testing.T) {
 
 // TestConcurrentRunGridReusesWorkerArenas hammers one session's RunGrid from
 // many goroutines at once.  Each grid fans out over the engine's worker pool,
-// where every worker reuses a per-goroutine simulator arena (and misses of
-// the scratch store fall back to the package-level sync.Pool), so under
-// -race this is the regression gate for the pooled/reused simulators: arena
-// state must stay confined to one worker at a time, and every concurrent
-// result must match the serial reference.
+// where every simulate job draws its arena from the package-level sync.Pool,
+// so under -race this is the regression gate for the pooled simulators: an
+// arena must serve one job at a time, and every concurrent result must match
+// the serial reference.
 func TestConcurrentRunGridReusesWorkerArenas(t *testing.T) {
 	grid := []Request{}
 	for _, pol := range []Policy{PolicyAlways, PolicyNever, PolicyESync} {
@@ -439,6 +439,47 @@ func TestConcurrentRunGridReusesWorkerArenas(t *testing.T) {
 			if !reflect.DeepEqual(results[i][j], want[j]) {
 				t.Errorf("caller %d, request %d: concurrent result diverged from serial reference", i, j)
 			}
+		}
+	}
+}
+
+// raceEnabled reports a -race build (see race_test.go).
+var raceEnabled bool
+
+// TestSessionRunReusesArenas checks that a single request reuses a pooled
+// simulator arena instead of building one: after a warm-up, each distinct
+// single-cell Run over a cached work item allocates its result and the
+// engine's bookkeeping, far less than the ~1.1 MB of a fresh arena.  It
+// measures the process-wide TotalAlloc, so it must not run in parallel.  A
+// sync.Pool caches per P, and a goroutine that moves to another P between
+// calls can miss the arena its previous call returned; one P keeps the
+// measurement deterministic.
+func TestSessionRunReusesArenas(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop values at random")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const limit = 512 << 10
+	var reqs []Request
+	for _, stages := range []int{4, 8} {
+		for _, pol := range Policies() {
+			reqs = append(reqs, Request{Synth: &SynthSpec{Seed: 1, Ops: 20_000}, Stages: stages, Policy: pol})
+		}
+	}
+	s := NewSession(WithWorkers(1))
+	ctx := context.Background()
+	if _, err := s.Run(ctx, reqs[0]); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	for _, req := range reqs[1:] {
+		runtime.ReadMemStats(&before)
+		if _, err := s.Run(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+			t.Errorf("%d stages, %s: Run allocated %d KB, want under %d KB", req.Stages, req.Policy, got>>10, limit>>10)
 		}
 	}
 }
