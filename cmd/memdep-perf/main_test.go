@@ -3,20 +3,27 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestReportStructure runs the micro-benchmarks once each (sweep skipped:
-// its timings dominate test time; -count 1 because the shape, not the
-// fastest timing, is under test) and checks the JSON trajectory keeps the
-// names and fields CI asserts on.
+// TestReportStructure runs the micro-benchmarks once each and checks the
+// JSON trajectory keeps the names and fields CI asserts on.  The shape, not
+// the timing, is under test, so the sweep is skipped, -count is 1 and
+// test.benchtime is 1x for the test's duration: testing.Benchmark honours
+// that flag, so every entry runs a single iteration.
 func TestReportStructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark runs are slow; skipped in -short mode")
 	}
+	benchtime := flag.Lookup("test.benchtime").Value.String()
+	if err := flag.Set("test.benchtime", "1x"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { flag.Set("test.benchtime", benchtime) })
 	path := filepath.Join(t.TempDir(), "bench.json")
 	var stderr bytes.Buffer
 	if code := run([]string{"-out", path, "-skip-sweep", "-count", "1"}, &stderr); code != 0 {

@@ -121,20 +121,28 @@ func (sm *Simulator) reset(ctx context.Context, w *WorkItem, cfg Config) {
 		s.wake = make([]int64, n)
 	}
 	s.wake = s.wake[:n]
+	if cap(s.waitOn) < n {
+		s.waitOn = make([]int32, n)
+	}
+	s.waitOn = s.waitOn[:n]
 	if cap(s.committed) < n {
 		s.committed = make([]bool, n)
 	}
 	s.committed = s.committed[:n]
 	for i := range s.wake {
 		s.wake[i] = 0
+		s.waitOn[i] = -1
 		s.committed[i] = false
 	}
+	// done and hasWaiter are cleared per task, at dispatch (resetExecState):
+	// no instruction is read before its task is dispatched.
 	ni := len(w.insts)
 	if cap(s.done) < ni {
 		s.done = make([]int64, ni)
 		s.taskOf = make([]int32, ni)
+		s.hasWaiter = make([]bool, ni)
 	}
-	s.done, s.taskOf = s.done[:ni], s.taskOf[:ni]
+	s.done, s.taskOf, s.hasWaiter = s.done[:ni], s.taskOf[:ni], s.hasWaiter[:ni]
 	if cap(s.loadAll) < int(w.Loads) {
 		s.loadAll = make([]loadRecord, w.Loads)
 	}

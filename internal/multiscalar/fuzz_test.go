@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"testing"
 
+	"memdep/internal/memdep"
 	"memdep/internal/policy"
 	"memdep/internal/synth"
 	"memdep/internal/trace"
@@ -65,23 +66,30 @@ func FuzzDecodeWorkItem(f *testing.F) {
 
 // FuzzCoresAgree is the differential oracle of the event-driven core (after
 // McKeeman, "Differential Testing for Software", 1998): for any valid
-// synthetic spec of at most 2,000 ops, any stage count from 1 to 16 and any
-// policy, the event-driven core and the stepped reference loop must produce
-// deeply equal Results.  A wrong jump target -- a skipped cycle in which some
-// task could have made progress -- shows up here as a diverging Result.
+// synthetic spec of at most 2,000 ops, any stage count from 1 to 16, any
+// policy and either predictor ablation or none, the event-driven core and
+// the stepped reference loop must produce deeply equal Results.  A wrong
+// jump target -- a skipped cycle in which some task could have made
+// progress -- or a missed wake of a parked task shows up here as a
+// diverging Result or a wedged run.
 func FuzzCoresAgree(f *testing.F) {
 	// seed, ops, task size, load/store/dep fractions, alias-set size,
-	// loop-carried rate, stages, policy index into policy.All().
-	f.Add(uint64(1), 2000, 0, 0.0, 0.0, 0.0, 0, 0.0, uint8(8), uint8(5)) // the generator's defaults under ESYNC
+	// loop-carried rate, stages, policy index into policy.All(), ablation
+	// (0 none, 1 address tagging, 2 a predictor without the prediction
+	// field).
+	f.Add(uint64(1), 2000, 0, 0.0, 0.0, 0.0, 0, 0.0, uint8(8), uint8(5), uint8(0)) // the generator's defaults under ESYNC
 	// Long MDST waits: every load dependent, every dependence loop-carried,
 	// few stores in long tasks -- six ESYNC waits average 324 cycles.
-	f.Add(uint64(3), 2000, 120, 0.3, 0.05, 1.0, 0, 1.0, uint8(8), uint8(5))
+	f.Add(uint64(3), 2000, 120, 0.3, 0.05, 1.0, 0, 1.0, uint8(8), uint8(5), uint8(0))
 	// A 16-stage window, where ESYNC waits average 806 cycles.
-	f.Add(uint64(4), 2000, 60, 0.0, 0.0, 1.0, 0, 1.0, uint8(16), uint8(5))
+	f.Add(uint64(4), 2000, 60, 0.0, 0.0, 1.0, 0, 1.0, uint8(16), uint8(5), uint8(0))
 	// Intermittent dependences under blind speculation: squash-heavy.
-	f.Add(uint64(7), 1500, 12, 0.0, 0.0, 0.8, 4, 0.5, uint8(4), uint8(1))
+	f.Add(uint64(7), 1500, 12, 0.0, 0.0, 0.8, 4, 0.5, uint8(4), uint8(1), uint8(0))
+	// The long-wait spec under SYNC with each ablation.
+	f.Add(uint64(3), 2000, 120, 0.3, 0.05, 1.0, 0, 1.0, uint8(8), uint8(4), uint8(1))
+	f.Add(uint64(3), 2000, 120, 0.3, 0.05, 1.0, 0, 1.0, uint8(8), uint8(4), uint8(2))
 	f.Fuzz(func(t *testing.T, seed uint64, ops, taskSize int, loadFrac, storeFrac, depFrac float64,
-		alias int, loopCarried float64, stages, pol uint8) {
+		alias int, loopCarried float64, stages, pol, ablation uint8) {
 		spec := synth.Spec{
 			Seed: seed, Ops: ops, TaskSize: taskSize,
 			LoadFrac: loadFrac, StoreFrac: storeFrac, DepFrac: depFrac,
@@ -96,6 +104,12 @@ func FuzzCoresAgree(f *testing.F) {
 		}
 		pols := policy.All()
 		cfg := DefaultConfig(1+int(stages-1)%16, pols[int(pol)%len(pols)])
+		switch ablation % 3 {
+		case 1:
+			cfg.MemDep.TagByAddress = true
+		case 2:
+			cfg.MemDep.Predictor = memdep.PredictAlways
+		}
 		event, err := Simulate(w, cfg)
 		if err != nil {
 			t.Fatalf("event core: %v", err)
@@ -106,8 +120,8 @@ func FuzzCoresAgree(f *testing.F) {
 			t.Fatalf("stepped loop: %v", err)
 		}
 		if !reflect.DeepEqual(event, stepped) {
-			t.Fatalf("%+v at %d stages under %v: cores disagree:\nevent:   %+v\nstepped: %+v",
-				spec, cfg.Stages, cfg.Policy, event, stepped)
+			t.Fatalf("%+v at %d stages under %v with %+v: cores disagree:\nevent:   %+v\nstepped: %+v",
+				spec, cfg.Stages, cfg.Policy, cfg.MemDep, event, stepped)
 		}
 		checkResultLaws(t, cfg, event)
 	})

@@ -262,15 +262,26 @@ func TestSimulationRunToRunDeterministic(t *testing.T) {
 }
 
 // TestCoresCycleIdentical asserts the central guarantee of the event-driven
-// core: skipping cycles in which no task can make progress changes nothing.
-// The full Result -- cycles, squashes, wait accounting, predictor breakdown,
+// core: skipping cycles in which no task can make progress, and parking
+// tasks until the action that unblocks them, changes nothing.  The full
+// Result -- cycles, squashes, wait accounting, predictor breakdown,
 // cache/ARB/sequencer/MDPT counters -- must be identical between the
 // event-driven core and the stepped reference loop.  The inputs are every
 // suite benchmark at the 20,000-instruction bound the experiment drivers
 // were once compared at, a 20,000-op synthetic spec (the shape of the
-// benchmark's cold and grid traffic) and a recurrence kernel, at 4, 8 and 16
-// stages under every policy, plus the set-associative and store-set tables
-// under SYNC and ESYNC.
+// benchmark's cold and grid traffic) and a recurrence kernel, at 1, 4, 8 and
+// 16 stages under every policy, plus the set-associative and store-set
+// tables under SYNC and ESYNC, and SYNC under the two ablations of the
+// predictor: address tagging, the one configuration in which a younger
+// task's store can release an older task's load, and a predictor without
+// the prediction field.
+//
+// The one-stage runs also check a metamorphic relation.  One stage holds
+// one task in flight, so every older task has committed: no store finds an
+// exposed younger load, the predictor never learns a dependence, NEVER and
+// WAIT find every prior store resolved, and PSYNC sees no dependence on an
+// in-flight store.  Every configuration therefore runs the same schedule:
+// equal cycles, zero misspeculations and zero waits.
 func TestCoresCycleIdentical(t *testing.T) {
 	items := map[string]*WorkItem{
 		"recurrence": prep(t, buildRecurrence(60), 0),
@@ -280,7 +291,7 @@ func TestCoresCycleIdentical(t *testing.T) {
 		items[name] = prep(t, workload.MustGet(name).Build(1), 20_000)
 	}
 	var cfgs []Config
-	for _, stages := range []int{4, 8, 16} {
+	for _, stages := range []int{1, 4, 8, 16} {
 		for _, pol := range policy.All() {
 			cfgs = append(cfgs, DefaultConfig(stages, pol))
 		}
@@ -291,24 +302,42 @@ func TestCoresCycleIdentical(t *testing.T) {
 				cfgs = append(cfgs, cfg)
 			}
 		}
+		tagged := DefaultConfig(stages, policy.Sync)
+		tagged.MemDep.TagByAddress = true
+		always := DefaultConfig(stages, policy.Sync)
+		always.MemDep.Predictor = memdep.PredictAlways
+		cfgs = append(cfgs, tagged, always)
 	}
 	for name, w := range items {
+		oneStageCycles := int64(-1)
 		for _, cfg := range cfgs {
+			where := fmt.Sprintf("%s/%d stages/%v/%+v", name, cfg.Stages, cfg.Policy, cfg.MemDep)
 			re, err := Simulate(w, cfg)
 			if err != nil {
-				t.Fatalf("%s/%d/%v/%v event: %v", name, cfg.Stages, cfg.Policy, cfg.MemDep.Table, err)
+				t.Fatalf("%s event: %v", where, err)
 			}
 			stepped := cfg
 			stepped.Core = coreStepped
 			rs, err := Simulate(w, stepped)
 			if err != nil {
-				t.Fatalf("%s/%d/%v/%v stepped: %v", name, cfg.Stages, cfg.Policy, cfg.MemDep.Table, err)
+				t.Fatalf("%s stepped: %v", where, err)
 			}
 			if !reflect.DeepEqual(re, rs) {
-				t.Errorf("%s/%d stages/%v/%v: event and stepped cores disagree:\nevent:   %+v\nstepped: %+v",
-					name, cfg.Stages, cfg.Policy, cfg.MemDep.Table, re, rs)
+				t.Errorf("%s: event and stepped cores disagree:\nevent:   %+v\nstepped: %+v", where, re, rs)
 			}
 			checkResultLaws(t, cfg, re)
+			if cfg.Stages != 1 {
+				continue
+			}
+			if re.Misspeculations != 0 || re.LoadsWaited != 0 || re.WaitCycles != 0 {
+				t.Errorf("%s: %d misspeculations, %d loads waited for %d cycles; one stage speculates on nothing",
+					where, re.Misspeculations, re.LoadsWaited, re.WaitCycles)
+			}
+			if oneStageCycles < 0 {
+				oneStageCycles = re.Cycles
+			} else if re.Cycles != oneStageCycles {
+				t.Errorf("%s: %d cycles, want the %d of every other one-stage configuration", where, re.Cycles, oneStageCycles)
+			}
 		}
 	}
 }

@@ -87,7 +87,8 @@ type execTask struct {
 	loadInfo []loadRecord
 }
 
-// never is the "no pending event" sentinel of the event-driven core.
+// never is the "no pending event" sentinel of the event-driven core, and the
+// wake cycle of a parked task.
 const never = int64(math.MaxInt64)
 
 // sim is the per-run execution state.  Every slice, map and subsystem it
@@ -108,14 +109,22 @@ type sim struct {
 	// wake caches the cycle at which a task's current stall resolves when
 	// that stall is purely timed (fetch latency, operand forwarding, FU
 	// occupancy, restart delay); the event-driven core skips the task's
-	// advance before then.  Zero means "poll every pass" -- the stall (if
-	// any) depends on another task's action.  Timed wake values never move
-	// earlier: the inputs they are computed from (producer completion
-	// times, FU reservations, fetch latency) are only reset by a squash,
-	// and a squash squashes every younger task -- including any task whose
-	// wake depended on the squashed state -- clearing their wake via
-	// resetExecState.
+	// advance before then.  Zero means "advance on the next visit".  never
+	// means the task is parked: its stall ends only through an action --
+	// a producer's issue, an older task's last store, an MDST signal, a
+	// squash -- and that action clears the wake when it happens
+	// (wakeWaiters, wakeStoreWaiters, wakeLoad, resetExecState).  Timed wake
+	// values never move earlier: the inputs they are computed from
+	// (producer completion times, FU reservations, fetch latency) are only
+	// reset by a squash, and a squash squashes every younger task --
+	// including any task whose wake depended on the squashed state --
+	// clearing their wake via resetExecState.
+	//
+	// waitOn names the instruction a parked task waits to see issue (a
+	// cross-task register producer, or PSYNC's store), -1 for none; with
+	// the task's waitState it is the task's blocked-on record.
 	wake      []int64
+	waitOn    []int32
 	committed []bool
 
 	hier *cache.Hierarchy
@@ -161,6 +170,10 @@ type sim struct {
 	done   []int64 //memdep:arena
 	taskOf []int32 //memdep:arena
 
+	// hasWaiter flags an instruction some parked task names in waitOn, so
+	// its issue costs one byte load unless a task waits on it.
+	hasWaiter []bool //memdep:arena
+
 	// Flat backing arrays for the per-task loadInfo slices and the FU pools,
 	// retained across runs.
 	loadAll []loadRecord //memdep:arena
@@ -205,9 +218,14 @@ func (s *sim) setWake(t *execTask, cycle int64) {
 // latency, operand forwarding, FU occupancy, squash restart, task
 // completion) posts its resolution cycle, and a task skipped because its
 // cached wake cycle is still pending posts that cycle again.  A stall that
-// resolves only through another task's action (producer not yet executed,
-// MDST waits, unresolved prior stores) posts nothing, because the enabling
-// action is itself a mutation that schedules the following cycle.
+// resolves only through an action (producer not yet issued, MDST waits,
+// unresolved prior stores, a finished task awaiting commit) posts nothing
+// and parks the task: the pass skips it until the enabling action, itself
+// a mutation that schedules the following cycle, clears its wake.  The
+// pass reads wake[i] when it reaches task i, so a task woken by an older
+// task advances in the same pass and one woken by a younger task in the
+// next, exactly when re-advancing it on every pass would have seen the
+// change.
 //
 // The stepped reference loop (coreStepped, selectable only by this
 // package's tests) advances the clock one cycle per pass instead;
@@ -237,7 +255,8 @@ func (s *sim) run() error {
 				continue
 			}
 			if !stepped && s.cycle < s.wake[i] {
-				// Timed stall still pending; re-advancing would be a no-op.
+				// Timed stall still pending, or parked (post ignores never);
+				// re-advancing would be a no-op.
 				s.post(s.wake[i])
 				continue
 			}
@@ -293,6 +312,7 @@ func (s *sim) resetExecState(t *execTask, start int64) {
 	for i := range done {
 		done[i] = -1
 	}
+	clear(s.hasWaiter[t.rec.start:t.rec.end])
 	t.next = int(t.rec.start)
 	t.storesLeft = int(t.rec.stores)
 	t.startAt = start
@@ -304,6 +324,7 @@ func (s *sim) resetExecState(t *execTask, start int64) {
 	t.lastFetchBlock = ^uint64(0)
 	t.fetchReady = 0
 	s.wake[t.id] = 0
+	s.waitOn[t.id] = -1
 	for c := range t.fuNext {
 		for i := range t.fuNext[c] {
 			t.fuNext[c][i] = 0
@@ -391,12 +412,12 @@ func (s *sim) ringLatency(prodTask, consTask int) int64 {
 }
 
 // operandReady computes the earliest cycle at which the instruction's
-// register operands are available.  ok is false when a producer has not
-// executed yet.
+// register operands are available.  blocker is the global index of a
+// producer that has not issued yet, or -1 when every producer has.
 //
 //memdep:hotpath
-func (s *sim) operandReady(t *execTask, r *inst) (int64, bool) {
-	ready := t.startAt
+func (s *sim) operandReady(t *execTask, r *inst) (ready int64, blocker int32) {
+	ready = t.startAt
 	for i := 0; i < int(r.nSrc); i++ {
 		p := r.src[i]
 		if p < 0 {
@@ -404,7 +425,7 @@ func (s *sim) operandReady(t *execTask, r *inst) (int64, bool) {
 		}
 		avail := s.done[p]
 		if avail < 0 {
-			return 0, false
+			return 0, p
 		}
 		if p < t.rec.start {
 			// Producers precede their consumers, so one before the task's
@@ -415,7 +436,45 @@ func (s *sim) operandReady(t *execTask, r *inst) (int64, bool) {
 			ready = avail
 		}
 	}
-	return ready, true
+	return ready, -1
+}
+
+// parkOn parks the task until instruction p issues (see wakeWaiters).  p
+// lies in an older task: issue is in order, so every producer in the
+// task's own window has issued.
+//
+//memdep:hotpath
+func (s *sim) parkOn(t *execTask, p int32) {
+	s.wake[t.id] = never
+	s.waitOn[t.id] = p
+	s.hasWaiter[p] = true
+}
+
+// wakeWaiters wakes the younger in-flight tasks parked on instruction p,
+// which task t has just issued.
+//
+//memdep:hotpath
+func (s *sim) wakeWaiters(t *execTask, p int) {
+	s.hasWaiter[p] = false
+	for j := t.id + 1; j < s.nextDispatch; j++ {
+		if s.waitOn[j] == int32(p) {
+			s.waitOn[j] = -1
+			s.wake[j] = 0
+		}
+	}
+}
+
+// wakeStoreWaiters wakes the younger in-flight tasks whose load waits for
+// every prior store (NEVER, WAIT) or may be released stale (SYNC, ESYNC):
+// task t has just issued its last store, which may complete that
+// condition.  A task woken while its condition still fails costs one
+// advance and parks again.
+func (s *sim) wakeStoreWaiters(t *execTask) {
+	for j := t.id + 1; j < s.nextDispatch; j++ {
+		if w := &s.tasks[j].wait; w.active && w.kind != waitProducer {
+			s.wake[j] = 0
+		}
+	}
 }
 
 // allPriorStoresResolved reports whether every store of every earlier
@@ -462,9 +521,11 @@ func (s *sim) beginWait(t *execTask, w waitState) {
 // loadMayIssue applies the speculation policy to a load whose operands are
 // ready.  It returns true when the load may access memory this cycle; when it
 // returns false the load (and, because issue is in order, the rest of its
-// task) stalls.  Wait states resolve only through the actions of other tasks
-// (store issue, MDST signal, commit), so a stalled load posts no timed event;
-// the enabling action itself schedules the re-evaluation.
+// task) stalls.  Wait states resolve only through the actions of tasks (the
+// awaited store's issue, an older task's last store, an MDST signal), so a
+// stalled load posts no timed event and parks its task once its release
+// condition has been tested and failed; the enabling action itself clears
+// the task's wake and so schedules the re-evaluation.
 //
 //memdep:hotpath
 func (s *sim) loadMayIssue(t *execTask, r *inst, idx int) bool {
@@ -485,6 +546,7 @@ func (s *sim) loadMayIssue(t *execTask, r *inst, idx int) bool {
 				return true
 			}
 			s.beginWait(t, waitState{kind: waitAllPrior})
+			s.wake[t.id] = never
 			return false
 
 		case policy.Wait:
@@ -495,6 +557,7 @@ func (s *sim) loadMayIssue(t *execTask, r *inst, idx int) bool {
 				return true
 			}
 			s.beginWait(t, waitState{kind: waitAllPrior})
+			s.wake[t.id] = never
 			return false
 
 		case policy.PerfectSync:
@@ -507,6 +570,7 @@ func (s *sim) loadMayIssue(t *execTask, r *inst, idx int) bool {
 				return true
 			}
 			s.beginWait(t, waitState{kind: waitProducer, producer: r.memProd})
+			s.parkOn(t, r.memProd)
 			return false
 
 		case policy.Sync, policy.ESync:
@@ -535,6 +599,8 @@ func (s *sim) loadMayIssue(t *execTask, r *inst, idx int) bool {
 			if !d.Wait {
 				return true
 			}
+			// Not parked: the stale-release condition (every prior store
+			// issued) has not been tested, and the next pass must test it.
 			s.beginWait(t, waitState{kind: waitSignal, ldid: ldid})
 			return false
 
@@ -569,6 +635,9 @@ func (s *sim) loadMayIssue(t *execTask, r *inst, idx int) bool {
 			return true
 		}
 	}
+	// Tested and still waiting.  A PSYNC wait stays registered on its store
+	// from the pass it began in.
+	s.wake[t.id] = never
 	return false
 }
 
@@ -578,14 +647,16 @@ func (s *sim) release(t *execTask) {
 	s.changed = true
 }
 
-// wakeLoad marks a waiting load as signalled.  It is registered as the
-// memdep.System release hook, so a store's MDST signal pushes the release to
-// the waiting task instead of the task polling the table.  The LDID is the
-// load's global instruction index.
+// wakeLoad marks a waiting load as signalled and wakes its task.  It is
+// registered as the memdep.System release hook, so a store's MDST signal
+// pushes the release to the waiting task instead of the task polling the
+// table.  The LDID is the load's global instruction index.  Under address
+// tagging the signalling store may belong to a younger task.
 func (s *sim) wakeLoad(ldid int64) {
 	t := &s.tasks[s.taskOf[ldid]]
 	if t.wait.active && t.wait.kind == waitSignal && t.wait.ldid == ldid {
 		t.wait.signaled = true
+		s.wake[t.id] = 0
 		s.changed = true
 	}
 }
@@ -624,8 +695,9 @@ func (s *sim) fuFreeAt(t *execTask, class isa.Class) int64 {
 }
 
 // advance issues up to IssueWidth instructions of the task this cycle.  Every
-// early return either marks progress (s.changed) or caches the cycle at which
-// the blocking condition resolves via setWake, so the event-driven core knows
+// early return marks progress (s.changed), caches the cycle at which the
+// blocking condition resolves via setWake, or parks the task (wake = never)
+// on a condition only an action can end, so the event-driven core knows
 // when the task next becomes actionable and skips it until then.
 //
 //memdep:hotpath
@@ -637,6 +709,9 @@ func (s *sim) advance(t *execTask) {
 	}
 	end := int(t.rec.end)
 	if t.next >= end {
+		// Finished, awaiting commit: only the commit, which needs no
+		// advance, or a squash changes the task.
+		s.wake[t.id] = never
 		return
 	}
 	for issued := 0; issued < issueWidth && t.next < end; issued++ {
@@ -659,10 +734,9 @@ func (s *sim) advance(t *execTask) {
 				return
 			}
 
-			ready, ok := s.operandReady(t, r)
-			if !ok {
-				// Blocked on a producer that has not executed; its issue will
-				// mark progress and schedule the re-evaluation.
+			ready, blocker := s.operandReady(t, r)
+			if blocker >= 0 {
+				s.parkOn(t, blocker)
 				return
 			}
 			if ready > s.cycle {
@@ -689,6 +763,9 @@ func (s *sim) advance(t *execTask) {
 			done = s.hier.DataAccess(r.addr, s.cycle+1)
 		case r.isStore():
 			t.storesLeft--
+			if t.storesLeft == 0 {
+				s.wakeStoreWaiters(t)
+			}
 			s.handleStore(t, r, idx)
 			// The stored value is visible to consumers one cycle after issue;
 			// the cache/bus occupancy is charged separately.
@@ -702,6 +779,9 @@ func (s *sim) advance(t *execTask) {
 		}
 
 		s.done[idx] = done
+		if s.hasWaiter[idx] {
+			s.wakeWaiters(t, idx)
+		}
 		if done > t.finishedAt {
 			t.finishedAt = done
 		}

@@ -169,9 +169,6 @@ func (b *Builder) Or(dst, src1, src2 isa.Reg) { b.Op3(isa.OR, dst, src1, src2) }
 // Xor emits dst = src1 ^ src2.
 func (b *Builder) Xor(dst, src1, src2 isa.Reg) { b.Op3(isa.XOR, dst, src1, src2) }
 
-// Slt emits dst = (src1 < src2) ? 1 : 0.
-func (b *Builder) Slt(dst, src1, src2 isa.Reg) { b.Op3(isa.SLT, dst, src1, src2) }
-
 // FAdd emits a floating-point-class add.
 func (b *Builder) FAdd(dst, src1, src2 isa.Reg) { b.Op3(isa.FADD, dst, src1, src2) }
 
@@ -190,17 +187,11 @@ func (b *Builder) AndI(dst, src isa.Reg, imm int64) { b.OpI(isa.ANDI, dst, src, 
 // OrI emits dst = src | imm.
 func (b *Builder) OrI(dst, src isa.Reg, imm int64) { b.OpI(isa.ORI, dst, src, imm) }
 
-// XorI emits dst = src ^ imm.
-func (b *Builder) XorI(dst, src isa.Reg, imm int64) { b.OpI(isa.XORI, dst, src, imm) }
-
 // SllI emits dst = src << imm.
 func (b *Builder) SllI(dst, src isa.Reg, imm int64) { b.OpI(isa.SLLI, dst, src, imm) }
 
 // SrlI emits dst = src >> imm (logical).
 func (b *Builder) SrlI(dst, src isa.Reg, imm int64) { b.OpI(isa.SRLI, dst, src, imm) }
-
-// SltI emits dst = (src < imm) ? 1 : 0.
-func (b *Builder) SltI(dst, src isa.Reg, imm int64) { b.OpI(isa.SLTI, dst, src, imm) }
 
 // LoadImm loads an arbitrary 64-bit constant into dst using LUI/ORI/shift
 // sequences.  Small constants use a single ADDI from the zero register.
@@ -251,12 +242,6 @@ func (b *Builder) Branch(op isa.Op, src1, src2 isa.Reg, label string) {
 // Beq emits branch-if-equal to label.
 func (b *Builder) Beq(src1, src2 isa.Reg, label string) { b.Branch(isa.BEQ, src1, src2, label) }
 
-// Bne emits branch-if-not-equal to label.
-func (b *Builder) Bne(src1, src2 isa.Reg, label string) { b.Branch(isa.BNE, src1, src2, label) }
-
-// Blt emits branch-if-less-than to label.
-func (b *Builder) Blt(src1, src2 isa.Reg, label string) { b.Branch(isa.BLT, src1, src2, label) }
-
 // Bge emits branch-if-greater-or-equal to label.
 func (b *Builder) Bge(src1, src2 isa.Reg, label string) { b.Branch(isa.BGE, src1, src2, label) }
 
@@ -275,11 +260,6 @@ func (b *Builder) Call(label string) {
 // Ret emits a return through RA.
 func (b *Builder) Ret() {
 	b.emit(isa.Instruction{Op: isa.JR, Src1: isa.RA})
-}
-
-// JumpReg emits an indirect jump through reg.
-func (b *Builder) JumpReg(reg isa.Reg) {
-	b.emit(isa.Instruction{Op: isa.JR, Src1: reg})
 }
 
 // --- structured helpers -------------------------------------------------------
