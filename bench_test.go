@@ -26,7 +26,8 @@ func benchExperiment(b *testing.B, id string) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		runner := experiments.NewRunner(experiments.Quick())
+		opts := experiments.Quick()
+		runner := experiments.NewRunnerWithEngine(opts, experiments.NewEngine(opts.Jobs))
 		tab, err := exp.Run(runner, context.Background())
 		if err != nil {
 			b.Fatal(err)
@@ -88,7 +89,7 @@ func benchEngineGrid(b *testing.B, jobs int) {
 	opts.Jobs = jobs
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		runner := experiments.NewRunner(opts) // cold cache each iteration
+		runner := experiments.NewRunnerWithEngine(opts, experiments.NewEngine(opts.Jobs)) // cold cache each iteration
 		for _, id := range []string{"table6", "table9", "figure6"} {
 			exp, err := experiments.Lookup(id)
 			if err != nil {
@@ -153,7 +154,7 @@ func BenchmarkSimulate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := multiscalar.Simulate(item, cfg); err != nil {
+		if _, err := multiscalar.SimulateContext(context.Background(), item, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

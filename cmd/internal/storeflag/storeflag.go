@@ -27,9 +27,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// Dir returns the selected store directory ("" = disabled).
-func (f *Flags) Dir() string { return f.dir }
-
 // Options returns the session options selected by the family: empty when the
 // store is disabled, sim.WithStore otherwise.
 func (f *Flags) Options() []sim.Option {

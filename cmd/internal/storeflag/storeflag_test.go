@@ -23,16 +23,16 @@ func parse(t *testing.T, args ...string) *Flags {
 
 func TestDisabledByDefault(t *testing.T) {
 	f := parse(t)
-	if f.Dir() != "" || len(f.Options()) != 0 {
-		t.Fatalf("dir=%q options=%d, want disabled", f.Dir(), len(f.Options()))
+	if f.dir != "" || len(f.Options()) != 0 {
+		t.Fatalf("dir=%q options=%d, want disabled", f.dir, len(f.Options()))
 	}
 }
 
 func TestOptionsEnableTheStore(t *testing.T) {
 	dir := t.TempDir()
 	f := parse(t, "-store", dir)
-	if f.Dir() != dir {
-		t.Fatalf("dir = %q", f.Dir())
+	if f.dir != dir {
+		t.Fatalf("dir = %q", f.dir)
 	}
 	opts := f.Options()
 	if len(opts) != 1 {

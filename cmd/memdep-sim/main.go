@@ -164,8 +164,8 @@ func printResult(w io.Writer, res *sim.Result, topPairs int) {
 	}
 	fmt.Fprintf(w, "memory           %d data accesses (%d misses), %d instruction misses, %d bus transfers\n",
 		res.Cache.DataAccesses, res.Cache.DataMisses, res.Cache.InstrMisses, res.Cache.BusTransfers)
-	fmt.Fprintf(w, "ARB              %d loads, %d stores, %d violations, %d bypasses (bank overflow)\n",
-		res.ARB.Loads, res.ARB.Stores, res.ARB.Violations, res.ARBBypasses)
+	fmt.Fprintf(w, "ARB              %d loads, %d stores, %d violations, %d refused (bank full)\n",
+		res.ARB.Loads, res.ARB.Stores, res.ARB.Violations, res.ARB.Refused)
 	fmt.Fprintf(w, "sequencer        %d dispatches, %d mispredictions (%.1f%% accuracy)\n",
 		res.Sequencer.TaskDispatches, res.Sequencer.Mispredictions, res.Sequencer.PredictorAcc*100)
 

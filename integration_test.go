@@ -36,7 +36,7 @@ func TestEndToEndInvariantsPerBenchmark(t *testing.T) {
 			}
 			results := map[policy.Kind]multiscalar.Result{}
 			for _, pol := range policy.All() {
-				res, err := multiscalar.Simulate(item, multiscalar.DefaultConfig(8, pol))
+				res, err := multiscalar.SimulateContext(context.Background(), item, multiscalar.DefaultConfig(8, pol))
 				if err != nil {
 					t.Fatalf("%v: %v", pol, err)
 				}
@@ -86,7 +86,7 @@ func TestWindowModelConsistentWithMultiscalarLearning(t *testing.T) {
 		t.Fatal(err)
 	}
 	windowRes := window.Analyze(item, window.Config{WindowSizes: []int{512}, DDCSizes: []int{512}})
-	res, err := multiscalar.Simulate(item, multiscalar.DefaultConfig(8, policy.Always))
+	res, err := multiscalar.SimulateContext(context.Background(), item, multiscalar.DefaultConfig(8, policy.Always))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,8 @@ func TestExperimentTablesRenderAndAgree(t *testing.T) {
 		t.Skip("integration runs are skipped in -short mode")
 	}
 	render := func() (string, string) {
-		r := experiments.NewRunner(experiments.Quick())
+		opts := experiments.Quick()
+		r := experiments.NewRunnerWithEngine(opts, experiments.NewEngine(opts.Jobs))
 		t6, err := r.Table6MultiscalarMisspec(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -153,7 +154,7 @@ func TestSpec95WorkloadsSimulateUnderMechanism(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, pol := range []policy.Kind{policy.Always, policy.ESync, policy.PerfectSync} {
-				res, err := multiscalar.Simulate(item, multiscalar.DefaultConfig(8, pol))
+				res, err := multiscalar.SimulateContext(context.Background(), item, multiscalar.DefaultConfig(8, pol))
 				if err != nil {
 					t.Fatalf("%v: %v", pol, err)
 				}

@@ -126,7 +126,7 @@ type ARB struct {
 	loads      uint64
 	stores     uint64
 	violations uint64
-	stallsFull uint64
+	refused    uint64
 }
 
 // New creates an ARB with the given configuration.  It tracks no address
@@ -143,9 +143,6 @@ func New(cfg Config) *ARB {
 	a.Reset(0, 0)
 	return a
 }
-
-// Config returns the effective configuration.
-func (a *ARB) Config() Config { return a.cfg }
 
 func (a *ARB) bankOf(addr uint64) int {
 	return int((addr / uint64(a.cfg.BlockSize)) % uint64(a.cfg.Banks))
@@ -197,14 +194,14 @@ func (a *ARB) access(e *entry, id int32, taskID uint64) *taskRecord {
 
 // Load records a load of addr, whose address id is id, by taskID.  ok is
 // false when addr's bank is full and addr is not tracked yet: the load is
-// not recorded, counts once in Stats.StallsFull, and a later store cannot
+// not recorded, counts once in Stats.Refused, and a later store cannot
 // detect a violation against it.
 //
 //memdep:hotpath
 func (a *ARB) Load(addr uint64, id int32, taskID uint64, loadPC uint64) (ok bool) {
 	e := a.lookup(addr, id)
 	if e == nil {
-		a.stallsFull++
+		a.refused++
 		return false
 	}
 	a.loads++
@@ -227,13 +224,13 @@ func (a *ARB) Load(addr uint64, id int32, taskID uint64, loadPC uint64) (ok bool
 // The violation is returned by value (violated reports whether it is
 // meaningful) so the per-store hot path never allocates.  ok is false when
 // addr's bank is full and addr is not tracked yet: the store is not
-// recorded, detects nothing, and counts once in Stats.StallsFull.
+// recorded, detects nothing, and counts once in Stats.Refused.
 //
 //memdep:hotpath
 func (a *ARB) Store(addr uint64, id int32, taskID uint64) (v Violation, violated, ok bool) {
 	e := a.lookup(addr, id)
 	if e == nil {
-		a.stallsFull++
+		a.refused++
 		return Violation{}, false, false
 	}
 	a.stores++
@@ -300,11 +297,6 @@ func (a *ARB) dropTask(taskID uint64) {
 	a.touched[taskID] = nil
 }
 
-// Entries returns the total number of addresses currently tracked.
-func (a *ARB) Entries() int {
-	return len(a.entries) - len(a.free)
-}
-
 // Stats summarises ARB activity.  The JSON tags are the field names of the
 // public facade's result ("arb" object).
 type Stats struct {
@@ -314,15 +306,15 @@ type Stats struct {
 	Stores uint64 `json:"stores"`
 	// Violations counts the store→load order violations the buffer detected.
 	Violations uint64 `json:"violations"`
-	// StallsFull counts the loads and stores refused because their bank
-	// was full; each refused access counts once.  The timing core lets a
-	// refused access proceed untracked: nothing stalls, despite the name.
-	StallsFull uint64 `json:"stalls_full"`
+	// Refused counts the loads and stores refused because their bank was
+	// full, each counted once.  The timing core lets a refused access
+	// proceed untracked, so a violation against it goes undetected.
+	Refused uint64 `json:"refused"`
 }
 
 // Stats returns a snapshot of the counters.
 func (a *ARB) Stats() Stats {
-	return Stats{Loads: a.loads, Stores: a.stores, Violations: a.violations, StallsFull: a.stallsFull}
+	return Stats{Loads: a.loads, Stores: a.stores, Violations: a.violations, Refused: a.refused}
 }
 
 // Reset clears all entries and counters in place and sizes the buffer for
@@ -353,5 +345,5 @@ func (a *ARB) Reset(addrs, tasks int) {
 		a.touched = make([][]int32, tasks)
 	}
 	a.touched = a.touched[:tasks]
-	a.loads, a.stores, a.violations, a.stallsFull = 0, 0, 0, 0
+	a.loads, a.stores, a.violations, a.refused = 0, 0, 0, 0
 }

@@ -1,9 +1,12 @@
 package arb
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -60,7 +63,8 @@ func arbFuzzSeeds() [][]byte {
 // geometry (1-2 banks of 1-4 entries, so the full-bank path is hit
 // constantly) and a sequence of loads, stores, commits, squashes and resets,
 // drives the dense-id ARB and the map-based reference with it, and after
-// every step requires equal return values, Entries and Stats.
+// every step requires equal return values, the same tracked addresses with
+// the same task records, and equal Stats.
 //
 // The first byte picks the geometry.  Each operation then takes two bytes:
 // the first holds the kind (low three bits) and the address index (next
@@ -111,8 +115,11 @@ func FuzzARBAgainstReference(f *testing.F) {
 				a.Reset(addrs, tasks)
 				ref.Reset()
 			}
-			if got, want := a.Entries(), ref.Entries(); got != want {
-				t.Fatalf("step %d, %s: Entries = %d, reference %d", i/2, step, got, want)
+			if got, want := tracked(a), ref.Entries(); got != want {
+				t.Fatalf("step %d, %s: %d addresses tracked, reference %d", i/2, step, got, want)
+			}
+			if got, want := arbState(a), refState(ref); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d, %s: records\ngot       %+v\nreference %+v", i/2, step, got, want)
 			}
 			if got, want := a.Stats(), ref.Stats(); got != want {
 				t.Fatalf("step %d, %s: Stats = %+v, reference %+v", i/2, step, got, want)
@@ -146,4 +153,37 @@ func TestARBFuzzSeedCorpusCommitted(t *testing.T) {
 			t.Fatalf("seed corpus entry %s is missing or stale (regenerate with MEMDEP_UPDATE_CORPUS=1): %v", name, err)
 		}
 	}
+}
+
+// sortRecords orders an address's records by task.
+func sortRecords(recs []taskRecord) []taskRecord {
+	slices.SortFunc(recs, func(x, y taskRecord) int { return cmp.Compare(x.id, y.id) })
+	return recs
+}
+
+// arbState snapshots every address the buffer tracks, address → its task
+// records.  Address id i is fuzzAddrs[i].
+func arbState(a *ARB) map[uint64][]taskRecord {
+	out := map[uint64][]taskRecord{}
+	for id, s := range a.slot {
+		if s != 0 {
+			out[fuzzAddrs[id]] = sortRecords(append([]taskRecord(nil), a.entries[s-1].tasks...))
+		}
+	}
+	return out
+}
+
+// refState snapshots the reference buffer as arbState does the ARB.
+func refState(a *refARB) map[uint64][]taskRecord {
+	out := map[uint64][]taskRecord{}
+	for _, bank := range a.banks {
+		for addr, e := range bank {
+			var recs []taskRecord
+			for _, r := range e.tasks {
+				recs = append(recs, taskRecord(r))
+			}
+			out[addr] = sortRecords(recs)
+		}
+	}
+	return out
 }

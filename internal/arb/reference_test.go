@@ -47,7 +47,7 @@ type refARB struct {
 	loads      uint64
 	stores     uint64
 	violations uint64
-	stallsFull uint64
+	refused    uint64
 }
 
 // newRefARB creates an ARB with the given configuration.
@@ -119,7 +119,7 @@ func (a *refARB) access(e *refEntry, addr, taskID uint64) *refTaskRecord {
 func (a *refARB) Load(addr uint64, taskID uint64, loadPC uint64) (ok bool) {
 	e := a.lookup(addr, true)
 	if e == nil {
-		a.stallsFull++
+		a.refused++
 		return false
 	}
 	a.loads++
@@ -147,7 +147,7 @@ func (a *refARB) Load(addr uint64, taskID uint64, loadPC uint64) (ok bool) {
 func (a *refARB) Store(addr uint64, taskID uint64) (v Violation, violated, ok bool) {
 	e := a.lookup(addr, true)
 	if e == nil {
-		a.stallsFull++
+		a.refused++
 		return Violation{}, false, false
 	}
 	a.stores++
@@ -227,7 +227,7 @@ func (a *refARB) Entries() int {
 
 // Stats returns a snapshot of the counters.
 func (a *refARB) Stats() Stats {
-	return Stats{Loads: a.loads, Stores: a.stores, Violations: a.violations, StallsFull: a.stallsFull}
+	return Stats{Loads: a.loads, Stores: a.stores, Violations: a.violations, Refused: a.refused}
 }
 
 // Reset clears all entries and counters in place: live address entries and
@@ -245,5 +245,5 @@ func (a *refARB) Reset() {
 		a.touchedFree = append(a.touchedFree, addrs[:0])
 		delete(a.touched, taskID)
 	}
-	a.loads, a.stores, a.violations, a.stallsFull = 0, 0, 0, 0
+	a.loads, a.stores, a.violations, a.refused = 0, 0, 0, 0
 }

@@ -40,7 +40,7 @@ func TestResetEquivalence(t *testing.T) {
 				a.SquashTask(task)
 			}
 		}
-		return append(digest, a.Entries(), a.Stats())
+		return append(digest, tracked(a), a.Stats())
 	}
 
 	cfg := Config{Banks: 2, EntriesPerBank: 8, BlockSize: 64}

@@ -69,15 +69,6 @@ func MustNewSetAssoc(sizeBytes, ways, blockSize int) *SetAssoc {
 	return c
 }
 
-// Sets returns the number of sets.
-func (c *SetAssoc) Sets() int { return c.sets }
-
-// Ways returns the associativity.
-func (c *SetAssoc) Ways() int { return c.ways }
-
-// BlockSize returns the block size in bytes.
-func (c *SetAssoc) BlockSize() int { return 1 << c.blockBits }
-
 func (c *SetAssoc) index(addr uint64) (set int, tag uint64) {
 	block := addr >> c.blockBits
 	return int(block % uint64(c.sets)), block / uint64(c.sets)
@@ -111,32 +102,8 @@ func (c *SetAssoc) Access(addr uint64) bool {
 	return false
 }
 
-// Probe reports whether the block containing addr is present without
-// modifying any state.
-func (c *SetAssoc) Probe(addr uint64) bool {
-	set, tag := c.index(addr)
-	for _, w := range c.tags[set*c.ways : (set+1)*c.ways] {
-		if w.valid && w.tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// Hits returns the number of hits so far.
-func (c *SetAssoc) Hits() uint64 { return c.hits }
-
 // Misses returns the number of misses so far.
 func (c *SetAssoc) Misses() uint64 { return c.misses }
-
-// MissRate returns the miss fraction in [0,1].
-func (c *SetAssoc) MissRate() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.misses) / float64(total)
-}
 
 // Reset clears contents and statistics.
 func (c *SetAssoc) Reset() {

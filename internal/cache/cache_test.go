@@ -7,12 +7,12 @@ import (
 
 func TestSetAssocGeometry(t *testing.T) {
 	c := MustNewSetAssoc(8*1024, 1, 64)
-	if c.Sets() != 128 || c.Ways() != 1 || c.BlockSize() != 64 {
-		t.Errorf("geometry = %d sets, %d ways, %d block", c.Sets(), c.Ways(), c.BlockSize())
+	if c.sets != 128 || c.ways != 1 || blockSize(c) != 64 {
+		t.Errorf("geometry = %d sets, %d ways, %d block", c.sets, c.ways, blockSize(c))
 	}
 	c2 := MustNewSetAssoc(32*1024, 2, 64)
-	if c2.Sets() != 256 || c2.Ways() != 2 {
-		t.Errorf("geometry = %d sets, %d ways", c2.Sets(), c2.Ways())
+	if c2.sets != 256 || c2.ways != 2 {
+		t.Errorf("geometry = %d sets, %d ways", c2.sets, c2.ways)
 	}
 }
 
@@ -51,11 +51,8 @@ func TestSetAssocHitMiss(t *testing.T) {
 	if c.Access(0x140) {
 		t.Error("next block must miss")
 	}
-	if c.Hits() != 2 || c.Misses() != 2 {
-		t.Errorf("hits/misses = %d/%d", c.Hits(), c.Misses())
-	}
-	if c.MissRate() != 0.5 {
-		t.Errorf("miss rate = %v", c.MissRate())
+	if c.hits != 2 || c.misses != 2 {
+		t.Errorf("hits/misses = %d/%d", c.hits, c.misses)
 	}
 }
 
@@ -65,10 +62,10 @@ func TestSetAssocConflictDirectMapped(t *testing.T) {
 	b := uint64(0x0000 + 1024) // same set, different tag
 	c.Access(a)
 	c.Access(b) // evicts a
-	if c.Probe(a) {
+	if present(c, a) {
 		t.Error("direct-mapped conflict must evict the old block")
 	}
-	if !c.Probe(b) {
+	if !present(c, b) {
 		t.Error("newly inserted block must be present")
 	}
 }
@@ -76,20 +73,20 @@ func TestSetAssocConflictDirectMapped(t *testing.T) {
 func TestSetAssocTwoWayAvoidsConflict(t *testing.T) {
 	c := MustNewSetAssoc(2048, 2, 64)
 	a := uint64(0x0000)
-	b := a + uint64(c.Sets()*c.BlockSize())
+	b := a + uint64(c.sets*blockSize(c))
 	c.Access(a)
 	c.Access(b)
-	if !c.Probe(a) || !c.Probe(b) {
+	if !present(c, a) || !present(c, b) {
 		t.Error("two-way cache must hold both conflicting blocks")
 	}
 	// A third conflicting block evicts the LRU (a).
-	d := a + 2*uint64(c.Sets()*c.BlockSize())
+	d := a + 2*uint64(c.sets*blockSize(c))
 	c.Access(a) // touch a so b becomes LRU
 	c.Access(d)
-	if c.Probe(b) {
+	if present(c, b) {
 		t.Error("LRU block must be evicted")
 	}
-	if !c.Probe(a) {
+	if !present(c, a) {
 		t.Error("recently used block must survive")
 	}
 }
@@ -98,15 +95,8 @@ func TestSetAssocReset(t *testing.T) {
 	c := MustNewSetAssoc(1024, 1, 64)
 	c.Access(0x100)
 	c.Reset()
-	if c.Probe(0x100) || c.Hits() != 0 || c.Misses() != 0 {
+	if present(c, 0x100) || c.hits != 0 || c.misses != 0 {
 		t.Error("reset must clear contents and counters")
-	}
-}
-
-func TestMissRateEmpty(t *testing.T) {
-	c := MustNewSetAssoc(1024, 1, 64)
-	if c.MissRate() != 0 {
-		t.Error("empty cache miss rate must be 0")
 	}
 }
 
@@ -118,11 +108,11 @@ func TestSetAssocInvariant(t *testing.T) {
 		for _, a := range addrs {
 			addr := uint64(a)
 			c.Access(addr)
-			if !c.Probe(addr) {
+			if !present(c, addr) {
 				return false
 			}
 		}
-		return c.Hits()+c.Misses() == uint64(len(addrs))
+		return c.hits+c.misses == uint64(len(addrs))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -163,12 +153,12 @@ func TestBusOccupancyClamp(t *testing.T) {
 func TestDefaultConfigMatchesPaper(t *testing.T) {
 	h := NewHierarchy(8)
 	ic := h.icache[0]
-	if size := ic.Sets() * ic.Ways() * ic.BlockSize(); size != 32*1024 || ic.Ways() != 2 || ic.BlockSize() != 64 {
-		t.Errorf("icache = %d bytes, %d ways, %d-byte blocks", size, ic.Ways(), ic.BlockSize())
+	if size := ic.sets * ic.ways * blockSize(ic); size != 32*1024 || ic.ways != 2 || blockSize(ic) != 64 {
+		t.Errorf("icache = %d bytes, %d ways, %d-byte blocks", size, ic.ways, blockSize(ic))
 	}
 	db := h.dbanks[0]
-	if size := db.Sets() * db.Ways() * db.BlockSize(); size != 8*1024 || db.Ways() != 1 || db.BlockSize() != 64 {
-		t.Errorf("dbank = %d bytes, %d ways, %d-byte blocks", size, db.Ways(), db.BlockSize())
+	if size := db.sets * db.ways * blockSize(db); size != 8*1024 || db.ways != 1 || blockSize(db) != 64 {
+		t.Errorf("dbank = %d bytes, %d ways, %d-byte blocks", size, db.ways, blockSize(db))
 	}
 	if dHitLatency != 2 || iHitLatency != 1 {
 		t.Errorf("hit latencies = %d data, %d instruction", dHitLatency, iHitLatency)
@@ -180,12 +170,12 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 
 func TestHierarchyBankCount(t *testing.T) {
 	h := NewHierarchy(4)
-	if h.Banks() != 8 {
-		t.Errorf("banks = %d, want 8 (twice the units)", h.Banks())
+	if len(h.dbanks) != 8 {
+		t.Errorf("banks = %d, want 8 (twice the units)", len(h.dbanks))
 	}
 	h8 := NewHierarchy(8)
-	if h8.Banks() != 16 {
-		t.Errorf("banks = %d, want 16", h8.Banks())
+	if len(h8.dbanks) != 16 {
+		t.Errorf("banks = %d, want 16", len(h8.dbanks))
 	}
 }
 
@@ -282,4 +272,19 @@ func TestHierarchyCompletionLowerBound(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// blockSize is the cache's block size in bytes.
+func blockSize(c *SetAssoc) int { return 1 << c.blockBits }
+
+// present reports whether the block containing addr is cached, without
+// touching LRU state or counters.
+func present(c *SetAssoc, addr uint64) bool {
+	set, tag := c.index(addr)
+	for _, w := range c.tags[set*c.ways : (set+1)*c.ways] {
+		if w.valid && w.tag == tag {
+			return true
+		}
+	}
+	return false
 }

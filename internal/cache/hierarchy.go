@@ -93,9 +93,6 @@ func NewHierarchy(units int) *Hierarchy {
 	return h
 }
 
-// Banks returns the number of data banks.
-func (h *Hierarchy) Banks() int { return len(h.dbanks) }
-
 // bank selects the data bank serving addr (interleaved on block address).
 func (h *Hierarchy) bank(addr uint64) int {
 	return int((addr / BlockSize) % uint64(len(h.dbanks)))

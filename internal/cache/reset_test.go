@@ -36,12 +36,12 @@ func TestResetEquivalence(t *testing.T) {
 				for i := 0; i < 500; i++ {
 					addr := (rnd.next() % 256) * 64
 					if i%5 == 4 {
-						digest = append(digest, c.Probe(addr))
+						digest = append(digest, present(c, addr))
 					} else {
 						digest = append(digest, c.Access(addr))
 					}
 				}
-				return append(digest, c.Hits(), c.Misses())
+				return append(digest, c.hits, c.misses)
 			},
 		},
 		{

@@ -67,16 +67,6 @@ func (p *PathPredictor) index(currentTaskPC uint64) uint64 {
 	return (h >> 3) & uint64(len(p.entries)-1)
 }
 
-// Predict returns the predicted starting PC of the task that follows the task
-// at currentTaskPC, and whether the predictor has an opinion at all.
-func (p *PathPredictor) Predict(currentTaskPC uint64) (next uint64, known bool) {
-	e := p.entries[p.index(currentTaskPC)]
-	if !e.valid {
-		return 0, false
-	}
-	return e.target, true
-}
-
 // Update trains the predictor with the observed successor of the task at
 // currentTaskPC and advances the path history.  It returns whether the
 // prediction (if any) was correct, which the caller typically uses to charge
@@ -117,9 +107,6 @@ func (p *PathPredictor) Accuracy() float64 {
 	}
 	return float64(p.correct) / float64(p.predictions)
 }
-
-// Predictions returns the number of Update calls.
-func (p *PathPredictor) Predictions() uint64 { return p.predictions }
 
 // Reset clears the table, history and counters.
 func (p *PathPredictor) Reset() {

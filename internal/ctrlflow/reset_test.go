@@ -36,10 +36,10 @@ func TestResetEquivalence(t *testing.T) {
 				var digest []any
 				for i := 0; i < 300; i++ {
 					cur := 0x100 + (rnd.next()%16)*8
-					next, known := p.Predict(cur)
+					next, known := predict(p, cur)
 					digest = append(digest, next, known, p.Update(cur, 0x100+(rnd.next()%16)*8))
 				}
-				return append(digest, p.Predictions(), p.Accuracy())
+				return append(digest, p.predictions, p.Accuracy())
 			},
 		},
 		{

@@ -37,9 +37,6 @@ func (b *Batch) Add(spec Spec) Ref {
 	return r
 }
 
-// Len returns the number of distinct jobs in the set.
-func (b *Batch) Len() int { return len(b.specs) }
-
 // Run executes the job set on the engine's worker pool.  Cancelling the
 // context aborts the set (see Engine.Run).
 func (b *Batch) Run(ctx context.Context) error {
@@ -47,9 +44,6 @@ func (b *Batch) Run(ctx context.Context) error {
 	b.results = results
 	return err
 }
-
-// Result returns the raw result of a job after Run has succeeded.
-func (b *Batch) Result(r Ref) any { return b.results[r] }
 
 // Get returns the typed result of a job after Run has succeeded.  It panics
 // on a type mismatch, which indicates a driver bug (a ref used with the wrong

@@ -222,14 +222,14 @@ func TestBatchDeduplicatesAndOrders(t *testing.T) {
 	if r1 != r3 {
 		t.Errorf("duplicate spec got distinct refs %d and %d", r1, r3)
 	}
-	if b.Len() != 2 {
-		t.Errorf("batch len = %d, want 2", b.Len())
+	if n := len(b.specs); n != 2 {
+		t.Errorf("batch holds %d jobs, want 2", n)
 	}
 	if err := b.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if Get[string](b, r1) != "x" || Get[string](b, r2) != "y" {
-		t.Errorf("batch results wrong: %v %v", b.Result(r1), b.Result(r2))
+		t.Errorf("batch results wrong: %v %v", b.results[r1], b.results[r2])
 	}
 	if n := sim.computed.Load(); n != 2 {
 		t.Errorf("computed %d, want 2", n)

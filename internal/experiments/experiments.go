@@ -16,13 +16,10 @@
 package experiments
 
 import (
-	"context"
-
 	"memdep/internal/engine"
 	"memdep/internal/memdep"
 	"memdep/internal/multiscalar"
 	"memdep/internal/policy"
-	"memdep/internal/program"
 	"memdep/internal/synth"
 	"memdep/internal/trace"
 	"memdep/internal/window"
@@ -98,19 +95,11 @@ type Runner struct {
 	eng  *engine.Engine
 }
 
-// NewRunner creates a runner with a fresh engine sized by opts.Jobs.
-func NewRunner(opts Options) *Runner {
-	return NewRunnerWithEngine(opts, NewEngine(opts.Jobs))
-}
-
 // NewRunnerWithEngine creates a runner on an existing engine, sharing its job
 // cache with every other runner on that engine.
 func NewRunnerWithEngine(opts Options, eng *engine.Engine) *Runner {
 	return &Runner{opts: opts, eng: eng}
 }
-
-// Engine returns the runner's job engine.
-func (r *Runner) Engine() *engine.Engine { return r.eng }
 
 // traceConfig returns the functional-run bounds for the current options.
 func (r *Runner) traceConfig() trace.Config {
@@ -157,22 +146,4 @@ func (r *Runner) simSpecWith(name string, cfg multiscalar.Config) engine.Spec {
 // share.
 func (r *Runner) windowSpec(name string) engine.Spec {
 	return window.AnalyzeJob{Item: r.workItemSpec(name)}
-}
-
-// --- direct resolution (single jobs through the memoized engine) ------------
-
-// Program builds (and caches) the program of a benchmark at the configured
-// scale.
-func (r *Runner) Program(ctx context.Context, name string) (*program.Program, error) {
-	return engine.Resolve[*program.Program](ctx, r.eng, r.programSpec(name))
-}
-
-// WorkItem preprocesses (and caches) a benchmark for timing simulation.
-func (r *Runner) WorkItem(ctx context.Context, name string) (*multiscalar.WorkItem, error) {
-	return engine.Resolve[*multiscalar.WorkItem](ctx, r.eng, r.workItemSpec(name))
-}
-
-// Simulate runs (and caches) one benchmark under one configuration.
-func (r *Runner) Simulate(ctx context.Context, name string, stages int, pol policy.Kind) (multiscalar.Result, error) {
-	return engine.Resolve[multiscalar.Result](ctx, r.eng, r.simSpec(name, stages, pol))
 }

@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"memdep/internal/engine"
+	"memdep/internal/multiscalar"
 	"memdep/internal/policy"
+	"memdep/internal/program"
 	"memdep/internal/stats"
 	"memdep/internal/store"
 	"memdep/internal/window"
@@ -16,7 +18,18 @@ import (
 )
 
 func quickRunner() *Runner {
-	return NewRunner(Quick())
+	return newRunner(Quick())
+}
+
+// newRunner creates a runner with a fresh engine sized by opts.Jobs.
+func newRunner(opts Options) *Runner {
+	return NewRunnerWithEngine(opts, NewEngine(opts.Jobs))
+}
+
+// simulate runs (and caches) one benchmark under the standard configuration
+// for a policy and stage count.
+func (r *Runner) simulate(ctx context.Context, name string, stages int, pol policy.Kind) (multiscalar.Result, error) {
+	return engine.Resolve[multiscalar.Result](ctx, r.eng, r.simSpec(name, stages, pol))
 }
 
 func TestOptionsDefaults(t *testing.T) {
@@ -40,31 +53,31 @@ func TestOptionsDefaults(t *testing.T) {
 
 func TestRunnerCaching(t *testing.T) {
 	r := quickRunner()
-	w1, err := r.WorkItem(context.Background(), "compress")
+	w1, err := engine.Resolve[*multiscalar.WorkItem](context.Background(), r.eng, r.workItemSpec("compress"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, _ := r.WorkItem(context.Background(), "compress")
+	w2, _ := engine.Resolve[*multiscalar.WorkItem](context.Background(), r.eng, r.workItemSpec("compress"))
 	if w1 != w2 {
 		t.Error("work items must be cached")
 	}
-	res1, err := r.Simulate(context.Background(), "compress", 4, policy.Always)
+	res1, err := r.simulate(context.Background(), "compress", 4, policy.Always)
 	if err != nil {
 		t.Fatal(err)
 	}
-	executed := r.Engine().Executed()
-	res2, _ := r.Simulate(context.Background(), "compress", 4, policy.Always)
+	executed := r.eng.Executed()
+	res2, _ := r.simulate(context.Background(), "compress", 4, policy.Always)
 	if res1.Cycles != res2.Cycles {
 		t.Error("cached simulation must return the same result")
 	}
-	if r.Engine().Executed() != executed {
+	if r.eng.Executed() != executed {
 		t.Error("repeated simulation must be served from the engine cache")
 	}
 	// program + work item + one timing simulation.
-	if n := r.Engine().CacheLen(); n != 3 {
+	if n := r.eng.CacheLen(); n != 3 {
 		t.Errorf("engine cache has %d entries, want 3", n)
 	}
-	if _, err := r.Program(context.Background(), "no-such-benchmark"); err == nil {
+	if _, err := engine.Resolve[*program.Program](context.Background(), r.eng, r.programSpec("no-such-benchmark")); err == nil {
 		t.Error("unknown benchmark must error")
 	}
 }
@@ -329,7 +342,7 @@ func TestSensitivityBaselineMatchesAblation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for col, name := range workload.SPECint92Names() {
-		res, err := r.Simulate(context.Background(), name, 8, policy.Sync)
+		res, err := r.simulate(context.Background(), name, 8, policy.Sync)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,7 +25,7 @@ func TestDriversDeterministicAcrossWorkerCounts(t *testing.T) {
 	render := func(jobs int) map[string]string {
 		opts := Quick()
 		opts.Jobs = jobs
-		r := NewRunner(opts)
+		r := newRunner(opts)
 		out := map[string]string{}
 		for _, d := range drivers {
 			tab, err := d.run(r, context.Background())
@@ -57,7 +57,7 @@ func TestDriversDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestConcurrentDriversShareOneRunner(t *testing.T) {
 	opts := Quick()
 	opts.MaxInstructions = 10_000 // keep the -race run short
-	r := NewRunner(opts)
+	r := newRunner(opts)
 
 	var wg sync.WaitGroup
 	for _, e := range All() {
@@ -79,7 +79,7 @@ func TestConcurrentDriversShareOneRunner(t *testing.T) {
 	// The concurrent drivers must have deduplicated their shared jobs: every
 	// executed job is memoized exactly once, so the number of cache entries
 	// must equal the number of executions.
-	eng := r.Engine()
+	eng := r.eng
 	if eng.Executed() != uint64(eng.CacheLen()) {
 		t.Errorf("executed %d jobs but cache holds %d: duplicate executions slipped through",
 			eng.Executed(), eng.CacheLen())

@@ -236,7 +236,11 @@ func (c *Coordinator) Simulate(ctx context.Context, req sim.Request) ([]byte, er
 
 // postPayload posts a JSON payload and reads the whole reply (up to
 // maxProxiedBody), closing its body.  An error means no complete reply
-// arrived: a body cut short of its Content-Length is a transport error.
+// arrived: a body cut short of its Content-Length or chunked framing is a
+// transport error.  A reply with neither framing ends where the worker
+// closed the connection, which a crash mid-body also does, so it counts as
+// complete only when it is a whole JSON document.  A real worker's replies
+// are chunked or carry a length, so they skip the check.
 func postPayload(ctx context.Context, client *http.Client, url string, payload []byte) (*http.Response, []byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
 	if err != nil {
@@ -249,6 +253,9 @@ func postPayload(ctx context.Context, client *http.Client, url string, payload [
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxProxiedBody))
+	if err == nil && resp.ContentLength < 0 && len(resp.TransferEncoding) == 0 && !json.Valid(body) {
+		err = fmt.Errorf("fleet: unframed reply from %s is not a whole JSON document", url)
+	}
 	return resp, body, err
 }
 

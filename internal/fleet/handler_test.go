@@ -275,11 +275,26 @@ func TestRemoteBackendFaults(t *testing.T) {
 		{"truncated", func(w http.ResponseWriter, r *http.Request) {
 			hijack(w, "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 4096\r\n\r\n{\"cycles\": 12")
 		}, true},
+		{"unframed", func(w http.ResponseWriter, r *http.Request) {
+			hijack(w, "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nConnection: close\r\n\r\n{\"cycles\": 12")
+		}, true},
 		{"hang-up", func(w http.ResponseWriter, r *http.Request) { hijack(w, "") }, true},
 		{"500", func(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: "boom"})
 		}, false},
 	} {
+		if fault.transport {
+			// A /v1/simulate whose only worker fails this way ends in a
+			// structured error, never in the worker's partial reply.
+			bad := httptest.NewServer(fault.reply)
+			c := routedFleet(t, map[string]string{"bad": bad.URL})
+			rec := send(c.Handler(), "POST", "/v1/simulate", bodies[0], "")
+			bad.Close()
+			var resp ErrorResponse
+			if rec.Code == http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil || resp.Error == "" {
+				t.Errorf("%s simulate: status %d, body %s; want a structured error", fault.name, rec.Code, rec.Body)
+			}
+		}
 		for _, accept := range []string{"", NDJSONContentType} {
 			bad := httptest.NewServer(fault.reply)
 			c := routedFleet(t, map[string]string{"good": good.URL, "bad": bad.URL})

@@ -221,9 +221,6 @@ func IsLoad(op Op) bool { return op == LW }
 // IsStore reports whether op writes memory.
 func IsStore(op Op) bool { return op == SW }
 
-// IsMem reports whether op accesses memory.
-func IsMem(op Op) bool { return op == LW || op == SW }
-
 // IsBranch reports whether op may redirect control flow.
 func IsBranch(op Op) bool {
 	switch op {
@@ -232,22 +229,6 @@ func IsBranch(op Op) bool {
 	}
 	return false
 }
-
-// IsCondBranch reports whether op is a conditional branch.
-func IsCondBranch(op Op) bool {
-	switch op {
-	case BEQ, BNE, BLT, BGE:
-		return true
-	}
-	return false
-}
-
-// IsCall reports whether op is a call (jump-and-link).
-func IsCall(op Op) bool { return op == JAL }
-
-// IsReturn reports whether op is an indirect jump used as a return.  JR
-// through RA is the conventional return in this ISA.
-func IsReturn(op Op, src Reg) bool { return op == JR && src == RA }
 
 // HasDest reports whether op writes a destination register.
 func HasDest(op Op) bool {

@@ -80,12 +80,6 @@ func pairKeyLess(a, b PairKey) bool {
 	return a.StorePC < b.StorePC
 }
 
-// Hits returns the number of accesses that found their pair cached.
-func (d *DDC) Hits() uint64 { return d.hits }
-
-// Misses returns the number of accesses that did not find their pair cached.
-func (d *DDC) Misses() uint64 { return d.misses }
-
 // Accesses returns the total number of accesses.
 func (d *DDC) Accesses() uint64 { return d.hits + d.misses }
 
@@ -97,16 +91,6 @@ func (d *DDC) MissRate() float64 {
 		return 0
 	}
 	return float64(d.misses) / float64(total)
-}
-
-// Len returns the number of pairs currently cached.
-func (d *DDC) Len() int { return len(d.entries) }
-
-// Contains reports whether the pair is currently cached (without touching LRU
-// state or counters).
-func (d *DDC) Contains(pair PairKey) bool {
-	_, ok := d.entries[pair]
-	return ok
 }
 
 // Reset clears the cache contents and counters in place, retaining the map's

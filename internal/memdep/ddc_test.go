@@ -24,14 +24,14 @@ func TestDDCBasicHitMiss(t *testing.T) {
 	if d.Access(c) {
 		t.Error("first access to c must miss")
 	}
-	if d.Contains(a) {
+	if cached(d, a) {
 		t.Error("a should have been evicted")
 	}
-	if !d.Contains(b) || !d.Contains(c) {
+	if !cached(d, b) || !cached(d, c) {
 		t.Error("b and c should be cached")
 	}
-	if d.Hits() != 1 || d.Misses() != 3 {
-		t.Errorf("hits/misses = %d/%d, want 1/3", d.Hits(), d.Misses())
+	if d.hits != 1 || d.misses != 3 {
+		t.Errorf("hits/misses = %d/%d, want 1/3", d.hits, d.misses)
 	}
 	if got := d.MissRate(); got != 0.75 {
 		t.Errorf("miss rate = %v, want 0.75", got)
@@ -47,10 +47,10 @@ func TestDDCLRUOrderRespectsAccesses(t *testing.T) {
 	d.Access(b)
 	d.Access(a) // touch a; b becomes LRU
 	d.Access(c) // evicts b
-	if !d.Contains(a) {
+	if !cached(d, a) {
 		t.Error("a must survive (recently used)")
 	}
-	if d.Contains(b) {
+	if cached(d, b) {
 		t.Error("b must be evicted")
 	}
 }
@@ -66,8 +66,8 @@ func TestDDCZeroCapacity(t *testing.T) {
 	if d.MissRate() != 1 {
 		t.Errorf("miss rate = %v, want 1", d.MissRate())
 	}
-	if d.Len() != 0 {
-		t.Errorf("len = %d, want 0", d.Len())
+	if len(d.entries) != 0 {
+		t.Errorf("len = %d, want 0", len(d.entries))
 	}
 }
 
@@ -90,7 +90,7 @@ func TestDDCReset(t *testing.T) {
 	d.Access(PairKey{LoadPC: 1})
 	d.Access(PairKey{LoadPC: 1})
 	d.Reset()
-	if d.Len() != 0 || d.Hits() != 0 || d.Misses() != 0 {
+	if len(d.entries) != 0 || d.hits != 0 || d.misses != 0 {
 		t.Error("reset must clear contents and counters")
 	}
 }
@@ -104,11 +104,11 @@ func TestDDCInvariants(t *testing.T) {
 		for _, a := range accesses {
 			// Draw from a small space of pairs to get both hits and misses.
 			d.Access(PairKey{LoadPC: uint64(a % 64), StorePC: uint64(a % 16)})
-			if d.Len() > cap {
+			if len(d.entries) > cap {
 				return false
 			}
 		}
-		return d.Hits()+d.Misses() == uint64(len(accesses))
+		return d.hits+d.misses == uint64(len(accesses))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -133,7 +133,7 @@ func TestDDCCompulsoryMissesOnly(t *testing.T) {
 			}
 			distinct[pair] = true
 		}
-		return d.Misses() == uint64(len(distinct))
+		return d.misses == uint64(len(distinct))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -151,7 +151,7 @@ func TestDDCMonotoneInCapacity(t *testing.T) {
 			small.Access(pair)
 			large.Access(pair)
 		}
-		return large.Misses() <= small.Misses()
+		return large.misses <= small.misses
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -174,11 +174,18 @@ func TestDDCEvictionTieBreakDeterministic(t *testing.T) {
 		if d.Access(PairKey{LoadPC: 0x400, StorePC: 0x40}) {
 			t.Fatal("new pair must miss")
 		}
-		if d.Contains(PairKey{LoadPC: 0x100, StorePC: 0x10}) {
+		if cached(d, PairKey{LoadPC: 0x100, StorePC: 0x10}) {
 			t.Fatalf("trial %d: tie-break victim must be the smallest pair (0x100,0x10)", trial)
 		}
-		if !d.Contains(PairKey{LoadPC: 0x100, StorePC: 0x20}) || !d.Contains(PairKey{LoadPC: 0x300, StorePC: 0x30}) {
+		if !cached(d, PairKey{LoadPC: 0x100, StorePC: 0x20}) || !cached(d, PairKey{LoadPC: 0x300, StorePC: 0x30}) {
 			t.Fatalf("trial %d: non-victim tied entries must survive", trial)
 		}
 	}
+}
+
+// cached reports whether the pair is in the cache, without touching its LRU
+// state or counters.
+func cached(d *DDC, pair PairKey) bool {
+	_, ok := d.entries[pair]
+	return ok
 }

@@ -2,6 +2,7 @@ package memdep
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -113,8 +114,10 @@ func mdptFuzzSeeds() [][]byte {
 
 // FuzzMDPTAgainstReference is the pair table's differential oracle: it
 // decodes a geometry and a sequence of operations, drives NewPredictor's
-// table and the scan-only reference with them, and after every step
-// requires equal return values, Len, Capacity and Stats.
+// table and the scan-only reference with them, and requires equal return
+// values and, after every step, equal tables: the same valid pairs with the
+// same distance, counter and store task PC.  A wrong eviction or counter
+// update therefore fails at the step that makes it.
 //
 // The first byte picks the organization (bit 0: full or setassoc), the
 // counter width (bit 1: 3 or 2 bits) and the predictor (bit 2: SYNC or
@@ -143,8 +146,8 @@ func FuzzMDPTAgainstReference(f *testing.F) {
 			cfg.Predictor = PredictAlways
 		}
 		p, ref := NewPredictor(cfg), newRefMDPT(cfg)
-		if p.Kind() != ref.Kind() {
-			t.Fatalf("%+v: Kind = %v, reference %v", cfg, p.Kind(), ref.Kind())
+		if m, ok := p.(*MDPT); !ok || m.sets != ref.sets || m.ways != ref.ways {
+			t.Fatalf("%+v: NewPredictor built %T, want an MDPT of %d sets × %d ways", cfg, p, ref.sets, ref.ways)
 		}
 		sentinel := []Prediction{{Dist: 99}} // matches must append after it
 		for i := 2; i+1 < len(data); i += 2 {
@@ -171,8 +174,8 @@ func FuzzMDPTAgainstReference(f *testing.F) {
 				}
 			case kind == opLookup:
 				step = fmt.Sprintf("look up %v", pair)
-				got, ok := p.Lookup(pair)
-				if want, wok := ref.Lookup(pair); got != want || ok != wok {
+				got, ok := lookup(p, pair)
+				if want, wok := lookup(ref, pair); got != want || ok != wok {
 					t.Fatalf("step %d, %s: (%+v, %v), reference (%+v, %v)", i/2, step, got, ok, want, wok)
 				}
 			case kind == opStrengthen:
@@ -188,12 +191,8 @@ func FuzzMDPTAgainstReference(f *testing.F) {
 				p.Reset()
 				ref.Reset()
 			}
-			if p.Len() != ref.Len() || p.Capacity() != ref.Capacity() {
-				t.Fatalf("step %d, %s: Len/Capacity = %d/%d, reference %d/%d",
-					i/2, step, p.Len(), p.Capacity(), ref.Len(), ref.Capacity())
-			}
-			if got, want := p.Stats(), ref.Stats(); got != want {
-				t.Fatalf("step %d, %s: Stats = %+v, reference %+v", i/2, step, got, want)
+			if got, want := tableState(p), tableState(ref); !maps.Equal(got, want) {
+				t.Fatalf("step %d, %s: entries\ngot       %+v\nreference %+v", i/2, step, got, want)
 			}
 		}
 	})

@@ -47,11 +47,6 @@ type MDPT struct {
 	pairIdx  map[PairKey]int32
 	loadIdx  map[uint64][]int32
 	storeIdx map[uint64][]int32
-
-	allocations  uint64
-	replacements uint64
-	strengthens  uint64
-	weakens      uint64
 }
 
 var _ Predictor = (*MDPT)(nil)
@@ -77,15 +72,6 @@ func NewMDPT(cfg Config) *MDPT {
 		storeIdx: make(map[uint64][]int32, cfg.Entries),
 	}
 }
-
-// Len returns the number of valid entries.
-func (t *MDPT) Len() int { return len(t.pairIdx) }
-
-// Capacity returns the number of entries in the table.
-func (t *MDPT) Capacity() int { return len(t.entries) }
-
-// Kind implements Predictor.
-func (t *MDPT) Kind() TableKind { return t.cfg.Table }
 
 func (t *MDPT) touch(e *mdptEntry) {
 	t.clock++
@@ -142,21 +128,10 @@ func (t *MDPT) find(pair PairKey) *mdptEntry {
 	return nil
 }
 
-// Lookup returns the prediction state for the pair, if present.
-//
-//memdep:hotpath
-func (t *MDPT) Lookup(pair PairKey) (Prediction, bool) {
-	if e := t.find(pair); e != nil {
-		return t.prediction(e), true
-	}
-	return Prediction{}, false
-}
-
-// Prediction is the externally visible state of one MDPT entry.
+// Prediction is what a matching entry tells the synchronization protocol.
 type Prediction struct {
 	Pair        PairKey
 	Dist        uint64
-	Counter     int
 	StoreTaskPC uint64
 	// Sync reports whether the predictor would enforce synchronization for
 	// this entry (ignoring the ESYNC task-PC filter, which needs dynamic
@@ -168,7 +143,6 @@ func (t *MDPT) prediction(e *mdptEntry) Prediction {
 	return Prediction{
 		Pair:        PairKey{LoadPC: e.loadPC, StorePC: e.storePC},
 		Dist:        e.dist,
-		Counter:     e.counter,
 		StoreTaskPC: e.storeTaskPC,
 		Sync:        t.cfg.syncPredicted(e.counter),
 	}
@@ -218,10 +192,8 @@ func (t *MDPT) RecordMisspeculation(pair PairKey, dist uint64, storeTaskPC uint6
 	i := t.victim(pair.LoadPC)
 	e := &t.entries[i]
 	if e.valid {
-		t.replacements++
 		t.unlink(i)
 	}
-	t.allocations++
 	*e = mdptEntry{
 		valid:       true,
 		loadPC:      pair.LoadPC,
@@ -257,14 +229,12 @@ func (t *MDPT) strengthen(e *mdptEntry) {
 	if e.counter < t.cfg.counterMax() {
 		e.counter++
 	}
-	t.strengthens++
 }
 
 func (t *MDPT) weaken(e *mdptEntry) {
 	if e.counter > 0 {
 		e.counter--
 	}
-	t.weakens++
 }
 
 // Strengthen increases the confidence of the pair's entry (the predicted
@@ -284,29 +254,9 @@ func (t *MDPT) Weaken(pair PairKey) {
 	}
 }
 
-// Stats summarises prediction-table activity.
-type MDPTStats struct {
-	Allocations  uint64
-	Replacements uint64
-	Strengthens  uint64
-	Weakens      uint64
-	LiveEntries  int
-}
-
-// Stats returns a snapshot of the table's counters.
-func (t *MDPT) Stats() MDPTStats {
-	return MDPTStats{
-		Allocations:  t.allocations,
-		Replacements: t.replacements,
-		Strengthens:  t.strengthens,
-		Weakens:      t.weakens,
-		LiveEntries:  t.Len(),
-	}
-}
-
-// Reset invalidates all entries and clears counters.  Index maps are cleared
-// in place (per-PC slices keep their backing capacity) so a reused table
-// allocates nothing in steady state.
+// Reset invalidates all entries.  Index maps are cleared in place (per-PC
+// slices keep their backing capacity) so a reused table allocates nothing
+// in steady state.
 func (t *MDPT) Reset() {
 	for i := range t.entries {
 		t.entries[i] = mdptEntry{}
@@ -319,5 +269,4 @@ func (t *MDPT) Reset() {
 		t.storeIdx[pc] = s[:0]
 	}
 	t.clock = 0
-	t.allocations, t.replacements, t.strengthens, t.weakens = 0, 0, 0, 0
 }

@@ -25,16 +25,6 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-func TestDefaultConfigStages(t *testing.T) {
-	c := DefaultConfig(8)
-	if c.SyncSlots != 8 || c.Entries != 64 {
-		t.Errorf("unexpected config: %+v", c)
-	}
-	if DefaultConfig(0).SyncSlots != 1 {
-		t.Error("stages < 1 must clamp to 1")
-	}
-}
-
 func TestPredictorKindString(t *testing.T) {
 	if PredictSync.String() != "SYNC" || PredictESync.String() != "ESYNC" || PredictAlways.String() != "ALWAYS-SYNC" {
 		t.Error("predictor names wrong")
@@ -47,22 +37,22 @@ func TestPredictorKindString(t *testing.T) {
 func TestMDPTAllocateAndLookup(t *testing.T) {
 	m := NewMDPT(testConfig(PredictSync))
 	pair := PairKey{LoadPC: 0x400, StorePC: 0x200}
-	if _, ok := m.Lookup(pair); ok {
+	if _, ok := lookup(m, pair); ok {
 		t.Fatal("empty table must not contain the pair")
 	}
 	m.RecordMisspeculation(pair, 1, 0x1000)
-	pred, ok := m.Lookup(pair)
+	e, ok := lookup(m, pair)
 	if !ok {
 		t.Fatal("pair must be present after a mis-speculation")
 	}
-	if pred.Dist != 1 || pred.StoreTaskPC != 0x1000 {
-		t.Errorf("prediction = %+v", pred)
+	if e.Dist != 1 || e.StoreTaskPC != 0x1000 {
+		t.Errorf("entry = %+v", e)
 	}
-	if !pred.Sync {
+	if !m.cfg.syncPredicted(e.Counter) {
 		t.Error("freshly allocated entry must predict synchronization")
 	}
-	if m.Len() != 1 {
-		t.Errorf("len = %d, want 1", m.Len())
+	if n := liveEntries(m); n != 1 {
+		t.Errorf("%d live entries, want 1", n)
 	}
 }
 
@@ -72,18 +62,18 @@ func TestMDPTCounterSaturates(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		m.RecordMisspeculation(pair, 1, 0)
 	}
-	pred, _ := m.Lookup(pair)
-	if pred.Counter != 7 {
-		t.Errorf("counter = %d, want saturation at 7", pred.Counter)
+	e, _ := lookup(m, pair)
+	if e.Counter != 7 {
+		t.Errorf("counter = %d, want saturation at 7", e.Counter)
 	}
 	for i := 0; i < 20; i++ {
 		m.Weaken(pair)
 	}
-	pred, _ = m.Lookup(pair)
-	if pred.Counter != 0 {
-		t.Errorf("counter = %d, want saturation at 0", pred.Counter)
+	e, _ = lookup(m, pair)
+	if e.Counter != 0 {
+		t.Errorf("counter = %d, want saturation at 0", e.Counter)
 	}
-	if pred.Sync {
+	if m.cfg.syncPredicted(e.Counter) {
 		t.Error("fully weakened entry must not predict synchronization")
 	}
 }
@@ -96,14 +86,14 @@ func TestMDPTWeakenBelowThresholdStopsPrediction(t *testing.T) {
 	// Initial counter is threshold+1 = 4; two weakens drop it to 2 (< 3).
 	m.Weaken(pair)
 	m.Weaken(pair)
-	pred, _ := m.Lookup(pair)
-	if pred.Sync {
-		t.Errorf("counter %d below threshold must not predict", pred.Counter)
+	e, _ := lookup(m, pair)
+	if m.cfg.syncPredicted(e.Counter) {
+		t.Errorf("counter %d below threshold must not predict", e.Counter)
 	}
 	// One more mis-speculation brings it back up.
 	m.RecordMisspeculation(pair, 1, 0)
-	pred, _ = m.Lookup(pair)
-	if !pred.Sync {
+	e, _ = lookup(m, pair)
+	if !m.cfg.syncPredicted(e.Counter) {
 		t.Error("mis-speculation must restore the prediction")
 	}
 }
@@ -115,8 +105,8 @@ func TestMDPTAlwaysPredictorIgnoresCounter(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		m.Weaken(pair)
 	}
-	pred, _ := m.Lookup(pair)
-	if !pred.Sync {
+	e, _ := lookup(m, pair)
+	if !m.cfg.syncPredicted(e.Counter) {
 		t.Error("ALWAYS predictor must always predict for a valid entry")
 	}
 }
@@ -135,15 +125,14 @@ func TestMDPTLRUReplacement(t *testing.T) {
 	// Touch pair 0 so pair 1 is the LRU victim.
 	m.MatchesForLoad(pairs[0].LoadPC, nil)
 	m.RecordMisspeculation(pairs[4], 1, 0)
-	if _, ok := m.Lookup(pairs[1]); ok {
+	if _, ok := lookup(m, pairs[1]); ok {
 		t.Error("LRU entry (pair 1) should have been replaced")
 	}
-	if _, ok := m.Lookup(pairs[0]); !ok {
+	if _, ok := lookup(m, pairs[0]); !ok {
 		t.Error("recently used entry (pair 0) should survive")
 	}
-	st := m.Stats()
-	if st.Replacements != 1 || st.Allocations != 5 {
-		t.Errorf("stats = %+v", st)
+	if n := liveEntries(m); n != 4 {
+		t.Errorf("%d live entries, want the table's 4", n)
 	}
 }
 
@@ -172,8 +161,8 @@ func TestMDPTStrengthenWeakenUnknownPairIgnored(t *testing.T) {
 	m := NewMDPT(testConfig(PredictSync))
 	m.Strengthen(PairKey{LoadPC: 9, StorePC: 9})
 	m.Weaken(PairKey{LoadPC: 9, StorePC: 9})
-	if m.Len() != 0 {
-		t.Error("strengthen/weaken must not allocate")
+	if n := liveEntries(m); n != 0 {
+		t.Errorf("strengthen/weaken must not allocate: %d live entries", n)
 	}
 }
 
@@ -182,9 +171,9 @@ func TestMDPTDistUpdatedOnRepeatMisspeculation(t *testing.T) {
 	pair := PairKey{LoadPC: 1, StorePC: 2}
 	m.RecordMisspeculation(pair, 1, 0xa)
 	m.RecordMisspeculation(pair, 3, 0xb)
-	pred, _ := m.Lookup(pair)
-	if pred.Dist != 3 || pred.StoreTaskPC != 0xb {
-		t.Errorf("entry not updated: %+v", pred)
+	e, _ := lookup(m, pair)
+	if e.Dist != 3 || e.StoreTaskPC != 0xb {
+		t.Errorf("entry not updated: %+v", e)
 	}
 }
 
@@ -192,11 +181,11 @@ func TestMDPTReset(t *testing.T) {
 	m := NewMDPT(testConfig(PredictSync))
 	m.RecordMisspeculation(PairKey{LoadPC: 1, StorePC: 2}, 1, 0)
 	m.Reset()
-	if m.Len() != 0 {
-		t.Error("reset must clear entries")
+	if n := liveEntries(m); n != 0 {
+		t.Errorf("reset left %d live entries", n)
 	}
-	if m.Stats() != (MDPTStats{}) {
-		t.Error("reset must clear stats")
+	if len(m.pairIdx) != 0 || len(m.loadIdx[1]) != 0 || len(m.storeIdx[2]) != 0 {
+		t.Error("reset must empty the indexes")
 	}
 }
 
@@ -210,10 +199,10 @@ func TestMDPTCapacityInvariant(t *testing.T) {
 		for _, ev := range events {
 			pair := PairKey{LoadPC: uint64(ev % 97), StorePC: uint64(ev % 53)}
 			m.RecordMisspeculation(pair, uint64(ev%8), uint64(ev))
-			if m.Len() > 16 {
+			if liveEntries(m) > 16 {
 				return false
 			}
-			if _, ok := m.Lookup(pair); !ok {
+			if _, ok := lookup(m, pair); !ok {
 				return false
 			}
 		}
@@ -236,8 +225,8 @@ func TestMDPTCounterBounds(t *testing.T) {
 			} else {
 				m.Weaken(pair)
 			}
-			pred, ok := m.Lookup(pair)
-			if !ok || pred.Counter < 0 || pred.Counter > 7 {
+			e, ok := lookup(m, pair)
+			if !ok || e.Counter < 0 || e.Counter > 7 {
 				return false
 			}
 		}

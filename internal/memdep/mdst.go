@@ -70,12 +70,6 @@ func NewMDST(capacity int) *MDST {
 	}
 }
 
-// Capacity returns the number of entries.
-func (t *MDST) Capacity() int { return len(t.entries) }
-
-// Len returns the number of valid entries.
-func (t *MDST) Len() int { return len(t.index) }
-
 func (t *MDST) touch(e *mdstEntry) {
 	t.clock++
 	e.lastUse = t.clock

@@ -22,8 +22,8 @@ func TestMDSTWaitThenSignal(t *testing.T) {
 	if !released || ldid != 77 {
 		t.Fatalf("signal returned (%d,%v), want (77,true)", ldid, released)
 	}
-	if m.Len() != 0 {
-		t.Errorf("entry must be freed after synchronization, len = %d", m.Len())
+	if len(m.index) != 0 {
+		t.Errorf("entry must be freed after synchronization, len = %d", len(m.index))
 	}
 }
 
@@ -37,15 +37,15 @@ func TestMDSTSignalThenWait(t *testing.T) {
 	if released || ldid != invalidID {
 		t.Fatal("signal with no waiter must not release a load")
 	}
-	if m.Len() != 1 {
-		t.Fatalf("len = %d, want 1 (full entry allocated)", m.Len())
+	if len(m.index) != 1 {
+		t.Fatalf("len = %d, want 1 (full entry allocated)", len(m.index))
 	}
 	// Load arrives later: it must not wait, and the entry is consumed.
 	if m.AllocWaiting(pair, 3, 77) {
 		t.Fatal("load arriving after the signal must not wait")
 	}
-	if m.Len() != 0 {
-		t.Errorf("entry must be consumed, len = %d", m.Len())
+	if len(m.index) != 0 {
+		t.Errorf("entry must be consumed, len = %d", len(m.index))
 	}
 }
 
@@ -93,7 +93,7 @@ func TestMDSTReleaseLoadFreesAllEntries(t *testing.T) {
 	if len(freed) != 2 {
 		t.Fatalf("freed %d entries, want 2", len(freed))
 	}
-	if m.HasWaiter(42) || m.Len() != 0 {
+	if m.HasWaiter(42) || len(m.index) != 0 {
 		t.Error("release must free all entries of the load")
 	}
 }
@@ -152,7 +152,7 @@ func TestMDSTHasWaiterMultipleDependences(t *testing.T) {
 }
 
 func TestMDSTCapacityClamp(t *testing.T) {
-	if NewMDST(0).Capacity() != 1 {
+	if len(NewMDST(0).entries) != 1 {
 		t.Error("capacity must clamp to at least 1")
 	}
 }
@@ -163,11 +163,11 @@ func TestMDSTStatsAndReset(t *testing.T) {
 	m.AllocWaiting(pair, 1, 1)
 	m.AllocWaiting(pair, 2, 3)
 	m.Signal(pair, 1, 2)
-	if m.Len() != 1 || m.HasWaiter(1) || !m.HasWaiter(3) {
-		t.Errorf("len = %d, waiters: 1 = %v, 3 = %v; want 1, false, true", m.Len(), m.HasWaiter(1), m.HasWaiter(3))
+	if len(m.index) != 1 || m.HasWaiter(1) || !m.HasWaiter(3) {
+		t.Errorf("len = %d, waiters: 1 = %v, 3 = %v; want 1, false, true", len(m.index), m.HasWaiter(1), m.HasWaiter(3))
 	}
 	m.Reset()
-	if m.Len() != 0 || m.HasWaiter(3) {
+	if len(m.index) != 0 || m.HasWaiter(3) {
 		t.Error("reset must clear entries and waiters")
 	}
 }
@@ -197,7 +197,7 @@ func TestMDSTSynchronizationOrderIndependent(t *testing.T) {
 				return false
 			}
 		}
-		return m.Len() == 0
+		return len(m.index) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -222,7 +222,7 @@ func TestMDSTNoDuplicateLiveEntries(t *testing.T) {
 			} else {
 				m.AllocWaiting(pair, uint64(o.Instance%4), int64(o.ID))
 			}
-			if m.Len() > m.Capacity() {
+			if len(m.index) > len(m.entries) {
 				return false
 			}
 			// Check for duplicate live entries per (pair, instance).

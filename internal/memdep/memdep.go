@@ -163,13 +163,6 @@ type Config struct {
 	TagByAddress bool
 }
 
-// DefaultConfig returns the configuration evaluated in the paper: a 64-entry
-// combined table with as many synchronization slots per entry as stages and
-// the 3-bit counter predictor.
-func DefaultConfig(stages int) Config {
-	return Config{SyncSlots: max(stages, 1)}.withDefaults()
-}
-
 // withDefaults fills unset fields and clamps inconsistent ones.  Clamping is
 // deliberately forgiving (a constructed table always behaves sanely);
 // Validate reports the raw inconsistencies for callers that want an error

@@ -20,7 +20,9 @@ import (
 //
 // All implementations are driven through the same dynamic events: lookups on
 // load/store issue, learning on mis-speculation, and non-speculative
-// strengthen/weaken updates on commit and release.
+// strengthen/weaken updates on commit and release.  The interface declares
+// exactly the calls System makes; the tables keep no statistics of their
+// own, because System counts the events (SystemStats).
 //
 // MatchesForLoad and MatchesForStore append into a caller-owned buffer and
 // return the extended slice.  Because the predictor never retains or reuses
@@ -29,8 +31,6 @@ import (
 // gone, and with it the aliasing hazard it carried.  Callers that want an
 // allocation-free hot path pass a reusable buffer (see System).
 type Predictor interface {
-	// Kind reports the table organization.
-	Kind() TableKind
 	// MatchesForLoad appends the predictions of all valid entries whose load
 	// PC matches (a load may have multiple static dependences, section 4.4.4)
 	// and returns the extended slice.  Matching entries are touched for LRU.
@@ -38,9 +38,6 @@ type Predictor interface {
 	// MatchesForStore appends the predictions of all valid entries whose
 	// store PC matches and returns the extended slice.
 	MatchesForStore(storePC uint64, dst []Prediction) []Prediction
-	// Lookup returns the prediction state for the exact static pair, if
-	// present.  It does not touch the entry.
-	Lookup(pair PairKey) (Prediction, bool)
 	// RecordMisspeculation allocates an entry for the pair (or strengthens an
 	// existing one).  dist is the dependence distance and storeTaskPC
 	// identifies the task that issued the store (used by ESYNC).
@@ -51,14 +48,7 @@ type Predictor interface {
 	// Weaken decreases the confidence of the pair's entry; unknown pairs are
 	// ignored.
 	Weaken(pair PairKey)
-	// Len returns the number of live entries (valid entries for the pair
-	// tables, valid sets for the store-set organization).
-	Len() int
-	// Capacity returns the table's capacity in the same unit as Len.
-	Capacity() int
-	// Stats returns a snapshot of the table's counters.
-	Stats() MDPTStats
-	// Reset invalidates all entries and clears the counters.
+	// Reset invalidates all entries.
 	Reset()
 }
 

@@ -2,6 +2,7 @@ package memdep
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"testing"
 )
@@ -45,8 +46,8 @@ func TestTableKindStringParseRoundTrip(t *testing.T) {
 func TestNewPredictorSelectsOrganization(t *testing.T) {
 	for _, k := range allTableKinds() {
 		p := NewPredictor(Config{Entries: 16, Table: k})
-		if p.Kind() != k {
-			t.Errorf("NewPredictor(%v).Kind() = %v", k, p.Kind())
+		if got := tableKind(p); got != k {
+			t.Errorf("NewPredictor(%v) built a %v table", k, got)
 		}
 	}
 	if _, ok := NewPredictor(Config{}).(*MDPT); !ok {
@@ -68,7 +69,7 @@ func TestPredictorConformance(t *testing.T) {
 			p := NewPredictor(Config{Entries: 16, SyncSlots: 4, Predictor: PredictSync, Table: kind, Ways: 4})
 			pair := PairKey{LoadPC: 0x400, StorePC: 0x200}
 
-			if _, ok := p.Lookup(pair); ok {
+			if _, ok := lookup(p, pair); ok {
 				t.Fatal("empty table must not contain the pair")
 			}
 			if got := p.MatchesForLoad(pair.LoadPC, nil); len(got) != 0 {
@@ -76,20 +77,20 @@ func TestPredictorConformance(t *testing.T) {
 			}
 
 			p.RecordMisspeculation(pair, 2, 0x1000)
-			pred, ok := p.Lookup(pair)
+			e, ok := lookup(p, pair)
 			if !ok {
 				t.Fatal("pair must be present after a mis-speculation")
 			}
-			if pred.Pair != pair || pred.Dist != 2 || pred.StoreTaskPC != 0x1000 {
-				t.Errorf("prediction = %+v", pred)
-			}
-			if !pred.Sync {
-				t.Error("freshly allocated entry must predict synchronization")
+			if e.Dist != 2 || e.StoreTaskPC != 0x1000 {
+				t.Errorf("entry = %+v", e)
 			}
 
 			ld := p.MatchesForLoad(pair.LoadPC, nil)
 			if len(ld) != 1 || ld[0].Pair != pair {
 				t.Errorf("load matches = %v", ld)
+			}
+			if !ld[0].Sync {
+				t.Error("freshly allocated entry must predict synchronization")
 			}
 			st := p.MatchesForStore(pair.StorePC, nil)
 			if len(st) != 1 || st[0].Pair != pair || st[0].Dist != 2 {
@@ -100,30 +101,30 @@ func TestPredictorConformance(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				p.Strengthen(pair)
 			}
-			if pred, _ = p.Lookup(pair); pred.Counter != 7 {
-				t.Errorf("counter = %d, want saturation at 7", pred.Counter)
+			if e, _ = lookup(p, pair); e.Counter != 7 {
+				t.Errorf("counter = %d, want saturation at 7", e.Counter)
 			}
 			for i := 0; i < 20; i++ {
 				p.Weaken(pair)
 			}
-			if pred, _ = p.Lookup(pair); pred.Counter != 0 || pred.Sync {
-				t.Errorf("fully weakened entry = %+v, want counter 0, no sync", pred)
+			if e, _ = lookup(p, pair); e.Counter != 0 {
+				t.Errorf("fully weakened entry = %+v, want counter 0", e)
+			}
+			if ld := p.MatchesForLoad(pair.LoadPC, nil); len(ld) != 1 || ld[0].Sync {
+				t.Errorf("fully weakened load matches = %+v, want one without sync", ld)
 			}
 
 			// Strengthen/Weaken of unknown pairs must not allocate.
-			before := p.Len()
+			before := tableState(p)
 			p.Strengthen(PairKey{LoadPC: 0x9999, StorePC: 0x8888})
 			p.Weaken(PairKey{LoadPC: 0x9999, StorePC: 0x8888})
-			if p.Len() != before {
-				t.Error("strengthen/weaken of unknown pairs must not allocate")
+			if after := tableState(p); !maps.Equal(after, before) {
+				t.Errorf("strengthen/weaken of unknown pairs changed the table: %+v, was %+v", after, before)
 			}
 
 			p.Reset()
-			if p.Len() != 0 {
-				t.Error("reset must clear entries")
-			}
-			if p.Stats() != (MDPTStats{}) {
-				t.Errorf("reset must clear stats: %+v", p.Stats())
+			if n := liveEntries(p); n != 0 {
+				t.Errorf("reset left %d live entries", n)
 			}
 		})
 	}
@@ -167,29 +168,27 @@ func TestMatchesBufferNotInvalidated(t *testing.T) {
 }
 
 // TestPredictorCapacityPressure fills every organization far past capacity
-// and checks the replacement machinery: Len never exceeds Capacity and the
-// allocation/replacement counters account for the evictions.
+// and checks the replacement machinery: the live entries never exceed the
+// capacity, the first pair is evicted and the last one is held.
 func TestPredictorCapacityPressure(t *testing.T) {
 	for _, kind := range allTableKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
 			p := NewPredictor(Config{Entries: 8, Predictor: PredictSync, Table: kind, Ways: 2})
 			const n = 64
+			pair := func(i int) PairKey {
+				return PairKey{LoadPC: uint64(0x1000 + 16*i), StorePC: uint64(0x2000 + 16*i)}
+			}
 			for i := 0; i < n; i++ {
-				pair := PairKey{LoadPC: uint64(0x1000 + 16*i), StorePC: uint64(0x2000 + 16*i)}
-				p.RecordMisspeculation(pair, 1, 0)
-				if p.Len() > p.Capacity() {
-					t.Fatalf("after %d inserts: Len %d exceeds Capacity %d", i+1, p.Len(), p.Capacity())
+				p.RecordMisspeculation(pair(i), 1, 0)
+				if live, limit := liveEntries(p), capacity(p); live > limit {
+					t.Fatalf("after %d inserts: %d live entries exceed the capacity of %d", i+1, live, limit)
 				}
 			}
-			st := p.Stats()
-			if st.Allocations == 0 || st.Replacements == 0 {
-				t.Errorf("pressure must allocate and replace: %+v", st)
+			if _, ok := lookup(p, pair(0)); ok {
+				t.Errorf("pressure must evict the first pair %v", pair(0))
 			}
-			if st.LiveEntries != p.Len() {
-				t.Errorf("LiveEntries %d != Len %d", st.LiveEntries, p.Len())
-			}
-			if p.Len() > p.Capacity() {
-				t.Errorf("Len %d exceeds Capacity %d", p.Len(), p.Capacity())
+			if _, ok := lookup(p, pair(n-1)); !ok {
+				t.Errorf("the last pair %v must be held", pair(n-1))
 			}
 		})
 	}
@@ -214,18 +213,17 @@ func TestSetAssocLRUWithinSet(t *testing.T) {
 	m.MatchesForLoad(pairs[0].LoadPC, nil)
 	m.RecordMisspeculation(pairs[2], 1, 0)
 
-	if _, ok := m.Lookup(pairs[1]); ok {
+	if _, ok := lookup(m, pairs[1]); ok {
 		t.Error("LRU way (pair 1) should have been evicted")
 	}
-	if _, ok := m.Lookup(pairs[0]); !ok {
+	if _, ok := lookup(m, pairs[0]); !ok {
 		t.Error("recently used way (pair 0) should survive")
 	}
-	if _, ok := m.Lookup(pairs[2]); !ok {
+	if _, ok := lookup(m, pairs[2]); !ok {
 		t.Error("newly allocated pair must be present")
 	}
-	st := m.Stats()
-	if st.Allocations != 3 || st.Replacements != 1 {
-		t.Errorf("stats = %+v, want 3 allocations / 1 replacement", st)
+	if n := liveEntries(m); n != 2 {
+		t.Errorf("%d live entries, want the set's 2 ways", n)
 	}
 	// The evicted entry must also be gone from the store-side index.
 	if got := m.MatchesForStore(pairs[1].StorePC, nil); len(got) != 0 {
@@ -252,29 +250,29 @@ func TestConstructorsImplyTheirOrganization(t *testing.T) {
 		{Config{Entries: 64, Table: TableStoreSet}, 1, 64},
 	} {
 		m := NewMDPT(tc.cfg)
-		if m.sets != tc.sets || m.ways != tc.ways || m.Capacity() != tc.sets*tc.ways {
+		if m.sets != tc.sets || m.ways != tc.ways || len(m.entries) != tc.sets*tc.ways {
 			t.Errorf("NewMDPT(%+v): geometry = %d sets × %d ways, capacity %d; want %d×%d",
-				tc.cfg, m.sets, m.ways, m.Capacity(), tc.sets, tc.ways)
+				tc.cfg, m.sets, m.ways, len(m.entries), tc.sets, tc.ways)
 		}
 	}
-	if got := NewStoreSetPredictor(Config{Entries: 64, Ways: 2}).Capacity(); got != 32 {
+	if got := len(NewStoreSetPredictor(Config{Entries: 64, Ways: 2}).sets); got != 32 {
 		t.Errorf("store-set pool = %d sets, want 64/2 = 32", got)
 	}
 }
 
-// TestStoreSetStrengthensCountsOnlyKnownPairs aligns the Stats bookkeeping
-// with the pair tables: a first mis-speculation is an allocation, not a
-// strengthen; only a repeat of an already-known pair strengthens.
+// TestStoreSetStrengthensCountsOnlyKnownPairs aligns the store-set counter
+// with the pair tables: a first mis-speculation allocates at the initial
+// counter, and only a repeat of an already-known pair strengthens it.
 func TestStoreSetStrengthensCountsOnlyKnownPairs(t *testing.T) {
 	p := NewStoreSetPredictor(Config{Entries: 16, Ways: 4})
 	pair := PairKey{LoadPC: 0x100, StorePC: 0x80}
 	p.RecordMisspeculation(pair, 1, 0)
-	if st := p.Stats(); st.Allocations != 1 || st.Strengthens != 0 {
-		t.Errorf("after first mis-speculation: %+v, want 1 allocation / 0 strengthens", st)
+	if e, _ := lookup(p, pair); e.Counter != Threshold+1 {
+		t.Errorf("after first mis-speculation: counter %d, want the initial %d", e.Counter, Threshold+1)
 	}
 	p.RecordMisspeculation(pair, 1, 0)
-	if st := p.Stats(); st.Strengthens != 1 {
-		t.Errorf("after repeat mis-speculation: %+v, want 1 strengthen", st)
+	if e, _ := lookup(p, pair); e.Counter != Threshold+2 {
+		t.Errorf("after repeat mis-speculation: counter %d, want %d", e.Counter, Threshold+2)
 	}
 }
 
@@ -288,15 +286,15 @@ func TestSetAssocIsolatedSets(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		pair := PairKey{LoadPC: uint64(4 * i), StorePC: uint64(0x100 + 4*i)}
-		if _, ok := m.Lookup(pair); !ok {
+		if _, ok := lookup(m, pair); !ok {
 			t.Errorf("pair %v lost despite spare capacity in its set", pair)
 		}
 		if got := m.MatchesForLoad(pair.LoadPC, nil); len(got) != 1 || got[0].Pair != pair {
 			t.Errorf("MatchesForLoad(%#x) = %v", pair.LoadPC, got)
 		}
 	}
-	if m.Stats().Replacements != 0 {
-		t.Errorf("replacements = %d, want 0", m.Stats().Replacements)
+	if n := liveEntries(m); n != 4 {
+		t.Errorf("%d live entries, want all 4 pairs", n)
 	}
 }
 
@@ -331,13 +329,13 @@ func TestStoreSetMergesRelatedDependences(t *testing.T) {
 			t.Errorf("store member distance = %d, want the updated 3", m.Dist)
 		}
 	}
-	if p.Len() != 1 {
-		t.Errorf("live sets = %d, want 1 merged set", p.Len())
+	if n := liveEntries(p); n != 1 {
+		t.Errorf("live sets = %d, want 1 merged set", n)
 	}
 
 	// The generalized pair (ld2, st2) is now predicted too -- the store-set
 	// trade-off this organization exists to study.
-	if _, ok := p.Lookup(PairKey{LoadPC: ld2, StorePC: st2}); !ok {
+	if _, ok := lookup(p, PairKey{LoadPC: ld2, StorePC: st2}); !ok {
 		t.Error("members of one set must predict against all its stores")
 	}
 }
@@ -348,13 +346,13 @@ func TestStoreSetMergeOfTwoSets(t *testing.T) {
 	p := NewStoreSetPredictor(Config{Entries: 16, Ways: 4, Predictor: PredictSync, Table: TableStoreSet})
 	p.RecordMisspeculation(PairKey{LoadPC: 0x100, StorePC: 0x10}, 1, 0)
 	p.RecordMisspeculation(PairKey{LoadPC: 0x200, StorePC: 0x20}, 1, 0)
-	if p.Len() != 2 {
-		t.Fatalf("live sets = %d, want 2 before the merge", p.Len())
+	if n := liveEntries(p); n != 2 {
+		t.Fatalf("live sets = %d, want 2 before the merge", n)
 	}
 	// Bridge: the first load against the second store.
 	p.RecordMisspeculation(PairKey{LoadPC: 0x100, StorePC: 0x20}, 2, 0)
-	if p.Len() != 1 {
-		t.Errorf("live sets = %d, want 1 after the merge", p.Len())
+	if n := liveEntries(p); n != 1 {
+		t.Errorf("live sets = %d, want 1 after the merge", n)
 	}
 	// Every original member must be reachable in the merged set.
 	for _, pair := range []PairKey{
@@ -363,7 +361,7 @@ func TestStoreSetMergeOfTwoSets(t *testing.T) {
 		{LoadPC: 0x100, StorePC: 0x20},
 		{LoadPC: 0x200, StorePC: 0x20},
 	} {
-		if _, ok := p.Lookup(pair); !ok {
+		if _, ok := lookup(p, pair); !ok {
 			t.Errorf("pair %v not reachable after merge", pair)
 		}
 	}
@@ -379,7 +377,7 @@ func TestConfigValidation(t *testing.T) {
 		wantErr bool
 	}{
 		{"zero value", Config{}, false},
-		{"paper default", DefaultConfig(4), false},
+		{"paper default", Config{SyncSlots: 4}, false},
 		{"explicit counter bits", Config{CounterBits: 5}, false},
 		{"threshold beyond counter", Config{CounterBits: 1}, true},
 		{"threshold at saturation", Config{CounterBits: 2}, false},
@@ -427,12 +425,12 @@ func TestConfigDefaultsClamp(t *testing.T) {
 		p := NewPredictor(Config{Entries: 8, CounterBits: 2, Table: kind})
 		pair := PairKey{LoadPC: 0x10, StorePC: 0x20}
 		p.RecordMisspeculation(pair, 1, 0)
-		pred, ok := p.Lookup(pair)
+		e, ok := lookup(p, pair)
 		if !ok {
 			t.Fatalf("%v: pair missing", kind)
 		}
-		if pred.Counter > 3 {
-			t.Errorf("%v: entry born at counter %d, saturation is 3", kind, pred.Counter)
+		if e.Counter > 3 {
+			t.Errorf("%v: entry born at counter %d, saturation is 3", kind, e.Counter)
 		}
 	}
 	// Ways normalization: ignored (zeroed) for the fully associative table,
@@ -455,8 +453,8 @@ func TestSystemAcrossOrganizations(t *testing.T) {
 	for _, kind := range allTableKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
 			s := NewSystem(Config{Entries: 16, SyncSlots: 4, Predictor: PredictSync, Table: kind, Ways: 4})
-			if s.Predictor().Kind() != kind {
-				t.Fatalf("system predictor kind = %v", s.Predictor().Kind())
+			if got := tableKind(s.pred); got != kind {
+				t.Fatalf("system predictor kind = %v", got)
 			}
 			rel := hookReleases(s)
 			pair := PairKey{LoadPC: 0x100, StorePC: 0x80}
@@ -470,7 +468,7 @@ func TestSystemAcrossOrganizations(t *testing.T) {
 			if got := rel.take(); !matched || len(got) != 1 || got[0] != 11 {
 				t.Fatalf("store matched=%v released %v, want release of load 11", matched, got)
 			}
-			if s.MDST().HasWaiter(11) {
+			if s.mdst.HasWaiter(11) {
 				t.Error("no waiter must remain after the signal")
 			}
 		})
@@ -480,11 +478,12 @@ func TestSystemAcrossOrganizations(t *testing.T) {
 // ExamplePredictor shows the append-into-buffer lookup contract shared by all
 // organizations.
 func ExamplePredictor() {
-	p := NewPredictor(Config{Entries: 16, Predictor: PredictSync, Table: TableSetAssoc, Ways: 4})
+	cfg := Config{Entries: 16, Predictor: PredictSync, Table: TableSetAssoc, Ways: 4}
+	p := NewPredictor(cfg)
 	p.RecordMisspeculation(PairKey{LoadPC: 0x400, StorePC: 0x200}, 1, 0)
 
 	var buf []Prediction
 	buf = p.MatchesForLoad(0x400, buf[:0])
-	fmt.Printf("%s: %d match, sync=%v\n", p.Kind(), len(buf), buf[0].Sync)
+	fmt.Printf("%s: %d match, sync=%v\n", cfg.Table, len(buf), buf[0].Sync)
 	// Output: setassoc: 1 match, sync=true
 }

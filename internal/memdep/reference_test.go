@@ -1,10 +1,13 @@
 package memdep
 
+import "fmt"
+
 // The reference pair table: the MDPT of section 4.1 written as plainly as
 // possible, with no index.  It is a slice of sets × ways slots; every lookup
 // is a linear scan, and LRU is an explicit stamp taken from a clock that
 // every touch advances.  FuzzMDPTAgainstReference drives MDPT and this table
-// with the same operations and requires every answer to agree.
+// with the same operations and requires every answer, and the two tables'
+// entries, to agree after every step.
 //
 // The paper's table is fully associative: one set holding every slot.  The
 // set-associative organization splits the slots into Entries/Ways sets and
@@ -31,7 +34,6 @@ type refMDPT struct {
 	sets, ways int
 	slots      []refSlot
 	clock      uint64
-	stats      MDPTStats // LiveEntries is computed by Stats
 }
 
 var _ Predictor = (*refMDPT)(nil)
@@ -66,7 +68,6 @@ func (r *refMDPT) prediction(e *refSlot) Prediction {
 	return Prediction{
 		Pair:        e.pair,
 		Dist:        e.dist,
-		Counter:     e.counter,
 		StoreTaskPC: e.taskPC,
 		Sync:        r.cfg.Predictor == PredictAlways || e.counter >= Threshold,
 	}
@@ -81,15 +82,6 @@ func (r *refMDPT) find(pair PairKey) *refSlot {
 		}
 	}
 	return nil
-}
-
-func (r *refMDPT) Kind() TableKind { return r.cfg.Table }
-
-func (r *refMDPT) Lookup(pair PairKey) (Prediction, bool) {
-	if e := r.find(pair); e != nil {
-		return r.prediction(e), true
-	}
-	return Prediction{}, false
 }
 
 func (r *refMDPT) MatchesForLoad(loadPC uint64, dst []Prediction) []Prediction {
@@ -137,10 +129,6 @@ func (r *refMDPT) RecordMisspeculation(pair PairKey, dist uint64, storeTaskPC ui
 		}
 	}
 	e := &set[victim]
-	if e.valid {
-		r.stats.Replacements++
-	}
-	r.stats.Allocations++
 	*e = refSlot{valid: true, pair: pair, dist: dist, taskPC: storeTaskPC, counter: min(Threshold+1, r.counterMax())}
 	r.touch(e)
 }
@@ -150,7 +138,6 @@ func (r *refMDPT) Strengthen(pair PairKey) {
 		if e.counter < r.counterMax() {
 			e.counter++
 		}
-		r.stats.Strengthens++
 	}
 }
 
@@ -159,30 +146,100 @@ func (r *refMDPT) Weaken(pair PairKey) {
 		if e.counter > 0 {
 			e.counter--
 		}
-		r.stats.Weakens++
 	}
-}
-
-func (r *refMDPT) Len() int {
-	n := 0
-	for i := range r.slots {
-		if r.slots[i].valid {
-			n++
-		}
-	}
-	return n
-}
-
-func (r *refMDPT) Capacity() int { return len(r.slots) }
-
-func (r *refMDPT) Stats() MDPTStats {
-	st := r.stats
-	st.LiveEntries = r.Len()
-	return st
 }
 
 func (r *refMDPT) Reset() {
 	clear(r.slots)
 	r.clock = 0
-	r.stats = MDPTStats{}
+}
+
+// entryState is the state one valid entry holds for a static pair.
+type entryState struct {
+	Dist        uint64
+	Counter     int
+	StoreTaskPC uint64
+}
+
+// tableState snapshots the valid entries of a prediction table, pair →
+// state.  A store set holds every pair of one of its loads with one of its
+// stores, at the store member's distance and task PC and the set's counter.
+// Tests read the tables through it, so the tables export only what System
+// calls.
+func tableState(p Predictor) map[PairKey]entryState {
+	out := map[PairKey]entryState{}
+	switch t := p.(type) {
+	case *MDPT:
+		for _, e := range t.entries {
+			if e.valid {
+				out[PairKey{LoadPC: e.loadPC, StorePC: e.storePC}] = entryState{e.dist, e.counter, e.storeTaskPC}
+			}
+		}
+	case *StoreSetPredictor:
+		for _, s := range t.sets {
+			if !s.valid {
+				continue
+			}
+			for _, ld := range s.loads {
+				for _, st := range s.stores {
+					out[PairKey{LoadPC: ld.pc, StorePC: st.pc}] = entryState{st.dist, s.counter, st.storeTaskPC}
+				}
+			}
+		}
+	case *refMDPT:
+		for _, e := range t.slots {
+			if e.valid {
+				out[e.pair] = entryState{e.dist, e.counter, e.taskPC}
+			}
+		}
+	default:
+		panic(fmt.Sprintf("tableState: unknown table %T", p))
+	}
+	return out
+}
+
+// lookup returns the state of the pair's entry, if the table holds one.
+func lookup(p Predictor, pair PairKey) (entryState, bool) {
+	e, ok := tableState(p)[pair]
+	return e, ok
+}
+
+// liveEntries counts the valid entries of a pair table or the valid sets of
+// a store-set table.
+func liveEntries(p Predictor) int {
+	if t, ok := p.(*StoreSetPredictor); ok {
+		n := 0
+		for i := range t.sets {
+			if t.sets[i].valid {
+				n++
+			}
+		}
+		return n
+	}
+	return len(tableState(p))
+}
+
+// tableKind reports the organization a table was built as.
+func tableKind(p Predictor) TableKind {
+	switch t := p.(type) {
+	case *MDPT:
+		return t.cfg.Table
+	case *StoreSetPredictor:
+		return t.cfg.Table
+	}
+	panic(fmt.Sprintf("tableKind: unknown table %T", p))
+}
+
+// capacity is the number of entries of a pair table or sets of a store-set
+// table.
+func capacity(p Predictor) int {
+	switch t := p.(type) {
+	case *MDPT:
+		return len(t.entries)
+	case *StoreSetPredictor:
+		return len(t.sets)
+	case *refMDPT:
+		return len(t.slots)
+	}
+	panic(fmt.Sprintf("capacity: unknown table %T", p))
 }

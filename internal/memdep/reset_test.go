@@ -99,8 +99,8 @@ func drivePredictor(p Predictor) any {
 		case 3:
 			p.Weaken(pair)
 		case 4:
-			pred, ok := p.Lookup(pair)
-			digest = append(digest, pred, ok)
+			e, ok := lookup(p, pair)
+			digest = append(digest, e, ok)
 		case 5:
 			preds := p.MatchesForLoad(pair.LoadPC, nil)
 			digest = append(digest, append([]Prediction(nil), preds...))
@@ -108,7 +108,7 @@ func drivePredictor(p Predictor) any {
 			digest = append(digest, append([]Prediction(nil), preds...))
 		}
 	}
-	return append(digest, p.Len(), p.Stats())
+	return append(digest, tableState(p))
 }
 
 // driveMDST allocates, signals and releases synchronization entries,
@@ -135,7 +135,7 @@ func driveMDST(m *MDST) any {
 	for id := int64(0); id < 16; id++ {
 		digest = append(digest, m.HasWaiter(id))
 	}
-	return append(digest, m.Len())
+	return append(digest, len(m.index))
 }
 
 // driveDDC thrashes the 8-entry dependence cache to exercise LRU eviction.
@@ -145,7 +145,7 @@ func driveDDC(d *DDC) any {
 	for i := 0; i < 100; i++ {
 		digest = append(digest, d.Access(rnd.pair()))
 	}
-	return append(digest, d.Len(), d.Hits(), d.Misses())
+	return append(digest, len(d.entries), d.hits, d.misses)
 }
 
 // driveSystem runs the full load/store protocol: issue, signal, release,

@@ -26,11 +26,6 @@ type StoreSetPredictor struct {
 	loadSSIT  map[uint64]int
 	storeSSIT map[uint64]int
 	clock     uint64
-
-	allocations  uint64
-	replacements uint64
-	strengthens  uint64
-	weakens      uint64
 }
 
 var _ Predictor = (*StoreSetPredictor)(nil)
@@ -74,23 +69,6 @@ func NewStoreSetPredictor(cfg Config) *StoreSetPredictor {
 	}
 }
 
-// Kind implements Predictor.
-func (t *StoreSetPredictor) Kind() TableKind { return TableStoreSet }
-
-// Capacity returns the number of sets in the pool.
-func (t *StoreSetPredictor) Capacity() int { return len(t.sets) }
-
-// Len returns the number of valid sets.
-func (t *StoreSetPredictor) Len() int {
-	n := 0
-	for i := range t.sets {
-		if t.sets[i].valid {
-			n++
-		}
-	}
-	return n
-}
-
 func (t *StoreSetPredictor) touchSet(s *storeSet) {
 	t.clock++
 	s.lastUse = t.clock
@@ -100,29 +78,9 @@ func (t *StoreSetPredictor) prediction(pair PairKey, st *ssStore, counter int) P
 	return Prediction{
 		Pair:        pair,
 		Dist:        st.dist,
-		Counter:     counter,
 		StoreTaskPC: st.storeTaskPC,
 		Sync:        t.cfg.syncPredicted(counter),
 	}
-}
-
-// Lookup implements Predictor: the pair is known when its load and store
-// belong to the same set.
-func (t *StoreSetPredictor) Lookup(pair PairKey) (Prediction, bool) {
-	sid, ok := t.loadSSIT[pair.LoadPC]
-	if !ok {
-		return Prediction{}, false
-	}
-	if ssid, sok := t.storeSSIT[pair.StorePC]; !sok || ssid != sid {
-		return Prediction{}, false
-	}
-	s := &t.sets[sid]
-	for i := range s.stores {
-		if s.stores[i].pc == pair.StorePC {
-			return t.prediction(pair, &s.stores[i], s.counter), true
-		}
-	}
-	return Prediction{}, false
 }
 
 // MatchesForLoad implements Predictor: a member load predicts a dependence on
@@ -177,8 +135,6 @@ func (t *StoreSetPredictor) MatchesForStore(storePC uint64, dst []Prediction) []
 
 // RecordMisspeculation implements Predictor: place the load and the store in
 // one common set (allocating or merging as needed) and raise its counter.
-// Like the pair tables, the strengthens statistic counts only reinforcements
-// of an already-known pair, not first allocations (or joins/merges).
 func (t *StoreSetPredictor) RecordMisspeculation(pair PairKey, dist uint64, storeTaskPC uint64) {
 	lsid, lok := t.loadSSIT[pair.LoadPC]
 	ssid, sok := t.storeSSIT[pair.StorePC]
@@ -206,9 +162,6 @@ func (t *StoreSetPredictor) RecordMisspeculation(pair PairKey, dist uint64, stor
 	if s.counter < t.cfg.counterMax() {
 		s.counter++
 	}
-	if known {
-		t.strengthens++
-	}
 }
 
 // allocSet returns the index of a set to allocate into: an invalid set if one
@@ -218,7 +171,6 @@ func (t *StoreSetPredictor) allocSet() int {
 	for i := range t.sets {
 		s := &t.sets[i]
 		if !s.valid {
-			t.allocations++
 			s.valid = true
 			s.counter = t.cfg.initialCounter() - 1 // RecordMisspeculation increments
 			t.touchSet(s)
@@ -228,8 +180,6 @@ func (t *StoreSetPredictor) allocSet() int {
 			lru = i
 		}
 	}
-	t.replacements++
-	t.allocations++
 	t.invalidateSet(lru)
 	s := &t.sets[lru]
 	s.valid = true
@@ -289,7 +239,6 @@ func (t *StoreSetPredictor) addLoad(sid int, loadPC uint64) {
 		}
 		delete(t.loadSSIT, s.loads[lru].pc)
 		s.loads = append(s.loads[:lru], s.loads[lru+1:]...)
-		t.replacements++
 	}
 	t.clock++
 	s.loads = append(s.loads, ssLoad{pc: loadPC, lastUse: t.clock})
@@ -318,7 +267,6 @@ func (t *StoreSetPredictor) addStore(sid int, storePC uint64, dist uint64, store
 		}
 		delete(t.storeSSIT, s.stores[lru].pc)
 		s.stores = append(s.stores[:lru], s.stores[lru+1:]...)
-		t.replacements++
 	}
 	t.clock++
 	s.stores = append(s.stores, ssStore{pc: storePC, dist: dist, storeTaskPC: storeTaskPC, lastUse: t.clock})
@@ -342,7 +290,6 @@ func (t *StoreSetPredictor) Strengthen(pair PairKey) {
 		if s.counter < t.cfg.counterMax() {
 			s.counter++
 		}
-		t.strengthens++
 	}
 }
 
@@ -353,18 +300,6 @@ func (t *StoreSetPredictor) Weaken(pair PairKey) {
 		if s.counter > 0 {
 			s.counter--
 		}
-		t.weakens++
-	}
-}
-
-// Stats implements Predictor.  LiveEntries counts valid sets.
-func (t *StoreSetPredictor) Stats() MDPTStats {
-	return MDPTStats{
-		Allocations:  t.allocations,
-		Replacements: t.replacements,
-		Strengthens:  t.strengthens,
-		Weakens:      t.weakens,
-		LiveEntries:  t.Len(),
 	}
 }
 
@@ -378,5 +313,4 @@ func (t *StoreSetPredictor) Reset() {
 	clear(t.loadSSIT)
 	clear(t.storeSSIT)
 	t.clock = 0
-	t.allocations, t.replacements, t.strengthens, t.weakens = 0, 0, 0, 0
 }

@@ -86,16 +86,6 @@ func NewSystem(cfg Config) *System {
 	}
 }
 
-// Config returns the effective configuration (defaults applied).
-func (s *System) Config() Config { return s.cfg }
-
-// Predictor exposes the prediction table (read-mostly; used by tests and
-// tools).
-func (s *System) Predictor() Predictor { return s.pred }
-
-// MDST exposes the synchronization table.
-func (s *System) MDST() *MDST { return s.mdst }
-
 // Stats returns a snapshot of the system counters.
 func (s *System) Stats() SystemStats { return s.stats }
 

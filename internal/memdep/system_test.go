@@ -31,13 +31,13 @@ func (l *releaseLog) take() []int64 {
 // per stage for each of those 8, not for the 10 requested.
 func TestSystemSizesInWholeSets(t *testing.T) {
 	s := NewSystem(Config{Table: TableSetAssoc, Entries: 10, Ways: 4, SyncSlots: 8})
-	if got := s.Config().Entries; got != 8 {
+	if got := s.cfg.Entries; got != 8 {
 		t.Errorf("effective entries = %d, want 8", got)
 	}
-	if got := s.Predictor().Capacity(); got != 8 {
+	if got := capacity(s.pred); got != 8 {
 		t.Errorf("prediction table capacity = %d, want 8", got)
 	}
-	if got := s.MDST().Capacity(); got != 64 {
+	if got := len(s.mdst.entries); got != 64 {
 		t.Errorf("MDST capacity = %d, want 8 entries × 8 slots = 64", got)
 	}
 }
@@ -108,8 +108,8 @@ func TestSystemReleaseHook(t *testing.T) {
 	if len(released) != 1 {
 		t.Errorf("hook fired after removal: %v", released)
 	}
-	if s.MDST().HasWaiter(13) || s.Stats().LoadsReleasedByStore != 2 {
-		t.Errorf("load 13 not released without a hook: waiting=%v, stats %+v", s.MDST().HasWaiter(13), s.Stats())
+	if s.mdst.HasWaiter(13) || s.Stats().LoadsReleasedByStore != 2 {
+		t.Errorf("load 13 not released without a hook: waiting=%v, stats %+v", s.mdst.HasWaiter(13), s.Stats())
 	}
 }
 
@@ -151,7 +151,7 @@ func TestSystemWrongInstanceDoesNotRelease(t *testing.T) {
 	if got := rel.take(); len(got) != 0 {
 		t.Errorf("released loads = %v, want none", got)
 	}
-	if !s.MDST().HasWaiter(11) {
+	if !s.mdst.HasWaiter(11) {
 		t.Error("load 11 must still be waiting")
 	}
 }
@@ -161,7 +161,7 @@ func TestSystemReleaseLoadWeakensPrediction(t *testing.T) {
 	pair := PairKey{LoadPC: 0x100, StorePC: 0x80}
 	s.RecordMisspeculation(pair, 1, 0)
 
-	before, _ := s.Predictor().Lookup(pair)
+	before, _ := lookup(s.pred, pair)
 	d := s.LoadIssue(LoadQuery{PC: 0x100, Instance: 7, LDID: 11})
 	if !d.Wait {
 		t.Fatal("load must wait")
@@ -171,11 +171,11 @@ func TestSystemReleaseLoadWeakensPrediction(t *testing.T) {
 	if n := s.ReleaseLoad(11); n != 1 {
 		t.Fatalf("released %d entries, want 1", n)
 	}
-	after, _ := s.Predictor().Lookup(pair)
+	after, _ := lookup(s.pred, pair)
 	if after.Counter >= before.Counter {
 		t.Errorf("counter %d -> %d, want weakened", before.Counter, after.Counter)
 	}
-	if s.MDST().HasWaiter(11) {
+	if s.mdst.HasWaiter(11) {
 		t.Error("entry must be freed")
 	}
 }
@@ -184,13 +184,13 @@ func TestSystemSquashDoesNotTouchPredictor(t *testing.T) {
 	s := newTestSystem(PredictSync)
 	pair := PairKey{LoadPC: 0x100, StorePC: 0x80}
 	s.RecordMisspeculation(pair, 1, 0)
-	before, _ := s.Predictor().Lookup(pair)
+	before, _ := lookup(s.pred, pair)
 
 	s.LoadIssue(LoadQuery{PC: 0x100, Instance: 7, LDID: 11})
 	if n := s.SquashLoad(11); n != 1 {
 		t.Fatalf("squash freed %d entries, want 1", n)
 	}
-	after, _ := s.Predictor().Lookup(pair)
+	after, _ := lookup(s.pred, pair)
 	if after.Counter != before.Counter {
 		t.Error("squash must not update the predictor (updates are non-speculative)")
 	}
@@ -201,7 +201,7 @@ func TestSystemSquashStore(t *testing.T) {
 	pair := PairKey{LoadPC: 0x100, StorePC: 0x80}
 	s.RecordMisspeculation(pair, 1, 0)
 	s.StoreIssue(StoreQuery{PC: 0x80, Instance: 6, STID: 21})
-	if s.MDST().Len() != 1 {
+	if len(s.mdst.index) != 1 {
 		t.Fatal("store must have pre-set a condition variable")
 	}
 	if n := s.SquashStore(21); n != 1 {
@@ -232,15 +232,15 @@ func TestSystemCommitLoadStrengthensConfirmedDependence(t *testing.T) {
 	s := newTestSystem(PredictSync)
 	pair := PairKey{LoadPC: 0x100, StorePC: 0x80}
 	s.RecordMisspeculation(pair, 1, 0)
-	before, _ := s.Predictor().Lookup(pair)
+	before, _ := lookup(s.pred, pair)
 	s.CommitLoad(0x100, 0x80, []PairKey{pair})
-	after, _ := s.Predictor().Lookup(pair)
+	after, _ := lookup(s.pred, pair)
 	if after.Counter <= before.Counter {
 		t.Errorf("counter %d -> %d, want strengthened", before.Counter, after.Counter)
 	}
 	// A commit whose actual producer differs weakens it.
 	s.CommitLoad(0x100, 0x9999, []PairKey{pair})
-	final, _ := s.Predictor().Lookup(pair)
+	final, _ := lookup(s.pred, pair)
 	if final.Counter >= after.Counter {
 		t.Error("mismatched producer must weaken the entry")
 	}
@@ -364,7 +364,7 @@ func TestSystemStatsAccumulate(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 	s.Reset()
-	if s.Stats() != (SystemStats{}) || s.Predictor().Len() != 0 || s.MDST().Len() != 0 {
+	if s.Stats() != (SystemStats{}) || liveEntries(s.pred) != 0 || len(s.mdst.index) != 0 {
 		t.Error("reset must clear everything")
 	}
 }
@@ -395,7 +395,7 @@ func TestSystemSynchronizationAlwaysResolves(t *testing.T) {
 			got := rel.take()
 			released = len(got) == 1 && got[0] == 9
 		}
-		return released && !s.MDST().HasWaiter(9)
+		return released && !s.mdst.HasWaiter(9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -39,7 +39,7 @@ func TestSimulatorReuseMatchesFresh(t *testing.T) {
 				if err != nil {
 					t.Fatalf("second (reused) run: %v", err)
 				}
-				fresh, err := Simulate(w, cfg)
+				fresh, err := SimulateContext(context.Background(), w, cfg)
 				if err != nil {
 					t.Fatalf("fresh run: %v", err)
 				}
@@ -83,7 +83,7 @@ func TestSimulatorReuseAcrossConfigs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run %d (%v, %d stages): %v", i, r.pol, r.stages, err)
 		}
-		want, err := Simulate(items[r.item], cfg)
+		want, err := SimulateContext(context.Background(), items[r.item], cfg)
 		if err != nil {
 			t.Fatalf("run %d fresh: %v", i, err)
 		}

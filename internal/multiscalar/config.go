@@ -203,12 +203,6 @@ type Result struct {
 	// FalseDependenceReleases counts loads that waited for a synchronization
 	// that never came and were released when all prior stores resolved.
 	FalseDependenceReleases uint64
-	// ARBBypasses counts memory operations that could not be tracked because
-	// their ARB bank was full and proceeded unmonitored (a potential source
-	// of undetected mis-speculation; the paper's configuration makes this
-	// rare, but the counter keeps it observable).  It is ARB.StallsFull,
-	// repeated at the top level.
-	ARBBypasses uint64
 
 	// Breakdown classifies committed loads for Table 8.
 	Breakdown PredictionBreakdown

@@ -2,6 +2,7 @@ package multiscalar
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -60,7 +61,7 @@ func FuzzDecodeWorkItem(f *testing.F) {
 		if got := AppendWorkItem(nil, w); !bytes.Equal(got, data) {
 			t.Fatalf("accepted encoding is not canonical:\ninput    %x\nreencode %x", data, got)
 		}
-		_, _ = Simulate(w, cfg) // errors (cycle limit, wedge) are fine; panics are not
+		_, _ = SimulateContext(context.Background(), w, cfg) // errors (cycle limit, wedge) are fine; panics are not
 	})
 }
 
@@ -110,12 +111,12 @@ func FuzzCoresAgree(f *testing.F) {
 		case 2:
 			cfg.MemDep.Predictor = memdep.PredictAlways
 		}
-		event, err := Simulate(w, cfg)
+		event, err := SimulateContext(context.Background(), w, cfg)
 		if err != nil {
 			t.Fatalf("event core: %v", err)
 		}
 		cfg.Core = coreStepped
-		stepped, err := Simulate(w, cfg)
+		stepped, err := SimulateContext(context.Background(), w, cfg)
 		if err != nil {
 			t.Fatalf("stepped loop: %v", err)
 		}
@@ -124,6 +125,7 @@ func FuzzCoresAgree(f *testing.F) {
 				spec, cfg.Stages, cfg.Policy, cfg.MemDep, event, stepped)
 		}
 		checkResultLaws(t, cfg, event)
+		checkMisspecPairs(t, w, event)
 	})
 }
 

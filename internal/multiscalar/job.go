@@ -30,8 +30,7 @@ func (PreprocessJob) JobKind() string { return PreprocessKind }
 
 // CacheKey implements engine.Spec.
 func (j PreprocessJob) CacheKey() string {
-	return fmt.Sprintf("%s|max=%d,tasklen=%d",
-		engine.Key(j.Program), j.Trace.MaxInstructions, j.Trace.MaxTaskLen)
+	return fmt.Sprintf("%s|max=%d", engine.Key(j.Program), j.Trace.MaxInstructions)
 }
 
 // preprocessSimulator executes PreprocessJob specs.

@@ -1,6 +1,7 @@
 package multiscalar
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -145,7 +146,7 @@ func TestAlwaysSyncSurvivesNormalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Simulate(w, always)
+	a, err := SimulateContext(context.Background(), w, always)
 	if err != nil {
 		t.Fatal(err)
 	}

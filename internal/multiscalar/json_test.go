@@ -1,6 +1,7 @@
 package multiscalar
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -40,7 +41,7 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	for _, pol := range []policy.Kind{policy.Always, policy.ESync} {
 		cfg := DefaultConfig(8, pol)
 		cfg.DDCSizes = []int{32, 128}
-		res, err := Simulate(item, cfg)
+		res, err := SimulateContext(context.Background(), item, cfg)
 		if err != nil {
 			t.Fatalf("Simulate(%v): %v", pol, err)
 		}

@@ -57,7 +57,7 @@ func prep(t *testing.T, p *program.Program, max uint64) *WorkItem {
 
 func simulate(t *testing.T, w *WorkItem, stages int, pol policy.Kind) Result {
 	t.Helper()
-	res, err := Simulate(w, DefaultConfig(stages, pol))
+	res, err := SimulateContext(context.Background(), w, DefaultConfig(stages, pol))
 	if err != nil {
 		t.Fatalf("Simulate(%v, %d stages): %v", pol, stages, err)
 	}
@@ -246,11 +246,11 @@ func TestSimulationRunToRunDeterministic(t *testing.T) {
 		for _, pol := range policy.All() {
 			cfg := DefaultConfig(4, pol)
 			cfg.Core = core
-			a, err := Simulate(w, cfg)
+			a, err := SimulateContext(context.Background(), w, cfg)
 			if err != nil {
 				t.Fatalf("%v/%v: %v", core, pol, err)
 			}
-			b, err := Simulate(w, cfg)
+			b, err := SimulateContext(context.Background(), w, cfg)
 			if err != nil {
 				t.Fatalf("%v/%v: %v", core, pol, err)
 			}
@@ -312,13 +312,13 @@ func TestCoresCycleIdentical(t *testing.T) {
 		oneStageCycles := int64(-1)
 		for _, cfg := range cfgs {
 			where := fmt.Sprintf("%s/%d stages/%v/%+v", name, cfg.Stages, cfg.Policy, cfg.MemDep)
-			re, err := Simulate(w, cfg)
+			re, err := SimulateContext(context.Background(), w, cfg)
 			if err != nil {
 				t.Fatalf("%s event: %v", where, err)
 			}
 			stepped := cfg
 			stepped.Core = coreStepped
-			rs, err := Simulate(w, stepped)
+			rs, err := SimulateContext(context.Background(), w, stepped)
 			if err != nil {
 				t.Fatalf("%s stepped: %v", where, err)
 			}
@@ -326,6 +326,7 @@ func TestCoresCycleIdentical(t *testing.T) {
 				t.Errorf("%s: event and stepped cores disagree:\nevent:   %+v\nstepped: %+v", where, re, rs)
 			}
 			checkResultLaws(t, cfg, re)
+			checkMisspecPairs(t, w, re)
 			if cfg.Stages != 1 {
 				continue
 			}
@@ -408,12 +409,61 @@ func checkResultLaws(t *testing.T, cfg Config, r Result) {
 	}
 }
 
+// checkMisspecPairs asserts that every MisspecPairs key names a real older
+// store: w holds a dynamic load at the key's load PC and a dynamic store at
+// its store PC, to the same address, with the store in an older task.  The
+// ARB reports a violation only when a store reaches an address an exposed
+// load of a younger task has read.  The store need not be the load's last
+// producer: a later store to the address may commit in between, so that
+// stronger form is not asserted.
+func checkMisspecPairs(t *testing.T, w *WorkItem, r Result) {
+	t.Helper()
+	if len(r.MisspecPairs) == 0 {
+		return
+	}
+	storesOf := map[uint64]bool{}
+	loadsOf := map[uint64][]uint64{} // load PC -> store PCs
+	for k := range r.MisspecPairs {
+		storesOf[k.StorePC] = true
+		loadsOf[k.LoadPC] = append(loadsOf[k.LoadPC], k.StorePC)
+	}
+	// firstTask[store PC][address] is the oldest task storing there.
+	firstTask := map[uint64]map[uint64]int{}
+	found := map[memdep.PairKey]bool{}
+	for ti, tk := range w.tasks {
+		for i := tk.start; i < tk.end; i++ {
+			in := &w.insts[i]
+			if in.isLoad() {
+				for _, st := range loadsOf[in.pc] {
+					if first, ok := firstTask[st][in.addr]; ok && first < ti {
+						found[memdep.PairKey{LoadPC: in.pc, StorePC: st}] = true
+					}
+				}
+			}
+			if in.isStore() && storesOf[in.pc] {
+				if firstTask[in.pc] == nil {
+					firstTask[in.pc] = map[uint64]int{}
+				}
+				if _, ok := firstTask[in.pc][in.addr]; !ok {
+					firstTask[in.pc][in.addr] = ti
+				}
+			}
+		}
+	}
+	for k := range r.MisspecPairs {
+		if !found[k] {
+			t.Errorf("%s at %d stages under %v: mis-speculated pair %v has no store to a load's address in an older task",
+				r.Benchmark, r.Stages, r.Policy, k)
+		}
+	}
+}
+
 // goldenFingerprint compresses the deterministic scalar core of a Result
 // into one comparable line.
 func goldenFingerprint(r Result) string {
-	return fmt.Sprintf("cycles=%d tasks=%d misspec=%d squashes=%d squashedInstr=%d waited=%d waitCycles=%d falseRel=%d breakdown=%v arbBypass=%d",
+	return fmt.Sprintf("cycles=%d tasks=%d misspec=%d squashes=%d squashedInstr=%d waited=%d waitCycles=%d falseRel=%d breakdown=%v arbRefused=%d",
 		r.Cycles, r.Tasks, r.Misspeculations, r.Squashes, r.SquashedInstructions,
-		r.LoadsWaited, r.WaitCycles, r.FalseDependenceReleases, r.Breakdown, r.ARBBypasses)
+		r.LoadsWaited, r.WaitCycles, r.FalseDependenceReleases, r.Breakdown, r.ARB.Refused)
 }
 
 // TestGoldenResults pins the simulator's observable behaviour on one small
@@ -424,12 +474,12 @@ func goldenFingerprint(r Result) string {
 // an intentional semantic change must update them in the same commit.
 func TestGoldenResults(t *testing.T) {
 	golden := map[policy.Kind]string{
-		policy.Never:       "cycles=5139 tasks=32 misspec=0 squashes=0 squashedInstr=0 waited=30 waitCycles=14493 falseRel=0 breakdown=[[301 30] [0 0]] arbBypass=0",
-		policy.Always:      "cycles=5165 tasks=32 misspec=30 squashes=87 squashedInstr=6631 waited=0 waitCycles=0 falseRel=0 breakdown=[[331 0] [0 0]] arbBypass=0",
-		policy.Wait:        "cycles=5139 tasks=32 misspec=0 squashes=0 squashedInstr=0 waited=30 waitCycles=14493 falseRel=0 breakdown=[[301 30] [0 0]] arbBypass=0",
-		policy.PerfectSync: "cycles=5139 tasks=32 misspec=0 squashes=0 squashedInstr=0 waited=30 waitCycles=14493 falseRel=0 breakdown=[[301 30] [0 0]] arbBypass=0",
-		policy.Sync:        "cycles=4954 tasks=32 misspec=4 squashes=6 squashedInstr=233 waited=28 waitCycles=12773 falseRel=0 breakdown=[[301 0] [2 28]] arbBypass=0",
-		policy.ESync:       "cycles=4954 tasks=32 misspec=4 squashes=6 squashedInstr=233 waited=28 waitCycles=12773 falseRel=0 breakdown=[[301 0] [2 28]] arbBypass=0",
+		policy.Never:       "cycles=5139 tasks=32 misspec=0 squashes=0 squashedInstr=0 waited=30 waitCycles=14493 falseRel=0 breakdown=[[301 30] [0 0]] arbRefused=0",
+		policy.Always:      "cycles=5165 tasks=32 misspec=30 squashes=87 squashedInstr=6631 waited=0 waitCycles=0 falseRel=0 breakdown=[[331 0] [0 0]] arbRefused=0",
+		policy.Wait:        "cycles=5139 tasks=32 misspec=0 squashes=0 squashedInstr=0 waited=30 waitCycles=14493 falseRel=0 breakdown=[[301 30] [0 0]] arbRefused=0",
+		policy.PerfectSync: "cycles=5139 tasks=32 misspec=0 squashes=0 squashedInstr=0 waited=30 waitCycles=14493 falseRel=0 breakdown=[[301 30] [0 0]] arbRefused=0",
+		policy.Sync:        "cycles=4954 tasks=32 misspec=4 squashes=6 squashedInstr=233 waited=28 waitCycles=12773 falseRel=0 breakdown=[[301 0] [2 28]] arbRefused=0",
+		policy.ESync:       "cycles=4954 tasks=32 misspec=4 squashes=6 squashedInstr=233 waited=28 waitCycles=12773 falseRel=0 breakdown=[[301 0] [2 28]] arbRefused=0",
 	}
 	checkGoldens(t, prep(t, buildRecurrence(30), 0), golden)
 }
@@ -442,6 +492,7 @@ func checkGoldens(t *testing.T, w *WorkItem, golden map[policy.Kind]string) {
 	for _, pol := range policy.All() {
 		res := simulate(t, w, 4, pol)
 		checkResultLaws(t, DefaultConfig(4, pol), res)
+		checkMisspecPairs(t, w, res)
 		got := goldenFingerprint(res)
 		want, ok := golden[pol]
 		if !ok {
@@ -456,26 +507,26 @@ func checkGoldens(t *testing.T, w *WorkItem, golden map[policy.Kind]string) {
 
 // TestGoldenResultsUnderARBOverflow pins every policy at 4 stages on a
 // synthetic workload whose 512-instruction tasks overflow the paper-sized
-// ARB, so bypassed accesses, violations and squashes interact.  The values
+// ARB, so refused accesses, violations and squashes interact.  The values
 // were recorded before the ARB moved from address maps to dense address
 // ids, and the move kept them.  A full bank currently lets the access
-// proceed untracked (counted in ARBBypasses); making it stall instead, as
+// proceed untracked (counted in ARB.Refused); making it stall instead, as
 // the hardware would, changes these fingerprints deliberately.
 func TestGoldenResultsUnderARBOverflow(t *testing.T) {
 	golden := map[policy.Kind]string{
-		policy.Never:       "cycles=43549 tasks=81 misspec=0 squashes=0 squashedInstr=0 waited=40 waitCycles=31613 falseRel=0 breakdown=[[14741 60] [0 0]] arbBypass=781",
-		policy.Always:      "cycles=43464 tasks=81 misspec=21 squashes=63 squashedInstr=172 waited=0 waitCycles=0 falseRel=0 breakdown=[[14741 60] [0 0]] arbBypass=914",
-		policy.Wait:        "cycles=43530 tasks=81 misspec=0 squashes=0 squashedInstr=0 waited=20 waitCycles=31555 falseRel=0 breakdown=[[14741 60] [0 0]] arbBypass=781",
-		policy.PerfectSync: "cycles=43490 tasks=81 misspec=0 squashes=0 squashedInstr=0 waited=40 waitCycles=31515 falseRel=0 breakdown=[[14741 60] [0 0]] arbBypass=781",
-		policy.Sync:        "cycles=43465 tasks=81 misspec=2 squashes=6 squashedInstr=20 waited=39 waitCycles=30320 falseRel=1 breakdown=[[14741 20] [1 39]] arbBypass=781",
-		policy.ESync:       "cycles=43472 tasks=81 misspec=4 squashes=12 squashedInstr=32 waited=37 waitCycles=27923 falseRel=2 breakdown=[[14741 21] [2 37]] arbBypass=788",
+		policy.Never:       "cycles=43549 tasks=81 misspec=0 squashes=0 squashedInstr=0 waited=40 waitCycles=31613 falseRel=0 breakdown=[[14741 60] [0 0]] arbRefused=781",
+		policy.Always:      "cycles=43464 tasks=81 misspec=21 squashes=63 squashedInstr=172 waited=0 waitCycles=0 falseRel=0 breakdown=[[14741 60] [0 0]] arbRefused=914",
+		policy.Wait:        "cycles=43530 tasks=81 misspec=0 squashes=0 squashedInstr=0 waited=20 waitCycles=31555 falseRel=0 breakdown=[[14741 60] [0 0]] arbRefused=781",
+		policy.PerfectSync: "cycles=43490 tasks=81 misspec=0 squashes=0 squashedInstr=0 waited=40 waitCycles=31515 falseRel=0 breakdown=[[14741 60] [0 0]] arbRefused=781",
+		policy.Sync:        "cycles=43465 tasks=81 misspec=2 squashes=6 squashedInstr=20 waited=39 waitCycles=30320 falseRel=1 breakdown=[[14741 20] [1 39]] arbRefused=781",
+		policy.ESync:       "cycles=43472 tasks=81 misspec=4 squashes=12 squashedInstr=32 waited=37 waitCycles=27923 falseRel=2 breakdown=[[14741 21] [2 37]] arbRefused=788",
 	}
 	spec := synth.Spec{Seed: 7, Ops: 40_000, Body: 2048, TaskSize: 512, LoadFrac: 0.35, StoreFrac: 0.3}
 	checkGoldens(t, prep(t, spec.Build(1), 0), golden)
 }
 
 // TestARBBypassesSurfaced forces ARB bank overflow with a one-entry buffer
-// and checks the previously dropped counter reaches the Result.
+// and checks that the refused accesses reach the Result.
 func TestARBBypassesSurfaced(t *testing.T) {
 	w := prep(t, buildRecurrence(20), 0)
 	sm := NewSimulator()
@@ -486,17 +537,13 @@ func TestARBBypassesSurfaced(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := sm.s.result()
-	if res.ARBBypasses == 0 {
-		t.Error("a one-entry ARB on a multi-address workload must overflow, ARBBypasses = 0")
-	}
-	if res.ARBBypasses != res.ARB.StallsFull {
-		t.Errorf("ARBBypasses = %d, want ARB.StallsFull = %d (every overflow is a bypass)",
-			res.ARBBypasses, res.ARB.StallsFull)
+	if res.ARB.Refused == 0 {
+		t.Error("a one-entry ARB on a multi-address workload must overflow, ARB.Refused = 0")
 	}
 	// The paper-sized ARB must not overflow on the same workload.
 	big := simulate(t, w, 4, policy.Always)
-	if big.ARBBypasses != 0 {
-		t.Errorf("default ARB overflowed %d times on a small workload", big.ARBBypasses)
+	if big.ARB.Refused != 0 {
+		t.Errorf("default ARB overflowed %d times on a small workload", big.ARB.Refused)
 	}
 }
 
@@ -521,7 +568,7 @@ func TestDDCFeedOnMultiscalarMisspecs(t *testing.T) {
 	w := prep(t, buildRecurrence(60), 0)
 	cfg := DefaultConfig(4, policy.Always)
 	cfg.DDCSizes = []int{4, 64}
-	res, err := Simulate(w, cfg)
+	res, err := SimulateContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,7 +631,7 @@ func TestSimulateErrorOnCycleLimit(t *testing.T) {
 	w := prep(t, buildRecurrence(50), 0)
 	cfg := DefaultConfig(4, policy.Always)
 	cfg.MaxCycles = 10
-	if _, err := Simulate(w, cfg); err == nil {
+	if _, err := SimulateContext(context.Background(), w, cfg); err == nil {
 		t.Error("expected an error when the cycle limit is exceeded")
 	}
 }

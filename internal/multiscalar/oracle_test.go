@@ -38,10 +38,7 @@ type refInst struct {
 // order of first appearance.
 func referencePreprocess(t *testing.T, p *program.Program, cfg trace.Config) []refInst {
 	t.Helper()
-	stream, _, err := trace.Collect(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stream := collectStream(t, p, cfg)
 	lastWriter := map[isa.Reg]int{}
 	lastStore := map[uint64]int{}
 	addrIDs := map[uint64]int32{}
@@ -148,6 +145,22 @@ func TestPreprocessMatchesReference(t *testing.T) {
 	oneInst := program.NewBuilder("one")
 	oneInst.AddI(1, 0, 5)
 	oneInst.Halt()
+	// A straight line with a task entry before every instruction: each task
+	// is one instruction, and from the fourth iteration on each load's
+	// producer is the store of three iterations earlier, in an older task.
+	singleInst := program.NewBuilder("single-inst")
+	for i := int64(0); i < 50; i++ {
+		singleInst.TaskEntry()
+		singleInst.AddI(5, 5, 1)
+		singleInst.TaskEntry()
+		singleInst.Store(5, isa.SP, -(1+i%4)*isa.WordSize)
+		singleInst.TaskEntry()
+		singleInst.Load(6, isa.SP, -(1+(i+1)%4)*isa.WordSize)
+		singleInst.TaskEntry()
+		singleInst.Add(7, 7, 6)
+	}
+	singleInst.TaskEntry()
+	singleInst.Halt()
 
 	type tcase struct {
 		p   *program.Program
@@ -156,7 +169,7 @@ func TestPreprocessMatchesReference(t *testing.T) {
 	cases := map[string]tcase{
 		"compress":       {workload.MustGet("compress").Build(1), trace.Config{MaxInstructions: 20_000}},
 		"xlisp":          {workload.MustGet("xlisp").Build(1), trace.Config{MaxInstructions: 20_000}},
-		"single-inst":    {workload.MustGet("compress").Build(1), trace.Config{MaxInstructions: 3_000, MaxTaskLen: 1}},
+		"single-inst":    {singleInst.MustBuild(), trace.Config{}},
 		"one-inst":       {oneInst.MustBuild(), trace.Config{}},
 		"recurrence-cut": {buildRecurrence(40), trace.Config{}}, // cut set below
 	}
@@ -168,10 +181,7 @@ func TestPreprocessMatchesReference(t *testing.T) {
 	// Cut the recurrence mid-task: the bound lands on an instruction that
 	// is neither a task's first nor its last.
 	rc := cases["recurrence-cut"]
-	stream, _, err := trace.Collect(rc.p, rc.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stream := collectStream(t, rc.p, rc.cfg)
 	for i := len(stream) / 2; i < len(stream)-1; i++ {
 		if !stream[i].TaskStart && !stream[i+1].TaskStart {
 			rc.cfg.MaxInstructions = uint64(i + 1)
@@ -189,8 +199,8 @@ func TestPreprocessMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c.cfg.MaxTaskLen == 1 && w.Tasks() != len(w.insts) {
-				t.Fatalf("MaxTaskLen 1 built %d tasks for %d instructions", w.Tasks(), len(w.insts))
+			if name == "single-inst" && w.Tasks() != len(w.insts) {
+				t.Fatalf("a task entry on every instruction built %d tasks for %d instructions", w.Tasks(), len(w.insts))
 			}
 			ref := referencePreprocess(t, c.p, c.cfg)
 			checkAgainstReference(t, w, ref)
@@ -335,7 +345,7 @@ func TestPredictorFreePoliciesIgnoreMemDep(t *testing.T) {
 	reused := NewSimulator()
 	for _, it := range items {
 		for _, stages := range []int{4, 8} {
-			for _, pol := range policy.OraclePolicies() {
+			for _, pol := range []policy.Kind{policy.Never, policy.Always, policy.Wait, policy.PerfectSync} {
 				want, err := NewSimulator().Simulate(ctx, it.w, DefaultConfig(stages, pol))
 				if err != nil {
 					t.Fatal(err)
@@ -365,4 +375,18 @@ func TestPredictorFreePoliciesIgnoreMemDep(t *testing.T) {
 			}
 		}
 	}
+}
+
+// collectStream runs the functional simulator and returns the committed
+// dynamic instruction stream.
+func collectStream(t *testing.T, p *program.Program, cfg trace.Config) []trace.DynInst {
+	t.Helper()
+	var stream []trace.DynInst
+	if _, err := trace.Run(p, cfg, func(d trace.DynInst) bool {
+		stream = append(stream, d)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return stream
 }

@@ -182,12 +182,6 @@ type sim struct {
 	res Result
 }
 
-// Simulate runs the work item on the configured processor and returns the
-// timing and dependence statistics.
-func Simulate(w *WorkItem, cfg Config) (Result, error) {
-	return SimulateContext(context.Background(), w, cfg)
-}
-
 // post offers a cycle at which a currently stalled condition resolves by the
 // passage of time alone; run() jumps to the earliest such cycle when a
 // scheduling pass makes no progress.
@@ -758,7 +752,7 @@ func (s *sim) advance(t *execTask) {
 		switch {
 		case r.isLoad():
 			// A load its full ARB bank refuses proceeds untracked; the
-			// ARB counts it in Stats.StallsFull.
+			// ARB counts it in Stats.Refused.
 			s.arb.Load(r.addr, r.addrID, uint64(t.id), r.pc)
 			done = s.hier.DataAccess(r.addr, s.cycle+1)
 		case r.isStore():
@@ -885,7 +879,6 @@ func (s *sim) result() Result {
 	r.Loads = s.w.Loads
 	r.Stores = s.w.Stores
 	r.ARB = s.arb.Stats()
-	r.ARBBypasses = r.ARB.StallsFull
 	r.Cache = s.hier.Stats()
 	r.Sequencer = s.seq.Stats()
 	if s.predicting {

@@ -44,13 +44,6 @@ func All() []Kind {
 	return []Kind{Never, Always, Wait, PerfectSync, Sync, ESync}
 }
 
-// OraclePolicies returns the policies of Figure 5 (no hardware predictor).
-func OraclePolicies() []Kind { return []Kind{Never, Always, Wait, PerfectSync} }
-
-// MechanismPolicies returns the policies of Figure 6 (the proposed mechanism
-// and its ideal bound).
-func MechanismPolicies() []Kind { return []Kind{Sync, ESync, PerfectSync} }
-
 // String implements fmt.Stringer using the paper's names.
 func (k Kind) String() string {
 	switch k {
@@ -112,15 +105,6 @@ func (k *Kind) UnmarshalText(text []byte) error {
 	*k = v
 	return nil
 }
-
-// Speculates reports whether the policy ever lets a load bypass unresolved
-// earlier stores.
-func (k Kind) Speculates() bool { return k != Never }
-
-// UsesOracle reports whether the policy relies on perfect knowledge of the
-// program's true dependences (available only to the simulator, not to
-// realizable hardware).
-func (k Kind) UsesOracle() bool { return k == Wait || k == PerfectSync }
 
 // UsesPredictor reports whether the policy drives the MDPT/MDST hardware.
 func (k Kind) UsesPredictor() bool { return k == Sync || k == ESync }

@@ -90,38 +90,12 @@ func TestAllContainsSixPolicies(t *testing.T) {
 	}
 }
 
-func TestOracleAndMechanismSubsets(t *testing.T) {
-	if len(OraclePolicies()) != 4 {
-		t.Errorf("oracle policies = %v", OraclePolicies())
-	}
-	if len(MechanismPolicies()) != 3 {
-		t.Errorf("mechanism policies = %v", MechanismPolicies())
-	}
-	for _, k := range OraclePolicies() {
-		if k.UsesPredictor() {
-			t.Errorf("%v must not use the predictor", k)
-		}
-	}
-}
-
 func TestClassificationPredicates(t *testing.T) {
-	if Never.Speculates() {
-		t.Error("NEVER must not speculate")
-	}
-	if !Always.Speculates() || !Sync.Speculates() {
-		t.Error("ALWAYS and SYNC speculate")
-	}
-	if !Wait.UsesOracle() || !PerfectSync.UsesOracle() {
-		t.Error("WAIT and PSYNC are oracle policies")
-	}
-	if Always.UsesOracle() || Sync.UsesOracle() {
-		t.Error("ALWAYS and SYNC are not oracle policies")
-	}
 	if !Sync.UsesPredictor() || !ESync.UsesPredictor() {
 		t.Error("SYNC and ESYNC use the predictor")
 	}
-	if Always.UsesPredictor() || PerfectSync.UsesPredictor() {
-		t.Error("ALWAYS and PSYNC do not use the predictor")
+	if Never.UsesPredictor() || Always.UsesPredictor() || Wait.UsesPredictor() || PerfectSync.UsesPredictor() {
+		t.Error("NEVER, ALWAYS, WAIT and PSYNC do not use the predictor")
 	}
 }
 

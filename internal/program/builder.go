@@ -129,9 +129,6 @@ func (b *Builder) emit(ins isa.Instruction) int {
 
 // --- raw instruction emitters -------------------------------------------------
 
-// Nop emits a no-op.
-func (b *Builder) Nop() { b.emit(isa.Instruction{Op: isa.NOP}) }
-
 // Halt emits a halt.
 func (b *Builder) Halt() { b.emit(isa.Instruction{Op: isa.HALT}) }
 
@@ -154,12 +151,6 @@ func (b *Builder) Sub(dst, src1, src2 isa.Reg) { b.Op3(isa.SUB, dst, src1, src2)
 // Mul emits dst = src1 * src2.
 func (b *Builder) Mul(dst, src1, src2 isa.Reg) { b.Op3(isa.MUL, dst, src1, src2) }
 
-// Div emits dst = src1 / src2.
-func (b *Builder) Div(dst, src1, src2 isa.Reg) { b.Op3(isa.DIV, dst, src1, src2) }
-
-// Rem emits dst = src1 % src2.
-func (b *Builder) Rem(dst, src1, src2 isa.Reg) { b.Op3(isa.REM, dst, src1, src2) }
-
 // And emits dst = src1 & src2.
 func (b *Builder) And(dst, src1, src2 isa.Reg) { b.Op3(isa.AND, dst, src1, src2) }
 
@@ -174,9 +165,6 @@ func (b *Builder) FAdd(dst, src1, src2 isa.Reg) { b.Op3(isa.FADD, dst, src1, src
 
 // FMul emits a floating-point-class multiply.
 func (b *Builder) FMul(dst, src1, src2 isa.Reg) { b.Op3(isa.FMUL, dst, src1, src2) }
-
-// FDiv emits a floating-point-class divide.
-func (b *Builder) FDiv(dst, src1, src2 isa.Reg) { b.Op3(isa.FDIV, dst, src1, src2) }
 
 // AddI emits dst = src + imm.
 func (b *Builder) AddI(dst, src isa.Reg, imm int64) { b.OpI(isa.ADDI, dst, src, imm) }
@@ -321,19 +309,6 @@ func (b *Builder) Func(name string, body func()) {
 	b.TaskEntry()
 	body()
 	b.Ret()
-}
-
-// PushRA spills the return address to the stack (pre-decrementing SP) so the
-// function can make further calls.
-func (b *Builder) PushRA() {
-	b.AddI(isa.SP, isa.SP, -isa.WordSize)
-	b.Store(isa.RA, isa.SP, 0)
-}
-
-// PopRA restores the return address from the stack (post-incrementing SP).
-func (b *Builder) PopRA() {
-	b.Load(isa.RA, isa.SP, 0)
-	b.AddI(isa.SP, isa.SP, isa.WordSize)
 }
 
 // Push spills a register to the stack.

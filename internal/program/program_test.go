@@ -67,7 +67,7 @@ func TestBuilderUndefinedLabel(t *testing.T) {
 func TestBuilderDuplicateLabel(t *testing.T) {
 	b := NewBuilder("dup")
 	b.Label("x")
-	b.Nop()
+	b.Op3(isa.NOP, 0, 0, 0)
 	b.Label("x")
 	b.Halt()
 	if _, err := b.Build(); err == nil {
@@ -97,10 +97,10 @@ func TestBuilderUndefinedSymbol(t *testing.T) {
 func TestBuilderEntryLabel(t *testing.T) {
 	b := NewBuilder("entry")
 	b.Label("data_setup")
-	b.Nop()
+	b.Op3(isa.NOP, 0, 0, 0)
 	b.Halt()
 	b.Label("main")
-	b.Nop()
+	b.Op3(isa.NOP, 0, 0, 0)
 	b.Halt()
 	b.SetEntry("main")
 	p, err := b.Build()
@@ -203,8 +203,8 @@ func TestPushPopSymmetry(t *testing.T) {
 	b := NewBuilder("stack")
 	b.Push(5)
 	b.Pop(6)
-	b.PushRA()
-	b.PopRA()
+	b.Push(isa.RA)
+	b.Pop(isa.RA)
 	b.Halt()
 	p, err := b.Build()
 	if err != nil {
@@ -258,7 +258,7 @@ func TestLoopStructure(t *testing.T) {
 	bodyCount := 0
 	b.Loop(11, 10, false, func() {
 		bodyCount++
-		b.Nop()
+		b.Op3(isa.NOP, 0, 0, 0)
 	})
 	b.Halt()
 	p, err := b.Build()

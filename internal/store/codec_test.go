@@ -71,8 +71,8 @@ func TestStaleWorkItemFormatIsMissAndRewritten(t *testing.T) {
 // keys it does not know, so a renamed or added key would read an object
 // written by an earlier build as a hit with zeroed counters.
 var resultKeyPaths = []string{
-	"ARB.loads", "ARB.stalls_full", "ARB.stores", "ARB.violations",
-	"ARBBypasses", "Benchmark", "Breakdown[][]",
+	"ARB.loads", "ARB.refused", "ARB.stores", "ARB.violations",
+	"Benchmark", "Breakdown[][]",
 	"Cache.bank_wait", "Cache.bus_transfers", "Cache.bus_wait", "Cache.data_accesses",
 	"Cache.data_misses", "Cache.instr_accesses", "Cache.instr_misses",
 	"Cycles", "DDCMissRate.1", "FalseDependenceReleases", "Instructions", "Loads", "LoadsWaited",

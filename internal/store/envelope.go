@@ -12,7 +12,7 @@ import (
 // miss and rewrite the entry, so a format change never needs a migration.
 // Bump it whenever a codec's payload changes shape: TestResultJSONKeyPaths
 // fails when the JSON keys of a persisted result change.
-const Version = 2
+const Version = 3
 
 // magic brands every object file so that a foreign file dropped into the
 // store tree is recognized as garbage rather than misdecoded.

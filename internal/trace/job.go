@@ -25,8 +25,7 @@ func (RunJob) JobKind() string { return RunKind }
 
 // CacheKey implements engine.Spec.
 func (j RunJob) CacheKey() string {
-	return fmt.Sprintf("%s|max=%d,tasklen=%d",
-		engine.Key(j.Program), j.Config.MaxInstructions, j.Config.MaxTaskLen)
+	return fmt.Sprintf("%s|max=%d", engine.Key(j.Program), j.Config.MaxInstructions)
 }
 
 // runSimulator executes RunJob specs.

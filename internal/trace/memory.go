@@ -49,6 +49,3 @@ func (m *Memory) WriteWord(addr uint64, value int64) {
 	}
 	p[off] = value
 }
-
-// Footprint returns the number of distinct pages that have been written.
-func (m *Memory) Footprint() int { return len(m.pages) }

@@ -55,9 +55,6 @@ func (d DynInst) IsLoad() bool { return isa.IsLoad(d.Op) }
 // IsStore reports whether the dynamic instruction is a store.
 func (d DynInst) IsStore() bool { return isa.IsStore(d.Op) }
 
-// IsMem reports whether the dynamic instruction accesses memory.
-func (d DynInst) IsMem() bool { return isa.IsMem(d.Op) }
-
 // Stats summarises a completed functional run.
 type Stats struct {
 	Instructions uint64
@@ -74,17 +71,13 @@ type Config struct {
 	// MaxInstructions bounds the run; 0 means unlimited.  Runs that hit the
 	// bound finish without error but report Halted == false.
 	MaxInstructions uint64
-	// MaxTaskLen forces a task boundary after this many instructions without
-	// reaching a static task entry.  It models the greedy task partitioning
-	// of the Multiscalar compiler, which never creates unboundedly large
-	// tasks except for very large loop bodies (section 5.5 of the paper).  0
-	// uses DefaultMaxTaskLen.
-	MaxTaskLen int
 }
 
-// DefaultMaxTaskLen is the forced task boundary used when Config.MaxTaskLen
-// is zero.
-const DefaultMaxTaskLen = 1024
+// maxTaskLen forces a task boundary after this many instructions without
+// reaching a static task entry.  It models the greedy task partitioning of
+// the Multiscalar compiler, which never creates unboundedly large tasks
+// except for very large loop bodies (section 5.5 of the paper).
+const maxTaskLen = 1024
 
 // Machine is the functional simulator state.
 type Machine struct {
@@ -97,7 +90,6 @@ type Machine struct {
 	taskID  uint64
 	taskPC  uint64
 	taskLen int
-	maxTask int
 	started bool
 }
 
@@ -106,16 +98,12 @@ var ErrHalted = errors.New("trace: machine halted")
 
 // NewMachine creates a functional simulator for the program with the data
 // segment initialised and the stack pointer set.
-func NewMachine(p *program.Program, cfg Config) *Machine {
+func NewMachine(p *program.Program) *Machine {
 	m := &Machine{
-		prog:    p,
-		mem:     NewMemory(),
-		pc:      p.Entry,
-		taskPC:  p.PC(p.Entry),
-		maxTask: cfg.MaxTaskLen,
-	}
-	if m.maxTask <= 0 {
-		m.maxTask = DefaultMaxTaskLen
+		prog:   p,
+		mem:    NewMemory(),
+		pc:     p.Entry,
+		taskPC: p.PC(p.Entry),
 	}
 	for addr, val := range p.DataInit {
 		m.mem.WriteWord(addr, val)
@@ -124,18 +112,6 @@ func NewMachine(p *program.Program, cfg Config) *Machine {
 	m.regs[isa.FP] = int64(p.StackBase)
 	return m
 }
-
-// Reg returns the current value of a register.
-func (m *Machine) Reg(r isa.Reg) int64 { return m.regs[r] }
-
-// Mem returns the memory image (shared, not copied).
-func (m *Machine) Mem() *Memory { return m.mem }
-
-// Halted reports whether the machine has executed HALT.
-func (m *Machine) Halted() bool { return m.halted }
-
-// Seq returns the number of instructions committed so far.
-func (m *Machine) Seq() uint64 { return m.seq }
 
 func (m *Machine) setReg(r isa.Reg, v int64) {
 	if r != isa.Zero {
@@ -160,7 +136,7 @@ func (m *Machine) Step() (DynInst, error) {
 	if !m.started {
 		taskStart = true
 		m.started = true
-	} else if m.prog.IsTaskEntry(idx) || m.taskLen >= m.maxTask {
+	} else if m.prog.IsTaskEntry(idx) || m.taskLen >= maxTaskLen {
 		taskStart = true
 		m.taskID++
 	}
@@ -321,7 +297,7 @@ func alignWord(addr uint64) uint64 { return addr &^ (isa.WordSize - 1) }
 // until the machine halts, the instruction limit is reached, or visit returns
 // false.  A nil visit is allowed.
 func Run(p *program.Program, cfg Config, visit func(DynInst) bool) (Stats, error) {
-	m := NewMachine(p, cfg)
+	m := NewMachine(p)
 	var st Stats
 	for {
 		if cfg.MaxInstructions > 0 && st.Instructions >= cfg.MaxInstructions {
@@ -360,16 +336,4 @@ func Run(p *program.Program, cfg Config, visit func(DynInst) bool) (Stats, error
 			return st, nil
 		}
 	}
-}
-
-// Collect runs the program and returns the full dynamic instruction stream.
-// It is intended for tests and small programs; the experiment drivers stream
-// instead of collecting.
-func Collect(p *program.Program, cfg Config) ([]DynInst, Stats, error) {
-	var out []DynInst
-	st, err := Run(p, cfg, func(d DynInst) bool {
-		out = append(out, d)
-		return true
-	})
-	return out, st, err
 }

@@ -23,8 +23,8 @@ func TestMemoryReadWrite(t *testing.T) {
 	}
 	// Distant addresses land on separate pages.
 	m.WriteWord(0x4000_0000, 9)
-	if m.Footprint() < 2 {
-		t.Errorf("footprint = %d, want >= 2", m.Footprint())
+	if len(m.pages) < 2 {
+		t.Errorf("footprint = %d, want >= 2", len(m.pages))
 	}
 	if got := m.ReadWord(0x4000_0000); got != 9 {
 		t.Errorf("far read = %d, want 9", got)
@@ -74,13 +74,13 @@ func buildSumProgram(n int64) *program.Program {
 
 func TestFunctionalSum(t *testing.T) {
 	p := buildSumProgram(10)
-	m := NewMachine(p, Config{})
-	for !m.Halted() {
+	m := NewMachine(p)
+	for !m.halted {
 		if _, err := m.Step(); err != nil && err != ErrHalted {
 			t.Fatalf("Step: %v", err)
 		}
 	}
-	if got := m.Reg(isa.RV); got != 45 {
+	if got := m.regs[isa.RV]; got != 45 {
 		t.Errorf("sum = %d, want 45", got)
 	}
 }
@@ -89,7 +89,7 @@ func TestStepAfterHalt(t *testing.T) {
 	b := program.NewBuilder("halt")
 	b.Halt()
 	p := b.MustBuild()
-	m := NewMachine(p, Config{})
+	m := NewMachine(p)
 	if _, err := m.Step(); err != nil {
 		t.Fatalf("first step: %v", err)
 	}
@@ -155,9 +155,9 @@ func TestRunVisitEarlyStop(t *testing.T) {
 
 func TestDynInstMemoryRecords(t *testing.T) {
 	p := buildSumProgram(4)
-	insts, _, err := Collect(p, Config{})
+	insts, _, err := collect(p)
 	if err != nil {
-		t.Fatalf("Collect: %v", err)
+		t.Fatalf("collect: %v", err)
 	}
 	accAddr := p.Symbols["acc"]
 	var loads, stores int
@@ -182,9 +182,9 @@ func TestDynInstMemoryRecords(t *testing.T) {
 
 func TestSeqIsDense(t *testing.T) {
 	p := buildSumProgram(6)
-	insts, _, err := Collect(p, Config{})
+	insts, _, err := collect(p)
 	if err != nil {
-		t.Fatalf("Collect: %v", err)
+		t.Fatalf("collect: %v", err)
 	}
 	for i, d := range insts {
 		if d.Seq != uint64(i) {
@@ -195,9 +195,9 @@ func TestSeqIsDense(t *testing.T) {
 
 func TestTaskBoundaries(t *testing.T) {
 	p := buildSumProgram(5)
-	insts, _, err := Collect(p, Config{})
+	insts, _, err := collect(p)
 	if err != nil {
-		t.Fatalf("Collect: %v", err)
+		t.Fatalf("collect: %v", err)
 	}
 	if !insts[0].TaskStart {
 		t.Error("first instruction must start a task")
@@ -236,27 +236,28 @@ func TestTaskBoundaries(t *testing.T) {
 
 func TestMaxTaskLenForcesBoundaries(t *testing.T) {
 	// A long straight-line program with no task entries must still be carved
-	// into tasks of bounded size.
+	// into tasks of at most maxTaskLen instructions.
+	const n = 2*maxTaskLen + 500
 	b := program.NewBuilder("straight")
-	for i := 0; i < 300; i++ {
+	for i := 0; i < n; i++ {
 		b.AddI(5, 5, 1)
 	}
 	b.Halt()
 	p := b.MustBuild()
-	insts, _, err := Collect(p, Config{MaxTaskLen: 64})
+	insts, _, err := collect(p)
 	if err != nil {
-		t.Fatalf("Collect: %v", err)
+		t.Fatalf("collect: %v", err)
 	}
 	counts := map[uint64]int{}
 	for _, d := range insts {
 		counts[d.TaskID]++
 	}
-	if len(counts) < 4 {
-		t.Errorf("tasks = %d, want >= 4", len(counts))
+	if len(counts) != 3 {
+		t.Errorf("tasks = %d, want 3 for %d instructions", len(counts), n)
 	}
 	for id, n := range counts {
-		if n > 64 {
-			t.Errorf("task %d has %d instructions, want <= 64", id, n)
+		if n > maxTaskLen {
+			t.Errorf("task %d has %d instructions, want <= %d", id, n, maxTaskLen)
 		}
 	}
 }
@@ -277,13 +278,13 @@ func TestCallAndReturn(t *testing.T) {
 	b.SetEntry("main")
 	p := b.MustBuild()
 
-	m := NewMachine(p, Config{})
-	for !m.Halted() {
+	m := NewMachine(p)
+	for !m.halted {
 		if _, err := m.Step(); err != nil && err != ErrHalted {
 			t.Fatalf("Step: %v", err)
 		}
 	}
-	if got := m.Mem().ReadWord(p.Symbols["out"]); got != 42 {
+	if got := m.mem.ReadWord(p.Symbols["out"]); got != 42 {
 		t.Errorf("out = %d, want 42", got)
 	}
 }
@@ -296,16 +297,16 @@ func TestStackDiscipline(t *testing.T) {
 	b.Pop(6)
 	b.Halt()
 	p := b.MustBuild()
-	m := NewMachine(p, Config{})
-	for !m.Halted() {
+	m := NewMachine(p)
+	for !m.halted {
 		if _, err := m.Step(); err != nil && err != ErrHalted {
 			t.Fatalf("Step: %v", err)
 		}
 	}
-	if got := m.Reg(6); got != 17 {
+	if got := m.regs[6]; got != 17 {
 		t.Errorf("popped value = %d, want 17", got)
 	}
-	if got := m.Reg(isa.SP); got != int64(p.StackBase) {
+	if got := m.regs[isa.SP]; got != int64(p.StackBase) {
 		t.Errorf("stack pointer = %#x, want %#x", got, p.StackBase)
 	}
 }
@@ -316,24 +317,24 @@ func TestZeroRegisterIsImmutable(t *testing.T) {
 	b.Move(5, isa.Zero)
 	b.Halt()
 	p := b.MustBuild()
-	m := NewMachine(p, Config{})
-	for !m.Halted() {
+	m := NewMachine(p)
+	for !m.halted {
 		if _, err := m.Step(); err != nil && err != ErrHalted {
 			t.Fatalf("Step: %v", err)
 		}
 	}
-	if got := m.Reg(5); got != 0 {
+	if got := m.regs[5]; got != 0 {
 		t.Errorf("r5 = %d, want 0 (zero register must not be writable)", got)
 	}
 }
 
 func TestDeterminism(t *testing.T) {
 	p := buildSumProgram(64)
-	a, sa, err := Collect(p, Config{})
+	a, sa, err := collect(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb, sb, err := Collect(p, Config{})
+	bb, sb, err := collect(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,12 +354,22 @@ func TestDeterminism(t *testing.T) {
 func TestDivisionByZeroDoesNotPanic(t *testing.T) {
 	b := program.NewBuilder("div0")
 	b.LoadImm(5, 10)
-	b.Div(6, 5, isa.Zero)
-	b.Rem(7, 5, isa.Zero)
-	b.FDiv(8, 5, isa.Zero)
+	b.Op3(isa.DIV, 6, 5, isa.Zero)
+	b.Op3(isa.REM, 7, 5, isa.Zero)
+	b.Op3(isa.FDIV, 8, 5, isa.Zero)
 	b.Halt()
 	p := b.MustBuild()
 	if _, err := Run(p, Config{}, nil); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+}
+
+// collect runs the program and returns the full dynamic instruction stream.
+func collect(p *program.Program) ([]DynInst, Stats, error) {
+	var out []DynInst
+	st, err := Run(p, Config{}, func(d DynInst) bool {
+		out = append(out, d)
+		return true
+	})
+	return out, st, err
 }

@@ -119,18 +119,9 @@ func emitRandMem(b *program.Builder, g *globalsBlock, name string, dst, tmp isa.
 	g.store(b, dst, name)
 }
 
-// emitRandReg advances a register-resident LCG: state = state*a + c (mod
-// 2^30).  Clobbers tmp.
-func emitRandReg(b *program.Builder, state, tmp isa.Reg) {
-	b.LoadImm(tmp, 9301)
-	b.Mul(state, state, tmp)
-	b.AddI(state, state, 49297)
-	b.AndI(state, state, 0x3fff_ffff)
-}
-
-// buildRand is the build-time mirror of emitRandReg, used to pre-compute
-// deterministic "input data" into the static data segment instead of running
-// an initialisation loop at simulation time.  (Pre-initialising the data
+// buildRand advances an LCG, state = state*9301 + 49297 (mod 2^30), used to
+// pre-compute deterministic "input data" into the static data segment
+// instead of running an initialisation loop at simulation time.  (Pre-initialising the data
 // keeps the measured region of every workload in its steady state, the same
 // reason the paper fast-forwards past program start-up.)
 func buildRand(state int64) int64 {
@@ -176,12 +167,11 @@ func uniqueLabel(b *program.Builder, kind string) string {
 // Reading a[i-1] immediately after the previous iteration wrote it is the
 // dependence the FP benchmarks of the paper expose as loop recurrences.
 type stencilParams struct {
-	name       string
-	words      int  // array length in words
-	sweeps     int  // number of relaxation sweeps (scaled)
-	carried    bool // if false, write to a second array (no recurrence)
-	taskPerRow int  // instructions between task boundaries (0: per iteration)
-	extraWork  int  // extra FP operations per element (lengthens the body)
+	name      string
+	words     int  // array length in words
+	sweeps    int  // number of relaxation sweeps (scaled)
+	carried   bool // if false, write to a second array (no recurrence)
+	extraWork int  // extra FP operations per element (lengthens the body)
 }
 
 // buildStencil constructs a relaxation workload.  When carried is true the

@@ -110,18 +110,6 @@ func Names() []string {
 	return out
 }
 
-// BySuite returns the workloads of a suite, sorted by name.
-func BySuite(s Suite) []Workload {
-	var out []Workload
-	for _, w := range registry {
-		if w.Suite == s {
-			out = append(out, w)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // SPECint92Names returns the five SPECint92 benchmarks in the order the paper
 // lists them.
 func SPECint92Names() []string {

@@ -62,19 +62,27 @@ func TestNamesSortedAndComplete(t *testing.T) {
 	}
 }
 
+// TestBySuitePartitionsRegistry checks that the three suites' name lists
+// partition the registry: each name is registered once, under its suite.
 func TestBySuitePartitionsRegistry(t *testing.T) {
-	total := 0
-	for _, s := range []Suite{SPECint92, SPECint95, SPECfp95} {
-		ws := BySuite(s)
-		total += len(ws)
-		for _, w := range ws {
-			if w.Suite != s {
-				t.Errorf("workload %q has suite %v, expected %v", w.Name, w.Suite, s)
+	seen := map[string]bool{}
+	for s, names := range map[Suite][]string{
+		SPECint92: SPECint92Names(),
+		SPECint95: SPECint95Names(),
+		SPECfp95:  SPECfp95Names(),
+	} {
+		for _, name := range names {
+			if seen[name] {
+				t.Errorf("workload %q is listed twice", name)
+			}
+			seen[name] = true
+			if w := MustGet(name); w.Suite != s {
+				t.Errorf("workload %q has suite %v, expected %v", name, w.Suite, s)
 			}
 		}
 	}
-	if total != len(registry) {
-		t.Errorf("suites cover %d workloads, registry has %d", total, len(registry))
+	if len(seen) != len(registry) {
+		t.Errorf("suites cover %d workloads, registry has %d", len(seen), len(registry))
 	}
 }
 

@@ -73,7 +73,6 @@ type Result struct {
 	LoadsWaited             uint64  `json:"loads_waited"`              // LoadsWaited counts loads the policy made wait for a store.
 	WaitCycles              uint64  `json:"wait_cycles"`               // WaitCycles accumulates cycles loads spent waiting.
 	FalseDependenceReleases uint64  `json:"false_dependence_releases"` // FalseDependenceReleases counts waits for dependences that never materialized.
-	ARBBypasses             uint64  `json:"arb_bypasses"`              // ARBBypasses counts loads and stores whose ARB bank was full, as arb.stalls_full does: each counts once and proceeds untracked; nothing stalls.
 
 	// Breakdown classifies committed loads for Table 8 (meaningful for the
 	// predictor-driven policies).
@@ -132,7 +131,6 @@ func newResult(req Request, res multiscalar.Result, item *multiscalar.WorkItem, 
 		LoadsWaited:             res.LoadsWaited,
 		WaitCycles:              res.WaitCycles,
 		FalseDependenceReleases: res.FalseDependenceReleases,
-		ARBBypasses:             res.ARBBypasses,
 
 		Breakdown: res.Breakdown,
 

@@ -32,7 +32,7 @@ func TestRunMatchesInternalSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := multiscalar.Simulate(item, multiscalar.DefaultConfig(8, policy.ESync))
+	want, err := multiscalar.SimulateContext(context.Background(), item, multiscalar.DefaultConfig(8, policy.ESync))
 	if err != nil {
 		t.Fatal(err)
 	}
