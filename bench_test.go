@@ -183,13 +183,14 @@ func BenchmarkMDPTLookup(b *testing.B) {
 
 // BenchmarkMDSTSynchronize measures a full wait/signal round trip.
 func BenchmarkMDSTSynchronize(b *testing.B) {
-	t := memdep.NewMDST(512)
+	const ids = 1 << 10
+	t := memdep.NewMDST(512, ids)
 	pair := memdep.PairKey{LoadPC: 0x400, StorePC: 0x380}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		inst := uint64(i)
-		t.AllocWaiting(pair, inst, int64(i))
-		t.Signal(pair, inst, int64(i))
+		t.AllocWaiting(pair, inst, int64(i%ids))
+		t.Signal(pair, inst, int64(i%ids))
 	}
 }
 

@@ -66,8 +66,8 @@ func TestDDCZeroCapacity(t *testing.T) {
 	if d.MissRate() != 1 {
 		t.Errorf("miss rate = %v, want 1", d.MissRate())
 	}
-	if len(d.entries) != 0 {
-		t.Errorf("len = %d, want 0", len(d.entries))
+	if int(d.used) != 0 {
+		t.Errorf("len = %d, want 0", int(d.used))
 	}
 }
 
@@ -90,7 +90,7 @@ func TestDDCReset(t *testing.T) {
 	d.Access(PairKey{LoadPC: 1})
 	d.Access(PairKey{LoadPC: 1})
 	d.Reset()
-	if len(d.entries) != 0 || d.hits != 0 || d.misses != 0 {
+	if int(d.used) != 0 || d.hits != 0 || d.misses != 0 {
 		t.Error("reset must clear contents and counters")
 	}
 }
@@ -104,7 +104,7 @@ func TestDDCInvariants(t *testing.T) {
 		for _, a := range accesses {
 			// Draw from a small space of pairs to get both hits and misses.
 			d.Access(PairKey{LoadPC: uint64(a % 64), StorePC: uint64(a % 16)})
-			if len(d.entries) > cap {
+			if int(d.used) > cap {
 				return false
 			}
 		}
@@ -158,27 +158,31 @@ func TestDDCMonotoneInCapacity(t *testing.T) {
 	}
 }
 
-// TestDDCEvictionTieBreakDeterministic forces the situation evictLRU must not
-// decide by map iteration order: several entries sharing the same timestamp.
-// Access never produces ties (the clock advances on every touch), but the
-// eviction policy must stay deterministic even without that invariant, so the
-// victim on a tie is pinned to the smallest (LoadPC, StorePC) pair.
+// TestDDCEvictionTieBreakDeterministic pins that eviction never depends on
+// pair order or on map iteration order.  The LRU list orders every cached
+// pair by recency, so no two pairs tie: a cache filled in descending pair
+// order and touched out of order must evict in exactly the recency order,
+// in every trial.
 func TestDDCEvictionTieBreakDeterministic(t *testing.T) {
+	pairs := []PairKey{
+		{LoadPC: 0x300, StorePC: 0x30},
+		{LoadPC: 0x100, StorePC: 0x20},
+		{LoadPC: 0x100, StorePC: 0x10},
+	}
 	for trial := 0; trial < 32; trial++ {
 		d := NewDDC(3)
-		d.entries[PairKey{LoadPC: 0x300, StorePC: 0x30}] = 7
-		d.entries[PairKey{LoadPC: 0x100, StorePC: 0x20}] = 7
-		d.entries[PairKey{LoadPC: 0x100, StorePC: 0x10}] = 7
-		d.clock = 7
-		// The cache is full; the next miss evicts exactly one tied entry.
-		if d.Access(PairKey{LoadPC: 0x400, StorePC: 0x40}) {
-			t.Fatal("new pair must miss")
+		for _, p := range pairs {
+			d.Access(p)
 		}
-		if cached(d, PairKey{LoadPC: 0x100, StorePC: 0x10}) {
-			t.Fatalf("trial %d: tie-break victim must be the smallest pair (0x100,0x10)", trial)
-		}
-		if !cached(d, PairKey{LoadPC: 0x100, StorePC: 0x20}) || !cached(d, PairKey{LoadPC: 0x300, StorePC: 0x30}) {
-			t.Fatalf("trial %d: non-victim tied entries must survive", trial)
+		d.Access(pairs[0]) // recency, oldest first: pairs[1], pairs[2], pairs[0]
+		for k, victim := range []PairKey{pairs[1], pairs[2], pairs[0]} {
+			// The cache is full; the next miss evicts exactly the LRU pair.
+			if d.Access(PairKey{LoadPC: 0x400 + uint64(k), StorePC: 0x40}) {
+				t.Fatal("new pair must miss")
+			}
+			if cached(d, victim) {
+				t.Fatalf("trial %d, miss %d: the least recently used pair %v must be the victim", trial, k, victim)
+			}
 		}
 	}
 }
@@ -186,6 +190,10 @@ func TestDDCEvictionTieBreakDeterministic(t *testing.T) {
 // cached reports whether the pair is in the cache, without touching its LRU
 // state or counters.
 func cached(d *DDC, pair PairKey) bool {
-	_, ok := d.entries[pair]
-	return ok
+	for _, s := range d.slots[:d.used] {
+		if s.pair == pair {
+			return true
+		}
+	}
+	return false
 }

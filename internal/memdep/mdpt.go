@@ -32,7 +32,8 @@ type mdptEntry struct {
 // slot order).  Ascending order matters: MatchesForLoad/MatchesForStore touch
 // every match, each touch advances the LRU clock, and replacement decisions
 // observe those clocks -- so index traversal must visit entries in exactly
-// the order a scan of the table would.
+// the order a scan of the table would.  Most PCs have no entry, so
+// loadFilter/storeFilter answer those lookups before any map is hashed.
 //
 //memdep:resettable
 type MDPT struct {
@@ -44,9 +45,11 @@ type MDPT struct {
 	entries []mdptEntry
 	clock   uint64
 
-	pairIdx  map[PairKey]int32
-	loadIdx  map[uint64][]int32
-	storeIdx map[uint64][]int32
+	pairIdx     map[PairKey]int32
+	loadIdx     map[uint64][]int32
+	storeIdx    map[uint64][]int32
+	loadFilter  pcFilter
+	storeFilter pcFilter
 }
 
 var _ Predictor = (*MDPT)(nil)
@@ -63,15 +66,42 @@ func NewMDPT(cfg Config) *MDPT {
 		ways = cfg.Ways
 	}
 	return &MDPT{
-		cfg:      cfg,
-		ways:     ways,
-		sets:     cfg.Entries / ways,
-		entries:  make([]mdptEntry, cfg.Entries),
-		pairIdx:  make(map[PairKey]int32, cfg.Entries),
-		loadIdx:  make(map[uint64][]int32, cfg.Entries),
-		storeIdx: make(map[uint64][]int32, cfg.Entries),
+		cfg:         cfg,
+		ways:        ways,
+		sets:        cfg.Entries / ways,
+		entries:     make([]mdptEntry, cfg.Entries),
+		pairIdx:     make(map[PairKey]int32, cfg.Entries),
+		loadIdx:     make(map[uint64][]int32, cfg.Entries),
+		storeIdx:    make(map[uint64][]int32, cfg.Entries),
+		loadFilter:  newPCFilter(cfg.Entries),
+		storeFilter: newPCFilter(cfg.Entries),
 	}
 }
+
+// pcFilter counts the PCs a table holds by their low word-address bits.  A
+// zero count proves the table holds no entry for a PC, so a lookup for it
+// returns without hashing; a non-zero count only means it may.
+type pcFilter []int32
+
+// newPCFilter sizes a filter for a table of the given number of entries:
+// a power of two of 16 buckets per entry, so most PCs that miss the table
+// land in an empty bucket, between 64 and 4,096 buckets.
+func newPCFilter(entries int) pcFilter {
+	n := 64
+	for n < 16*entries && n < 1<<12 {
+		n *= 2
+	}
+	return make(pcFilter, n)
+}
+
+func (f pcFilter) bucket(pc uint64) *int32 { return &f[(pc>>2)&uint64(len(f)-1)] }
+
+// add counts one more entry for pc; remove one fewer.
+func (f pcFilter) add(pc uint64)    { *f.bucket(pc)++ }
+func (f pcFilter) remove(pc uint64) { *f.bucket(pc)-- }
+
+// mayHold reports whether the table may hold an entry for pc.
+func (f pcFilter) mayHold(pc uint64) bool { return *f.bucket(pc) != 0 }
 
 func (t *MDPT) touch(e *mdptEntry) {
 	t.clock++
@@ -106,6 +136,8 @@ func (t *MDPT) link(i int32) {
 	t.pairIdx[PairKey{LoadPC: e.loadPC, StorePC: e.storePC}] = i
 	t.loadIdx[e.loadPC] = insertSlot(t.loadIdx[e.loadPC], i)
 	t.storeIdx[e.storePC] = insertSlot(t.storeIdx[e.storePC], i)
+	t.loadFilter.add(e.loadPC)
+	t.storeFilter.add(e.storePC)
 }
 
 // unlink removes the slot from all three indexes (the entry still holds its
@@ -116,6 +148,8 @@ func (t *MDPT) unlink(i int32) {
 	delete(t.pairIdx, PairKey{LoadPC: e.loadPC, StorePC: e.storePC})
 	t.loadIdx[e.loadPC] = removeSlot(t.loadIdx[e.loadPC], i)
 	t.storeIdx[e.storePC] = removeSlot(t.storeIdx[e.storePC], i)
+	t.loadFilter.remove(e.loadPC)
+	t.storeFilter.remove(e.storePC)
 }
 
 // find returns the entry for the exact static pair, or nil.
@@ -155,6 +189,9 @@ func (t *MDPT) prediction(e *mdptEntry) Prediction {
 //
 //memdep:hotpath
 func (t *MDPT) MatchesForLoad(loadPC uint64, dst []Prediction) []Prediction {
+	if !t.loadFilter.mayHold(loadPC) {
+		return dst
+	}
 	for _, i := range t.loadIdx[loadPC] {
 		e := &t.entries[i]
 		t.touch(e)
@@ -169,6 +206,9 @@ func (t *MDPT) MatchesForLoad(loadPC uint64, dst []Prediction) []Prediction {
 //
 //memdep:hotpath
 func (t *MDPT) MatchesForStore(storePC uint64, dst []Prediction) []Prediction {
+	if !t.storeFilter.mayHold(storePC) {
+		return dst
+	}
 	for _, i := range t.storeIdx[storePC] {
 		e := &t.entries[i]
 		t.touch(e)
@@ -268,5 +308,7 @@ func (t *MDPT) Reset() {
 	for pc, s := range t.storeIdx { //lint:deterministic in-place clear, every key treated identically
 		t.storeIdx[pc] = s[:0]
 	}
+	clear(t.loadFilter)
+	clear(t.storeFilter)
 	t.clock = 0
 }

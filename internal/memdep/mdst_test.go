@@ -6,7 +6,7 @@ import (
 )
 
 func TestMDSTWaitThenSignal(t *testing.T) {
-	m := NewMDST(8)
+	m := NewMDST(8, testIDs)
 	pair := PairKey{LoadPC: 0x40, StorePC: 0x20}
 
 	// Load arrives first: it must wait (figure 4, parts (c)/(d)).
@@ -22,13 +22,13 @@ func TestMDSTWaitThenSignal(t *testing.T) {
 	if !released || ldid != 77 {
 		t.Fatalf("signal returned (%d,%v), want (77,true)", ldid, released)
 	}
-	if len(m.index) != 0 {
-		t.Errorf("entry must be freed after synchronization, len = %d", len(m.index))
+	if liveSync(m) != 0 {
+		t.Errorf("entry must be freed after synchronization, len = %d", liveSync(m))
 	}
 }
 
 func TestMDSTSignalThenWait(t *testing.T) {
-	m := NewMDST(8)
+	m := NewMDST(8, testIDs)
 	pair := PairKey{LoadPC: 0x40, StorePC: 0x20}
 
 	// Store arrives first: it pre-sets the condition variable (figure 4,
@@ -37,20 +37,20 @@ func TestMDSTSignalThenWait(t *testing.T) {
 	if released || ldid != invalidID {
 		t.Fatal("signal with no waiter must not release a load")
 	}
-	if len(m.index) != 1 {
-		t.Fatalf("len = %d, want 1 (full entry allocated)", len(m.index))
+	if liveSync(m) != 1 {
+		t.Fatalf("len = %d, want 1 (full entry allocated)", liveSync(m))
 	}
 	// Load arrives later: it must not wait, and the entry is consumed.
 	if m.AllocWaiting(pair, 3, 77) {
 		t.Fatal("load arriving after the signal must not wait")
 	}
-	if len(m.index) != 0 {
-		t.Errorf("entry must be consumed, len = %d", len(m.index))
+	if liveSync(m) != 0 {
+		t.Errorf("entry must be consumed, len = %d", liveSync(m))
 	}
 }
 
 func TestMDSTInstanceDistinguishesDynamicDependences(t *testing.T) {
-	m := NewMDST(8)
+	m := NewMDST(8, testIDs)
 	pair := PairKey{LoadPC: 0x40, StorePC: 0x20}
 	if !m.AllocWaiting(pair, 3, 30) {
 		t.Fatal("load instance 3 must wait")
@@ -69,7 +69,7 @@ func TestMDSTInstanceDistinguishesDynamicDependences(t *testing.T) {
 }
 
 func TestMDSTSignalWrongInstanceDoesNotRelease(t *testing.T) {
-	m := NewMDST(8)
+	m := NewMDST(8, testIDs)
 	pair := PairKey{LoadPC: 1, StorePC: 2}
 	m.AllocWaiting(pair, 10, 99)
 	if _, released := m.Signal(pair, 11, 0); released {
@@ -81,7 +81,7 @@ func TestMDSTSignalWrongInstanceDoesNotRelease(t *testing.T) {
 }
 
 func TestMDSTReleaseLoadFreesAllEntries(t *testing.T) {
-	m := NewMDST(8)
+	m := NewMDST(8, testIDs)
 	a := PairKey{LoadPC: 1, StorePC: 2}
 	b := PairKey{LoadPC: 1, StorePC: 6}
 	m.AllocWaiting(a, 5, 42)
@@ -93,13 +93,13 @@ func TestMDSTReleaseLoadFreesAllEntries(t *testing.T) {
 	if len(freed) != 2 {
 		t.Fatalf("freed %d entries, want 2", len(freed))
 	}
-	if m.HasWaiter(42) || len(m.index) != 0 {
+	if m.HasWaiter(42) || liveSync(m) != 0 {
 		t.Error("release must free all entries of the load")
 	}
 }
 
 func TestMDSTReleaseStoreOnlyFreesUnmatchedEntries(t *testing.T) {
-	m := NewMDST(8)
+	m := NewMDST(8, testIDs)
 	pair := PairKey{LoadPC: 1, StorePC: 2}
 	// Full entry pre-set by store 9, never consumed.
 	m.Signal(pair, 3, 9)
@@ -115,7 +115,7 @@ func TestMDSTReleaseStoreOnlyFreesUnmatchedEntries(t *testing.T) {
 }
 
 func TestMDSTVictimPrefersFullEntries(t *testing.T) {
-	m := NewMDST(2)
+	m := NewMDST(2, testIDs)
 	// Fill the table with one full (pre-signalled) and one waiting entry.
 	m.Signal(PairKey{LoadPC: 1, StorePC: 2}, 1, 9)       // full
 	m.AllocWaiting(PairKey{LoadPC: 3, StorePC: 4}, 1, 7) // waiting
@@ -130,7 +130,7 @@ func TestMDSTVictimPrefersFullEntries(t *testing.T) {
 }
 
 func TestMDSTHasWaiterMultipleDependences(t *testing.T) {
-	m := NewMDST(8)
+	m := NewMDST(8, testIDs)
 	a := PairKey{LoadPC: 1, StorePC: 2}
 	b := PairKey{LoadPC: 1, StorePC: 6}
 	m.AllocWaiting(a, 5, 42)
@@ -152,22 +152,22 @@ func TestMDSTHasWaiterMultipleDependences(t *testing.T) {
 }
 
 func TestMDSTCapacityClamp(t *testing.T) {
-	if len(NewMDST(0).entries) != 1 {
+	if len(NewMDST(0, testIDs).entries) != 1 {
 		t.Error("capacity must clamp to at least 1")
 	}
 }
 
 func TestMDSTStatsAndReset(t *testing.T) {
-	m := NewMDST(4)
+	m := NewMDST(4, testIDs)
 	pair := PairKey{LoadPC: 1, StorePC: 2}
 	m.AllocWaiting(pair, 1, 1)
 	m.AllocWaiting(pair, 2, 3)
 	m.Signal(pair, 1, 2)
-	if len(m.index) != 1 || m.HasWaiter(1) || !m.HasWaiter(3) {
-		t.Errorf("len = %d, waiters: 1 = %v, 3 = %v; want 1, false, true", len(m.index), m.HasWaiter(1), m.HasWaiter(3))
+	if liveSync(m) != 1 || m.HasWaiter(1) || !m.HasWaiter(3) {
+		t.Errorf("len = %d, waiters: 1 = %v, 3 = %v; want 1, false, true", liveSync(m), m.HasWaiter(1), m.HasWaiter(3))
 	}
-	m.Reset()
-	if len(m.index) != 0 || m.HasWaiter(3) {
+	m.Reset(testIDs)
+	if liveSync(m) != 0 || m.HasWaiter(3) {
 		t.Error("reset must clear entries and waiters")
 	}
 }
@@ -175,29 +175,27 @@ func TestMDSTStatsAndReset(t *testing.T) {
 // Property: wait-then-signal and signal-then-wait both result in exactly one
 // release of the load and an empty table, regardless of order.
 func TestMDSTSynchronizationOrderIndependent(t *testing.T) {
-	f := func(storeFirst bool, instance uint64, ldid int64) bool {
-		if ldid < 0 {
-			ldid = -ldid
-		}
-		m := NewMDST(4)
+	f := func(storeFirst bool, instance uint64, ldid uint16) bool {
+		ldid %= testIDs
+		m := NewMDST(4, testIDs)
 		pair := PairKey{LoadPC: 0x10, StorePC: 0x20}
 		if storeFirst {
 			if _, released := m.Signal(pair, instance, 1); released {
 				return false
 			}
-			if m.AllocWaiting(pair, instance, ldid) {
+			if m.AllocWaiting(pair, instance, int64(ldid)) {
 				return false // must not wait
 			}
 		} else {
-			if !m.AllocWaiting(pair, instance, ldid) {
+			if !m.AllocWaiting(pair, instance, int64(ldid)) {
 				return false // must wait
 			}
 			got, released := m.Signal(pair, instance, 1)
-			if !released || got != ldid {
+			if !released || got != int64(ldid) {
 				return false
 			}
 		}
-		return len(m.index) == 0
+		return liveSync(m) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -214,7 +212,7 @@ func TestMDSTNoDuplicateLiveEntries(t *testing.T) {
 		ID       uint8
 	}
 	f := func(ops []op) bool {
-		m := NewMDST(8)
+		m := NewMDST(8, testIDs)
 		for _, o := range ops {
 			pair := PairKey{LoadPC: uint64(o.Pair % 4), StorePC: uint64(o.Pair%4) + 100}
 			if o.Store {
@@ -222,7 +220,7 @@ func TestMDSTNoDuplicateLiveEntries(t *testing.T) {
 			} else {
 				m.AllocWaiting(pair, uint64(o.Instance%4), int64(o.ID))
 			}
-			if len(m.index) > len(m.entries) {
+			if liveSync(m) > len(m.entries) {
 				return false
 			}
 			// Check for duplicate live entries per (pair, instance).
@@ -246,12 +244,14 @@ func TestMDSTNoDuplicateLiveEntries(t *testing.T) {
 }
 
 // TestMDSTIndexConsistency drives a small table through a randomized mix of
-// operations and, after every step, rebuilds the dynamic-instance index and
-// the per-ldid waiter counts from the entry array (the source of truth).  The
-// incremental indexes must match exactly -- they carry no information of
-// their own.
+// operations, including resets that change the identifier range and the
+// size, and after every step rebuilds the hash buckets, the LRU lists, the
+// identifier chains and the free stack from the entry array (the source of
+// truth).  The incremental indexes must match exactly -- they carry no
+// information of their own.
 func TestMDSTIndexConsistency(t *testing.T) {
-	m := NewMDST(8)
+	m := NewMDST(8, 12)
+	ids := uint64(12)
 	rng := uint64(0x9e3779b97f4a7c15)
 	next := func(n uint64) uint64 {
 		rng ^= rng << 13
@@ -259,46 +259,11 @@ func TestMDSTIndexConsistency(t *testing.T) {
 		rng ^= rng << 17
 		return rng % n
 	}
-	check := func(step int) {
-		t.Helper()
-		index := make(map[mdstKey]int32)
-		waiting := make(map[int64]int32)
-		for i := range m.entries {
-			e := &m.entries[i]
-			if !e.valid {
-				continue
-			}
-			k := mdstKey{e.loadPC, e.storePC, e.instance}
-			if prev, dup := index[k]; dup {
-				t.Fatalf("step %d: slots %d and %d share key %+v", step, prev, i, k)
-			}
-			index[k] = int32(i)
-			if !e.full && e.ldid != invalidID {
-				waiting[e.ldid]++
-			}
-		}
-		if len(index) != len(m.index) {
-			t.Fatalf("step %d: index has %d keys, entries have %d valid", step, len(m.index), len(index))
-		}
-		for k, i := range index {
-			if got, ok := m.index[k]; !ok || got != i {
-				t.Fatalf("step %d: index[%+v] = %d,%t, want %d", step, k, got, ok, i)
-			}
-		}
-		if len(waiting) != len(m.waiting) {
-			t.Fatalf("step %d: waiting has %d ldids, entries imply %d", step, len(m.waiting), len(waiting))
-		}
-		for id, n := range waiting {
-			if got := m.waiting[id]; got != n {
-				t.Fatalf("step %d: waiting[%d] = %d, want %d", step, id, got, n)
-			}
-		}
-	}
 	for step := 0; step < 4000; step++ {
 		pair := PairKey{LoadPC: 0x100 + next(4)*8, StorePC: 0x200 + next(4)*8}
 		instance := next(6)
-		id := int64(next(12))
-		switch next(5) {
+		id := int64(next(ids))
+		switch next(6) {
 		case 0, 1:
 			m.AllocWaiting(pair, instance, id)
 		case 2:
@@ -307,9 +272,33 @@ func TestMDSTIndexConsistency(t *testing.T) {
 			m.ReleaseLoad(id)
 		case 4:
 			m.ReleaseStore(id)
+		case 5:
+			if next(50) == 0 {
+				ids = 1 + next(16)
+				m.resize(1 + int(next(12)))
+				m.Reset(int(ids))
+			}
 		}
-		check(step)
+		if err := checkMDSTIndexes(m); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
 	}
-	m.Reset()
-	check(-1)
+	m.Reset(4)
+	if err := checkMDSTIndexes(m); err != nil {
+		t.Fatalf("after reset: %v", err)
+	}
+}
+
+// testIDs is the identifier range the tests size tables for.
+const testIDs = 1024
+
+// liveSync counts the valid entries of a synchronization table.
+func liveSync(m *MDST) int {
+	n := 0
+	for i := range m.entries {
+		if m.entries[i].valid {
+			n++
+		}
+	}
+	return n
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -452,7 +453,7 @@ func TestConfigDefaultsClamp(t *testing.T) {
 func TestSystemAcrossOrganizations(t *testing.T) {
 	for _, kind := range allTableKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
-			s := NewSystem(Config{Entries: 16, SyncSlots: 4, Predictor: PredictSync, Table: kind, Ways: 4})
+			s := newSizedSystem(Config{Entries: 16, SyncSlots: 4, Predictor: PredictSync, Table: kind, Ways: 4})
 			if got := tableKind(s.pred); got != kind {
 				t.Fatalf("system predictor kind = %v", got)
 			}
@@ -486,4 +487,43 @@ func ExamplePredictor() {
 	buf = p.MatchesForLoad(0x400, buf[:0])
 	fmt.Printf("%s: %d match, sync=%v\n", cfg.Table, len(buf), buf[0].Sync)
 	// Output: setassoc: 1 match, sync=true
+}
+
+// TestPCFiltersCountTheirKeys drives every organization through the
+// reset-equivalence workload and requires each lookup filter to hold exactly
+// the count of the table's keys per bucket: a PC counted too low would lose
+// its matches, one counted too high only costs a map lookup.
+func TestPCFiltersCountTheirKeys(t *testing.T) {
+	for _, kind := range []TableKind{TableFullAssoc, TableSetAssoc, TableStoreSet} {
+		p := NewPredictor(Config{Entries: 16, Ways: 4, Table: kind})
+		drivePredictor(p)
+		var loads, stores []uint64
+		var loadFilter, storeFilter pcFilter
+		switch t := p.(type) {
+		case *MDPT:
+			for _, e := range t.entries {
+				if e.valid {
+					loads, stores = append(loads, e.loadPC), append(stores, e.storePC)
+				}
+			}
+			loadFilter, storeFilter = t.loadFilter, t.storeFilter
+		case *StoreSetPredictor:
+			loads = slices.Collect(maps.Keys(t.loadSSIT))
+			stores = slices.Collect(maps.Keys(t.storeSSIT))
+			loadFilter, storeFilter = t.loadFilter, t.storeFilter
+		}
+		for _, c := range []struct {
+			name   string
+			pcs    []uint64
+			filter pcFilter
+		}{{"load", loads, loadFilter}, {"store", stores, storeFilter}} {
+			want := make(pcFilter, len(c.filter))
+			for _, pc := range c.pcs {
+				want.add(pc)
+			}
+			if len(c.pcs) == 0 || !slices.Equal(c.filter, want) {
+				t.Errorf("%v: %s filter holds %v, its %d keys give %v", kind, c.name, c.filter, len(c.pcs), want)
+			}
+		}
+	}
 }

@@ -1,6 +1,10 @@
 package memdep
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // The reference pair table: the MDPT of section 4.1 written as plainly as
 // possible, with no index.  It is a slice of sets × ways slots; every lookup
@@ -242,4 +246,191 @@ func capacity(p Predictor) int {
 		return len(t.slots)
 	}
 	panic(fmt.Sprintf("capacity: unknown table %T", p))
+}
+
+// The reference synchronization table: the MDST of section 4.2, with the
+// reclamation and squash rules of sections 4.4.2 and 4.4.3, written as
+// plainly as possible.  It is a slice of slots; every lookup and release is
+// a linear scan in slot order, and LRU is an explicit stamp taken from a
+// clock that every touch advances.  FuzzMDSTAgainstReference drives MDST and
+// this table with the same operations and requires every answer, and the
+// two tables' entries, to agree after every step.
+//
+// A dynamic instance (load PC, store PC, instance) has at most one valid
+// slot.  A new entry takes the first invalid slot, else the least recently
+// touched full slot (a signal waiting for its load), else the least
+// recently touched slot.  A waiting (empty) slot records its load's LDID, a
+// full one its store's STID.
+
+// refSync is one slot of the reference table.
+type refSync struct {
+	valid    bool
+	pair     PairKey
+	instance uint64
+	ldid     int64
+	stid     int64
+	full     bool
+	stamp    uint64 // clock value at the last touch
+}
+
+// refMDST is the reference synchronization table.
+type refMDST struct {
+	slots []refSync
+	clock uint64
+}
+
+func newRefMDST(capacity int) *refMDST {
+	return &refMDST{slots: make([]refSync, max(capacity, 1))}
+}
+
+func (r *refMDST) touch(e *refSync) {
+	r.clock++
+	e.stamp = r.clock
+}
+
+// find returns the instance's slot, or nil.
+func (r *refMDST) find(pair PairKey, instance uint64) *refSync {
+	for i := range r.slots {
+		if e := &r.slots[i]; e.valid && e.pair == pair && e.instance == instance {
+			return e
+		}
+	}
+	return nil
+}
+
+// install fills the first invalid slot, else the least recently touched full
+// slot, else the least recently touched slot.
+func (r *refMDST) install(fill refSync) {
+	victim := -1
+	for i := range r.slots {
+		if !r.slots[i].valid {
+			victim = i
+			break
+		}
+	}
+	if victim < 0 {
+		victim = r.lru(true)
+	}
+	if victim < 0 {
+		victim = r.lru(false)
+	}
+	r.slots[victim] = fill
+	r.touch(&r.slots[victim])
+}
+
+// lru returns the least recently touched valid slot, full ones only if
+// onlyFull is set, or -1.
+func (r *refMDST) lru(onlyFull bool) int {
+	v := -1
+	for i := range r.slots {
+		if e := &r.slots[i]; e.valid && (e.full || !onlyFull) && (v < 0 || e.stamp < r.slots[v].stamp) {
+			v = i
+		}
+	}
+	return v
+}
+
+func (r *refMDST) AllocWaiting(pair PairKey, instance uint64, ldid int64) bool {
+	if e := r.find(pair, instance); e != nil {
+		r.touch(e)
+		if e.full {
+			e.valid = false
+			return false
+		}
+		e.ldid = ldid
+		return true
+	}
+	r.install(refSync{valid: true, pair: pair, instance: instance, ldid: ldid, stid: invalidID})
+	return true
+}
+
+func (r *refMDST) Signal(pair PairKey, instance uint64, stid int64) (int64, bool) {
+	if e := r.find(pair, instance); e != nil {
+		r.touch(e)
+		if !e.full && e.ldid != invalidID {
+			e.valid = false
+			return e.ldid, true
+		}
+		e.stid = stid
+		return invalidID, false
+	}
+	r.install(refSync{valid: true, pair: pair, instance: instance, ldid: invalidID, stid: stid, full: true})
+	return invalidID, false
+}
+
+func (r *refMDST) ReleaseLoad(ldid int64) []PairKey {
+	var freed []PairKey
+	for i := range r.slots {
+		if e := &r.slots[i]; e.valid && e.ldid == ldid {
+			freed = append(freed, e.pair)
+			e.valid = false
+		}
+	}
+	return freed
+}
+
+func (r *refMDST) ReleaseStore(stid int64) []PairKey {
+	var freed []PairKey
+	for i := range r.slots {
+		if e := &r.slots[i]; e.valid && e.stid == stid && e.ldid == invalidID {
+			freed = append(freed, e.pair)
+			e.valid = false
+		}
+	}
+	return freed
+}
+
+func (r *refMDST) HasWaiter(ldid int64) bool {
+	for i := range r.slots {
+		if e := &r.slots[i]; e.valid && !e.full && e.ldid == ldid {
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refMDST) Reset() {
+	clear(r.slots)
+	r.clock = 0
+}
+
+// syncState is what one valid synchronization entry holds.
+type syncState struct {
+	Pair       PairKey
+	Instance   uint64
+	LDID, STID int64
+	Full       bool
+}
+
+// syncEntries lists the valid entries of a synchronization table, least
+// recently used first within each kind, waiting entries before full ones:
+// equal lists mean equal entries and equal replacement order.
+func syncEntries(table any) []syncState {
+	var out []syncState
+	switch t := table.(type) {
+	case *MDST:
+		for _, l := range t.lru {
+			for i := l.head; i != noSlot; i = t.lruLinks[i].next {
+				e := &t.entries[i]
+				out = append(out, syncState{PairKey{LoadPC: e.loadPC, StorePC: e.storePC}, e.instance, e.ldid, e.stid, e.full})
+			}
+		}
+	case *refMDST:
+		live := slices.DeleteFunc(slices.Clone(t.slots), func(e refSync) bool { return !e.valid })
+		slices.SortFunc(live, func(a, b refSync) int {
+			if a.full != b.full {
+				if a.full {
+					return 1
+				}
+				return -1
+			}
+			return cmp.Compare(a.stamp, b.stamp)
+		})
+		for _, e := range live {
+			out = append(out, syncState{e.pair, e.instance, e.ldid, e.stid, e.full})
+		}
+	default:
+		panic(fmt.Sprintf("syncEntries: unknown table %T", table))
+	}
+	return out
 }

@@ -36,45 +36,52 @@ func TestResetEquivalence(t *testing.T) {
 	cfg := Config{Entries: 16, SyncSlots: 8, Ways: 4}
 	cases := []struct {
 		name  string
-		fresh func() interface{ Reset() }
-		drive func(r interface{ Reset() }) any
+		fresh func() any
+		drive func(r any) any
 	}{
 		{
 			name:  "MDPT",
-			fresh: func() interface{ Reset() } { return NewMDPT(cfg) },
-			drive: func(r interface{ Reset() }) any { return drivePredictor(r.(Predictor)) },
+			fresh: func() any { return NewMDPT(cfg) },
+			drive: func(r any) any { return drivePredictor(r.(Predictor)) },
 		},
 		{
 			name:  "SetAssocMDPT",
-			fresh: func() interface{ Reset() } { return NewMDPT(Config{Entries: 16, Ways: 4, Table: TableSetAssoc}) },
-			drive: func(r interface{ Reset() }) any { return drivePredictor(r.(Predictor)) },
+			fresh: func() any { return NewMDPT(Config{Entries: 16, Ways: 4, Table: TableSetAssoc}) },
+			drive: func(r any) any { return drivePredictor(r.(Predictor)) },
 		},
 		{
 			name:  "StoreSetPredictor",
-			fresh: func() interface{ Reset() } { return NewStoreSetPredictor(cfg) },
-			drive: func(r interface{ Reset() }) any { return drivePredictor(r.(Predictor)) },
+			fresh: func() any { return NewStoreSetPredictor(cfg) },
+			drive: func(r any) any { return drivePredictor(r.(Predictor)) },
 		},
 		{
 			name:  "MDST",
-			fresh: func() interface{ Reset() } { return NewMDST(8) },
-			drive: func(r interface{ Reset() }) any { return driveMDST(r.(*MDST)) },
+			fresh: func() any { return NewMDST(8, testIDs) },
+			drive: func(r any) any { return driveMDST(r.(*MDST)) },
 		},
 		{
 			name:  "DDC",
-			fresh: func() interface{ Reset() } { return NewDDC(8) },
-			drive: func(r interface{ Reset() }) any { return driveDDC(r.(*DDC)) },
+			fresh: func() any { return NewDDC(8) },
+			drive: func(r any) any { return driveDDC(r.(*DDC)) },
 		},
 		{
 			name:  "System",
-			fresh: func() interface{ Reset() } { return NewSystem(cfg) },
-			drive: func(r interface{ Reset() }) any { return driveSystem(r.(*System)) },
+			fresh: func() any { return newSizedSystem(cfg) },
+			drive: func(r any) any { return driveSystem(r.(*System)) },
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			reused := tc.fresh()
 			tc.drive(reused)
-			reused.Reset()
+			switch r := reused.(type) {
+			case *MDST:
+				r.Reset(testIDs)
+			case *System:
+				r.Reset(testIDs)
+			default:
+				r.(interface{ Reset() }).Reset()
+			}
 			got := tc.drive(reused)
 			want := tc.drive(tc.fresh())
 			if !reflect.DeepEqual(got, want) {
@@ -135,7 +142,7 @@ func driveMDST(m *MDST) any {
 	for id := int64(0); id < 16; id++ {
 		digest = append(digest, m.HasWaiter(id))
 	}
-	return append(digest, len(m.index))
+	return append(digest, liveSync(m))
 }
 
 // driveDDC thrashes the 8-entry dependence cache to exercise LRU eviction.
@@ -145,7 +152,7 @@ func driveDDC(d *DDC) any {
 	for i := 0; i < 100; i++ {
 		digest = append(digest, d.Access(rnd.pair()))
 	}
-	return append(digest, len(d.entries), d.hits, d.misses)
+	return append(digest, d.used, d.hits, d.misses)
 }
 
 // driveSystem runs the full load/store protocol: issue, signal, release,

@@ -23,9 +23,13 @@ type StoreSetPredictor struct {
 	sets []storeSet
 	// loadSSIT / storeSSIT map a PC to the index of the set it belongs to
 	// (the store set identifier tables).  A PC belongs to at most one set.
-	loadSSIT  map[uint64]int
-	storeSSIT map[uint64]int
-	clock     uint64
+	// loadFilter / storeFilter count their keys, so a lookup for a PC that
+	// belongs to no set returns before the map is hashed.
+	loadSSIT    map[uint64]int
+	storeSSIT   map[uint64]int
+	loadFilter  pcFilter
+	storeFilter pcFilter
+	clock       uint64
 }
 
 var _ Predictor = (*StoreSetPredictor)(nil)
@@ -61,11 +65,13 @@ func NewStoreSetPredictor(cfg Config) *StoreSetPredictor {
 	cfg.Table = TableStoreSet // so withDefaults applies the ways rules, not full-assoc's
 	cfg = cfg.withDefaults()
 	return &StoreSetPredictor{
-		cfg:       cfg,
-		ways:      cfg.Ways,
-		sets:      make([]storeSet, cfg.Entries/cfg.Ways),
-		loadSSIT:  make(map[uint64]int),
-		storeSSIT: make(map[uint64]int),
+		cfg:         cfg,
+		ways:        cfg.Ways,
+		sets:        make([]storeSet, cfg.Entries/cfg.Ways),
+		loadSSIT:    make(map[uint64]int),
+		storeSSIT:   make(map[uint64]int),
+		loadFilter:  newPCFilter(cfg.Entries),
+		storeFilter: newPCFilter(cfg.Entries),
 	}
 }
 
@@ -87,6 +93,9 @@ func (t *StoreSetPredictor) prediction(pair PairKey, st *ssStore, counter int) P
 // every store member of its set.  dst is caller-owned: results are never
 // invalidated by a later call.
 func (t *StoreSetPredictor) MatchesForLoad(loadPC uint64, dst []Prediction) []Prediction {
+	if !t.loadFilter.mayHold(loadPC) {
+		return dst
+	}
 	sid, ok := t.loadSSIT[loadPC]
 	if !ok {
 		return dst
@@ -110,6 +119,9 @@ func (t *StoreSetPredictor) MatchesForLoad(loadPC uint64, dst []Prediction) []Pr
 // member of its set, carrying its own distance and task PC.  dst is
 // caller-owned: results are never invalidated by a later call.
 func (t *StoreSetPredictor) MatchesForStore(storePC uint64, dst []Prediction) []Prediction {
+	if !t.storeFilter.mayHold(storePC) {
+		return dst
+	}
 	sid, ok := t.storeSSIT[storePC]
 	if !ok {
 		return dst
@@ -193,9 +205,11 @@ func (t *StoreSetPredictor) invalidateSet(sid int) {
 	s := &t.sets[sid]
 	for i := range s.loads {
 		delete(t.loadSSIT, s.loads[i].pc)
+		t.loadFilter.remove(s.loads[i].pc)
 	}
 	for i := range s.stores {
 		delete(t.storeSSIT, s.stores[i].pc)
+		t.storeFilter.remove(s.stores[i].pc)
 	}
 	*s = storeSet{loads: s.loads[:0], stores: s.stores[:0]}
 }
@@ -238,11 +252,13 @@ func (t *StoreSetPredictor) addLoad(sid int, loadPC uint64) {
 			}
 		}
 		delete(t.loadSSIT, s.loads[lru].pc)
+		t.loadFilter.remove(s.loads[lru].pc)
 		s.loads = append(s.loads[:lru], s.loads[lru+1:]...)
 	}
 	t.clock++
 	s.loads = append(s.loads, ssLoad{pc: loadPC, lastUse: t.clock})
-	t.loadSSIT[loadPC] = sid
+	t.loadSSIT[loadPC] = sid // a new key: loadPC is in no set
+	t.loadFilter.add(loadPC)
 }
 
 // addStore makes storePC a member of the set (updating its distance and task
@@ -266,11 +282,13 @@ func (t *StoreSetPredictor) addStore(sid int, storePC uint64, dist uint64, store
 			}
 		}
 		delete(t.storeSSIT, s.stores[lru].pc)
+		t.storeFilter.remove(s.stores[lru].pc)
 		s.stores = append(s.stores[:lru], s.stores[lru+1:]...)
 	}
 	t.clock++
 	s.stores = append(s.stores, ssStore{pc: storePC, dist: dist, storeTaskPC: storeTaskPC, lastUse: t.clock})
-	t.storeSSIT[storePC] = sid
+	t.storeSSIT[storePC] = sid // a new key: storePC is in no set
+	t.storeFilter.add(storePC)
 }
 
 // pairSet returns the set shared by the pair's load and store, or nil.
@@ -312,5 +330,7 @@ func (t *StoreSetPredictor) Reset() {
 	}
 	clear(t.loadSSIT)
 	clear(t.storeSSIT)
+	clear(t.loadFilter)
+	clear(t.storeFilter)
 	t.clock = 0
 }

@@ -20,7 +20,7 @@ package memdep
 //
 //memdep:resettable
 type System struct {
-	cfg  Config //lint:reset-exempt construction-time configuration, immutable across runs
+	cfg  Config //lint:reset-exempt configuration, changed only by Configure
 	pred Predictor
 	mdst *MDST
 
@@ -76,14 +76,30 @@ type SystemStats struct {
 }
 
 // NewSystem creates a prediction/synchronization system; the prediction
-// table's organization is selected by cfg.Table.
+// table's organization is selected by cfg.Table.  Reset sizes it for a run's
+// load and store identifiers before the first event.
 func NewSystem(cfg Config) *System {
 	cfg = cfg.withDefaults()
 	return &System{
 		cfg:  cfg,
 		pred: NewPredictor(cfg),
-		mdst: NewMDST(cfg.Entries * cfg.SyncSlots),
+		mdst: NewMDST(cfg.Entries*cfg.SyncSlots, 0),
 	}
+}
+
+// Configure rebuilds the tables for cfg, unless they already have it.  The
+// synchronization table keeps the identifier storage Reset sized, so a
+// simulator arena that alternates configurations (the stage count sets
+// SyncSlots) does not re-allocate it.  Reset must follow before the next
+// event.
+func (s *System) Configure(cfg Config) {
+	cfg = cfg.withDefaults()
+	if cfg == s.cfg {
+		return
+	}
+	s.cfg = cfg
+	s.pred = NewPredictor(cfg)
+	s.mdst.resize(cfg.Entries * cfg.SyncSlots)
 }
 
 // Stats returns a snapshot of the system counters.
@@ -105,8 +121,8 @@ type LoadQuery struct {
 	// paper).
 	Instance uint64
 	// LDID uniquely identifies this dynamic load within the current
-	// instruction window (for example reservation-station index or simulator
-	// sequence number).
+	// instruction window (the simulator uses the load's instruction index
+	// in the work item); it lies in [0, ids) of the last Reset.
 	LDID int64
 	// Addr is the load's effective address (used only by the address-tagging
 	// ablation).
@@ -197,7 +213,8 @@ type StoreQuery struct {
 	PC uint64
 	// Instance is the store's instance number (task number).
 	Instance uint64
-	// STID uniquely identifies this dynamic store within the window.
+	// STID uniquely identifies this dynamic store within the window; it
+	// lies in [0, ids) of the last Reset.
 	STID int64
 	// Addr is the store's effective address (address-tagging ablation).
 	Addr uint64
@@ -312,9 +329,10 @@ func (s *System) CommitLoad(loadPC uint64, actualStorePC uint64, waitedPairs []P
 	}
 }
 
-// Reset clears both tables and the counters.
-func (s *System) Reset() {
+// Reset clears both tables and the counters, readying the system for a run
+// whose load and store identifiers (LDID, STID) lie in [0, ids).
+func (s *System) Reset(ids int) {
 	s.pred.Reset()
-	s.mdst.Reset()
+	s.mdst.Reset(ids)
 	s.stats = SystemStats{}
 }

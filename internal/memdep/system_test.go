@@ -1,12 +1,20 @@
 package memdep
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
 
 func newTestSystem(pred PredictorKind) *System {
-	return NewSystem(Config{Entries: 16, SyncSlots: 4, Predictor: pred})
+	return newSizedSystem(Config{Entries: 16, SyncSlots: 4, Predictor: pred})
+}
+
+// newSizedSystem builds a system sized for identifiers below testIDs.
+func newSizedSystem(cfg Config) *System {
+	s := NewSystem(cfg)
+	s.Reset(testIDs)
+	return s
 }
 
 // releaseLog collects the loads a System's release hook delivers.
@@ -201,7 +209,7 @@ func TestSystemSquashStore(t *testing.T) {
 	pair := PairKey{LoadPC: 0x100, StorePC: 0x80}
 	s.RecordMisspeculation(pair, 1, 0)
 	s.StoreIssue(StoreQuery{PC: 0x80, Instance: 6, STID: 21})
-	if len(s.mdst.index) != 1 {
+	if liveSync(s.mdst) != 1 {
 		t.Fatal("store must have pre-set a condition variable")
 	}
 	if n := s.SquashStore(21); n != 1 {
@@ -330,7 +338,7 @@ func TestSystemMultipleDependencesLoadWaitsForAll(t *testing.T) {
 }
 
 func TestSystemTagByAddressAblation(t *testing.T) {
-	s := NewSystem(Config{Entries: 16, SyncSlots: 4, Predictor: PredictSync, TagByAddress: true})
+	s := newSizedSystem(Config{Entries: 16, SyncSlots: 4, Predictor: PredictSync, TagByAddress: true})
 	pair := PairKey{LoadPC: 0x100, StorePC: 0x80}
 	s.RecordMisspeculation(pair, 1, 0)
 	rel := hookReleases(s)
@@ -363,8 +371,8 @@ func TestSystemStatsAccumulate(t *testing.T) {
 	if st.LoadsMadeToWait != 1 || st.LoadsReleasedByStore != 1 {
 		t.Errorf("stats = %+v", st)
 	}
-	s.Reset()
-	if s.Stats() != (SystemStats{}) || liveEntries(s.pred) != 0 || len(s.mdst.index) != 0 {
+	s.Reset(testIDs)
+	if s.Stats() != (SystemStats{}) || liveEntries(s.pred) != 0 || liveSync(s.mdst) != 0 {
 		t.Error("reset must clear everything")
 	}
 }
@@ -399,5 +407,20 @@ func TestSystemSynchronizationAlwaysResolves(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSystemConfigureMatchesFresh: a system reconfigured from another size,
+// organization and predictor, as the simulator arena does when the stage
+// count or policy changes, must behave exactly as a freshly built one once
+// Reset.
+func TestSystemConfigureMatchesFresh(t *testing.T) {
+	cfg := Config{Entries: 16, SyncSlots: 8, Ways: 4}
+	s := newSizedSystem(Config{Entries: 8, SyncSlots: 2, Predictor: PredictESync, Table: TableStoreSet})
+	driveSystem(s)
+	s.Configure(cfg)
+	s.Reset(testIDs)
+	if got, want := driveSystem(s), driveSystem(newSizedSystem(cfg)); !reflect.DeepEqual(got, want) {
+		t.Errorf("reconfigured system diverges from a fresh one:\nreconfigured: %+v\nfresh:        %+v", got, want)
 	}
 }

@@ -29,13 +29,13 @@ type Simulator struct {
 	s sim
 
 	// stages is the stage count the cache hierarchy and the ARB were built
-	// for; they are rebuilt only when it changes.  mdsCfg and ddcSizes are
-	// the configurations the predictor system and the DDCs were built with.
-	// A subsystem whose configuration matches is Reset in place.  They must
-	// survive reset: the diff against them is what decides reuse.
-	stages   int           //lint:reset-exempt config-diff baseline, compared before state is cleared
-	mdsCfg   memdep.Config //lint:reset-exempt config-diff baseline, compared before state is cleared
-	ddcSizes []int         //lint:reset-exempt config-diff baseline, compared before state is cleared
+	// for; they are rebuilt only when it changes.  ddcSizes are the sizes
+	// the DDCs were built with.  A subsystem whose configuration matches is
+	// Reset in place.  They must survive reset: the diff against them is
+	// what decides reuse.  (The predictor system diffs its own
+	// configuration in Configure.)
+	stages   int   //lint:reset-exempt config-diff baseline, compared before state is cleared
+	ddcSizes []int //lint:reset-exempt config-diff baseline, compared before state is cleared
 }
 
 // NewSimulator returns an empty arena.  The first Simulate call sizes it.
@@ -87,15 +87,16 @@ func (sm *Simulator) reset(ctx context.Context, w *WorkItem, cfg Config) {
 	// the next predicting run resets or rebuilds it here.
 	s.predicting = cfg.Policy.UsesPredictor()
 	if s.predicting {
-		if s.mds == nil || sm.mdsCfg != cfg.MemDep {
+		if s.mds == nil {
 			s.mds = memdep.NewSystem(cfg.MemDep)
-			sm.mdsCfg = cfg.MemDep
 			// The hook captures &sm.s, which is stable for the life of the
-			// arena, so it is installed once per build rather than per run.
+			// arena, so it is installed once rather than per run.
 			s.mds.SetReleaseHook(s.wakeLoad)
 		} else {
-			s.mds.Reset()
+			s.mds.Configure(cfg.MemDep)
 		}
+		// LDIDs and STIDs are the work item's instruction indices.
+		s.mds.Reset(len(w.insts))
 	}
 
 	if !slices.Equal(sm.ddcSizes, cfg.DDCSizes) {

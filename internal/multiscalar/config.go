@@ -73,12 +73,26 @@ const (
 	defaultMaxCycles = 200_000_000
 )
 
-// latencies and fus are the functional-unit latencies and the per-unit
-// functional-unit mix of Table 2.
-var (
-	latencies = isa.DefaultLatencies()
-	fus       = isa.DefaultFUCount()
-)
+// fus is the per-unit functional-unit mix of Table 2.
+var fus = isa.DefaultFUCount()
+
+// opLatency and fuOccupancy give, per op, its latency under Table 2's
+// functional-unit latencies and the cycles it holds its unit: one for a
+// pipelined class, the whole latency otherwise.  They are tabulated once so
+// the core indexes an array per issue instead of copying the latency table
+// and switching on the op's class.
+var opLatency, fuOccupancy = opTables(isa.DefaultLatencies())
+
+func opTables(lat isa.LatencyTable) (latency, occupancy [256]int64) {
+	for op := range latency {
+		latency[op] = int64(lat.OpLatency(isa.Op(op)))
+		occupancy[op] = 1
+		if !lat[isa.ClassOf(isa.Op(op))].Pipelined {
+			occupancy[op] = latency[op]
+		}
+	}
+	return latency, occupancy
+}
 
 // Config describes what the paper's evaluation varies on its one machine:
 // the stage count, the speculation policy and the dependence predictor.

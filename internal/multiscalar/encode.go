@@ -14,7 +14,7 @@ import (
 // whenever the wire layout or the meaning of a field changes; the persistent
 // store reads a version mismatch as an expected invalidation (a cache miss),
 // so readers of an older format simply recompute.
-const workItemVersion = 2
+const workItemVersion = 3
 
 // ErrWorkItemVersion reports an encoding written under another format
 // version.  DecodeWorkItem wraps it, so callers can tell a stale encoding
@@ -32,21 +32,27 @@ const memProdFlag = 1
 // and global op counts) is reconstructed by DecodeWorkItem, so the two can
 // never disagree.
 //
-// Format version 2, every integer a uvarint unless marked otherwise:
+// Format version 3, every integer a uvarint unless marked otherwise:
 //
-//	version (2)
+//	version (3)
 //	name length, name bytes
 //	instruction count, task count
 //	per task:        pc, instruction count (>= 1)
 //	per instruction: op (byte), flags (byte; bit 0: memory producer follows)
-//	                 pc, address
+//	                 pc
+//	                 loads and stores: previous-access delta, then the
+//	                   address if that delta is 0
+//	                 other ops: address
 //	                 one producer delta per register source
 //	                 if flagged (loads only): producer delta, task delta
 //
 // Instructions are numbered globally in stream order.  A producer delta is
 // self - producer, so producers only ever point backwards and 0 means "no
-// producer".  The task delta is the load's task minus the producing store's
-// task.  The header counts let the decoder allocate the work item once.
+// producer".  A load or store names the previous load or store to its
+// address the same way (inst.prevMem), and carries the address only on the
+// first access to it, which is also where its address id is numbered.  The
+// task delta is the load's task minus the producing store's task.  The
+// header counts let the decoder allocate the work item once.
 func AppendWorkItem(dst []byte, w *WorkItem) []byte {
 	// The paper and synthetic workloads encode in 5.7-8.5 bytes per
 	// instruction, so one allocation almost always suffices.
@@ -68,7 +74,13 @@ func AppendWorkItem(dst []byte, w *WorkItem) []byte {
 			}
 			dst = append(dst, byte(r.op), flags)
 			dst = binary.AppendUvarint(dst, r.pc)
-			dst = binary.AppendUvarint(dst, r.addr)
+			mem := r.isLoad() || r.isStore()
+			if mem {
+				dst = binary.AppendUvarint(dst, prodDelta(self, r.prevMem))
+			}
+			if !mem || r.prevMem < 0 {
+				dst = binary.AppendUvarint(dst, r.addr)
+			}
 			for s := 0; s < int(r.nSrc); s++ {
 				dst = binary.AppendUvarint(dst, prodDelta(self, r.src[s]))
 			}
@@ -167,13 +179,17 @@ func (d *wiReader) producer(self int32) int32 {
 // DecodeWorkItem decodes an AppendWorkItem encoding.  It never panics on
 // malformed input: the header counts are capped against the input size
 // before the one allocation, every producer must precede its consumer, a
-// memory producer must be a store to the load's address inside the task the
-// encoding names, and any violation returns an error.  An encoding of another
-// format version returns an error wrapping ErrWorkItemVersion.  Derived state
-// (classes, source counts, load ordinals, address ids, op counts) is
-// recomputed exactly as Preprocess computes it; address ids borrow
-// Preprocess's pooled address numbering, so a warm decode allocates only the
-// work item.
+// previous access must be a load or store, a memory producer must be a store
+// to the load's address inside the task the encoding names, and any
+// violation returns an error.  An encoding of another format version returns
+// an error wrapping ErrWorkItemVersion.  Derived state (classes, source
+// counts, load ordinals, address ids, op counts) is recomputed exactly as
+// Preprocess computes it.  A load or store copies its address and address id
+// from its previous access and numbers a new id on a first access, so a
+// decode needs no address map and allocates only the work item.  (The
+// decoder trusts a first access to be first, as it trusts a memory producer
+// to be the latest store: the store's checksum, not the decoder, catches a
+// corrupt payload.)
 func DecodeWorkItem(data []byte) (*WorkItem, error) {
 	d := &wiReader{data: data}
 	if v := d.uvarint(); d.err == nil && v != workItemVersion {
@@ -197,9 +213,6 @@ func DecodeWorkItem(data []byte) (*WorkItem, error) {
 		insts:        make([]inst, numInsts),
 		tasks:        make([]task, numTasks),
 	}
-	b := prepPool.Get().(*prepScratch)
-	defer prepPool.Put(b)
-	b.Reset()
 	self := int32(0)
 	for ti := range w.tasks {
 		t := &w.tasks[ti]
@@ -230,10 +243,17 @@ func DecodeWorkItem(data []byte) (*WorkItem, error) {
 				op:      op,
 				class:   isa.ClassOf(op),
 				pc:      d.uvarint(),
-				addr:    d.uvarint(),
 				src:     [2]int32{-1, -1},
 				memProd: -1,
 				memTask: -1,
+				prevMem: -1,
+			}
+			if isa.IsLoad(op) || isa.IsStore(op) {
+				if err := d.address(w, self); err != nil {
+					return nil, err
+				}
+			} else {
+				r.addr = d.uvarint()
 			}
 			// The source count is a function of the opcode, exactly as
 			// Preprocess derives it from the static instruction.
@@ -248,18 +268,13 @@ func DecodeWorkItem(data []byte) (*WorkItem, error) {
 				r.loadOrd = t.loads
 				t.loads++
 				w.Loads++
-				if flags == 0 {
-					r.addrID = b.id(r.addr)
-				} else {
+				if flags != 0 {
 					if err := d.memProducer(w, int32(ti), self); err != nil {
 						return nil, err
 					}
-					// The producer stored to this address, so it is numbered.
-					r.addrID = w.insts[r.memProd].addrID
 				}
 			case isa.IsStore(op):
 				r.flags = flagStore
-				r.addrID = b.id(r.addr)
 				t.stores++
 				w.Stores++
 			}
@@ -274,8 +289,29 @@ func DecodeWorkItem(data []byte) (*WorkItem, error) {
 	if uint64(self) != numInsts {
 		return nil, fmt.Errorf("multiscalar: tasks cover %d of %d instructions", self, numInsts)
 	}
-	w.addrs = len(b.ids)
 	return w, nil
+}
+
+// address reads the address of load or store self: a delta to its previous
+// access, whose address and address id it copies, or 0 and the address of a
+// first access, which takes the next address id.
+func (d *wiReader) address(w *WorkItem, self int32) error {
+	r := &w.insts[self]
+	r.prevMem = d.producer(self)
+	if d.err != nil {
+		return d.err
+	}
+	if r.prevMem < 0 {
+		r.addr, r.addrID = d.uvarint(), int32(w.addrs)
+		w.addrs++
+		return nil
+	}
+	p := &w.insts[r.prevMem]
+	if !p.isLoad() && !p.isStore() {
+		return fmt.Errorf("multiscalar: previous access %d of instruction %d is not a load or store", r.prevMem, self)
+	}
+	r.addr, r.addrID = p.addr, p.addrID
+	return nil
 }
 
 // memProducer reads and validates the memory producer of load self in task

@@ -108,6 +108,32 @@ func TestWorkItemDecodeRejectsForwardProducers(t *testing.T) {
 	}
 }
 
+// TestWorkItemDecodeRejectsBadPreviousAccess corrupts a memory operation's
+// back-reference to name an instruction that is not a load or store; the
+// decoder must reject it rather than copy an address id that was never
+// numbered.
+func TestWorkItemDecodeRejectsBadPreviousAccess(t *testing.T) {
+	w := prep(t, buildRecurrence(2), 0)
+	victim, other := -1, -1
+	for i := range w.insts {
+		r := &w.insts[i]
+		switch {
+		case r.prevMem >= 0 && victim < 0:
+			victim = i
+		case !r.isLoad() && !r.isStore() && other < 0:
+			other = i
+		}
+	}
+	if victim < 0 || other < 0 || other > victim {
+		t.Fatalf("the recurrence workload lacks a repeated access after a non-memory op (victim %d, other %d)", victim, other)
+	}
+	w.insts[victim].prevMem = int32(other)
+	if _, err := DecodeWorkItem(AppendWorkItem(nil, w)); err == nil ||
+		!strings.Contains(err.Error(), "not a load or store") {
+		t.Fatalf("previous access %d names %v: err = %v", victim, w.insts[other].op, err)
+	}
+}
+
 // TestWorkItemEncodeMaxInstructions pins that a truncated trace (the quick
 // presets) round-trips too: task boundaries near the cap are preserved.
 func TestWorkItemEncodeMaxInstructions(t *testing.T) {

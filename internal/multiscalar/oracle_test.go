@@ -26,26 +26,28 @@ type refInst struct {
 	memProd int32
 	memTask int32
 	addrID  int32
+	prevMem int32
 	loadOrd int32
 }
 
-// referencePreprocess recomputes every instruction's producers, address id
-// and load ordinal straight from the collected trace, the plain way: tasks
-// come from the functional simulator's TaskID (not from TaskStart, which
-// Preprocess uses), producers from whole-stream maps of the last writer,
-// the memory producer's task from the collected record it names, and
-// address ids from a map numbering the addresses of loads and stores in
-// order of first appearance.
+// referencePreprocess recomputes every instruction's producers, address id,
+// previous same-address access and load ordinal straight from the collected
+// trace, the plain way: tasks come from the functional simulator's TaskID
+// (not from TaskStart, which Preprocess uses), producers from whole-stream
+// maps of the last writer and the last access, the memory producer's task
+// from the collected record it names, and address ids from a map numbering
+// the addresses of loads and stores in order of first appearance.
 func referencePreprocess(t *testing.T, p *program.Program, cfg trace.Config) []refInst {
 	t.Helper()
 	stream := collectStream(t, p, cfg)
 	lastWriter := map[isa.Reg]int{}
 	lastStore := map[uint64]int{}
+	lastAccess := map[uint64]int{}
 	addrIDs := map[uint64]int32{}
 	loadsInTask := map[uint64]int32{}
 	ref := make([]refInst, len(stream))
 	for i, d := range stream {
-		r := refInst{task: int(d.TaskID), src: [2]int32{-1, -1}, memProd: -1, memTask: -1}
+		r := refInst{task: int(d.TaskID), src: [2]int32{-1, -1}, memProd: -1, memTask: -1, prevMem: -1}
 		ins := p.Code[d.Index]
 		uses, n := ins.Uses()
 		for k := 0; k < n; k++ {
@@ -60,6 +62,10 @@ func referencePreprocess(t *testing.T, p *program.Program, cfg trace.Config) []r
 				addrIDs[d.Addr] = id
 			}
 			r.addrID = id
+			if prev, ok := lastAccess[d.Addr]; ok {
+				r.prevMem = int32(prev)
+			}
+			lastAccess[d.Addr] = i
 		}
 		if d.IsLoad() {
 			if s, ok := lastStore[d.Addr]; ok {
@@ -104,7 +110,7 @@ func checkAgainstReference(t *testing.T, w *WorkItem, ref []refInst) {
 			if r.class != isa.ClassOf(r.op) || r.isLoad() != isa.IsLoad(r.op) || r.isStore() != isa.IsStore(r.op) {
 				t.Fatalf("instruction %d: derived class/flags disagree with op %v", i, r.op)
 			}
-			got := refInst{task: ti, src: r.src, memProd: r.memProd, memTask: r.memTask}
+			got := refInst{task: ti, src: r.src, memProd: r.memProd, memTask: r.memTask, prevMem: -1}
 			if r.isLoad() {
 				got.loadOrd = r.loadOrd
 				tl++
@@ -113,7 +119,7 @@ func checkAgainstReference(t *testing.T, w *WorkItem, ref []refInst) {
 				ts++
 			}
 			if r.isLoad() || r.isStore() {
-				got.addrID = r.addrID
+				got.addrID, got.prevMem = r.addrID, r.prevMem
 				addrs = max(addrs, int(r.addrID)+1)
 			}
 			if got != want {

@@ -393,15 +393,16 @@ func (s *sim) loadPairs(info *loadRecord) []memdep.PairKey {
 	return s.pairBuf[info.pairsOff : info.pairsOff+info.pairsLen]
 }
 
-// ringLatency is the forwarding delay between the units of two tasks over the
-// unidirectional ring.
+// ringLatency is the forwarding delay from the unit of task prodTask to the
+// unit of task consTask over the unidirectional ring.  Task i runs on unit
+// i mod Stages and a producer's task never follows its consumer's, so the
+// hop count is the task distance mod Stages; the division is taken only
+// for a producer a whole ring or more behind.
 func (s *sim) ringLatency(prodTask, consTask int) int64 {
-	if prodTask == consTask {
-		return 0
+	hops := consTask - prodTask
+	if hops >= s.cfg.Stages {
+		hops %= s.cfg.Stages
 	}
-	prodUnit := prodTask % s.cfg.Stages
-	consUnit := consTask % s.cfg.Stages
-	hops := (consUnit - prodUnit + s.cfg.Stages) % s.cfg.Stages
 	return int64(hops) * ringHop
 }
 
@@ -663,11 +664,7 @@ func (s *sim) acquireFU(t *execTask, class isa.Class, op isa.Op, cycle int64) bo
 	insts := t.fuNext[class]
 	for i := range insts {
 		if insts[i] <= cycle {
-			occupancy := int64(1)
-			if !latencies[class].Pipelined {
-				occupancy = int64(latencies.OpLatency(op))
-			}
-			insts[i] = cycle + occupancy
+			insts[i] = cycle + fuOccupancy[op]
 			return true
 		}
 	}
@@ -769,7 +766,7 @@ func (s *sim) advance(t *execTask) {
 			}
 			done = s.cycle + 1
 		default:
-			done = s.cycle + int64(latencies.OpLatency(r.op))
+			done = s.cycle + opLatency[r.op]
 		}
 
 		s.done[idx] = done

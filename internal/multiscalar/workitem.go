@@ -63,6 +63,10 @@ type inst struct {
 	// appearance over loads and stores, so the core's ARB indexes arrays
 	// instead of hashing addresses.  Only meaningful for loads and stores.
 	addrID int32
+	// prevMem is the previous load or store to the same address, -1 for
+	// the first; the encoding refers to it instead of repeating the
+	// address.  Only meaningful for loads and stores.
+	prevMem int32
 
 	op    isa.Op
 	class isa.Class
@@ -141,18 +145,18 @@ var ErrTooManyInstructions = errors.New("multiscalar: committed stream exceeds t
 // so a test can reach the limit without committing two billion instructions.
 var instLimit = math.MaxInt32
 
-// lastStore is the most recent store to one address (store is -1 before
-// the first).
-type lastStore struct {
+// lastAccess is the most recent store to one address and its task, and the
+// most recent load or store to it (each -1 before the first).
+type lastAccess struct {
 	store int32
 	task  int32
+	mem   int32
 }
 
 // prepScratch is Preprocess's build state.  The stream is built into these
 // growable buffers and copied out at its exact length, so a work item owns
 // one instruction allocation with no growth slack, and a warm process builds
-// without regrowing anything.  DecodeWorkItem borrows ids to number
-// addresses the same way.
+// without regrowing anything.
 //
 //memdep:resettable
 type prepScratch struct {
@@ -161,7 +165,7 @@ type prepScratch struct {
 	// ids numbers the addresses in order of first appearance; last is
 	// indexed by address id.
 	ids  map[uint64]int32
-	last []lastStore
+	last []lastAccess
 }
 
 // Reset empties the scratch, keeping its capacity.
@@ -179,7 +183,7 @@ func (b *prepScratch) id(addr uint64) int32 {
 	if !ok {
 		id = int32(len(b.ids))
 		b.ids[addr] = id
-		b.last = append(b.last, lastStore{store: -1})
+		b.last = append(b.last, lastAccess{store: -1, mem: -1})
 	}
 	return id
 }
@@ -231,6 +235,7 @@ func Preprocess(p *program.Program, cfg trace.Config) (*WorkItem, error) {
 			src:     [2]int32{-1, -1},
 			memProd: -1,
 			memTask: -1,
+			prevMem: -1,
 		}
 		uses, n := ins.Uses()
 		r.nSrc = uint8(n)
@@ -243,16 +248,20 @@ func Preprocess(p *program.Program, cfg trace.Config) (*WorkItem, error) {
 		case d.IsLoad():
 			r.flags = flagLoad
 			r.addrID = b.id(d.Addr)
-			if s := b.last[r.addrID]; s.store >= 0 {
-				r.memProd, r.memTask = s.store, s.task
+			last := &b.last[r.addrID]
+			if last.store >= 0 {
+				r.memProd, r.memTask = last.store, last.task
 			}
+			r.prevMem, last.mem = last.mem, int32(self)
 			r.loadOrd = t.loads
 			t.loads++
 			w.Loads++
 		case d.IsStore():
 			r.flags = flagStore
 			r.addrID = b.id(d.Addr)
-			b.last[r.addrID] = lastStore{store: int32(self), task: ti}
+			last := &b.last[r.addrID]
+			r.prevMem = last.mem
+			*last = lastAccess{store: int32(self), task: ti, mem: int32(self)}
 			t.stores++
 			w.Stores++
 		}
