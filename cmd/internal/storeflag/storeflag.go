@@ -2,8 +2,8 @@
 // every binary that runs simulations can point a persistent,
 // content-addressed result store at a directory, so repeated identical runs
 // -- across invocations, processes and CI jobs -- read their simulation
-// results, synthetic programs and preprocessed work items back from disk
-// instead of recomputing them.
+// results and preprocessed work items back from disk instead of recomputing
+// them.
 package storeflag
 
 import (

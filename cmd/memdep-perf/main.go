@@ -22,6 +22,8 @@
 //   - preprocess/{synth20k,xlisp}: one Preprocess (functional trace plus
 //     work-item build) of the 20,000-op synthetic workload the simulate-cold
 //     benchmark requests, and of the xlisp stand-in at 50k instructions.
+//   - trace/run: the functional pass alone (trace.Run with no visitor) over
+//     the same 20,000-op synthetic program.
 //   - workitem/{encode,decode}: the store codec of the synthetic work item.
 //   - engine/key/simulate: one engine.Key of the ESYNC xlisp SimulateJob
 //     above, the engine lookup every request pays, cache hits included.
@@ -222,8 +224,8 @@ func fastest(count int, f func() error) (testing.BenchmarkResult, error) {
 }
 
 // benchLayers records the layers of a request outside the timing core: the
-// preprocess and work-item codec entries, the engine key and the window
-// analysis.
+// preprocess, functional pass and work-item codec entries, the engine key and
+// the window analysis.
 func benchLayers(count int, stderr io.Writer, rep *report) error {
 	synth20k := synth.Spec{Ops: 20_000}.Build(1)
 	xlisp := workload.MustGet("xlisp").Build(1)
@@ -253,6 +255,10 @@ func benchLayers(count int, stderr io.Writer, rep *report) error {
 		}},
 		{"preprocess/xlisp", func() error {
 			_, err := multiscalar.Preprocess(xlisp, trace.Config{MaxInstructions: 50_000})
+			return err
+		}},
+		{"trace/run", func() error {
+			_, err := trace.Run(synth20k, trace.Config{}, nil)
 			return err
 		}},
 		{"workitem/encode", func() error {

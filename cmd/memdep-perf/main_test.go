@@ -46,6 +46,7 @@ func TestReportStructure(t *testing.T) {
 		"simulate/event/storeset": false,
 		"preprocess/synth20k":     false,
 		"preprocess/xlisp":        false,
+		"trace/run":               false,
 		"workitem/encode":         false,
 		"workitem/decode":         false,
 		"engine/key/simulate":     false,

@@ -416,7 +416,9 @@ func TestSynthSimulate(t *testing.T) {
 
 // TestStatz pins GET /v1/statz: without a store it mirrors the session
 // stats, and with -store wired it exposes the persistent tier's counters,
-// including the disk hits of a restarted server replaying the same request.
+// including the disk hits of a restarted server replaying the same request,
+// which recomputes nothing persisted: its one execution is the memory-only
+// synth/build rebuild, counted as bypassed.
 func TestStatz(t *testing.T) {
 	ts := newTestServer(t)
 	status, body := do(t, "GET", ts.URL+"/v1/statz", "")
@@ -465,8 +467,13 @@ func TestStatz(t *testing.T) {
 	if st.Store == nil || st.Store.Counters.Hits == 0 {
 		t.Fatalf("warm statz missing store hits: %s", body)
 	}
-	if st.Executed != 0 {
-		t.Fatalf("restarted server executed %d jobs, want 0 (served from disk)", st.Executed)
+	sc := st.Store.Counters
+	if sc.Misses != 0 || st.Executed != sc.Bypassed {
+		t.Fatalf("restarted server executed %d jobs with %d store misses and %d bypassed, want every execution bypassed (served from disk): %s",
+			st.Executed, sc.Misses, sc.Bypassed, body)
+	}
+	if kc := st.Store.Kinds["synth/build"]; st.Executed == 0 || kc.Bypassed != st.Executed {
+		t.Fatalf("restarted server executed %d jobs, want only the synth/build rebuild: %s", st.Executed, body)
 	}
 	if kc := st.Store.Kinds["multiscalar/simulate"]; kc.Hits == 0 {
 		t.Fatalf("no per-kind simulate hits: %s", body)

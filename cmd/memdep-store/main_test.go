@@ -63,10 +63,14 @@ func TestStats(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("code=%d stderr=%q", code, stderr)
 	}
-	for _, want := range []string{"objects", "multiscalar-simulate", "multiscalar-preprocess", "synth-build"} {
+	for _, want := range []string{"objects", "multiscalar-simulate", "multiscalar-preprocess"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stats output missing %q:\n%s", want, out)
 		}
+	}
+	// Synthetic programs are rebuilt, not persisted.
+	if strings.Contains(out, "synth-build") {
+		t.Errorf("stats output lists synth-build objects:\n%s", out)
 	}
 
 	// -json is machine-readable and agrees with the package walk.

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"memdep/internal/memdep"
@@ -134,16 +135,125 @@ func FuzzCoresAgree(f *testing.F) {
 // test runs committed corpus entries even without -fuzz), and regenerates
 // the files when MEMDEP_UPDATE_CORPUS=1 is set.
 func TestWorkItemFuzzSeedCorpusCommitted(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeWorkItem")
-	seeds := workItemFuzzSeeds(t)
+	var bodies []string
+	for _, seed := range workItemFuzzSeeds(t) {
+		bodies = append(bodies, corpusFile(seed))
+	}
+	checkCorpus(t, "FuzzDecodeWorkItem", bodies)
+}
+
+// prepFuzzSeed is one committed input of FuzzPreprocessAgainstReference: a
+// synthetic spec and an instruction cut (0 for none).
+type prepFuzzSeed struct {
+	seed                         uint64
+	ops, body, taskSize, spread  int
+	loadFrac, storeFrac, depFrac float64
+	alias                        int
+	loopCarried                  float64
+	cut                          uint16
+}
+
+// args returns the seed as the fuzz target's arguments, in order.
+func (s prepFuzzSeed) args() []any {
+	return []any{s.seed, s.ops, s.body, s.taskSize, s.spread, s.loadFrac, s.storeFrac, s.depFrac, s.alias, s.loopCarried, s.cut}
+}
+
+// prepFuzzSeeds returns the committed seed corpus of
+// FuzzPreprocessAgainstReference.
+func prepFuzzSeeds() []prepFuzzSeed {
+	return []prepFuzzSeed{
+		// The generator's defaults, run to the end.
+		{seed: 1, ops: 2000},
+		// Every load dependent and loop-carried, few stores in long tasks,
+		// cut mid-stream.
+		{seed: 3, ops: 2000, taskSize: 120, loadFrac: 0.3, storeFrac: 0.05, depFrac: 1.0, loopCarried: 1.0, cut: 777},
+		// Tasks of one to seven instructions over an alias set of four,
+		// cut after the first instruction.
+		{seed: 7, ops: 1500, taskSize: 4, spread: 3, depFrac: 0.8, alias: 4, loopCarried: 0.5, cut: 1},
+		// Task entries 1,024 instructions apart in a 4,096-instruction
+		// body, where the functional simulator's forced boundary competes
+		// with the static entries; the cut lies past the stream's end.
+		{seed: 11, ops: 4000, body: 4096, taskSize: 1024, loadFrac: 0.4, storeFrac: 0.3, cut: 65535},
+		// The smallest body, memory-heavy.
+		{seed: 13, ops: 600, body: 16, taskSize: 8, loadFrac: 0.5, storeFrac: 0.45, depFrac: 1.0, alias: 2},
+	}
+}
+
+// FuzzPreprocessAgainstReference holds Preprocess to referencePreprocess,
+// which reads the functional simulator's stream and decodes each dynamic
+// instruction's registers itself, over synthetic specs of at most 4,000
+// ops and any instruction cut: every record, task window and count must
+// agree, and so must decode(encode(w)), which must also equal w.
+func FuzzPreprocessAgainstReference(f *testing.F) {
+	for _, s := range prepFuzzSeeds() {
+		f.Add(s.seed, s.ops, s.body, s.taskSize, s.spread, s.loadFrac, s.storeFrac, s.depFrac, s.alias, s.loopCarried, s.cut)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, ops, body, taskSize, spread int, loadFrac, storeFrac, depFrac float64,
+		alias int, loopCarried float64, cut uint16) {
+		spec := synth.Spec{
+			Seed: seed, Ops: ops, Body: body, TaskSize: taskSize, TaskSpread: spread,
+			LoadFrac: loadFrac, StoreFrac: storeFrac, DepFrac: depFrac,
+			AliasSetSize: alias, LoopCarried: loopCarried,
+		}
+		if ops < 1 || ops > 4000 || spec.Validate() != nil {
+			t.Skip("invalid spec, or longer than the fuzz budget")
+		}
+		p, cfg := spec.Build(1), trace.Config{MaxInstructions: uint64(cut)}
+		w, err := Preprocess(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := referencePreprocess(t, p, cfg)
+		checkAgainstReference(t, w, ref)
+		got, err := DecodeWorkItem(AppendWorkItem(nil, w))
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if !reflect.DeepEqual(got, w) {
+			t.Fatal("decode(encode(w)) differs from w")
+		}
+		checkAgainstReference(t, got, ref)
+	})
+}
+
+// TestPreprocessFuzzSeedCorpusCommitted pins that the committed corpus under
+// testdata/fuzz/FuzzPreprocessAgainstReference holds prepFuzzSeeds byte for
+// byte, and regenerates the files when MEMDEP_UPDATE_CORPUS=1 is set.
+func TestPreprocessFuzzSeedCorpusCommitted(t *testing.T) {
+	var bodies []string
+	for _, seed := range prepFuzzSeeds() {
+		bodies = append(bodies, corpusFile(seed.args()...))
+	}
+	checkCorpus(t, "FuzzPreprocessAgainstReference", bodies)
+}
+
+// corpusFile encodes fuzz arguments in go test's corpus file format.
+func corpusFile(args ...any) string {
+	var b strings.Builder
+	b.WriteString("go test fuzz v1\n")
+	for _, a := range args {
+		if v, ok := a.([]byte); ok {
+			fmt.Fprintf(&b, "[]byte(%s)\n", strconv.Quote(string(v)))
+			continue
+		}
+		fmt.Fprintf(&b, "%T(%v)\n", a, a)
+	}
+	return b.String()
+}
+
+// checkCorpus requires testdata/fuzz/<target>/seed-NN to hold bodies[NN]
+// byte for byte (go test runs committed corpus entries even without -fuzz),
+// writing them first when MEMDEP_UPDATE_CORPUS=1 is set.
+func checkCorpus(t *testing.T, target string, bodies []string) {
+	t.Helper()
+	dir := filepath.Join("testdata", "fuzz", target)
 	update := os.Getenv("MEMDEP_UPDATE_CORPUS") == "1"
 	if update {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i, seed := range seeds {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(seed)))
+	for i, body := range bodies {
 		name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
 		if update {
 			if err := os.WriteFile(name, []byte(body), 0o644); err != nil {

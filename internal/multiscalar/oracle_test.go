@@ -22,6 +22,7 @@ import (
 // recomputed by referencePreprocess.
 type refInst struct {
 	task    int
+	addr    uint64
 	src     [2]int32
 	memProd int32
 	memTask int32
@@ -30,13 +31,14 @@ type refInst struct {
 	loadOrd int32
 }
 
-// referencePreprocess recomputes every instruction's producers, address id,
-// previous same-address access and load ordinal straight from the collected
-// trace, the plain way: tasks come from the functional simulator's TaskID
-// (not from TaskStart, which Preprocess uses), producers from whole-stream
-// maps of the last writer and the last access, the memory producer's task
-// from the collected record it names, and address ids from a map numbering
-// the addresses of loads and stores in order of first appearance.
+// referencePreprocess recomputes every instruction's address (zero unless it
+// is a load or store), producers, address id, previous same-address access
+// and load ordinal straight from the collected trace, the plain way: tasks
+// come from the functional simulator's TaskID (not from TaskStart, which
+// Preprocess uses), producers from whole-stream maps of the last writer and
+// the last access, the memory producer's task from the collected record it
+// names, and address ids from a map numbering the addresses of loads and
+// stores in order of first appearance.
 func referencePreprocess(t *testing.T, p *program.Program, cfg trace.Config) []refInst {
 	t.Helper()
 	stream := collectStream(t, p, cfg)
@@ -55,7 +57,8 @@ func referencePreprocess(t *testing.T, p *program.Program, cfg trace.Config) []r
 				r.src[k] = int32(w)
 			}
 		}
-		if d.IsLoad() || d.IsStore() {
+		if isa.IsLoad(d.Op) || isa.IsStore(d.Op) {
+			r.addr = d.Addr
 			id, ok := addrIDs[d.Addr]
 			if !ok {
 				id = int32(len(addrIDs))
@@ -67,7 +70,7 @@ func referencePreprocess(t *testing.T, p *program.Program, cfg trace.Config) []r
 			}
 			lastAccess[d.Addr] = i
 		}
-		if d.IsLoad() {
+		if isa.IsLoad(d.Op) {
 			if s, ok := lastStore[d.Addr]; ok {
 				r.memProd = int32(s)
 				r.memTask = int32(stream[s].TaskID)
@@ -75,7 +78,7 @@ func referencePreprocess(t *testing.T, p *program.Program, cfg trace.Config) []r
 			r.loadOrd = loadsInTask[d.TaskID]
 			loadsInTask[d.TaskID]++
 		}
-		if d.IsStore() {
+		if isa.IsStore(d.Op) {
 			lastStore[d.Addr] = i
 		}
 		if dst, ok := ins.Writes(); ok {
@@ -110,7 +113,7 @@ func checkAgainstReference(t *testing.T, w *WorkItem, ref []refInst) {
 			if r.class != isa.ClassOf(r.op) || r.isLoad() != isa.IsLoad(r.op) || r.isStore() != isa.IsStore(r.op) {
 				t.Fatalf("instruction %d: derived class/flags disagree with op %v", i, r.op)
 			}
-			got := refInst{task: ti, src: r.src, memProd: r.memProd, memTask: r.memTask, prevMem: -1}
+			got := refInst{task: ti, addr: r.addr, src: r.src, memProd: r.memProd, memTask: r.memTask, prevMem: -1}
 			if r.isLoad() {
 				got.loadOrd = r.loadOrd
 				tl++
@@ -151,6 +154,16 @@ func TestPreprocessMatchesReference(t *testing.T) {
 	oneInst := program.NewBuilder("one")
 	oneInst.AddI(1, 0, 5)
 	oneInst.Halt()
+	// Writes to R0 are discarded, so R0 is never a producer: each read of
+	// it follows a write to it and must still find none.
+	zeroReg := program.NewBuilder("zero-reg")
+	for i := int64(0); i < 4; i++ {
+		zeroReg.AddI(isa.Zero, 5, i)
+		zeroReg.Add(6, isa.Zero, 6)
+		zeroReg.Load(isa.Zero, isa.SP, -8)
+		zeroReg.Store(isa.Zero, isa.SP, -8)
+	}
+	zeroReg.Halt()
 	// A straight line with a task entry before every instruction: each task
 	// is one instruction, and from the fourth iteration on each load's
 	// producer is the store of three iterations earlier, in an older task.
@@ -177,6 +190,7 @@ func TestPreprocessMatchesReference(t *testing.T) {
 		"xlisp":          {workload.MustGet("xlisp").Build(1), trace.Config{MaxInstructions: 20_000}},
 		"single-inst":    {singleInst.MustBuild(), trace.Config{}},
 		"one-inst":       {oneInst.MustBuild(), trace.Config{}},
+		"zero-reg":       {zeroReg.MustBuild(), trace.Config{}},
 		"recurrence-cut": {buildRecurrence(40), trace.Config{}}, // cut set below
 	}
 	for seed := uint64(1); seed <= 4; seed++ {
@@ -388,8 +402,8 @@ func TestPredictorFreePoliciesIgnoreMemDep(t *testing.T) {
 func collectStream(t *testing.T, p *program.Program, cfg trace.Config) []trace.DynInst {
 	t.Helper()
 	var stream []trace.DynInst
-	if _, err := trace.Run(p, cfg, func(d trace.DynInst) bool {
-		stream = append(stream, d)
+	if _, err := trace.Run(p, cfg, func(d *trace.DynInst) bool {
+		stream = append(stream, *d)
 		return true
 	}); err != nil {
 		t.Fatal(err)

@@ -153,6 +153,23 @@ type lastAccess struct {
 	mem   int32
 }
 
+// noDst is the decoded destination of an instruction that writes no
+// register (or writes R0): prepScratch.lastWriter's extra slot, which no
+// source reads.
+const noDst = isa.NumRegs
+
+// decoded is one static instruction as Preprocess reads it: its register
+// sources (an unused slot reads R0, whose last writer stays -1), its
+// destination, class and load/store flag.  Preprocess decodes each static
+// instruction once per run instead of once per dynamic instance.
+type decoded struct {
+	src   [2]isa.Reg
+	dst   isa.Reg
+	nSrc  uint8
+	class isa.Class
+	flags uint8
+}
+
 // prepScratch is Preprocess's build state.  The stream is built into these
 // growable buffers and copied out at its exact length, so a work item owns
 // one instruction allocation with no growth slack, and a warm process builds
@@ -166,6 +183,15 @@ type prepScratch struct {
 	// indexed by address id.
 	ids  map[uint64]int32
 	last []lastAccess
+	// code is the program's decode, indexed by static instruction.
+	code []decoded
+	// lastWriter is the most recent writer of each register (-1 before the
+	// first), plus the noDst slot.
+	lastWriter [isa.NumRegs + 1]int32
+	// loads and stores count the stream's memory operations.
+	loads, stores uint64
+	// tooLong reports a stream cut at instLimit.
+	tooLong bool
 }
 
 // Reset empties the scratch, keeping its capacity.
@@ -174,18 +200,102 @@ func (b *prepScratch) Reset() {
 	b.tasks = b.tasks[:0]
 	clear(b.ids)
 	b.last = b.last[:0]
+	b.code = b.code[:0]
+	for i := range b.lastWriter {
+		b.lastWriter[i] = -1
+	}
+	b.loads, b.stores = 0, 0
+	b.tooLong = false
+}
+
+// decode fills b.code from the program's instructions.
+func (b *prepScratch) decode(code []isa.Instruction) {
+	b.code = slices.Grow(b.code[:0], len(code))[:len(code)]
+	for i := range code {
+		ins, s := &code[i], &b.code[i]
+		uses, n := ins.Uses()
+		s.src, s.nSrc = uses, uint8(n)
+		s.dst = noDst
+		if dst, ok := ins.Writes(); ok && dst != isa.Zero {
+			s.dst = dst
+		}
+		s.class = isa.ClassOf(ins.Op)
+		s.flags = 0
+		switch {
+		case isa.IsLoad(ins.Op):
+			s.flags = flagLoad
+		case isa.IsStore(ins.Op):
+			s.flags = flagStore
+		}
+	}
 }
 
 // id returns the address's id, numbering the address on its first
 // appearance.
+//
+//memdep:hotpath
 func (b *prepScratch) id(addr uint64) int32 {
 	id, ok := b.ids[addr]
 	if !ok {
 		id = int32(len(b.ids))
 		b.ids[addr] = id
-		b.last = append(b.last, lastAccess{store: -1, mem: -1})
+		b.last = append(b.last, lastAccess{store: -1, mem: -1}) //lint:alloc-ok pooled buffer, growth amortized across builds
 	}
 	return id
+}
+
+// add appends the committed instruction d to the stream, resolving its
+// producers; it returns false, setting tooLong, once the stream reaches
+// instLimit.  Each field of the new record is written in place.
+//
+//memdep:hotpath
+func (b *prepScratch) add(d *trace.DynInst) bool {
+	self := len(b.insts)
+	if self >= instLimit {
+		b.tooLong = true
+		return false
+	}
+	if self == cap(b.insts) {
+		b.insts = slices.Grow(b.insts, self) //lint:alloc-ok explicit doubling of the pooled buffer, amortized across builds
+	}
+	if d.TaskStart || len(b.tasks) == 0 {
+		b.tasks = append(b.tasks, task{pc: d.TaskPC, start: int32(self)}) //lint:alloc-ok pooled buffer, growth amortized across builds
+	}
+	ti := int32(len(b.tasks) - 1)
+	t := &b.tasks[ti]
+	t.end = int32(self + 1)
+
+	s := &b.code[d.Index]
+	b.insts = b.insts[:self+1]
+	r := &b.insts[self]
+	r.pc = d.PC
+	r.addr = d.Addr
+	r.src[0] = b.lastWriter[s.src[0]]
+	r.src[1] = b.lastWriter[s.src[1]]
+	r.memProd, r.memTask = -1, -1
+	r.loadOrd, r.addrID, r.prevMem = 0, 0, -1
+	r.op, r.class, r.flags, r.nSrc = d.Op, s.class, s.flags, s.nSrc
+	switch s.flags {
+	case flagLoad:
+		r.addrID = b.id(d.Addr)
+		last := &b.last[r.addrID]
+		if last.store >= 0 {
+			r.memProd, r.memTask = last.store, last.task
+		}
+		r.prevMem, last.mem = last.mem, int32(self)
+		r.loadOrd = t.loads
+		t.loads++
+		b.loads++
+	case flagStore:
+		r.addrID = b.id(d.Addr)
+		last := &b.last[r.addrID]
+		r.prevMem = last.mem
+		last.store, last.task, last.mem = int32(self), ti, int32(self)
+		t.stores++
+		b.stores++
+	}
+	b.lastWriter[s.dst] = int32(self)
+	return true
 }
 
 var prepPool = sync.Pool{New: func() any {
@@ -203,87 +313,26 @@ func Preprocess(p *program.Program, cfg trace.Config) (*WorkItem, error) {
 		// 48 MiB); the buffer doubles from there as the stream demands.
 		b.insts = make([]inst, 0, int(min(max(cfg.MaxInstructions, 1<<12), 1<<20)))
 	}
+	b.decode(p.Code)
 
-	w := &WorkItem{Name: p.Name}
-	var lastWriter [isa.NumRegs]int32
-	for i := range lastWriter {
-		lastWriter[i] = -1
-	}
-	tooLong := false
-	_, err := trace.Run(p, cfg, func(d trace.DynInst) bool {
-		self := len(b.insts)
-		if self >= instLimit {
-			tooLong = true
-			return false
-		}
-		if self == cap(b.insts) {
-			b.insts = slices.Grow(b.insts, self) // explicit doubling
-		}
-		if d.TaskStart || len(b.tasks) == 0 {
-			b.tasks = append(b.tasks, task{pc: d.TaskPC, start: int32(self)})
-		}
-		ti := int32(len(b.tasks) - 1)
-		t := &b.tasks[ti]
-		t.end = int32(self + 1)
-
-		ins := p.Code[d.Index]
-		r := inst{
-			op:      d.Op,
-			class:   isa.ClassOf(d.Op),
-			pc:      d.PC,
-			addr:    d.Addr,
-			src:     [2]int32{-1, -1},
-			memProd: -1,
-			memTask: -1,
-			prevMem: -1,
-		}
-		uses, n := ins.Uses()
-		r.nSrc = uint8(n)
-		for i := 0; i < n; i++ {
-			if uses[i] != isa.Zero {
-				r.src[i] = lastWriter[uses[i]]
-			}
-		}
-		switch {
-		case d.IsLoad():
-			r.flags = flagLoad
-			r.addrID = b.id(d.Addr)
-			last := &b.last[r.addrID]
-			if last.store >= 0 {
-				r.memProd, r.memTask = last.store, last.task
-			}
-			r.prevMem, last.mem = last.mem, int32(self)
-			r.loadOrd = t.loads
-			t.loads++
-			w.Loads++
-		case d.IsStore():
-			r.flags = flagStore
-			r.addrID = b.id(d.Addr)
-			last := &b.last[r.addrID]
-			r.prevMem = last.mem
-			*last = lastAccess{store: int32(self), task: ti, mem: int32(self)}
-			t.stores++
-			w.Stores++
-		}
-		if dst, ok := ins.Writes(); ok && dst != isa.Zero {
-			lastWriter[dst] = int32(self)
-		}
-		b.insts = append(b.insts, r)
-		return true
-	})
+	_, err := trace.Run(p, cfg, b.add)
 	if err != nil {
 		return nil, fmt.Errorf("multiscalar: preprocessing %q failed: %w", p.Name, err)
 	}
-	if tooLong {
+	if b.tooLong {
 		return nil, fmt.Errorf("%w: %q commits more than %d instructions; bound it with MaxInstructions",
 			ErrTooManyInstructions, p.Name, instLimit)
 	}
 	if len(b.tasks) == 0 {
 		return nil, fmt.Errorf("multiscalar: program %q produced no instructions", p.Name)
 	}
-	w.Instructions = uint64(len(b.insts))
-	w.addrs = len(b.ids)
-	w.insts = slices.Clone(b.insts)
-	w.tasks = slices.Clone(b.tasks)
-	return w, nil
+	return &WorkItem{
+		Name:         p.Name,
+		Instructions: uint64(len(b.insts)),
+		Loads:        b.loads,
+		Stores:       b.stores,
+		insts:        slices.Clone(b.insts),
+		tasks:        slices.Clone(b.tasks),
+		addrs:        len(b.ids),
+	}, nil
 }

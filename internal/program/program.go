@@ -55,9 +55,6 @@ func (p *Program) Index(pc uint64) int { return int(pc / isa.InstrBytes) }
 // Len returns the number of static instructions in the program.
 func (p *Program) Len() int { return len(p.Code) }
 
-// IsTaskEntry reports whether instruction index idx begins a task.
-func (p *Program) IsTaskEntry(idx int) bool { return p.TaskEntries[idx] }
-
 // Validate checks the structural integrity of the program: every branch
 // target is in range, every register is architectural, the entry point and
 // all task entries are valid instruction indices, and the data segment does

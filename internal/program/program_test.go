@@ -36,7 +36,7 @@ func TestBuilderBasicProgram(t *testing.T) {
 	if p.Len() == 0 {
 		t.Fatal("program has no code")
 	}
-	if !p.IsTaskEntry(p.Entry) {
+	if !p.TaskEntries[p.Entry] {
 		t.Error("entry must be a task entry")
 	}
 	if len(p.StaticLoads()) == 0 || len(p.StaticStores()) == 0 {
@@ -110,7 +110,7 @@ func TestBuilderEntryLabel(t *testing.T) {
 	if p.Entry != p.Labels["main"] {
 		t.Errorf("entry = %d, want %d", p.Entry, p.Labels["main"])
 	}
-	if !p.IsTaskEntry(p.Entry) {
+	if !p.TaskEntries[p.Entry] {
 		t.Error("entry label must be marked as task entry")
 	}
 }
@@ -231,7 +231,7 @@ func TestFuncEmitsTaskEntryAndReturn(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	calleeIdx := p.Labels["callee"]
-	if !p.IsTaskEntry(calleeIdx) {
+	if !p.TaskEntries[calleeIdx] {
 		t.Error("function label must be a task entry")
 	}
 	// The instruction before "main" must be the function's return.

@@ -6,17 +6,18 @@ import (
 	"fmt"
 
 	"memdep/internal/multiscalar"
-	"memdep/internal/program"
-	"memdep/internal/synth"
 )
 
 // DefaultCodecs returns the persisted kinds of the simulation stack: timing
-// results, preprocessed work items and built synthetic programs.  The
-// remaining kinds stay memory-only deliberately -- workload/build assembles a
-// committed static program in microseconds, and trace/run and window/analyze
-// results are intermediate products the persisted kinds already subsume.
+// results and preprocessed work items.  The remaining kinds stay memory-only
+// deliberately.  A program build is cheaper than reading it back:
+// workload/build assembles a committed static program in microseconds, and
+// synth/build generates a 20k-op program in about a tenth of a millisecond,
+// where decoding and validating its JSON took over ten times as long.
+// trace/run and window/analyze results are intermediate products the
+// persisted kinds already subsume.
 func DefaultCodecs() []Codec {
-	return []Codec{resultCodec{}, workItemCodec{}, programCodec{}}
+	return []Codec{resultCodec{}, workItemCodec{}}
 }
 
 // resultCodec persists multiscalar/simulate results as JSON.  The encoding
@@ -66,31 +67,4 @@ func (workItemCodec) Decode(data []byte) (any, error) {
 		return nil, fmt.Errorf("%w: %w", errWrongVersion, err)
 	}
 	return w, err
-}
-
-// programCodec persists synth/build programs as JSON (every Program field is
-// exported, and map keys marshal deterministically).  Decoded programs are
-// re-validated: a payload that passes its checksum but fails structural
-// validation is treated as corrupt rather than handed to the simulator.
-type programCodec struct{}
-
-func (programCodec) Kind() string { return synth.BuildKind }
-
-func (programCodec) Encode(v any) ([]byte, error) {
-	p, ok := v.(*program.Program)
-	if !ok {
-		return nil, fmt.Errorf("store: %s result is %T, want *program.Program", synth.BuildKind, v)
-	}
-	return json.Marshal(p)
-}
-
-func (programCodec) Decode(data []byte) (any, error) {
-	p := &program.Program{}
-	if err := json.Unmarshal(data, p); err != nil {
-		return nil, err
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
 }

@@ -30,6 +30,8 @@ func split(addr uint64) (page uint64, offset uint64) {
 
 // ReadWord returns the word stored at the (word-aligned) byte address addr.
 // Unwritten memory reads as zero.
+//
+//memdep:hotpath
 func (m *Memory) ReadWord(addr uint64) int64 {
 	page, off := split(addr)
 	p, ok := m.pages[page]
@@ -40,11 +42,13 @@ func (m *Memory) ReadWord(addr uint64) int64 {
 }
 
 // WriteWord stores value at the (word-aligned) byte address addr.
+//
+//memdep:hotpath
 func (m *Memory) WriteWord(addr uint64, value int64) {
 	page, off := split(addr)
 	p, ok := m.pages[page]
 	if !ok {
-		p = new([pageWords]int64)
+		p = new([pageWords]int64) //lint:alloc-ok a page per 4 KiB of footprint touched, once per run
 		m.pages[page] = p
 	}
 	p[off] = value

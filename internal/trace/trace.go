@@ -49,12 +49,6 @@ type DynInst struct {
 	TaskStart bool
 }
 
-// IsLoad reports whether the dynamic instruction is a load.
-func (d DynInst) IsLoad() bool { return isa.IsLoad(d.Op) }
-
-// IsStore reports whether the dynamic instruction is a store.
-func (d DynInst) IsStore() bool { return isa.IsStore(d.Op) }
-
 // Stats summarises a completed functional run.
 type Stats struct {
 	Instructions uint64
@@ -79,9 +73,13 @@ type Config struct {
 // except for very large loop bodies (section 5.5 of the paper).
 const maxTaskLen = 1024
 
-// Machine is the functional simulator state.
-type Machine struct {
-	prog    *program.Program
+// machine is the functional simulator state.
+type machine struct {
+	prog *program.Program
+	// entry marks the instruction indices that begin a task: the program's
+	// TaskEntries as a dense table, built once per run so a step indexes a
+	// slice instead of hashing its index.
+	entry   []bool
 	regs    [isa.NumRegs]int64
 	mem     *Memory
 	pc      int
@@ -91,19 +89,28 @@ type Machine struct {
 	taskPC  uint64
 	taskLen int
 	started bool
+	// d is the record of the instruction last stepped, filled in place: Run
+	// hands the visitor a pointer to it, so no record is copied.
+	d DynInst
 }
 
-// ErrHalted is returned by Step once the machine has executed HALT.
-var ErrHalted = errors.New("trace: machine halted")
+// errHalted is returned by step once the machine has executed HALT.
+var errHalted = errors.New("trace: machine halted")
 
-// NewMachine creates a functional simulator for the program with the data
+// newMachine creates a functional simulator for the program with the data
 // segment initialised and the stack pointer set.
-func NewMachine(p *program.Program) *Machine {
-	m := &Machine{
+func newMachine(p *program.Program) *machine {
+	m := &machine{
 		prog:   p,
+		entry:  make([]bool, len(p.Code)),
 		mem:    NewMemory(),
 		pc:     p.Entry,
 		taskPC: p.PC(p.Entry),
+	}
+	for idx, ok := range p.TaskEntries {
+		if uint(idx) < uint(len(m.entry)) {
+			m.entry[idx] = ok
+		}
 	}
 	for addr, val := range p.DataInit {
 		m.mem.WriteWord(addr, val)
@@ -113,30 +120,36 @@ func NewMachine(p *program.Program) *Machine {
 	return m
 }
 
-func (m *Machine) setReg(r isa.Reg, v int64) {
+func (m *machine) setReg(r isa.Reg, v int64) {
 	if r != isa.Zero {
 		m.regs[r] = v
 	}
 }
 
-// Step executes one instruction and returns its dynamic record.  After HALT
-// has been executed, Step returns ErrHalted.
-func (m *Machine) Step() (DynInst, error) {
+// step executes one instruction and fills m.d with its dynamic record.
+// After HALT has been executed, step returns errHalted.
+//
+// Every field of m.d is written on every step, field by field: the record
+// is reused, so a field a step leaves alone would leak the previous
+// instruction's value, and assigning a composite literal through the
+// pointer would build and copy a whole record per instruction.
+//
+//memdep:hotpath
+func (m *machine) step() error {
 	if m.halted {
-		return DynInst{}, ErrHalted
+		return errHalted
 	}
-	if m.pc < 0 || m.pc >= m.prog.Len() {
-		return DynInst{}, fmt.Errorf("trace: pc %d out of range in %q", m.pc, m.prog.Name)
-	}
-
 	idx := m.pc
-	ins := m.prog.Code[idx]
+	if uint(idx) >= uint(len(m.prog.Code)) {
+		return fmt.Errorf("trace: pc %d out of range in %q", idx, m.prog.Name)
+	}
+	ins := &m.prog.Code[idx]
 
 	taskStart := false
 	if !m.started {
 		taskStart = true
 		m.started = true
-	} else if m.prog.IsTaskEntry(idx) || m.taskLen >= maxTaskLen {
+	} else if m.entry[idx] || m.taskLen >= maxTaskLen {
 		taskStart = true
 		m.taskID++
 	}
@@ -146,15 +159,17 @@ func (m *Machine) Step() (DynInst, error) {
 	}
 	m.taskLen++
 
-	d := DynInst{
-		Seq:       m.seq,
-		Index:     idx,
-		PC:        m.prog.PC(idx),
-		Op:        ins.Op,
-		TaskID:    m.taskID,
-		TaskPC:    m.taskPC,
-		TaskStart: taskStart,
-	}
+	d := &m.d
+	d.Seq = m.seq
+	d.Index = idx
+	d.PC = m.prog.PC(idx)
+	d.Op = ins.Op
+	d.Addr = 0
+	d.Value = 0
+	d.Taken = false
+	d.TaskID = m.taskID
+	d.TaskPC = m.taskPC
+	d.TaskStart = taskStart
 
 	next := idx + 1
 	switch ins.Op {
@@ -282,33 +297,29 @@ func (m *Machine) Step() (DynInst, error) {
 		d.Taken = true
 		next = m.prog.Index(uint64(m.regs[ins.Src1]))
 	default:
-		return DynInst{}, fmt.Errorf("trace: unimplemented op %v at index %d", ins.Op, idx)
+		return fmt.Errorf("trace: unimplemented op %v at index %d", ins.Op, idx)
 	}
 
 	d.NextIndex = next
 	m.pc = next
 	m.seq++
-	return d, nil
+	return nil
 }
 
 func alignWord(addr uint64) uint64 { return addr &^ (isa.WordSize - 1) }
 
 // Run executes the program, invoking visit for every committed instruction,
 // until the machine halts, the instruction limit is reached, or visit returns
-// false.  A nil visit is allowed.
-func Run(p *program.Program, cfg Config, visit func(DynInst) bool) (Stats, error) {
-	m := NewMachine(p)
+// false.  A nil visit is allowed.  The record visit receives is reused for
+// the next instruction: a visitor that keeps one must copy it.
+//
+//memdep:hotpath
+func Run(p *program.Program, cfg Config, visit func(*DynInst) bool) (Stats, error) {
+	m := newMachine(p)
+	d := &m.d
 	var st Stats
-	for {
-		if cfg.MaxInstructions > 0 && st.Instructions >= cfg.MaxInstructions {
-			return st, nil
-		}
-		d, err := m.Step()
-		if err == ErrHalted {
-			st.Halted = true
-			return st, nil
-		}
-		if err != nil {
+	for cfg.MaxInstructions == 0 || st.Instructions < cfg.MaxInstructions {
+		if err := m.step(); err != nil {
 			return st, err
 		}
 		if d.Op == isa.HALT {
@@ -319,9 +330,9 @@ func Run(p *program.Program, cfg Config, visit func(DynInst) bool) (Stats, error
 		}
 		st.Instructions++
 		switch {
-		case d.IsLoad():
+		case isa.IsLoad(d.Op):
 			st.Loads++
-		case d.IsStore():
+		case isa.IsStore(d.Op):
 			st.Stores++
 		case isa.IsBranch(d.Op):
 			st.Branches++
@@ -336,4 +347,5 @@ func Run(p *program.Program, cfg Config, visit func(DynInst) bool) (Stats, error
 			return st, nil
 		}
 	}
+	return st, nil
 }

@@ -74,9 +74,9 @@ func buildSumProgram(n int64) *program.Program {
 
 func TestFunctionalSum(t *testing.T) {
 	p := buildSumProgram(10)
-	m := NewMachine(p)
+	m := newMachine(p)
 	for !m.halted {
-		if _, err := m.Step(); err != nil && err != ErrHalted {
+		if err := m.step(); err != nil && err != errHalted {
 			t.Fatalf("Step: %v", err)
 		}
 	}
@@ -89,12 +89,12 @@ func TestStepAfterHalt(t *testing.T) {
 	b := program.NewBuilder("halt")
 	b.Halt()
 	p := b.MustBuild()
-	m := NewMachine(p)
-	if _, err := m.Step(); err != nil {
+	m := newMachine(p)
+	if err := m.step(); err != nil {
 		t.Fatalf("first step: %v", err)
 	}
-	if _, err := m.Step(); err != ErrHalted {
-		t.Fatalf("second step err = %v, want ErrHalted", err)
+	if err := m.step(); err != errHalted {
+		t.Fatalf("second step err = %v, want errHalted", err)
 	}
 }
 
@@ -138,7 +138,7 @@ func TestRunInstructionLimit(t *testing.T) {
 func TestRunVisitEarlyStop(t *testing.T) {
 	p := buildSumProgram(1000)
 	count := 0
-	st, err := Run(p, Config{}, func(DynInst) bool {
+	st, err := Run(p, Config{}, func(*DynInst) bool {
 		count++
 		return count < 10
 	})
@@ -162,13 +162,13 @@ func TestDynInstMemoryRecords(t *testing.T) {
 	accAddr := p.Symbols["acc"]
 	var loads, stores int
 	for _, d := range insts {
-		if d.IsLoad() {
+		if isa.IsLoad(d.Op) {
 			loads++
 			if d.Addr != accAddr {
 				t.Errorf("load address = %#x, want %#x", d.Addr, accAddr)
 			}
 		}
-		if d.IsStore() {
+		if isa.IsStore(d.Op) {
 			stores++
 			if d.Addr != accAddr {
 				t.Errorf("store address = %#x, want %#x", d.Addr, accAddr)
@@ -263,24 +263,10 @@ func TestMaxTaskLenForcesBoundaries(t *testing.T) {
 }
 
 func TestCallAndReturn(t *testing.T) {
-	b := program.NewBuilder("call")
-	b.AllocWords("out", 1)
-	b.Jump("main")
-	b.Func("double", func() {
-		b.Add(isa.RV, 4, 4)
-	})
-	b.Label("main")
-	b.LoadImm(4, 21)
-	b.Call("double")
-	b.LoadAddr(9, "out")
-	b.Store(isa.RV, 9, 0)
-	b.Halt()
-	b.SetEntry("main")
-	p := b.MustBuild()
-
-	m := NewMachine(p)
+	p := buildCallProgram()
+	m := newMachine(p)
 	for !m.halted {
-		if _, err := m.Step(); err != nil && err != ErrHalted {
+		if err := m.step(); err != nil && err != errHalted {
 			t.Fatalf("Step: %v", err)
 		}
 	}
@@ -297,9 +283,9 @@ func TestStackDiscipline(t *testing.T) {
 	b.Pop(6)
 	b.Halt()
 	p := b.MustBuild()
-	m := NewMachine(p)
+	m := newMachine(p)
 	for !m.halted {
-		if _, err := m.Step(); err != nil && err != ErrHalted {
+		if err := m.step(); err != nil && err != errHalted {
 			t.Fatalf("Step: %v", err)
 		}
 	}
@@ -317,9 +303,9 @@ func TestZeroRegisterIsImmutable(t *testing.T) {
 	b.Move(5, isa.Zero)
 	b.Halt()
 	p := b.MustBuild()
-	m := NewMachine(p)
+	m := newMachine(p)
 	for !m.halted {
-		if _, err := m.Step(); err != nil && err != ErrHalted {
+		if err := m.step(); err != nil && err != errHalted {
 			t.Fatalf("Step: %v", err)
 		}
 	}
@@ -367,8 +353,8 @@ func TestDivisionByZeroDoesNotPanic(t *testing.T) {
 // collect runs the program and returns the full dynamic instruction stream.
 func collect(p *program.Program) ([]DynInst, Stats, error) {
 	var out []DynInst
-	st, err := Run(p, Config{}, func(d DynInst) bool {
-		out = append(out, d)
+	st, err := Run(p, Config{}, func(d *DynInst) bool {
+		out = append(out, *d)
 		return true
 	})
 	return out, st, err

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"memdep/internal/isa"
 	"memdep/internal/memdep"
 	"memdep/internal/multiscalar"
 	"memdep/internal/program"
@@ -68,11 +69,11 @@ func newRefAnalyzer(cfg Config) *refAnalyzer {
 }
 
 // observe processes one committed dynamic instruction.
-func (a *refAnalyzer) observe(d trace.DynInst) {
+func (a *refAnalyzer) observe(d *trace.DynInst) {
 	switch {
-	case d.IsStore():
+	case isa.IsStore(d.Op):
 		a.lastStore[d.Addr] = refStoreRecord{seq: d.Seq, pc: d.PC}
-	case d.IsLoad():
+	case isa.IsLoad(d.Op):
 		a.loads++
 		st, ok := a.lastStore[d.Addr]
 		if !ok {
@@ -118,7 +119,7 @@ func (a *refAnalyzer) results() []Result {
 // reference statistics for every configured window size.
 func refAnalyze(p *program.Program, cfg Config, tc trace.Config) ([]Result, error) {
 	a := newRefAnalyzer(cfg)
-	_, err := trace.Run(p, tc, func(d trace.DynInst) bool {
+	_, err := trace.Run(p, tc, func(d *trace.DynInst) bool {
 		a.observe(d)
 		return true
 	})

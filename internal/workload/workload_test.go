@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"memdep/internal/isa"
 	"memdep/internal/program"
 	"memdep/internal/trace"
 )
@@ -236,10 +237,10 @@ func TestCrossTaskDependencesExist(t *testing.T) {
 			p := w.Build(1)
 			lastStore := map[uint64]trace.DynInst{} // addr -> most recent store
 			crossTask := 0
-			_, err := trace.Run(p, trace.Config{MaxInstructions: 300_000}, func(d trace.DynInst) bool {
-				if d.IsStore() {
-					lastStore[d.Addr] = d
-				} else if d.IsLoad() {
+			_, err := trace.Run(p, trace.Config{MaxInstructions: 300_000}, func(d *trace.DynInst) bool {
+				if isa.IsStore(d.Op) {
+					lastStore[d.Addr] = *d
+				} else if isa.IsLoad(d.Op) {
 					if st, ok := lastStore[d.Addr]; ok && st.TaskID != d.TaskID {
 						crossTask++
 					}

@@ -41,14 +41,14 @@ func WithDefaults(req Request) Option {
 }
 
 // WithStore layers a persistent, content-addressed result store rooted at
-// dir beneath the session's in-memory cache: simulation results, built
-// synthetic programs and preprocessed work items are read from disk on a
-// memory miss and written behind on a compute, so repeated identical runs --
-// across sessions, processes and CI jobs sharing the directory -- skip the
-// recomputation entirely.  Warm results are byte-identical to cold ones.
-// The directory is created on first write; corrupt or version-mismatched
-// entries degrade to misses, never to failures.  An empty dir disables the
-// store.
+// dir beneath the session's in-memory cache: simulation results and
+// preprocessed work items are read from disk on a memory miss and written
+// behind on a compute, so repeated identical runs -- across sessions,
+// processes and CI jobs sharing the directory -- skip the recomputation;
+// only program builds, cheaper than a disk read, run again.  Warm results
+// are byte-identical to cold ones.  The directory is created on first write;
+// corrupt or version-mismatched entries degrade to misses, never to
+// failures.  An empty dir disables the store.
 func WithStore(dir string) Option {
 	return func(s *Session) { s.storeDir = dir }
 }
