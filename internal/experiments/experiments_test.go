@@ -82,18 +82,46 @@ func TestRunnerCaching(t *testing.T) {
 	}
 }
 
+// TestTable1 pins Table 1's shape and its source: the counts it reads from
+// the 8-stage ALWAYS results are each benchmark's work-item counts, and the
+// result commits every task of its work item exactly once.
 func TestTable1(t *testing.T) {
 	r := quickRunner()
-	tab, err := r.Table1DynamicCounts(context.Background())
+	ctx := context.Background()
+	tab, err := r.Table1DynamicCounts(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(workload.SPECint92Names()) + len(workload.SPEC95Names())
-	if tab.NumRows() != want {
-		t.Errorf("rows = %d, want %d", tab.NumRows(), want)
+	names := append(workload.SPECint92Names(), workload.SPEC95Names()...)
+	if tab.NumRows() != len(names) {
+		t.Fatalf("rows = %d, want %d", tab.NumRows(), len(names))
 	}
 	if !strings.Contains(tab.Render(), "compress") {
 		t.Error("table must mention compress")
+	}
+	for row, name := range names {
+		w, err := engine.Resolve[*multiscalar.WorkItem](ctx, r.eng, r.workItemSpec(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.simulate(ctx, name, 8, policy.Always)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Tasks != uint64(w.Tasks()) {
+			t.Errorf("%s: the result commits %d tasks, its work item holds %d", name, res.Tasks, w.Tasks())
+		}
+		want := []string{name, workload.MustGet(name).Suite.String(),
+			stats.FormatCount(w.Instructions),
+			stats.FormatCount(w.Loads),
+			stats.FormatCount(w.Stores),
+			stats.FormatCount(uint64(w.Tasks())),
+			stats.FormatFloat(w.AvgTaskSize(), 1)}
+		for col := range want {
+			if got := tab.Cell(row, col); got != want[col] {
+				t.Errorf("%s: %s = %q, want the work item's %q", name, tab.Columns[col], got, want[col])
+			}
+		}
 	}
 }
 
@@ -147,21 +175,23 @@ func TestTable5MissRatesDecreaseWithDDCSize(t *testing.T) {
 	}
 }
 
-// TestWindowTablesReuseStoredWorkItems runs Tables 3-5 twice over one store
-// directory, each pass on a fresh engine.  The window analyses read the
-// persisted work items the timing simulations share, and the three tables
-// share one analysis per benchmark, so the second pass executes exactly the
-// five SPECint92 window analyses, which stay memory-only.
-func TestWindowTablesReuseStoredWorkItems(t *testing.T) {
+// TestWindowTablesReadStoredAnalyses runs Tables 3-5 twice over one store
+// directory, each pass on a fresh engine.  The three tables share one
+// analysis per benchmark, and the window analyses persist, so the second
+// pass reads the five SPECint92 analyses back: it executes nothing and
+// looks up no work item.
+func TestWindowTablesReadStoredAnalyses(t *testing.T) {
 	dir := t.TempDir()
 	tables := []func(*Runner, context.Context) (*stats.Table, error){
 		(*Runner).Table3WindowMisspec, (*Runner).Table4StaticCoverage, (*Runner).Table5DDCMissRate,
 	}
 	var executed [2]uint64
 	var rendered [2]string
+	var kinds map[string]store.Counters
 	for pass := range executed {
 		eng := NewEngine(2)
-		eng.SetTier(store.Open(dir, store.DefaultCodecs()...))
+		st := store.Open(dir, store.DefaultCodecs()...)
+		eng.SetTier(st)
 		r := NewRunnerWithEngine(Quick(), eng)
 		for _, table := range tables {
 			tab, err := table(r, context.Background())
@@ -171,9 +201,16 @@ func TestWindowTablesReuseStoredWorkItems(t *testing.T) {
 			rendered[pass] += tab.Render()
 		}
 		executed[pass] = eng.Executed()
+		kinds = st.KindCounters()
 	}
-	if want := uint64(len(workload.SPECint92Names())); executed[1] != want {
-		t.Errorf("warm pass executed %d jobs, want %d (cold pass: %d)", executed[1], want, executed[0])
+	if executed[1] != 0 {
+		t.Errorf("warm pass executed %d jobs, want 0 (cold pass: %d)", executed[1], executed[0])
+	}
+	if c := kinds[window.AnalyzeKind]; c.Hits != uint64(len(workload.SPECint92Names())) || c.Misses != 0 {
+		t.Errorf("warm window-analysis store counters = %+v, want one hit per SPECint92 benchmark", c)
+	}
+	if c := kinds[multiscalar.PreprocessKind]; c != (store.Counters{}) {
+		t.Errorf("warm work-item store counters = %+v, want no lookup", c)
 	}
 	if rendered[0] != rendered[1] {
 		t.Error("warm tables differ from cold ones")

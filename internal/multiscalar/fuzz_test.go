@@ -127,6 +127,7 @@ func FuzzCoresAgree(f *testing.F) {
 		}
 		checkResultLaws(t, cfg, event)
 		checkMisspecPairs(t, w, event)
+		checkTasks(t, w, event)
 	})
 }
 

@@ -327,6 +327,7 @@ func TestCoresCycleIdentical(t *testing.T) {
 			}
 			checkResultLaws(t, cfg, re)
 			checkMisspecPairs(t, w, re)
+			checkTasks(t, w, re)
 			if cfg.Stages != 1 {
 				continue
 			}
@@ -458,6 +459,17 @@ func checkMisspecPairs(t *testing.T, w *WorkItem, r Result) {
 	}
 }
 
+// checkTasks asserts that r commits every task of w exactly once, the
+// identity by which Table 1 and the public result's average task size read
+// the task count from a result instead of its work item.
+func checkTasks(t *testing.T, w *WorkItem, r Result) {
+	t.Helper()
+	if r.Tasks != uint64(w.Tasks()) {
+		t.Errorf("%s at %d stages under %v: %d tasks committed, want the work item's %d",
+			r.Benchmark, r.Stages, r.Policy, r.Tasks, w.Tasks())
+	}
+}
+
 // goldenFingerprint compresses the deterministic scalar core of a Result
 // into one comparable line.
 func goldenFingerprint(r Result) string {
@@ -493,6 +505,7 @@ func checkGoldens(t *testing.T, w *WorkItem, golden map[policy.Kind]string) {
 		res := simulate(t, w, 4, pol)
 		checkResultLaws(t, DefaultConfig(4, pol), res)
 		checkMisspecPairs(t, w, res)
+		checkTasks(t, w, res)
 		got := goldenFingerprint(res)
 		want, ok := golden[pol]
 		if !ok {

@@ -6,42 +6,49 @@ import (
 	"fmt"
 
 	"memdep/internal/multiscalar"
+	"memdep/internal/window"
 )
 
 // DefaultCodecs returns the persisted kinds of the simulation stack: timing
-// results and preprocessed work items.  The remaining kinds stay memory-only
-// deliberately.  A program build is cheaper than reading it back:
-// workload/build assembles a committed static program in microseconds, and
-// synth/build generates a 20k-op program in about a tenth of a millisecond,
-// where decoding and validating its JSON took over ten times as long.
-// trace/run and window/analyze results are intermediate products the
-// persisted kinds already subsume.
+// results, window analyses and preprocessed work items.  A warm run reads
+// back the small results it prints, a few kilobytes of JSON each, and needs
+// a work item only to simulate a new configuration.  The other kinds stay
+// memory-only deliberately.  A program build is cheaper than reading it
+// back: workload/build assembles a committed static program in
+// microseconds, and synth/build generates a 20k-op program in about a tenth
+// of a millisecond, where decoding and validating its JSON took over ten
+// times as long.  trace/run results are intermediate products the work item
+// already subsumes.
 func DefaultCodecs() []Codec {
-	return []Codec{resultCodec{}, workItemCodec{}}
-}
-
-// resultCodec persists multiscalar/simulate results as JSON.  The encoding
-// is pinned loss-free by the multiscalar JSON round-trip test (PairKey map
-// keys included), which is exactly the property a warm run needs to be
-// byte-identical to a cold one.
-type resultCodec struct{}
-
-func (resultCodec) Kind() string { return multiscalar.SimulateKind }
-
-func (resultCodec) Encode(v any) ([]byte, error) {
-	res, ok := v.(multiscalar.Result)
-	if !ok {
-		return nil, fmt.Errorf("store: %s result is %T, want multiscalar.Result", multiscalar.SimulateKind, v)
+	return []Codec{
+		jsonCodec[multiscalar.Result]{multiscalar.SimulateKind},
+		jsonCodec[[]window.Result]{window.AnalyzeKind},
+		workItemCodec{},
 	}
-	return json.Marshal(res)
 }
 
-func (resultCodec) Decode(data []byte) (any, error) {
-	var res multiscalar.Result
-	if err := json.Unmarshal(data, &res); err != nil {
+// jsonCodec persists one kind's results, of type T, as JSON.  The encodings
+// are pinned loss-free, PairKey map keys and fractional miss rates included,
+// by multiscalar.TestResultJSONRoundTrip and TestWindowCodecRoundTrip:
+// exactly the property a warm run needs to be byte-identical to a cold one.
+type jsonCodec[T any] struct{ kind string }
+
+func (c jsonCodec[T]) Kind() string { return c.kind }
+
+func (c jsonCodec[T]) Encode(v any) ([]byte, error) {
+	x, ok := v.(T)
+	if !ok {
+		return nil, fmt.Errorf("store: %s result is %T, want %T", c.kind, v, x)
+	}
+	return json.Marshal(x)
+}
+
+func (jsonCodec[T]) Decode(data []byte) (any, error) {
+	var x T
+	if err := json.Unmarshal(data, &x); err != nil {
 		return nil, err
 	}
-	return res, nil
+	return x, nil
 }
 
 // workItemCodec persists multiscalar/preprocess state in the compact binary

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"maps"
+	"math"
 	"os"
 	"reflect"
 	"slices"
@@ -12,7 +13,9 @@ import (
 	"memdep/internal/engine"
 	"memdep/internal/isa"
 	"memdep/internal/multiscalar"
+	"memdep/internal/synth"
 	"memdep/internal/trace"
+	"memdep/internal/window"
 	"memdep/internal/workload"
 )
 
@@ -93,7 +96,91 @@ var resultKeyPaths = []string{
 func TestResultJSONKeyPaths(t *testing.T) {
 	var res multiscalar.Result
 	populate(reflect.ValueOf(&res).Elem())
-	data, err := resultCodec{}.Encode(res)
+	if got := persistedKeyPaths(t, multiscalar.SimulateKind, res); !slices.Equal(got, resultKeyPaths) {
+		t.Fatalf("the JSON key paths of a persisted multiscalar.Result changed: bump store.Version (now %d), then update resultKeyPaths to\n%#v", Version, got)
+	}
+}
+
+// windowKeyPaths are the sorted JSON key paths of a fully populated
+// []window.Result as the window codec persists it, for the same reason as
+// resultKeyPaths.
+var windowKeyPaths = []string{
+	"[].DDCMissRate.1", "[].Loads", "[].Misspeculations",
+	"[].PairCounts.st@0x1->ld@0x1", "[].PairsForCoverage", "[].StaticPairs", "[].WindowSize",
+}
+
+// TestWindowResultJSONKeyPaths pins the persisted shape of a window
+// analysis.  When it fails, bump store.Version, then update windowKeyPaths.
+func TestWindowResultJSONKeyPaths(t *testing.T) {
+	var res []window.Result
+	populate(reflect.ValueOf(&res).Elem())
+	if got := persistedKeyPaths(t, window.AnalyzeKind, res); !slices.Equal(got, windowKeyPaths) {
+		t.Fatalf("the JSON key paths of a persisted []window.Result changed: bump store.Version (now %d), then update windowKeyPaths to\n%#v", Version, got)
+	}
+}
+
+// TestWindowCodecRoundTrip pins the window codec loss-free on the analyses a
+// warm sweep reads back -- the five SPECint92 benchmarks under the quick
+// options -- and on an aliasing synthetic workload, whose analyses carry
+// static pair counts and fractional DDC miss rates.
+func TestWindowCodecRoundTrip(t *testing.T) {
+	eng := engine.New(2)
+	eng.Register(workload.BuildSimulator(), synth.BuildSimulator(), multiscalar.PreprocessSimulator(), window.AnalyzeSimulator())
+	quick := trace.Config{MaxInstructions: 40_000}
+	var programs []engine.Spec
+	for _, name := range workload.SPECint92Names() {
+		programs = append(programs, workload.BuildJob{Name: name, Scale: 1})
+	}
+	programs = append(programs, synth.BuildJob{Spec: synth.Spec{Seed: 7, Ops: 20_000, AliasSetSize: 4}.Normalize(), Scale: 1})
+
+	codec := defaultCodec(t, window.AnalyzeKind)
+	pairs, fractional := false, false
+	for _, prog := range programs {
+		job := window.AnalyzeJob{Item: multiscalar.PreprocessJob{Program: prog, Trace: quick}}
+		want, err := engine.Resolve[[]window.Result](context.Background(), eng, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := codec.Encode(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := codec.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the window analysis does not survive its codec:\ngot  %+v\nwant %+v", engine.Key(prog), got, want)
+		}
+		for _, r := range want {
+			pairs = pairs || len(r.PairCounts) > 0
+			for _, rate := range r.DDCMissRate {
+				fractional = fractional || rate != math.Trunc(rate)
+			}
+		}
+	}
+	if !pairs || !fractional {
+		t.Errorf("the analyses carry pair counts: %v, fractional DDC miss rates: %v; want both covered", pairs, fractional)
+	}
+}
+
+// defaultCodec returns the codec DefaultCodecs registers for kind.
+func defaultCodec(t *testing.T, kind string) Codec {
+	t.Helper()
+	for _, c := range DefaultCodecs() {
+		if c.Kind() == kind {
+			return c
+		}
+	}
+	t.Fatalf("DefaultCodecs registers no codec for %s", kind)
+	return nil
+}
+
+// persistedKeyPaths encodes v with kind's default codec and returns the
+// sorted key paths of the JSON document it persists.
+func persistedKeyPaths(t *testing.T, kind string, v any) []string {
+	t.Helper()
+	data, err := defaultCodec(t, kind).Encode(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +190,7 @@ func TestResultJSONKeyPaths(t *testing.T) {
 	}
 	paths := map[string]bool{}
 	keyPaths(doc, "", paths)
-	got := slices.Sorted(maps.Keys(paths))
-	if !slices.Equal(got, resultKeyPaths) {
-		t.Fatalf("the JSON key paths of a persisted multiscalar.Result changed: bump store.Version (now %d), then update resultKeyPaths to\n%#v", Version, got)
-	}
+	return slices.Sorted(maps.Keys(paths))
 }
 
 // populate sets every exported field reachable from v to a non-zero value:

@@ -110,9 +110,9 @@ func (r *Result) SpeedupOver(base *Result) float64 {
 }
 
 // newResult converts an internal simulation result into the public shape.
-// prog and item annotate the mis-speculated pairs and the task structure;
-// either may be nil (uncached benchmarking runs skip the annotation).
-func newResult(req Request, res multiscalar.Result, item *multiscalar.WorkItem, prog *program.Program) *Result {
+// prog annotates the mis-speculated pairs; it may be nil (uncached
+// benchmarking runs skip the annotation).
+func newResult(req Request, res multiscalar.Result, prog *program.Program) *Result {
 	out := &Result{
 		Request: req,
 
@@ -139,8 +139,9 @@ func newResult(req Request, res multiscalar.Result, item *multiscalar.WorkItem, 
 		Cache:     res.Cache,
 		Sequencer: res.Sequencer,
 	}
-	if item != nil {
-		out.AvgTaskSize = item.AvgTaskSize()
+	if res.Tasks > 0 {
+		// Every task commits exactly once, so this is the work item's mean.
+		out.AvgTaskSize = float64(res.Instructions) / float64(res.Tasks)
 	}
 	if len(res.DDCMissRate) > 0 {
 		out.DDCMissRate = make(map[int]float64, len(res.DDCMissRate))

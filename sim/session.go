@@ -41,14 +41,16 @@ func WithDefaults(req Request) Option {
 }
 
 // WithStore layers a persistent, content-addressed result store rooted at
-// dir beneath the session's in-memory cache: simulation results and
-// preprocessed work items are read from disk on a memory miss and written
-// behind on a compute, so repeated identical runs -- across sessions,
-// processes and CI jobs sharing the directory -- skip the recomputation;
-// only program builds, cheaper than a disk read, run again.  Warm results
-// are byte-identical to cold ones.  The directory is created on first write;
-// corrupt or version-mismatched entries degrade to misses, never to
-// failures.  An empty dir disables the store.
+// dir beneath the session's in-memory cache: simulation results, window
+// analyses and preprocessed work items are read from disk on a memory miss
+// and written behind on a compute, so repeated identical runs -- across
+// sessions, processes and CI jobs sharing the directory -- skip the
+// recomputation.  A repeated request reads only its result back; a new
+// configuration of a persisted workload reads its work item.  Program
+// builds, cheaper than a disk read, run again when an annotation needs the
+// program.  Warm results are byte-identical to cold ones.  The directory is
+// created on first write; corrupt or version-mismatched entries degrade to
+// misses, never to failures.  An empty dir disables the store.
 func WithStore(dir string) Option {
 	return func(s *Session) { s.storeDir = dir }
 }
@@ -169,13 +171,12 @@ func itemJob(program engine.Spec, maxInstructions uint64) multiscalar.Preprocess
 	return multiscalar.PreprocessJob{Program: program, Trace: trace.Config{MaxInstructions: maxInstructions}}
 }
 
-// itemKey groups grid requests that share a preprocessed work item.  The
-// workload identity is its canonical JSON (the benchmark name, or the full
-// normalized synthetic spec including its seed).
-type itemKey struct {
+// progKey groups grid requests that share a program.  The workload identity
+// is its canonical JSON (the benchmark name, or the full normalized synthetic
+// spec including its seed).
+type progKey struct {
 	workload string
 	scale    int
-	max      uint64
 }
 
 // RunGrid executes a set of simulation requests as one job set: the whole
@@ -186,8 +187,8 @@ type itemKey struct {
 func (s *Session) RunGrid(ctx context.Context, reqs []Request) ([]*Result, error) {
 	type planned struct {
 		req  Request
-		key  itemKey
-		spec multiscalar.SimulateJob
+		key  progKey
+		prog engine.Spec
 		ref  engine.Ref
 	}
 	plan := make([]planned, len(reqs))
@@ -205,45 +206,36 @@ func (s *Session) RunGrid(ctx context.Context, reqs []Request) ([]*Result, error
 		if err != nil {
 			return nil, err
 		}
-		spec := multiscalar.SimulateJob{Item: itemJob(req.Workload().buildJob(req.Scale), req.MaxInstructions), Config: cfg}
+		prog := req.Workload().buildJob(req.Scale)
 		plan[i] = planned{
 			req:  req,
-			key:  itemKey{req.Workload().CanonicalJSON(), req.Scale, req.MaxInstructions},
-			spec: spec,
-			ref:  b.Add(spec),
+			key:  progKey{req.Workload().CanonicalJSON(), req.Scale},
+			prog: prog,
+			ref:  b.Add(multiscalar.SimulateJob{Item: itemJob(prog, req.MaxInstructions), Config: cfg}),
 		}
 	}
 	if err := b.Run(ctx); err != nil {
 		return nil, err
 	}
 
-	// Resolve each distinct work item (and its program) once for annotation;
-	// both are cache hits since the simulations above already computed them.
-	type annotation struct {
-		prog *program.Program
-		item *multiscalar.WorkItem
-	}
-	annotations := map[itemKey]annotation{}
+	// Resolve each distinct workload's program once for annotation: a cache
+	// hit when the simulations above computed, and a cheap memory-only build
+	// when they were read back from the store.
+	progs := map[progKey]*program.Program{}
 	for _, p := range plan {
-		if _, ok := annotations[p.key]; ok {
+		if _, ok := progs[p.key]; ok {
 			continue
 		}
-		prog, err := engine.Resolve[*program.Program](ctx, s.eng, p.spec.Item.(multiscalar.PreprocessJob).Program)
+		prog, err := engine.Resolve[*program.Program](ctx, s.eng, p.prog)
 		if err != nil {
 			return nil, err
 		}
-		item, err := engine.Resolve[*multiscalar.WorkItem](ctx, s.eng, p.spec.Item)
-		if err != nil {
-			return nil, err
-		}
-		annotations[p.key] = annotation{prog: prog, item: item}
+		progs[p.key] = prog
 	}
 
 	results := make([]*Result, len(plan))
 	for i, p := range plan {
-		res := engine.Get[multiscalar.Result](b, p.ref)
-		a := annotations[p.key]
-		results[i] = newResult(p.req, res, a.item, a.prog)
+		results[i] = newResult(p.req, engine.Get[multiscalar.Result](b, p.ref), progs[p.key])
 	}
 	return results, nil
 }
@@ -294,7 +286,7 @@ func (p *Prepared) Execute(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newResult(p.req, res, p.item, nil), nil
+	return newResult(p.req, res, nil), nil
 }
 
 // Benchmark describes one synthetic workload of the suite.

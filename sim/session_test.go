@@ -52,6 +52,9 @@ func TestRunMatchesInternalSimulator(t *testing.T) {
 	if res.Cycles == 0 || res.IPC <= 0 {
 		t.Error("degenerate result")
 	}
+	if res.Tasks != uint64(item.Tasks()) {
+		t.Errorf("tasks = %d, want the work item's %d", res.Tasks, item.Tasks())
+	}
 	if res.AvgTaskSize != item.AvgTaskSize() {
 		t.Errorf("avg task size = %v, want %v", res.AvgTaskSize, item.AvgTaskSize())
 	}

@@ -8,10 +8,11 @@ import (
 	"testing"
 )
 
-// storeTestReqs is a small grid over a synthetic workload: both persisted
-// kinds (multiscalar/preprocess, multiscalar/simulate) and the memory-only
-// synth/build are exercised, and two policies share one workload so the
-// in-memory tier still does its own deduplication on top of the disk tier.
+// storeTestReqs is a small grid over a synthetic workload: the cold run
+// persists both kinds a session computes (multiscalar/preprocess,
+// multiscalar/simulate) and rebuilds the memory-only synth/build, and two
+// policies share one workload so the in-memory tier still does its own
+// deduplication on top of the disk tier.
 func storeTestReqs() []Request {
 	spec := &SynthSpec{Seed: 1, Ops: 2048}
 	return []Request{
@@ -22,10 +23,11 @@ func storeTestReqs() []Request {
 
 // TestStoreWarmRunRecomputesNothing is the end-to-end contract of the
 // persistent store: a second session pointed at the same directory
-// recomputes nothing persistable -- simulation and preprocessing come from
-// disk, and every job it executes is a bypassed (memory-only) kind, here the
-// synth/build rebuild that annotates the results -- and its results are
-// deeply equal to the cold run's.
+// recomputes nothing persistable -- the simulation results come from disk
+// without their work item even being looked up, and every job it executes
+// is a bypassed (memory-only) kind, here the synth/build rebuild that
+// annotates the results -- and its results are deeply equal to the cold
+// run's.
 func TestStoreWarmRunRecomputesNothing(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -57,16 +59,46 @@ func TestStoreWarmRunRecomputesNothing(t *testing.T) {
 	}
 	warmStats := warm.Stats()
 	checkWarm(t, warmStats)
-	// Every persisted kind must have contributed hits.
-	for _, kind := range []string{"multiscalar/preprocess", "multiscalar/simulate"} {
-		if kc := warmStats.Store.Kinds[kind]; kc.Hits == 0 {
-			t.Errorf("kind %s: no disk hits (%+v)", kind, kc)
-		}
+	if kc := warmStats.Store.Kinds["multiscalar/simulate"]; kc.Hits != uint64(len(reqs)) {
+		t.Errorf("multiscalar/simulate: %+v, want a disk hit per request", kc)
+	}
+	if kc := warmStats.Store.Kinds["multiscalar/preprocess"]; kc != (StoreCounters{}) {
+		t.Errorf("multiscalar/preprocess: %+v, want no lookup: a stored result needs no work item", kc)
 	}
 
 	// Warm results are indistinguishable from cold ones.
 	if !reflect.DeepEqual(warmResults, coldResults) {
 		t.Fatal("warm results differ from cold results")
+	}
+}
+
+// TestStoreWarmNewConfigReadsWorkItem pins the work item's one remaining
+// reader: a warm session asked for a configuration no earlier session ran
+// simulates it over the persisted work item -- one disk hit, no miss, so no
+// preprocess executes -- and the only other job it executes is the
+// memory-only synth/build rebuild that annotates the result.
+func TestStoreWarmNewConfigReadsWorkItem(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	if _, err := NewSession(WithStore(dir)).RunGrid(ctx, storeTestReqs()); err != nil {
+		t.Fatal(err)
+	}
+
+	req := storeTestReqs()[0]
+	req.Stages = 8
+	warm := NewSession(WithStore(dir))
+	if _, err := warm.Run(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	st := warm.Stats()
+	if kc := st.Store.Kinds["multiscalar/preprocess"]; kc != (StoreCounters{Hits: 1}) {
+		t.Errorf("multiscalar/preprocess: %+v, want one disk hit and nothing else", kc)
+	}
+	if kc := st.Store.Kinds["multiscalar/simulate"]; kc.Misses != 1 || kc.Writes != 1 {
+		t.Errorf("multiscalar/simulate: %+v, want the new configuration missed and written", kc)
+	}
+	if st.Executed != 2 {
+		t.Errorf("warm session executed %d jobs, want the new simulation and the synth/build rebuild", st.Executed)
 	}
 }
 
