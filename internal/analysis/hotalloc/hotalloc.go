@@ -3,7 +3,7 @@
 //
 // The timing core's allocation discipline (DESIGN.md: a warmed simulation
 // performs essentially zero heap allocations) is gated at runtime by
-// cmd/benchgate's allocs/op ceiling.  That gate tells you THAT a regression
+// cmd/memdep-perf's allocs/op ceilings.  That gate tells you THAT a regression
 // happened; this analyzer tells you WHERE, at compile time: inside an
 // annotated function it reports make/new calls, map, slice and escaping
 // composite literals, function literals (closures), and appends that may grow

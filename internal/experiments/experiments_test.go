@@ -116,7 +116,7 @@ func TestTable1(t *testing.T) {
 			stats.FormatCount(w.Loads),
 			stats.FormatCount(w.Stores),
 			stats.FormatCount(uint64(w.Tasks())),
-			stats.FormatFloat(w.AvgTaskSize(), 1)}
+			stats.FormatFloat(float64(w.Instructions)/float64(w.Tasks()), 1)}
 		for col := range want {
 			if got := tab.Cell(row, col); got != want[col] {
 				t.Errorf("%s: %s = %q, want the work item's %q", name, tab.Columns[col], got, want[col])

@@ -35,17 +35,13 @@ func (r *Runner) Table1DynamicCounts(ctx context.Context) (*stats.Table, error) 
 		"benchmark", "suite", "instructions", "loads", "stores", "tasks", "avg task")
 	for i, name := range names {
 		res := engine.Get[multiscalar.Result](b, refs[i])
-		avg := 0.0
-		if res.Tasks > 0 {
-			avg = float64(res.Instructions) / float64(res.Tasks)
-		}
 		wl := workload.MustGet(name)
 		t.AddRow(name, wl.Suite.String(),
 			stats.FormatCount(res.Instructions),
 			stats.FormatCount(res.Loads),
 			stats.FormatCount(res.Stores),
 			stats.FormatCount(res.Tasks),
-			stats.FormatFloat(avg, 1))
+			stats.FormatFloat(res.AvgTaskSize(), 1))
 	}
 	t.Note = "Synthetic stand-ins for the paper's SPEC binaries; see DESIGN.md for the substitution."
 	return t, nil

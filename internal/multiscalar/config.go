@@ -244,6 +244,15 @@ func (r Result) IPC() float64 {
 	return float64(r.Instructions) / float64(r.Cycles)
 }
 
+// AvgTaskSize returns the mean dynamic task size in instructions.  Every
+// task commits exactly once, so this is the work item's mean.
+func (r Result) AvgTaskSize() float64 {
+	if r.Tasks == 0 {
+		return 0
+	}
+	return float64(r.Instructions) / float64(r.Tasks)
+}
+
 // MisspecsPerCommittedLoad returns the Table 9 metric.
 func (r Result) MisspecsPerCommittedLoad() float64 {
 	if r.Loads == 0 {

@@ -129,14 +129,6 @@ func (w *WorkItem) Dependences() iter.Seq2[memdep.PairKey, int] {
 	}
 }
 
-// AvgTaskSize returns the average dynamic task size in instructions.
-func (w *WorkItem) AvgTaskSize() float64 {
-	if len(w.tasks) == 0 {
-		return 0
-	}
-	return float64(w.Instructions) / float64(len(w.tasks))
-}
-
 // ErrTooManyInstructions reports a committed stream longer than a work item
 // can index: producers are int32 instruction indices.
 var ErrTooManyInstructions = errors.New("multiscalar: committed stream exceeds the work-item instruction limit")

@@ -123,6 +123,7 @@ func newResult(req Request, res multiscalar.Result, prog *program.Program) *Resu
 		Loads:        res.Loads,
 		Stores:       res.Stores,
 		Tasks:        res.Tasks,
+		AvgTaskSize:  res.AvgTaskSize(),
 
 		Misspeculations:         res.Misspeculations,
 		MisspecsPerLoad:         res.MisspecsPerCommittedLoad(),
@@ -138,10 +139,6 @@ func newResult(req Request, res multiscalar.Result, prog *program.Program) *Resu
 		ARB:       res.ARB,
 		Cache:     res.Cache,
 		Sequencer: res.Sequencer,
-	}
-	if res.Tasks > 0 {
-		// Every task commits exactly once, so this is the work item's mean.
-		out.AvgTaskSize = float64(res.Instructions) / float64(res.Tasks)
 	}
 	if len(res.DDCMissRate) > 0 {
 		out.DDCMissRate = make(map[int]float64, len(res.DDCMissRate))

@@ -55,8 +55,8 @@ func TestRunMatchesInternalSimulator(t *testing.T) {
 	if res.Tasks != uint64(item.Tasks()) {
 		t.Errorf("tasks = %d, want the work item's %d", res.Tasks, item.Tasks())
 	}
-	if res.AvgTaskSize != item.AvgTaskSize() {
-		t.Errorf("avg task size = %v, want %v", res.AvgTaskSize, item.AvgTaskSize())
+	if want := float64(item.Instructions) / float64(item.Tasks()); res.AvgTaskSize != want {
+		t.Errorf("avg task size = %v, want the work item's %v", res.AvgTaskSize, want)
 	}
 	if len(res.MisspecPairs) == 0 || res.MisspecPairs[0].Store == "" {
 		t.Error("mis-speculated pairs must be annotated with disassembly")
