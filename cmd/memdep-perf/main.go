@@ -43,6 +43,7 @@ import (
 	"memdep/internal/multiscalar"
 	"memdep/internal/policy"
 	"memdep/internal/program"
+	"memdep/internal/store"
 	"memdep/internal/synth"
 	"memdep/internal/trace"
 	"memdep/internal/window"
@@ -125,19 +126,28 @@ var ledger = []entry{
 	{name: "workitem/decode", op: func(in *inputs) error {
 		return errOf(multiscalar.DecodeWorkItem(in.encoded))
 	}, allocTolerance: 0.05, allocCeiling: 4},
+	// The store codec of the ESYNC xlisp simulation's result, mis-speculated
+	// pairs included: every cold simulation encodes one, and every warm read
+	// decodes one.
+	{name: "result/encode", op: func(in *inputs) error {
+		return errOf(in.resultCodec.Encode(in.result))
+	}, allocTolerance: 0.05, allocCeiling: 5},
+	{name: "result/decode", op: func(in *inputs) error {
+		return errOf(in.resultCodec.Decode(in.encodedResult))
+	}, allocTolerance: 0.05, allocCeiling: 8},
 	// The engine key of the ESYNC xlisp simulation above, which every
 	// request computes, cache hits included.  Going back to a dump of the
 	// whole configuration (about 6x the ns/op) trips the time check too.
 	{name: "engine/key/simulate", op: func(in *inputs) error {
 		engine.Key(in.job)
 		return nil
-	}, allocTolerance: 0.05, allocCeiling: 12},
+	}, allocTolerance: 0.05, allocCeiling: 7},
 	// One window analysis (Tables 3-5) at the default window and DDC sizes
 	// over the preprocessed xlisp work item.
 	{name: "window/analyze", op: func(in *inputs) error {
 		window.Analyze(in.xlispItem, window.Config{})
 		return nil
-	}, allocTolerance: 0.05, allocCeiling: 193},
+	}, allocTolerance: 0.05, allocCeiling: 151},
 	// One build of a named benchmark's synthetic program, 126.gcc at scale 1.
 	{name: "workload/build", op: func(in *inputs) error {
 		in.buildGCC(1)
@@ -160,6 +170,10 @@ type inputs struct {
 	encoded   []byte
 	job       multiscalar.SimulateJob
 	buildGCC  func(scale int) *program.Program
+	// result is job's result, which resultCodec persists as encodedResult.
+	result        any
+	resultCodec   store.Codec
+	encodedResult []byte
 }
 
 // newInputs builds the ledger's inputs.  The simulations are prepared on
@@ -199,6 +213,17 @@ func newInputs(ctx context.Context, session *sim.Session) (*inputs, error) {
 		return nil, err
 	}
 	in.encoded = multiscalar.AppendWorkItem(nil, in.synthItem)
+	if in.result, err = multiscalar.SimulateContext(ctx, in.xlispItem, in.job.Config); err != nil {
+		return nil, err
+	}
+	for _, c := range store.DefaultCodecs() {
+		if c.Kind() == in.job.JobKind() {
+			in.resultCodec = c
+		}
+	}
+	if in.encodedResult, err = in.resultCodec.Encode(in.result); err != nil {
+		return nil, err
+	}
 	return in, nil
 }
 

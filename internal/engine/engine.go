@@ -178,7 +178,10 @@ func (e *Engine) Do(ctx context.Context, spec Spec) (any, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	k := Key(spec)
+	// The cache key is built once: the memo map, the tier's load and its
+	// save all use it.
+	kind, key := spec.JobKind(), spec.CacheKey()
+	k := kind + "\x00" + key
 	e.mu.Lock()
 	for {
 		c, ok := e.calls[k]
@@ -201,10 +204,10 @@ func (e *Engine) Do(ctx context.Context, spec Spec) (any, error) {
 			return nil, ctx.Err()
 		}
 	}
-	sim, ok := e.sims[spec.JobKind()]
+	sim, ok := e.sims[kind]
 	if !ok {
 		e.mu.Unlock()
-		return nil, fmt.Errorf("engine: no simulator registered for job kind %q", spec.JobKind())
+		return nil, fmt.Errorf("engine: no simulator registered for job kind %q", kind)
 	}
 	c := &call{done: make(chan struct{})}
 	e.calls[k] = c
@@ -216,7 +219,7 @@ func (e *Engine) Do(ctx context.Context, spec Spec) (any, error) {
 	// concurrent callers deduplicate onto the disk read too.
 	fromTier := false
 	if tier != nil {
-		if v, ok := tier.Load(spec.JobKind(), spec.CacheKey()); ok {
+		if v, ok := tier.Load(kind, key); ok {
 			c.val = v
 			fromTier = true
 		}
@@ -226,7 +229,7 @@ func (e *Engine) Do(ctx context.Context, spec Spec) (any, error) {
 			defer func() {
 				if p := recover(); p != nil {
 					c.val = nil
-					c.err = fmt.Errorf("engine: %s job %q panicked: %v", spec.JobKind(), spec.CacheKey(), p)
+					c.err = fmt.Errorf("engine: %s job %q panicked: %v", kind, key, p)
 				}
 			}()
 			c.val, c.err = sim.Simulate(ctx, e, spec)
@@ -246,7 +249,7 @@ func (e *Engine) Do(ctx context.Context, spec Spec) (any, error) {
 		if tier != nil && c.err == nil {
 			// Write behind: waiters were woken first, so nobody blocks on
 			// the disk write; only this computing caller pays for it.
-			tier.Save(spec.JobKind(), spec.CacheKey(), c.val)
+			tier.Save(kind, key, c.val)
 		}
 	}
 	return c.val, c.err

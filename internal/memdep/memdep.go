@@ -43,23 +43,6 @@ func (k PairKey) String() string {
 	return fmt.Sprintf("(st@%#x -> ld@%#x)", k.StorePC, k.LoadPC)
 }
 
-// MarshalText implements encoding.TextMarshaler with a compact "st@0x..->
-// ld@0x.." spelling, which is what lets maps keyed by PairKey (mis-speculation
-// counts, DDC studies) encode directly to JSON objects.
-func (k PairKey) MarshalText() ([]byte, error) {
-	return []byte(fmt.Sprintf("st@%#x->ld@%#x", k.StorePC, k.LoadPC)), nil
-}
-
-// UnmarshalText implements encoding.TextUnmarshaler, inverting MarshalText.
-func (k *PairKey) UnmarshalText(text []byte) error {
-	var st, ld uint64
-	if _, err := fmt.Sscanf(string(text), "st@0x%x->ld@0x%x", &st, &ld); err != nil {
-		return fmt.Errorf("memdep: malformed pair key %q: %w", text, err)
-	}
-	k.StorePC, k.LoadPC = st, ld
-	return nil
-}
-
 // PairCount couples a static dependence pair with an observed event count.
 type PairCount struct {
 	Pair PairKey

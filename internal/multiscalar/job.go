@@ -3,6 +3,7 @@ package multiscalar
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"memdep/internal/engine"
 	"memdep/internal/program"
@@ -30,7 +31,8 @@ func (PreprocessJob) JobKind() string { return PreprocessKind }
 
 // CacheKey implements engine.Spec.
 func (j PreprocessJob) CacheKey() string {
-	return fmt.Sprintf("%s|max=%d", engine.Key(j.Program), j.Trace.MaxInstructions)
+	var num [20]byte // a conversion inside a concatenation is not copied
+	return engine.Key(j.Program) + "|max=" + string(strconv.AppendUint(num[:0], j.Trace.MaxInstructions, 10))
 }
 
 // preprocessSimulator executes PreprocessJob specs.
@@ -72,13 +74,45 @@ func (SimulateJob) JobKind() string { return SimulateKind }
 // Core, because both run loops produce identical Results
 // (TestCoresCycleIdentical), and MemDep.SyncSlots, which is derived from
 // Stages.  TestCacheKeyCoversConfig fails when a field is added to Config or
-// memdep.Config without joining the key or the exemptions.
+// memdep.Config without joining the key or the exemptions.  Every request
+// builds this key, cache hits included, so it is appended without fmt;
+// TestCacheKeysMatchFormulas holds it to the format
+//
+//	%s|stages=%d,policy=%v,mdpt=%v/%dx%d,bits=%d,pred=%v,addrtag=%t,ddc=%v,max=%d
+//
+// of the item's key, Stages, Policy, Table, Entries, Ways, CounterBits,
+// Predictor, TagByAddress, DDCSizes and MaxCycles.
 func (j SimulateJob) CacheKey() string {
 	c := j.Config.withDefaults()
 	md := c.MemDep
-	return fmt.Sprintf("%s|stages=%d,policy=%v,mdpt=%v/%dx%d,bits=%d,pred=%v,addrtag=%t,ddc=%v,max=%d",
-		engine.Key(j.Item), c.Stages, c.Policy, md.Table, md.Entries, md.Ways,
-		md.CounterBits, md.Predictor, md.TagByAddress, c.DDCSizes, c.MaxCycles)
+	b := make([]byte, 0, 192)
+	b = append(b, engine.Key(j.Item)...)
+	b = append(b, "|stages="...)
+	b = strconv.AppendInt(b, int64(c.Stages), 10)
+	b = append(b, ",policy="...)
+	b = append(b, c.Policy.String()...)
+	b = append(b, ",mdpt="...)
+	b = append(b, md.Table.String()...)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(md.Entries), 10)
+	b = append(b, 'x')
+	b = strconv.AppendInt(b, int64(md.Ways), 10)
+	b = append(b, ",bits="...)
+	b = strconv.AppendInt(b, int64(md.CounterBits), 10)
+	b = append(b, ",pred="...)
+	b = append(b, md.Predictor.String()...)
+	b = append(b, ",addrtag="...)
+	b = strconv.AppendBool(b, md.TagByAddress)
+	b = append(b, ",ddc=["...)
+	for i, n := range c.DDCSizes {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(n), 10)
+	}
+	b = append(b, "],max="...)
+	b = strconv.AppendInt(b, c.MaxCycles, 10)
+	return string(b)
 }
 
 // simulateSimulator executes SimulateJob specs.

@@ -2,6 +2,7 @@ package multiscalar
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"memdep/internal/engine"
 	"memdep/internal/memdep"
 	"memdep/internal/policy"
+	"memdep/internal/synth"
 	"memdep/internal/trace"
 	"memdep/internal/workload"
 )
@@ -55,6 +57,75 @@ func TestCacheKeyEquivalences(t *testing.T) {
 				t.Errorf("same key = %v, want %v:\n%s\n%s", ka == kb, tc.same, ka, kb)
 			}
 		})
+	}
+}
+
+// TestCacheKeysMatchFormulas holds the simulate, preprocess and program
+// build keys, which are appended without fmt, to the fmt formulas they
+// replaced, byte for byte, over stage counts, every policy, every table
+// organization, ways, counter bits, address tagging, DDC sizes, cycle and
+// instruction limits, and both named-benchmark and synthetic programs.  A
+// key that drifts would turn every persisted object into a miss.
+func TestCacheKeysMatchFormulas(t *testing.T) {
+	programs := []engine.Spec{
+		workload.BuildJob{Name: "compress", Scale: 1},
+		workload.BuildJob{Name: "126.gcc", Scale: 0},
+		workload.BuildJob{Name: "xlisp", Scale: -2},
+		synth.BuildJob{Spec: synth.Spec{Seed: 7, Ops: 20_000}.Normalize(), Scale: 1},
+		synth.BuildJob{Spec: synth.Spec{Seed: 3, Ops: 400, AliasSetSize: 4, LoopCarried: 0.25}.Normalize(), Scale: 12},
+	}
+	programKey := func(p engine.Spec) string {
+		switch p := p.(type) {
+		case workload.BuildJob:
+			return fmt.Sprintf("%s\x00%s@%d", workload.BuildKind, p.Name, p.Scale)
+		case synth.BuildJob:
+			return fmt.Sprintf("%s\x00%s@%d", synth.BuildKind, p.Spec.CanonicalJSON(), p.Scale)
+		}
+		t.Fatalf("no formula for %T", p)
+		return ""
+	}
+	maxInsts := []uint64{0, 40_000, 1 << 40}
+	stages := []int{0, 1, 4, 8, 16}
+	tables := []memdep.TableKind{memdep.TableFullAssoc, memdep.TableSetAssoc, memdep.TableStoreSet}
+	predictors := []memdep.PredictorKind{memdep.PredictSync, memdep.PredictESync, memdep.PredictAlways}
+	ways, bits, entries := []int{0, 2, 4}, []int{0, 2, 3, 16}, []int{0, 8, 64}
+	ddcs := [][]int{nil, {}, {32}, {32, 128, 512}}
+	maxCycles := []int64{0, 1 << 20, 123_456_789_012}
+	i := 0
+	for _, prog := range programs {
+		for _, maxInst := range maxInsts {
+			item := PreprocessJob{Program: prog, Trace: trace.Config{MaxInstructions: maxInst}}
+			itemKey := fmt.Sprintf("%s\x00%s|max=%d", PreprocessKind, programKey(prog), maxInst)
+			if got := engine.Key(item); got != itemKey {
+				t.Fatalf("preprocess key\n got %q\nwant %q", got, itemKey)
+			}
+			for _, st := range stages {
+				for _, pol := range policy.All() {
+					for _, table := range tables {
+						i++
+						cfg := DefaultConfig(st, pol)
+						cfg.MemDep = memdep.Config{
+							Table:        table,
+							Entries:      entries[i%len(entries)],
+							Ways:         ways[i%len(ways)],
+							CounterBits:  bits[i%len(bits)],
+							Predictor:    predictors[i%len(predictors)],
+							TagByAddress: i%2 == 1,
+						}
+						cfg.DDCSizes = ddcs[i%len(ddcs)]
+						cfg.MaxCycles = maxCycles[i%len(maxCycles)]
+						c := cfg.withDefaults()
+						md := c.MemDep
+						want := fmt.Sprintf("%s\x00%s|stages=%d,policy=%v,mdpt=%v/%dx%d,bits=%d,pred=%v,addrtag=%t,ddc=%v,max=%d",
+							SimulateKind, itemKey, c.Stages, c.Policy, md.Table, md.Entries, md.Ways,
+							md.CounterBits, md.Predictor, md.TagByAddress, c.DDCSizes, c.MaxCycles)
+						if got := engine.Key(SimulateJob{Item: item, Config: cfg}); got != want {
+							t.Fatalf("simulate key\n got %q\nwant %q", got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -86,26 +86,6 @@ func Parse(name string) (Kind, error) {
 	return 0, fmt.Errorf("policy: unknown policy %q", name)
 }
 
-// MarshalText implements encoding.TextMarshaler using the paper's spelling,
-// so Kind fields encode as "ESYNC" etc. in JSON.
-func (k Kind) MarshalText() ([]byte, error) {
-	if !k.Valid() {
-		return nil, fmt.Errorf("policy: cannot marshal invalid policy %d", int(k))
-	}
-	return []byte(k.String()), nil
-}
-
-// UnmarshalText implements encoding.TextUnmarshaler via Parse, so the JSON
-// encoding round-trips (case-insensitively, aliases included).
-func (k *Kind) UnmarshalText(text []byte) error {
-	v, err := Parse(string(text))
-	if err != nil {
-		return err
-	}
-	*k = v
-	return nil
-}
-
 // UsesPredictor reports whether the policy drives the MDPT/MDST hardware.
 func (k Kind) UsesPredictor() bool { return k == Sync || k == ESync }
 

@@ -1,18 +1,20 @@
 package store
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
-	"maps"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
-	"slices"
 	"testing"
 
 	"memdep/internal/engine"
 	"memdep/internal/isa"
 	"memdep/internal/multiscalar"
+	"memdep/internal/policy"
 	"memdep/internal/synth"
 	"memdep/internal/trace"
 	"memdep/internal/window"
@@ -69,54 +71,94 @@ func TestStaleWorkItemFormatIsMissAndRewritten(t *testing.T) {
 	}
 }
 
-// resultKeyPaths are the sorted JSON key paths of a fully populated
-// multiscalar.Result as the result codec persists it.  encoding/json skips
-// keys it does not know, so a renamed or added key would read an object
-// written by an earlier build as a hit with zeroed counters.
-var resultKeyPaths = []string{
-	"ARB.loads", "ARB.refused", "ARB.stores", "ARB.violations",
-	"Benchmark", "Breakdown[][]",
-	"Cache.bank_wait", "Cache.bus_transfers", "Cache.bus_wait", "Cache.data_accesses",
-	"Cache.data_misses", "Cache.instr_accesses", "Cache.instr_misses",
-	"Cycles", "DDCMissRate.1", "FalseDependenceReleases", "Instructions", "Loads", "LoadsWaited",
-	"MemDep.esync_filtered", "MemDep.load_queries", "MemDep.loads_made_to_wait",
-	"MemDep.loads_predicted_dependent", "MemDep.loads_released_by_store",
-	"MemDep.loads_released_stale", "MemDep.loads_signalled_early", "MemDep.misspeculations",
-	"MemDep.store_queries", "MemDep.stores_signalled",
-	"MisspecPairs.st@0x1->ld@0x1", "Misspeculations", "Policy",
-	"Sequencer.descriptor_misses", "Sequencer.mispredictions", "Sequencer.predictor_accuracy",
-	"Sequencer.task_dispatches",
-	"SquashedInstructions", "Squashes", "Stages", "Stores", "Tasks", "WaitCycles",
-}
-
-// TestResultJSONKeyPaths pins the persisted shape of a simulation result.
-// When it fails, the result codec's payload changed: bump store.Version, so
-// objects written by earlier builds read as misses, then update
-// resultKeyPaths.
-func TestResultJSONKeyPaths(t *testing.T) {
+// TestResultEncodingPinned pins the persisted encoding of a simulation
+// result: a populated multiscalar.Result must encode to the bytes committed
+// under testdata/pinned and decode back to itself.  The result codec writes
+// no field names, so a field renamed, moved, retyped, added or removed could
+// otherwise let a later build read an object written by an earlier one with
+// its counters misplaced.  When it fails, bump store.Version, so objects
+// written by earlier builds read as misses, then regenerate the file with
+// MEMDEP_UPDATE_CORPUS=1.
+func TestResultEncodingPinned(t *testing.T) {
 	var res multiscalar.Result
-	populate(reflect.ValueOf(&res).Elem())
-	if got := persistedKeyPaths(t, multiscalar.SimulateKind, res); !slices.Equal(got, resultKeyPaths) {
-		t.Fatalf("the JSON key paths of a persisted multiscalar.Result changed: bump store.Version (now %d), then update resultKeyPaths to\n%#v", Version, got)
+	populate(reflect.ValueOf(&res).Elem(), "Result")
+	checkPinnedEncoding(t, multiscalar.SimulateKind, res)
+}
+
+// TestWindowResultEncodingPinned pins the persisted encoding of a window
+// analysis, for the same reason as TestResultEncodingPinned.
+func TestWindowResultEncodingPinned(t *testing.T) {
+	var analysis []window.Result
+	populate(reflect.ValueOf(&analysis).Elem(), "Analysis")
+	checkPinnedEncoding(t, window.AnalyzeKind, analysis)
+}
+
+// checkPinnedEncoding encodes v with kind's codec, checks that it decodes
+// back to v, and compares the bytes with testdata/pinned, rewriting the file
+// first under MEMDEP_UPDATE_CORPUS=1.
+func checkPinnedEncoding(t *testing.T, kind string, v any) {
+	t.Helper()
+	codec := defaultCodec(t, kind)
+	data, err := codec.Encode(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back, err := codec.Decode(data); err != nil || !reflect.DeepEqual(back, v) {
+		t.Fatalf("%s: the populated value does not survive its codec (err %v)", kind, err)
+	}
+	name := filepath.Join("testdata", "pinned", sanitizeKind(kind))
+	if os.Getenv("MEMDEP_UPDATE_CORPUS") == "1" {
+		if err := os.MkdirAll(filepath.Dir(name), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(name, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want, err := os.ReadFile(name); err != nil || !bytes.Equal(data, want) {
+		t.Errorf("the persisted encoding of %s changed (%v): bump store.Version (now %d), then regenerate %s with MEMDEP_UPDATE_CORPUS=1", kind, err, Version, name)
 	}
 }
 
-// windowKeyPaths are the sorted JSON key paths of a fully populated
-// []window.Result as the window codec persists it, for the same reason as
-// resultKeyPaths.
-var windowKeyPaths = []string{
-	"[].DDCMissRate.1", "[].Loads", "[].Misspeculations",
-	"[].PairCounts.st@0x1->ld@0x1", "[].PairsForCoverage", "[].StaticPairs", "[].WindowSize",
+// TestResultCodecRoundTrip pins the result codec loss-free on real
+// simulation results, including the PairKey-keyed mis-speculation map and
+// the DDC miss rates.
+func TestResultCodecRoundTrip(t *testing.T) {
+	codec := defaultCodec(t, multiscalar.SimulateKind)
+	for _, pol := range []policy.Kind{policy.Always, policy.ESync} {
+		res := compressResult(t, pol)
+		if len(res.MisspecPairs) == 0 {
+			t.Fatalf("%v: no mis-speculated pairs; test needs a non-trivial map", pol)
+		}
+		data, err := codec.Encode(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := codec.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, res) {
+			t.Fatalf("result did not round trip through the codec:\n got %+v\nwant %+v", back, res)
+		}
+	}
 }
 
-// TestWindowResultJSONKeyPaths pins the persisted shape of a window
-// analysis.  When it fails, bump store.Version, then update windowKeyPaths.
-func TestWindowResultJSONKeyPaths(t *testing.T) {
-	var res []window.Result
-	populate(reflect.ValueOf(&res).Elem())
-	if got := persistedKeyPaths(t, window.AnalyzeKind, res); !slices.Equal(got, windowKeyPaths) {
-		t.Fatalf("the JSON key paths of a persisted []window.Result changed: bump store.Version (now %d), then update windowKeyPaths to\n%#v", Version, got)
+// compressResult simulates compress, 40k instructions, at 8 stages under
+// pol with two DDC sizes.
+func compressResult(t testing.TB, pol policy.Kind) multiscalar.Result {
+	t.Helper()
+	item, err := multiscalar.Preprocess(workload.MustGet("compress").Build(1), trace.Config{MaxInstructions: 40_000})
+	if err != nil {
+		t.Fatal(err)
 	}
+	cfg := multiscalar.DefaultConfig(8, pol)
+	cfg.DDCSizes = []int{32, 128}
+	res, err := multiscalar.SimulateContext(context.Background(), item, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestWindowCodecRoundTrip pins the window codec loss-free on the analyses a
@@ -176,76 +218,41 @@ func defaultCodec(t *testing.T, kind string) Codec {
 	return nil
 }
 
-// persistedKeyPaths encodes v with kind's default codec and returns the
-// sorted key paths of the JSON document it persists.
-func persistedKeyPaths(t *testing.T, kind string, v any) []string {
-	t.Helper()
-	data, err := defaultCodec(t, kind).Encode(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc any
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	paths := map[string]bool{}
-	keyPaths(doc, "", paths)
-	return slices.Sorted(maps.Keys(paths))
-}
-
-// populate sets every exported field reachable from v to a non-zero value:
-// one element per slice and map, every element of an array.
-func populate(v reflect.Value) {
+// populate sets every exported field reachable from v, whose path is path,
+// to a non-zero value derived from the field's path: one element per slice
+// and map, every element of an array.  A field renamed, moved or retyped
+// therefore changes the encoding, as one added or removed does.
+func populate(v reflect.Value, path string) {
+	h := fnv.New32a()
+	h.Write([]byte(path))
+	n := h.Sum32()%100_000 + 1
 	switch v.Kind() {
 	case reflect.Struct:
 		for i := range v.NumField() {
-			if v.Type().Field(i).IsExported() {
-				populate(v.Field(i))
+			if f := v.Type().Field(i); f.IsExported() {
+				populate(v.Field(i), path+"."+f.Name)
 			}
 		}
 	case reflect.Array:
 		for i := range v.Len() {
-			populate(v.Index(i))
+			populate(v.Index(i), fmt.Sprintf("%s[%d]", path, i))
 		}
 	case reflect.Slice:
 		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
-		populate(v.Index(0))
+		populate(v.Index(0), path+"[]")
 	case reflect.Map:
 		k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
-		populate(k)
-		populate(e)
+		populate(k, path+"{key}")
+		populate(e, path+"{}")
 		v.Set(reflect.MakeMap(v.Type()))
 		v.SetMapIndex(k, e)
 	case reflect.String:
-		v.SetString("x")
-	case reflect.Bool:
-		v.SetBool(true)
+		v.SetString(path)
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		v.SetInt(1)
+		v.SetInt(int64(n))
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		v.SetUint(1)
-	case reflect.Float32, reflect.Float64:
-		v.SetFloat(1)
-	}
-}
-
-// keyPaths adds the dotted path of every leaf of a decoded JSON document to
-// paths; array elements share their array's path with a "[]" suffix.
-func keyPaths(doc any, prefix string, paths map[string]bool) {
-	switch d := doc.(type) {
-	case map[string]any:
-		for k, v := range d {
-			p := k
-			if prefix != "" {
-				p = prefix + "." + k
-			}
-			keyPaths(v, p, paths)
-		}
-	case []any:
-		for _, v := range d {
-			keyPaths(v, prefix+"[]", paths)
-		}
-	default:
-		paths[prefix] = true
+		v.SetUint(uint64(n))
+	case reflect.Float64:
+		v.SetFloat(float64(n) / 8)
 	}
 }

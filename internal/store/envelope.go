@@ -10,9 +10,10 @@ import (
 // Version is the envelope schema version.  Bumping it invalidates every
 // object written by earlier builds: readers treat the mismatch as a cache
 // miss and rewrite the entry, so a format change never needs a migration.
-// Bump it whenever a codec's payload changes shape: TestResultJSONKeyPaths
-// fails when the JSON keys of a persisted result change.
-const Version = 3
+// Bump it whenever a codec's payload changes shape: TestResultEncodingPinned
+// and TestWindowResultEncodingPinned fail when the encoding of a persisted
+// result changes.
+const Version = 4
 
 // magic brands every object file so that a foreign file dropped into the
 // store tree is recognized as garbage rather than misdecoded.

@@ -3,6 +3,7 @@ package synth
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"memdep/internal/engine"
 )
@@ -24,7 +25,7 @@ type BuildJob struct {
 func (BuildJob) JobKind() string { return BuildKind }
 
 // CacheKey implements engine.Spec.
-func (j BuildJob) CacheKey() string { return fmt.Sprintf("%s@%d", j.Spec.CanonicalJSON(), j.Scale) }
+func (j BuildJob) CacheKey() string { return j.Spec.CanonicalJSON() + "@" + strconv.Itoa(j.Scale) }
 
 // buildSimulator executes BuildJob specs.
 type buildSimulator struct{}

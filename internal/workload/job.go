@@ -3,6 +3,7 @@ package workload
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"memdep/internal/engine"
 )
@@ -22,7 +23,7 @@ type BuildJob struct {
 func (BuildJob) JobKind() string { return BuildKind }
 
 // CacheKey implements engine.Spec.
-func (j BuildJob) CacheKey() string { return fmt.Sprintf("%s@%d", j.Name, j.Scale) }
+func (j BuildJob) CacheKey() string { return j.Name + "@" + strconv.Itoa(j.Scale) }
 
 // buildSimulator executes BuildJob specs.
 type buildSimulator struct{}
