@@ -40,6 +40,7 @@ import (
 
 	"memdep/cmd/internal/storeflag"
 	"memdep/internal/engine"
+	"memdep/internal/fleet"
 	"memdep/internal/multiscalar"
 	"memdep/internal/policy"
 	"memdep/internal/program"
@@ -153,6 +154,12 @@ var ledger = []entry{
 		in.buildGCC(1)
 		return nil
 	}, allocTolerance: 0.05, allocCeiling: 90},
+	// One routing decision of a two-worker coordinator: the owner of the
+	// canonical JSON of a 20,000-op synthetic simulate-cold request.  The
+	// rendezvous walk over the registry's workers allocates nothing.
+	{name: "fleet/route", op: func(in *inputs) error {
+		return errOf(in.registry.Route(in.routeKey, nil))
+	}, allocTolerance: 0.05, allocCeiling: 0},
 }
 
 // inputs holds what the ledger's operations read, built once by newInputs
@@ -174,6 +181,10 @@ type inputs struct {
 	result        any
 	resultCodec   store.Codec
 	encodedResult []byte
+	// registry holds the workers w1 and w2; routeKey is the request it
+	// routes.
+	registry *fleet.Registry
+	routeKey string
 }
 
 // newInputs builds the ledger's inputs.  The simulations are prepared on
@@ -193,6 +204,13 @@ func newInputs(ctx context.Context, session *sim.Session) (*inputs, error) {
 			Config: multiscalar.DefaultConfig(8, policy.ESync),
 		},
 		buildGCC: workload.MustGet("126.gcc").Build,
+		registry: fleet.NewRegistry(fleet.RegistryConfig{}),
+		routeKey: sim.Request{Synth: &sim.SynthSpec{Seed: 1, Ops: 20_000}, Stages: 4, Policy: sim.PolicyESync}.CanonicalJSON(),
+	}
+	for _, name := range []string{"w1", "w2"} {
+		if err := in.registry.Register(name, "http://"+name+":8080"); err != nil {
+			return nil, err
+		}
 	}
 	for _, table := range []sim.TableKind{sim.TableFullAssoc, sim.TableSetAssoc, sim.TableStoreSet} {
 		req := sim.Request{Bench: "xlisp", Scale: 1, MaxInstructions: 50_000, Stages: 8, Policy: sim.PolicyESync}

@@ -14,7 +14,7 @@
 //	GET  /v1/statz       full session stats, persistent-store counters included
 //
 // A coordinator (-role coordinator) serves the same simulate/grid/benchmarks
-// surface but owns no session: it consistent-hash-routes each request on its
+// surface but owns no session: it rendezvous-routes each request on its
 // canonical normalized JSON to the owning worker, plus the membership
 // endpoints POST /v1/fleet/register, POST /v1/fleet/deregister and
 // GET /v1/fleet/workers.  A worker (-role worker -coordinator URL) is a
@@ -158,8 +158,8 @@ func run(args []string, stderr io.Writer) int {
 				defer close(adone)
 				agent.Run(actx)
 			}()
-			// Leave the ring (so nothing new routes here) before draining the
-			// in-flight requests.
+			// Leave the coordinator's registry (so nothing new routes here)
+			// before draining the in-flight requests.
 			preDrain = func() {
 				acancel()
 				<-adone

@@ -7,34 +7,26 @@ import "context"
 type Ref int
 
 // Batch collects a declarative job set and resolves it in one parallel Run.
-// Drivers build their whole simulation grid first (Add deduplicates specs by
-// key, so shared baselines cost one job), execute it with Run, and then
-// assemble their output from the positional results -- which is what makes
-// driver output independent of the worker count.
+// Drivers build their whole simulation grid first, execute it with Run, and
+// then assemble their output from the positional results -- which is what
+// makes driver output independent of the worker count.  A Batch does not
+// deduplicate: a spec added twice is two slots, and the engine's
+// singleflight Do computes it once and serves the other slot as a hit.
 type Batch struct {
 	eng     *Engine
 	specs   []Spec
-	index   map[string]Ref
 	results []any
 }
 
 // NewBatch creates an empty batch bound to the engine.
 func (e *Engine) NewBatch() *Batch {
-	return &Batch{eng: e, index: make(map[string]Ref)}
+	return &Batch{eng: e}
 }
 
-// Add appends a job to the set and returns its handle.  Adding a spec whose
-// key is already present returns the existing handle instead of scheduling
-// the job twice.
+// Add appends a job to the set and returns its handle.
 func (b *Batch) Add(spec Spec) Ref {
-	k := Key(spec)
-	if r, ok := b.index[k]; ok {
-		return r
-	}
-	r := Ref(len(b.specs))
 	b.specs = append(b.specs, spec)
-	b.index[k] = r
-	return r
+	return Ref(len(b.specs) - 1)
 }
 
 // Run executes the job set on the engine's worker pool.  Cancelling the

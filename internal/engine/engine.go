@@ -13,7 +13,8 @@
 //     the same pair block until that computation finishes, and later callers
 //     get the cached value.  Table and figure drivers running concurrently
 //     therefore share functional traces, work items and timing results
-//     instead of recomputing them.
+//     instead of recomputing them.  Do is the engine's only deduplication:
+//     Run and Batch hand it repeated specs as they are.
 //
 //   - Bounded parallelism: Run executes a job set on a worker pool of a
 //     configurable size (default GOMAXPROCS).  Jobs may resolve dependency

@@ -218,18 +218,12 @@ func TestBatchDeduplicatesAndOrders(t *testing.T) {
 	b := e.NewBatch()
 	r1 := b.Add(echoSpec{id: "x"})
 	r2 := b.Add(echoSpec{id: "y"})
-	r3 := b.Add(echoSpec{id: "x"}) // duplicate
-	if r1 != r3 {
-		t.Errorf("duplicate spec got distinct refs %d and %d", r1, r3)
-	}
-	if n := len(b.specs); n != 2 {
-		t.Errorf("batch holds %d jobs, want 2", n)
-	}
+	r3 := b.Add(echoSpec{id: "x"}) // duplicate: Do computes it once
 	if err := b.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if Get[string](b, r1) != "x" || Get[string](b, r2) != "y" {
-		t.Errorf("batch results wrong: %v %v", b.results[r1], b.results[r2])
+	if Get[string](b, r1) != "x" || Get[string](b, r2) != "y" || Get[string](b, r3) != "x" {
+		t.Errorf("batch results wrong: %v %v %v", b.results[r1], b.results[r2], b.results[r3])
 	}
 	if n := sim.computed.Load(); n != 2 {
 		t.Errorf("computed %d, want 2", n)

@@ -36,9 +36,9 @@ type Config struct {
 	MaxQueue int
 }
 
-// Coordinator is the Backend of the coordinator role: it
-// consistent-hash-routes each request on its canonical normalized JSON and
-// proxies it to the owning worker with failover.  It owns no session.
+// Coordinator is the Backend of the coordinator role: it rendezvous-routes
+// each request on its canonical normalized JSON and proxies it to the
+// owning worker with failover.  It owns no session.
 // Create one with NewCoordinator and serve Handler(); Close stops the
 // health-check loop.
 type Coordinator struct {
@@ -59,12 +59,13 @@ type CoordinatorStats struct {
 	Role string `json:"role"`
 	// Workers snapshots the registry, sorted by name.
 	Workers []Worker `json:"workers"`
-	// Healthy counts the workers currently in the routing ring.
+	// Healthy counts the workers requests currently route to.
 	Healthy int `json:"healthy"`
 	// Routed counts proxied requests (grid cells count individually).
 	Routed uint64 `json:"routed"`
 	// Rerouted counts failovers: a forward that failed at the transport
-	// level and was retried on the next worker in ring order.
+	// level and was retried on the worker of next-highest rendezvous
+	// weight.
 	Rerouted uint64 `json:"rerouted"`
 	// Unroutable counts requests that found no healthy worker at all.
 	Unroutable uint64 `json:"unroutable"`
@@ -81,7 +82,7 @@ type CoordinatorHealth struct {
 	Role string `json:"role"`
 	// Workers counts registered workers, healthy or not.
 	Workers int `json:"workers"`
-	// Healthy counts the workers currently in the routing ring.
+	// Healthy counts the workers requests currently route to.
 	Healthy int `json:"healthy"`
 }
 
@@ -106,7 +107,7 @@ type MembershipResponse struct {
 	Status string `json:"status"`
 	// Workers counts registered workers after the operation.
 	Workers int `json:"workers"`
-	// Healthy counts ring members after the operation.
+	// Healthy counts the workers requests route to after the operation.
 	Healthy int `json:"healthy"`
 }
 
@@ -114,7 +115,7 @@ type MembershipResponse struct {
 type WorkersResponse struct {
 	// Workers snapshots the registry, sorted by name.
 	Workers []Worker `json:"workers"`
-	// Healthy counts the workers currently in the routing ring.
+	// Healthy counts the workers requests currently route to.
 	Healthy int `json:"healthy"`
 }
 
@@ -199,17 +200,17 @@ func (e *workerError) Error() string {
 }
 
 // Simulate proxies req to the worker owning its canonical normalized JSON
-// and returns the worker's reply verbatim.  Transport errors walk the ring's
-// failover order, demoting each worker that failed.  A reply of any status
-// ends the walk: the worker is alive, and retrying elsewhere would duplicate
-// work.
+// and returns the worker's reply verbatim.  Transport errors walk the
+// failover order, the workers in descending rendezvous weight, demoting
+// each worker that failed.  A reply of any status ends the walk: the worker
+// is alive, and retrying elsewhere would duplicate work.
 func (c *Coordinator) Simulate(ctx context.Context, req sim.Request) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	key := req.CanonicalJSON()
 	c.routed.Add(1)
-	tried := make(map[string]bool)
+	var tried map[string]bool // built on the first failover
 	for {
 		wkr, err := c.reg.Route(key, tried)
 		if err != nil {
@@ -228,6 +229,9 @@ func (c *Coordinator) Simulate(ctx context.Context, req sim.Request) ([]byte, er
 		}
 		// No complete reply: the worker is unreachable.  Demote it and walk
 		// on; the registry health loop revives it when it answers again.
+		if tried == nil {
+			tried = make(map[string]bool)
+		}
 		tried[wkr.Name] = true
 		c.reg.ReportFailure(wkr.Name)
 		c.rerouted.Add(1)
@@ -305,7 +309,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, MembershipResponse{Status: "ok", Workers: c.reg.Len(), Healthy: c.reg.Healthy()})
 }
 
-// handleDeregister drains a worker out of the ring.
+// handleDeregister drains a worker: no new request routes to it.
 func (c *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	var req DeregisterRequest
 	if !decodeBody(w, r, &req) {

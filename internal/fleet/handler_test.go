@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -232,11 +233,12 @@ func TestCancelledGridAnswersHonestly(t *testing.T) {
 
 // TestRemoteBackendFaults injects faults with real HTTP workers beside one
 // healthy worker: a worker that cuts its 200 body short of its
-// Content-Length, one that hangs up before answering, and one that answers
-// 500.  Under buffered and streamed grids, every routed cell equals a direct
-// session run or is a structured error naming the worker.  A transport
-// fault demotes the worker and reroutes its cells; a 500 is an answer, so it
-// neither demotes nor reroutes.
+// Content-Length, one that hangs up before answering, one that resets the
+// connection partway through its headers, and one that answers 500.  Under
+// buffered and streamed grids, every routed cell equals a direct session run
+// or is a structured error naming the worker.  A transport fault demotes the
+// worker and reroutes its cells; a 500 is an answer, so it neither demotes
+// nor reroutes.
 func TestRemoteBackendFaults(t *testing.T) {
 	const cells = 8
 	var bodies []string
@@ -257,7 +259,10 @@ func TestRemoteBackendFaults(t *testing.T) {
 	grid := `{"requests":[` + strings.Join(bodies, ",") + `]}`
 	good := realWorker(t)
 
-	hijack := func(w http.ResponseWriter, reply string) {
+	// hijack writes reply on the raw connection and closes it.  With rst it
+	// first sets the linger to zero, so the close sends a TCP RST instead of
+	// an orderly FIN.
+	hijack := func(w http.ResponseWriter, reply string, rst bool) {
 		conn, buf, err := w.(http.Hijacker).Hijack()
 		if err != nil {
 			t.Errorf("hijack: %v", err)
@@ -265,6 +270,11 @@ func TestRemoteBackendFaults(t *testing.T) {
 		}
 		buf.WriteString(reply) //nolint:errcheck // the connection is torn down next
 		buf.Flush()            //nolint:errcheck
+		if rst {
+			if err := conn.(*net.TCPConn).SetLinger(0); err != nil {
+				t.Errorf("linger: %v", err)
+			}
+		}
 		conn.Close()
 	}
 	for _, fault := range []struct {
@@ -273,12 +283,15 @@ func TestRemoteBackendFaults(t *testing.T) {
 		transport bool
 	}{
 		{"truncated", func(w http.ResponseWriter, r *http.Request) {
-			hijack(w, "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 4096\r\n\r\n{\"cycles\": 12")
+			hijack(w, "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 4096\r\n\r\n{\"cycles\": 12", false)
 		}, true},
 		{"unframed", func(w http.ResponseWriter, r *http.Request) {
-			hijack(w, "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nConnection: close\r\n\r\n{\"cycles\": 12")
+			hijack(w, "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nConnection: close\r\n\r\n{\"cycles\": 12", false)
 		}, true},
-		{"hang-up", func(w http.ResponseWriter, r *http.Request) { hijack(w, "") }, true},
+		{"hang-up", func(w http.ResponseWriter, r *http.Request) { hijack(w, "", false) }, true},
+		{"reset", func(w http.ResponseWriter, r *http.Request) {
+			hijack(w, "HTTP/1.1 200 OK\r\nContent-Type: appli", true)
+		}, true},
 		{"500", func(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: "boom"})
 		}, false},

@@ -26,7 +26,7 @@ type Worker struct {
 	Name string `json:"name"`
 	// URL is the base URL requests are proxied to.
 	URL string `json:"url"`
-	// Healthy reports whether the worker is currently in the routing ring.
+	// Healthy reports whether requests currently route to the worker.
 	Healthy bool `json:"healthy"`
 	// LastSeen is the time of the last successful registration, heartbeat
 	// or health check.
@@ -36,16 +36,6 @@ type Worker struct {
 	Failures int `json:"failures,omitempty"`
 	// Routed counts the requests routed to this worker since it registered.
 	Routed uint64 `json:"routed"`
-}
-
-// workerState is the registry's mutable record of one worker.
-type workerState struct {
-	name     string
-	url      string
-	healthy  bool
-	lastSeen time.Time
-	failures int
-	routed   uint64
 }
 
 // RegistryConfig configures a Registry.  The zero value selects the
@@ -63,19 +53,15 @@ type RegistryConfig struct {
 	Now func() time.Time
 }
 
-// Registry is the coordinator's worker set: membership, health, and the
-// consistent-hash ring over the healthy members.  All methods are safe for
-// concurrent use.
+// Registry is the coordinator's worker set and its routing table: Route
+// rendezvous-hashes a key over the healthy workers it holds.  All methods
+// are safe for concurrent use.
 type Registry struct {
 	cfg RegistryConfig
 
 	mu sync.RWMutex
 	//memdep:guardedby mu
-	workers map[string]*workerState
-	// ring spans exactly the healthy workers; rebuilt on every membership
-	// or health transition.
-	//memdep:guardedby mu
-	ring *ring
+	workers map[string]*Worker
 }
 
 // NewRegistry creates an empty registry.
@@ -91,8 +77,7 @@ func NewRegistry(cfg RegistryConfig) *Registry {
 	}
 	return &Registry{
 		cfg:     cfg,
-		workers: make(map[string]*workerState),
-		ring:    buildRing(nil),
+		workers: make(map[string]*Worker),
 	}
 }
 
@@ -132,24 +117,19 @@ func (r *Registry) Register(name, rawURL string) error {
 	defer r.mu.Unlock()
 	w := r.workers[name]
 	if w == nil {
-		w = &workerState{name: name}
+		w = &Worker{Name: name}
 		r.workers[name] = w
 	}
-	rebuild := !w.healthy || w.url != rawURL
-	w.url = rawURL
-	w.healthy = true
-	w.failures = 0
-	w.lastSeen = r.cfg.Now()
-	if rebuild {
-		r.rebuildLocked()
-	}
+	w.URL = rawURL
+	w.Healthy = true
+	w.Failures = 0
+	w.LastSeen = r.cfg.Now()
 	return nil
 }
 
 // Deregister removes a worker and reports whether it was registered.  The
-// removal is the drain: the worker leaves the ring at once, so no new
-// request routes to it, while requests already proxied to it run to
-// completion undisturbed.
+// removal is the drain: no new request routes to the worker, while requests
+// already proxied to it run to completion undisturbed.
 func (r *Registry) Deregister(name string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -157,58 +137,82 @@ func (r *Registry) Deregister(name string) bool {
 		return false
 	}
 	delete(r.workers, name)
-	r.rebuildLocked()
 	return true
 }
 
-// Route picks the worker owning the key: the first member of the key's
-// ring order that is not in tried.  Callers retrying a failed forward pass
-// the names already attempted, walking the failover order.
+// Route picks the worker owning the key by rendezvous (highest-random-weight)
+// hashing: of the healthy workers not in tried, the one whose weight
+// mix64(hashString(key) ^ hashString(name)) is largest, ties going to the
+// smaller name.  A key's owner therefore depends on the key and the healthy
+// names alone, and a join or a leave moves only the keys the joining or
+// leaving worker wins or held.  Callers retrying a failed forward pass the
+// names already attempted, so failover walks the workers in descending
+// weight.
 func (r *Registry) Route(key string, tried map[string]bool) (Worker, error) {
+	h := hashString(key)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, name := range r.ring.owners(key) {
-		if tried[name] {
+	var owner *Worker
+	var top uint64
+	for name, w := range r.workers { //lint:deterministic a maximum over a total order (weight, then name) does not depend on the walk's order
+		if !w.Healthy || tried[name] {
 			continue
 		}
-		w := r.workers[name]
-		if w == nil || !w.healthy {
-			// The ring is rebuilt on health transitions, so this is a
-			// transient snapshot mismatch at worst; skip.
-			continue
+		if wt := mix64(h ^ hashString(name)); owner == nil || wt > top || (wt == top && name < owner.Name) {
+			owner, top = w, wt
 		}
-		w.routed++
-		return snapshotWorker(w), nil
 	}
-	return Worker{}, ErrNoWorkers
+	if owner == nil {
+		return Worker{}, ErrNoWorkers
+	}
+	owner.Routed++
+	return *owner, nil
 }
 
-// ReportFailure records a failed proxied request: the worker leaves the
-// ring immediately (subsequent requests reroute) and stays demoted until a
-// health check or re-registration passes.
+// hashString is 64-bit FNV-1a: cheap, dependency-free and stable across
+// platforms and Go versions, which keeps routing deterministic fleet-wide.
+func hashString(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
+// mix64 is the murmur3 64-bit finalizer: a bijective avalanche, so the
+// weights of one key under two names are unrelated even though FNV hashes
+// of similar inputs are not.
+func mix64(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
+// ReportFailure records a failed proxied request: the worker stops
+// receiving requests at once (subsequent ones reroute) and stays demoted
+// until a health check or re-registration passes.
 func (r *Registry) ReportFailure(name string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	w := r.workers[name]
-	if w == nil {
-		return
-	}
-	w.failures++
-	if w.healthy {
-		w.healthy = false
-		r.rebuildLocked()
+	if w := r.workers[name]; w != nil {
+		w.Failures++
+		w.Healthy = false
 	}
 }
 
 // CheckOnce runs one health-check pass: every registered worker is probed,
-// transitions are applied to the ring, and workers silent for longer than
-// the TTL are pruned.  The Coordinator calls this on a ticker; tests call
-// it directly.
+// its health is set from the probe, and workers silent for longer than the
+// TTL are pruned.  The Coordinator calls this on a ticker; tests call it
+// directly.
 func (r *Registry) CheckOnce(ctx context.Context) {
 	r.mu.RLock()
 	targets := make([]Worker, 0, len(r.workers))
 	for _, w := range r.workers { //lint:deterministic probe order does not affect the resulting health state
-		targets = append(targets, Worker{Name: w.name, URL: w.url})
+		targets = append(targets, *w)
 	}
 	r.mu.RUnlock()
 
@@ -221,23 +225,15 @@ func (r *Registry) CheckOnce(ctx context.Context) {
 			r.mu.Unlock()
 			continue
 		}
-		switch {
-		case err == nil:
-			w.failures = 0
-			w.lastSeen = now
-			if !w.healthy {
-				w.healthy = true
-				r.rebuildLocked()
-			}
-		default:
-			w.failures++
-			if w.healthy {
-				w.healthy = false
-				r.rebuildLocked()
-			}
-			if now.Sub(w.lastSeen) > r.cfg.TTL {
-				delete(r.workers, w.name)
-				r.rebuildLocked()
+		if err == nil {
+			w.Failures = 0
+			w.LastSeen = now
+			w.Healthy = true
+		} else {
+			w.Failures++
+			w.Healthy = false
+			if now.Sub(w.LastSeen) > r.cfg.TTL {
+				delete(r.workers, w.Name)
 			}
 		}
 		r.mu.Unlock()
@@ -267,19 +263,19 @@ func (r *Registry) Snapshot() []Worker {
 	defer r.mu.RUnlock()
 	out := make([]Worker, 0, len(r.workers))
 	for _, w := range r.workers { //lint:deterministic collected then sorted by name below
-		out = append(out, snapshotWorker(w))
+		out = append(out, *w)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-// Healthy returns the number of workers currently in the routing ring.
+// Healthy returns the number of workers requests currently route to.
 func (r *Registry) Healthy() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	n := 0
 	for _, w := range r.workers { //lint:deterministic commutative count
-		if w.healthy {
+		if w.Healthy {
 			n++
 		}
 	}
@@ -291,29 +287,4 @@ func (r *Registry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.workers)
-}
-
-// rebuildLocked rebuilds the ring from the healthy workers; the caller
-// holds mu.
-//
-//memdep:locked mu
-func (r *Registry) rebuildLocked() {
-	names := make([]string, 0, len(r.workers))
-	for name, w := range r.workers { //lint:deterministic buildRing sorts its points; ring identity is order-independent
-		if w.healthy {
-			names = append(names, name)
-		}
-	}
-	r.ring = buildRing(names)
-}
-
-func snapshotWorker(w *workerState) Worker {
-	return Worker{
-		Name:     w.name,
-		URL:      w.url,
-		Healthy:  w.healthy,
-		LastSeen: w.lastSeen,
-		Failures: w.failures,
-		Routed:   w.routed,
-	}
 }

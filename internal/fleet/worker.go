@@ -83,8 +83,8 @@ func (a *Agent) Run(ctx context.Context) {
 	for {
 		select {
 		case <-ctx.Done():
-			// Drain: remove ourselves from the ring so no new request routes
-			// here while the server's own graceful shutdown finishes the
+			// Drain: leave the registry so no new request routes here
+			// while the server's own graceful shutdown finishes the
 			// in-flight ones.  Best effort, on a fresh context -- ours is
 			// already cancelled.
 			dctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -106,7 +106,8 @@ func (a *Agent) RegisterOnce(ctx context.Context) error {
 	return a.post(ctx, "/v1/fleet/register", RegisterRequest{Name: a.cfg.Name, URL: a.cfg.URL})
 }
 
-// Deregister drains the worker out of the coordinator's ring.
+// Deregister drains the worker: it leaves the coordinator's registry, so
+// no new request routes to it.
 func (a *Agent) Deregister(ctx context.Context) error {
 	return a.post(ctx, "/v1/fleet/deregister", DeregisterRequest{Name: a.cfg.Name})
 }

@@ -101,7 +101,7 @@ func (r Request) Normalize() Request {
 // request: two requests describing the same simulation -- whatever spelling
 // their enums used and whichever defaulted fields they left zero -- encode
 // identically.  It is the request's routing and sharing identity: the fleet
-// coordinator consistent-hashes it to pick the owning worker, which keeps
+// coordinator rendezvous-hashes it to pick the owning worker, which keeps
 // repeats of a request on the worker whose session cache (and persistent
 // store) already holds the result.
 func (r Request) CanonicalJSON() string {
