@@ -3,6 +3,9 @@
 // public facade (memdep/sim): every experiment runs through one sim.Session,
 // so the tables share workloads, traces and timing results via the session
 // cache, exactly like concurrent /v1/grid requests against memdep-server.
+// The experiments run side by side, and -jobs bounds the jobs executing at
+// once across all of them; the tables print in presentation order, and each
+// one's time counts from the start of the sweep.
 //
 // Usage:
 //
@@ -11,7 +14,7 @@
 //	memdep-bench -experiment table3  # run a single experiment (see -list)
 //	memdep-bench -list               # list experiment identifiers
 //	memdep-bench -csv                # emit CSV instead of aligned text
-//	memdep-bench -jobs 16            # size of the parallel worker pool
+//	memdep-bench -jobs 16            # jobs executing at once, all experiments together
 //	memdep-bench -md EXPERIMENTS.md  # regenerate the markdown results file
 //
 // The -synth flag family rebases the sensitivity-synth experiment on a
@@ -52,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		predName   = fs.String("predictor", "full", "MDPT organization for the standard grids: \"full\", \"setassoc\" or \"storeset\"")
 		ways       = fs.Int("mdpt-ways", 0, "associativity for the setassoc/storeset organizations (0 = default 4)")
 		csv        = fs.Bool("csv", false, "emit CSV instead of aligned text")
-		jobs       = fs.Int("jobs", 0, "session worker-pool size (0 = GOMAXPROCS)")
+		jobs       = fs.Int("jobs", 0, "jobs executing at once, shared by every experiment (0 = GOMAXPROCS)")
 		md         = fs.String("md", "", "write the results as markdown to this file (e.g. EXPERIMENTS.md)")
 	)
 	synth := synthflag.Register(fs)
@@ -87,17 +90,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	session := sim.NewSession(append([]sim.Option{sim.WithWorkers(*jobs)}, storeFlags.Options()...)...)
 
-	var selected []sim.Experiment
+	var ids []string
 	if *experiment == "all" {
-		selected = sim.Experiments()
+		for _, e := range sim.Experiments() {
+			ids = append(ids, e.ID)
+		}
 	} else {
-		e, err := sim.LookupExperiment(*experiment)
-		if err != nil {
+		if _, err := sim.LookupExperiment(*experiment); err != nil {
 			fmt.Fprintln(stderr, err)
 			fmt.Fprintln(stderr, "use -list to see the available experiments")
 			return 1
 		}
-		selected = []sim.Experiment{e}
+		ids = []string{*experiment}
 	}
 
 	var mdOut *strings.Builder
@@ -106,13 +110,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		writeMarkdownHeader(mdOut, opts)
 	}
 
-	for _, e := range selected {
-		start := time.Now()
-		tab, err := session.RunExperiment(context.Background(), e.ID, opts)
-		if err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", e.ID, err)
-			return 1
-		}
+	// The experiments run side by side, so each one's time counts from the
+	// start of the sweep.
+	start := time.Now()
+	err = session.RunExperiments(context.Background(), ids, opts, func(e sim.Experiment, tab *sim.Table) {
 		switch {
 		case mdOut != nil:
 			writeMarkdownTable(mdOut, e, tab)
@@ -123,6 +124,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, tab.Render())
 			fmt.Fprintf(stdout, "[%s completed in %.2fs]\n\n", e.ID, time.Since(start).Seconds())
 		}
+	})
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
 	st := session.Stats()

@@ -2,9 +2,13 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"memdep/sim"
 )
 
 // The golden files were captured from the pre-facade CLI; these tests pin
@@ -54,6 +58,41 @@ func TestMarkdownMode(t *testing.T) {
 		if !bytes.Contains(data, []byte(want)) {
 			t.Errorf("markdown output missing %q:\n%s", want, md)
 		}
+	}
+}
+
+// TestSweepReproducesExperimentsFile holds every experiment to the committed
+// EXPERIMENTS.md three ways: run side by side through the CLI at 1 and at 4
+// jobs, and run one at a time through RunExperiment.
+func TestSweepReproducesExperimentsFile(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, jobs := range []string{"1", "4"} {
+		path := filepath.Join(t.TempDir(), "EXPERIMENTS.md")
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-quick", "-jobs", jobs, "-md", path}, &stdout, &stderr); code != 0 {
+			t.Fatalf("-jobs %s: exit code %d, stderr: %s", jobs, code, stderr.String())
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("-jobs %s: the side-by-side sweep differs from EXPERIMENTS.md (%v)", jobs, err)
+		}
+	}
+
+	opts := sim.SuiteOptions{Quick: true, MDPTEntries: 64, Predictor: sim.TableFullAssoc}
+	var md strings.Builder
+	writeMarkdownHeader(&md, opts)
+	session := sim.NewSession(sim.WithWorkers(1))
+	for _, e := range sim.Experiments() {
+		tab, err := session.RunExperiment(context.Background(), e.ID, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		writeMarkdownTable(&md, e, tab)
+	}
+	if md.String() != string(want) {
+		t.Error("the experiments run one at a time differ from EXPERIMENTS.md")
 	}
 }
 

@@ -9,8 +9,9 @@
 // the fastest of -count repetitions, which keeps the trajectory stable on
 // noisy shared hardware.  Unless -skip-sweep is given, the entries
 // sweep/quick/event/jobs=N then time the full experiment suite (every
-// table, figure and ablation of EXPERIMENTS.md) on a fresh session, at 1
-// worker and at GOMAXPROCS workers; they are recorded, not gated.
+// table, figure and ablation of EXPERIMENTS.md, run side by side) on a
+// fresh session, at 1 worker and at GOMAXPROCS workers; they are recorded,
+// not gated.
 //
 // The gate holds each row's record to the baseline's: ns/op passes up to
 // 2.5x the baseline, and allocs/op up to the row's relative tolerance and
@@ -136,6 +137,15 @@ var ledger = []entry{
 	{name: "result/decode", op: func(in *inputs) error {
 		return errOf(in.resultCodec.Decode(in.encodedResult))
 	}, allocTolerance: 0.05, allocCeiling: 8},
+	// One store hit of that result, as a warm run reads it: the object's
+	// path, its read, the envelope check and the decode.  The object was
+	// written moments before, so the hit rewrites no timestamp.
+	{name: "store/load", op: func(in *inputs) error {
+		if _, ok := in.store.Load(in.job.JobKind(), in.resultKey); !ok {
+			return errors.New("the persisted result read as a miss")
+		}
+		return nil
+	}, allocTolerance: 0.05, allocCeiling: 15},
 	// The engine key of the ESYNC xlisp simulation above, which every
 	// request computes, cache hits included.  Going back to a dump of the
 	// whole configuration (about 6x the ns/op) trips the time check too.
@@ -181,6 +191,11 @@ type inputs struct {
 	result        any
 	resultCodec   store.Codec
 	encodedResult []byte
+	// store is a temporary store under storeDir holding result under
+	// resultKey, job's cache key.
+	store     *store.Store
+	storeDir  string
+	resultKey string
 	// registry holds the workers w1 and w2; routeKey is the request it
 	// routes.
 	registry *fleet.Registry
@@ -241,6 +256,15 @@ func newInputs(ctx context.Context, session *sim.Session) (*inputs, error) {
 	}
 	if in.encodedResult, err = in.resultCodec.Encode(in.result); err != nil {
 		return nil, err
+	}
+	if in.storeDir, err = os.MkdirTemp("", "memdep-perf-store-"); err != nil {
+		return nil, err
+	}
+	in.store, in.resultKey = store.Open(in.storeDir, in.resultCodec), in.job.CacheKey()
+	in.store.Save(in.job.JobKind(), in.resultKey, in.result)
+	if in.store.Counters().Writes != 1 {
+		os.RemoveAll(in.storeDir)
+		return nil, fmt.Errorf("memdep-perf: could not persist the result into %s", in.storeDir)
 	}
 	return in, nil
 }
@@ -343,6 +367,7 @@ func measure(ctx context.Context, session *sim.Session, count int, stderr io.Wri
 	if err != nil {
 		return nil, err
 	}
+	defer os.RemoveAll(in.storeDir)
 	recs := make([]record, 0, len(ledger))
 	for _, row := range ledger {
 		res, err := fastest(count, func() error { return row.op(in) })
@@ -388,15 +413,17 @@ func fastest(count int, f func() error) (testing.BenchmarkResult, error) {
 	return res, ferr
 }
 
-// timeSweep runs every registered experiment once on a fresh session (cold
-// cache) and returns the wall-clock seconds.
+// timeSweep runs every registered experiment once, side by side, on a fresh
+// session (cold cache) and returns the wall-clock seconds.
 func timeSweep(ctx context.Context, jobs int, opts sim.SuiteOptions) (float64, error) {
 	session := sim.NewSession(sim.WithWorkers(jobs))
-	start := time.Now()
+	var ids []string
 	for _, e := range sim.Experiments() {
-		if _, err := session.RunExperiment(ctx, e.ID, opts); err != nil {
-			return 0, fmt.Errorf("%s: %w", e.ID, err)
-		}
+		ids = append(ids, e.ID)
+	}
+	start := time.Now()
+	if err := session.RunExperiments(ctx, ids, opts, func(sim.Experiment, *sim.Table) {}); err != nil {
+		return 0, err
 	}
 	return time.Since(start).Seconds(), nil
 }

@@ -28,9 +28,11 @@
 //	curl -d '{"bench":"compress","stages":8,"policy":"ESYNC"}' localhost:8080/v1/simulate
 //
 // All requests share one sim.Session: concurrent clients hit the same
-// memoized result cache, grids fan out over the -jobs worker pool, and each
-// request is cancellable -- a client that disconnects aborts its in-flight
-// simulation.  SIGINT/SIGTERM drain in-flight requests before exit
+// memoized result cache, and each request is cancellable -- a client that
+// disconnects aborts its in-flight simulation.  -jobs bounds the executing
+// jobs of grids, engine-wide: every buffered grid draws from one pool of
+// -jobs slots, and a streamed grid runs -jobs cells at once.  A single
+// /v1/simulate runs on its request's goroutine, bounded by -max-inflight.  SIGINT/SIGTERM drain in-flight requests before exit
 // (graceful shutdown); a worker deregisters from its coordinator first, so
 // no new request routes to it while it drains.
 //
@@ -88,7 +90,7 @@ func newFlagSet() (*flag.FlagSet, *config) {
 	fs.StringVar(&cfg.coordinator, "coordinator", "", "coordinator base URL a worker registers with (required for -role worker)")
 	fs.StringVar(&cfg.name, "name", "", "worker's fleet name (default: hostname + listen address)")
 	fs.StringVar(&cfg.advertise, "advertise", "", "worker's own base URL as the coordinator should reach it (default: http://127.0.0.1 + the listen address)")
-	fs.IntVar(&cfg.jobs, "jobs", 0, "engine worker-pool size shared by all requests (0 = GOMAXPROCS)")
+	fs.IntVar(&cfg.jobs, "jobs", 0, "executing jobs of grids, bounded engine-wide; a single /v1/simulate runs on its request's goroutine, bounded by -max-inflight (0 = GOMAXPROCS)")
 	fs.DurationVar(&cfg.drain, "drain", 30*time.Second, "graceful-shutdown drain window for in-flight requests")
 	fs.StringVar(&cfg.store, "store", os.Getenv("MEMDEP_STORE"), "persistent result-store directory shared with the CLIs; results survive restarts (default $MEMDEP_STORE; \"\" = in-memory cache only)")
 	fs.IntVar(&cfg.maxInflight, "max-inflight", 0, "max concurrently admitted simulate/grid requests (0 = role default: unlimited standalone/worker, 64 on a coordinator)")

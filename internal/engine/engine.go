@@ -16,11 +16,16 @@
 //     instead of recomputing them.  Do is the engine's only deduplication:
 //     Run and Batch hand it repeated specs as they are.
 //
-//   - Bounded parallelism: Run executes a job set on a worker pool of a
-//     configurable size (default GOMAXPROCS).  Jobs may resolve dependency
-//     jobs re-entrantly through Do; dependencies are computed inline on the
-//     worker that needs them first, so the pool cannot deadlock as long as
-//     specs form a DAG.
+//   - Bounded parallelism: the engine owns one pool of a configurable number
+//     of slots (default GOMAXPROCS), and every Run of two or more specs
+//     draws from it, so concurrent job sets -- experiment drivers running
+//     side by side, several grids -- never execute more than that many jobs
+//     at once between them.  A job holds a slot while it executes; a Run
+//     waiting for one gives up when its context is cancelled.  Do, the
+//     dependencies a job resolves through it and a one-spec Run take no
+//     slot: dependencies are computed inline on the goroutine that needs
+//     them first, so the pool cannot deadlock as long as specs form a DAG
+//     and no job itself calls a Run of two or more specs.
 //
 //   - Deterministic ordering: Run returns results positionally, one per
 //     submitted spec, regardless of the order in which workers finish, so
@@ -94,6 +99,9 @@ type call struct {
 // Engine schedules jobs over a worker pool and memoizes their results.
 type Engine struct {
 	workers int
+	// slots is the engine-wide pool every Run of two or more specs draws
+	// from: a job sends into it before it executes and receives once done.
+	slots chan struct{}
 
 	// mu guards the two maps below; the Do fast path reads calls under it
 	// on every cache probe, so hold it only for map operations.
@@ -117,12 +125,14 @@ func New(workers int) *Engine {
 	}
 	return &Engine{
 		workers: workers,
+		slots:   make(chan struct{}, workers),
 		sims:    make(map[string]Simulator),
 		calls:   make(map[string]*call),
 	}
 }
 
-// Workers returns the worker-pool size.
+// Workers returns the worker-pool size: the number of jobs that Runs of two
+// or more specs execute at once, between them.
 func (e *Engine) Workers() int { return e.workers }
 
 // Register installs simulators, one per job kind.  Registering a kind twice
@@ -261,52 +271,55 @@ func isCancellation(err error) bool {
 	return err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 }
 
-// Run executes a job set on the worker pool and returns the results
-// positionally: results[i] belongs to specs[i] whatever order the workers
+// Run executes a job set on the engine's pool and returns the results
+// positionally: results[i] belongs to specs[i] whatever order the jobs
 // finish in.  Duplicate specs are deduplicated by the memoized Do.  If any
 // job fails, Run returns the error of the smallest failing index (so the
 // reported error is deterministic too); the results of successful jobs are
 // still filled in.
 //
+// A set of two or more specs is dispatched in order, each job waiting for a
+// slot of the engine-wide pool and holding it while it executes; the
+// calling goroutine and up to Workers()-1 others dispatch.  A
+// one-spec set runs inline on the caller's goroutine and takes no slot,
+// like Do: a lone request is bounded by whoever admitted it.
+//
 // Cancelling the context aborts the set: no further jobs are dispatched,
-// workers drain the jobs they already started, and every undispatched (or
+// jobs already started drain, and every undispatched (or
 // cancellation-aborted) slot reports ctx.Err().
 func (e *Engine) Run(ctx context.Context, specs []Spec) ([]any, error) {
 	results := make([]any, len(specs))
 	errs := make([]error, len(specs))
-	workers := e.workers
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	if workers <= 1 {
+	if len(specs) <= 1 {
 		for i, s := range specs {
 			results[i], errs[i] = e.Do(ctx, s)
 		}
 	} else {
-		idx := make(chan int)
+		// A dispatcher claims the next spec before it waits for a slot, so
+		// none waits in line with nothing left to run.
+		var next atomic.Int64
+		dispatch := func() {
+			for i := int(next.Add(1) - 1); i < len(specs); i = int(next.Add(1) - 1) {
+				if errs[i] = e.acquire(ctx); errs[i] != nil {
+					return
+				}
+				results[i], errs[i] = e.Do(ctx, specs[i])
+				e.release()
+			}
+		}
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for w := 1; w < min(e.workers, len(specs)); w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for i := range idx {
-					results[i], errs[i] = e.Do(ctx, specs[i])
-				}
+				dispatch()
 			}()
 		}
-	dispatch:
-		for i := range specs {
-			select {
-			case idx <- i:
-			case <-ctx.Done():
-				for j := i; j < len(specs); j++ {
-					errs[j] = ctx.Err()
-				}
-				break dispatch
-			}
-		}
-		close(idx)
+		dispatch()
 		wg.Wait()
+		for i := min(int(next.Load()), len(specs)); i < len(specs); i++ {
+			errs[i] = ctx.Err() // only a cancelled wait leaves specs unclaimed
+		}
 	}
 	for _, err := range errs {
 		if err != nil {
@@ -315,6 +328,23 @@ func (e *Engine) Run(ctx context.Context, specs []Spec) ([]any, error) {
 	}
 	return results, nil
 }
+
+// acquire takes a slot of the engine-wide pool, waiting until one is free
+// or the context is done.
+func (e *Engine) acquire(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	select {
+	case e.slots <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// release returns a slot taken by acquire.
+func (e *Engine) release() { <-e.slots }
 
 // Resolve runs one job through the memoized Do and asserts its result type.
 func Resolve[T any](ctx context.Context, e *Engine, spec Spec) (T, error) {

@@ -179,3 +179,39 @@ func Lookup(id string) (NamedExperiment, error) {
 	}
 	return NamedExperiment{}, fmt.Errorf("experiments: unknown experiment %q", id)
 }
+
+// RunAll runs the experiments side by side, each driver on its own
+// goroutine over r, and hands yield each table in the order of exps as soon
+// as it and every table before it are done.  The engine's pool bounds how
+// many of the drivers' jobs execute at once.  The error reported is the
+// first in the order of exps, prefixed with its experiment's ID; once it is
+// found, the drivers still running are cancelled, and RunAll returns when
+// every driver has stopped.
+func (r *Runner) RunAll(ctx context.Context, exps []NamedExperiment, yield func(NamedExperiment, *stats.Table)) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	type outcome struct {
+		tab *stats.Table
+		err error
+	}
+	done := make([]chan outcome, len(exps))
+	for i, e := range exps {
+		done[i] = make(chan outcome, 1)
+		go func() {
+			tab, err := e.Run(r, ctx)
+			done[i] <- outcome{tab, err}
+		}()
+	}
+	for i, e := range exps {
+		o := <-done[i]
+		if o.err != nil {
+			cancel()
+			for _, d := range done[i+1:] {
+				<-d
+			}
+			return fmt.Errorf("%s: %w", e.ID, o.err)
+		}
+		yield(e, o.tab)
+	}
+	return nil
+}

@@ -10,9 +10,9 @@
 // table from the positional results.  Jobs are memoized engine-wide with
 // singleflight deduplication, so for example the ALWAYS baseline computed for
 // Figure 5 is reused by Figure 6 and Table 9 -- even when those drivers run
-// concurrently from different goroutines.  Because assembly is positional and
-// the simulators are deterministic, a driver's output is byte-identical at
-// every worker count.
+// concurrently from different goroutines, as RunAll runs them.  Because
+// assembly is positional and the simulators are deterministic, a driver's
+// output is byte-identical at every worker count.
 package experiments
 
 import (
@@ -45,9 +45,9 @@ type Options struct {
 	// MDPTWays sets the associativity for the set-associative and store-set
 	// organizations (0 = the memdep default of 4).
 	MDPTWays int
-	// Jobs is the engine worker-pool size used to execute each driver's job
-	// set (0 = GOMAXPROCS).  The results are identical at every setting;
-	// only the wall-clock time changes.
+	// Jobs is the engine worker-pool size: how many jobs execute at once,
+	// across every driver sharing the engine (0 = GOMAXPROCS).  The results
+	// are identical at every setting; only the wall-clock time changes.
 	Jobs int
 	// SynthBase overrides the base synthetic-workload spec swept by the
 	// sensitivity-synth driver (nil = the synth package defaults).  The

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -86,5 +88,39 @@ func TestConcurrentDriversShareOneRunner(t *testing.T) {
 	}
 	if eng.Hits() == 0 {
 		t.Error("concurrent drivers shared no jobs; expected heavy cache reuse")
+	}
+}
+
+// TestRunAllNamesTheFirstFailure runs fake drivers side by side.  The error
+// reported is the first failure in presentation order, named by its
+// experiment, even when a later driver fails sooner; the tables before it
+// are yielded, and a driver still running afterwards is cancelled.
+func TestRunAllNamesTheFirstFailure(t *testing.T) {
+	table := func(*Runner, context.Context) (*stats.Table, error) { return stats.NewTable("t", "c"), nil }
+	laterFailed := make(chan struct{})
+	exps := []NamedExperiment{
+		{ID: "ok", Run: table},
+		{ID: "first", Run: func(*Runner, context.Context) (*stats.Table, error) {
+			<-laterFailed
+			return nil, errors.New("kaput")
+		}},
+		{ID: "second", Run: func(*Runner, context.Context) (*stats.Table, error) {
+			defer close(laterFailed)
+			return nil, errors.New("also kaput")
+		}},
+		{ID: "blocked", Run: func(_ *Runner, ctx context.Context) (*stats.Table, error) {
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}},
+	}
+	var yielded []string
+	err := quickRunner().RunAll(context.Background(), exps, func(e NamedExperiment, _ *stats.Table) {
+		yielded = append(yielded, e.ID)
+	})
+	if err == nil || err.Error() != "first: kaput" {
+		t.Errorf("RunAll error = %v, want \"first: kaput\"", err)
+	}
+	if !slices.Equal(yielded, []string{"ok"}) {
+		t.Errorf("yielded %v, want the tables before the failure: [ok]", yielded)
 	}
 }

@@ -202,8 +202,10 @@ func (e *workerError) Error() string {
 // Simulate proxies req to the worker owning its canonical normalized JSON
 // and returns the worker's reply verbatim.  Transport errors walk the
 // failover order, the workers in descending rendezvous weight, demoting
-// each worker that failed.  A reply of any status ends the walk: the worker
-// is alive, and retrying elsewhere would duplicate work.
+// each worker that failed; when the walk runs out, the error wraps
+// ErrNoWorkers and names the last worker tried and its failure.  A reply of
+// any status ends the walk: the worker is alive, and retrying elsewhere
+// would duplicate work.
 func (c *Coordinator) Simulate(ctx context.Context, req sim.Request) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -211,10 +213,15 @@ func (c *Coordinator) Simulate(ctx context.Context, req sim.Request) ([]byte, er
 	key := req.CanonicalJSON()
 	c.routed.Add(1)
 	var tried map[string]bool // built on the first failover
+	var last string           // the last worker tried, and lastErr its failure
+	var lastErr error
 	for {
 		wkr, err := c.reg.Route(key, tried)
 		if err != nil {
 			c.unroutable.Add(1)
+			if lastErr != nil {
+				err = fmt.Errorf("%w (last tried %s: %v)", err, last, lastErr)
+			}
 			return nil, err
 		}
 		// No overall timeout: a full-scale simulation legitimately takes a while.
@@ -233,6 +240,7 @@ func (c *Coordinator) Simulate(ctx context.Context, req sim.Request) ([]byte, er
 			tried = make(map[string]bool)
 		}
 		tried[wkr.Name] = true
+		last, lastErr = wkr.Name, err
 		c.reg.ReportFailure(wkr.Name)
 		c.rerouted.Add(1)
 	}

@@ -298,7 +298,8 @@ func TestRemoteBackendFaults(t *testing.T) {
 	} {
 		if fault.transport {
 			// A /v1/simulate whose only worker fails this way ends in a
-			// structured error, never in the worker's partial reply.
+			// structured error, never in the worker's partial reply: a 503
+			// naming the worker and its failure.
 			bad := httptest.NewServer(fault.reply)
 			c := routedFleet(t, map[string]string{"bad": bad.URL})
 			rec := send(c.Handler(), "POST", "/v1/simulate", bodies[0], "")
@@ -306,6 +307,9 @@ func TestRemoteBackendFaults(t *testing.T) {
 			var resp ErrorResponse
 			if rec.Code == http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil || resp.Error == "" {
 				t.Errorf("%s simulate: status %d, body %s; want a structured error", fault.name, rec.Code, rec.Body)
+			}
+			if rec.Code != http.StatusServiceUnavailable || !strings.HasPrefix(resp.Error, ErrNoWorkers.Error()+" (last tried bad: ") {
+				t.Errorf("%s simulate: status %d, error %q; want a 503 naming worker bad and its failure", fault.name, rec.Code, resp.Error)
 			}
 		}
 		for _, accept := range []string{"", NDJSONContentType} {

@@ -21,8 +21,9 @@ type ObjectInfo struct {
 	Kind string
 	// Size is the file size in bytes (envelope included).
 	Size int64
-	// ModTime is the object's timestamp; Load refreshes it on every hit, so
-	// it orders objects by last use.
+	// ModTime is the object's timestamp; a hit refreshes it when it is
+	// older than touchInterval, so it orders objects by last use to within
+	// that interval.
 	ModTime time.Time
 }
 
@@ -122,11 +123,12 @@ type GCResult struct {
 const tmpMaxAge = time.Hour
 
 // GC evicts least-recently-used objects until the store fits maxBytes.
-// "Recently used" is the object timestamp Load refreshes on every hit;
-// ties break on the object path, so eviction is deterministic for a given
-// set of timestamps.  Stale temp files from crashed writers are reaped as a
-// side effect.  Eviction races benignly with readers and writers: a reader
-// that loses its object takes a miss and recomputes.
+// "Recently used" is the object timestamp a hit refreshes when it is older
+// than touchInterval; ties break on the object path, so eviction is
+// deterministic for a given set of timestamps.  Stale temp files from
+// crashed writers are reaped as a side effect.  Eviction races benignly
+// with readers and writers: a reader that loses its object takes a miss and
+// recomputes.
 func GC(dir string, maxBytes int64) (GCResult, error) {
 	reapTempFiles(dir)
 	var objects []ObjectInfo

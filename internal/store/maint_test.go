@@ -104,6 +104,43 @@ func TestGCHonorsLoadRecency(t *testing.T) {
 	}
 }
 
+// TestLoadTouchesOnlyStaleStamps pins the touch interval: a hit rewrites an
+// object's timestamp only when it is older than touchInterval, as relatime
+// does for atime.
+func TestLoadTouchesOnlyStaleStamps(t *testing.T) {
+	s := openTest(t)
+	paths := fill(t, s, 2)
+	stale, fresh := time.Now().Add(-2*time.Hour), time.Now().Add(-time.Second)
+	for i, stamp := range []time.Time{stale, fresh} {
+		if err := os.Chtimes(paths[i], stamp, stamp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, err := os.Stat(paths[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"a", "b"} {
+		if _, ok := s.Load(testKind, key); !ok {
+			t.Fatalf("miss on object %s", key)
+		}
+	}
+	staleAfter, err := os.Stat(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshAfter, err := os.Stat(paths[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if staleAfter.ModTime().Sub(stale) < touchInterval {
+		t.Errorf("hit on an object stamped 2h ago left its stamp at %v, want it refreshed", staleAfter.ModTime())
+	}
+	if !freshAfter.ModTime().Equal(before.ModTime()) {
+		t.Errorf("hit on an object stamped 1s ago moved its stamp from %v to %v", before.ModTime(), freshAfter.ModTime())
+	}
+}
+
 func TestGCReapsStaleTempFiles(t *testing.T) {
 	s := openTest(t)
 	fill(t, s, 1)

@@ -156,11 +156,18 @@ func (s *Store) objectPath(kind string, digest [sha256.Size]byte) string {
 	return filepath.Join(s.dir, "objects", sanitizeKind(kind), h[:2], h)
 }
 
+// touchInterval is how stale an object's timestamp may grow before a hit
+// refreshes it.  The timestamp is the access stamp GC's LRU eviction sorts
+// on (mtime rather than atime, because atime is unreliable under the
+// relatime and noatime mount options common on CI hosts), and like relatime
+// a hit rewrites it only when it is older than the interval: an hour's
+// precision is plenty to order eviction, and a warm run's hits then cost no
+// write.
+const touchInterval = time.Hour
+
 // Load implements the read side of engine.Tier: it returns the persisted
-// result of a (kind, key) job, or reports a miss.  A hit refreshes the
-// object's timestamp, which is the access stamp GC's LRU eviction sorts on
-// (mtime rather than atime, because atime is unreliable under the relatime
-// and noatime mount options common on CI hosts).
+// result of a (kind, key) job, or reports a miss.  A hit on an object whose
+// timestamp is older than touchInterval refreshes it.
 func (s *Store) Load(kind, key string) (any, bool) {
 	codec := s.codecs[kind]
 	if codec == nil {
@@ -169,7 +176,7 @@ func (s *Store) Load(kind, key string) (any, bool) {
 	}
 	digest := keyDigest(kind, key)
 	path := s.objectPath(kind, digest)
-	data, err := os.ReadFile(path)
+	data, stamp, err := readObject(path)
 	if err != nil {
 		s.bump(kind, func(c *Counters) { c.Misses++ })
 		return nil, false
@@ -190,8 +197,9 @@ func (s *Store) Load(kind, key string) (any, bool) {
 		return nil, false
 	}
 	s.bump(kind, func(c *Counters) { c.Hits++ })
-	now := time.Now()
-	_ = os.Chtimes(path, now, now) // best-effort LRU touch
+	if now := time.Now(); now.Sub(stamp) > touchInterval {
+		_ = os.Chtimes(path, now, now) // best-effort LRU touch
+	}
 	return v, true
 }
 

@@ -27,8 +27,10 @@ type Session struct {
 // Option configures a Session.
 type Option func(*Session)
 
-// WithWorkers sets the engine worker-pool size (0 or unset = GOMAXPROCS).
-// Grid requests fan out over this pool; results are identical at every size.
+// WithWorkers sets the engine worker-pool size (0 or unset = GOMAXPROCS):
+// how many jobs of grids and experiment sweeps execute at once, across all
+// of them.  A single Run takes no slot of the pool.  Results are identical
+// at every size.
 func WithWorkers(n int) Option {
 	return func(s *Session) { s.eng = experiments.NewEngine(n) }
 }

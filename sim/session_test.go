@@ -275,6 +275,28 @@ func TestBenchmarksAndExperiments(t *testing.T) {
 	}
 }
 
+// TestRunExperimentsNamesTheFailure checks the side-by-side sweep's errors:
+// an unknown ID is a *ValidationError before anything runs, and with the
+// context already cancelled every driver fails, and the error reported names
+// the first experiment requested.
+func TestRunExperimentsNamesTheFailure(t *testing.T) {
+	s := NewSession()
+	noTable := func(e Experiment, _ *Table) { t.Errorf("yielded %s", e.ID) }
+	var verr *ValidationError
+	if err := s.RunExperiments(context.Background(), []string{"table6", "table99"}, SuiteOptions{Quick: true}, noTable); !errors.As(err, &verr) {
+		t.Errorf("unknown experiment: error = %v, want a *ValidationError", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err := s.RunExperiments(ctx, []string{"table6", "table1"}, SuiteOptions{Quick: true}, noTable)
+	if !errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), "table6: ") {
+		t.Errorf("cancelled sweep: error = %v, want table6's cancellation", err)
+	}
+	if st := s.Stats(); st.Executed != 0 {
+		t.Errorf("cancelled sweep executed %d jobs", st.Executed)
+	}
+}
+
 // TestInspection exercises Trace, Disassemble, TaskSizes and Window.
 func TestInspection(t *testing.T) {
 	s := NewSession()

@@ -134,12 +134,31 @@ type Table = stats.Table
 func NewTable(title string, columns ...string) *Table { return stats.NewTable(title, columns...) }
 
 // RunExperiment executes one experiment by ID against the session cache and
-// returns its table.  Unknown IDs and malformed options are reported as a
-// *ValidationError.
+// returns its table: the one-ID case of RunExperiments.  Unknown IDs and
+// malformed options are reported as a *ValidationError.
 func (s *Session) RunExperiment(ctx context.Context, id string, opts SuiteOptions) (*Table, error) {
-	e, err := lookupExperiment(id)
-	if err != nil {
-		return nil, err
+	var tab *Table
+	err := s.RunExperiments(ctx, []string{id}, opts, func(_ Experiment, t *Table) { tab = t })
+	return tab, err
+}
+
+// RunExperiments runs the experiments with the given IDs side by side
+// against the session cache: every driver starts at once, on its own
+// goroutine, and the session's worker pool bounds how many of their jobs
+// execute at once.  yield receives each table in the order of ids, as soon
+// as it and every table before it are done.  Unknown IDs and malformed
+// options are reported as a *ValidationError before any driver starts.  A
+// failing driver's error is prefixed with its experiment's ID
+// ("table6: ..."); when several fail, the first in the order of ids is
+// reported, and the drivers still running are then cancelled.
+func (s *Session) RunExperiments(ctx context.Context, ids []string, opts SuiteOptions, yield func(Experiment, *Table)) error {
+	exps := make([]experiments.NamedExperiment, len(ids))
+	for i, id := range ids {
+		e, err := lookupExperiment(id)
+		if err != nil {
+			return err
+		}
+		exps[i] = e
 	}
 	iopts, err := opts.options()
 	if err != nil {
@@ -147,11 +166,14 @@ func (s *Session) RunExperiment(ctx context.Context, id string, opts SuiteOption
 		// unchanged; plain enum-parse errors are wrapped.
 		var verr *ValidationError
 		if errors.As(err, &verr) {
-			return nil, verr
+			return verr
 		}
 		v := &ValidationError{}
 		v.add("options", "", err.Error())
-		return nil, v
+		return v
 	}
-	return e.Run(experiments.NewRunnerWithEngine(iopts, s.eng), ctx)
+	r := experiments.NewRunnerWithEngine(iopts, s.eng)
+	return r.RunAll(ctx, exps, func(e experiments.NamedExperiment, tab *Table) {
+		yield(Experiment{ID: e.ID, Description: e.Description}, tab)
+	})
 }
