@@ -20,8 +20,7 @@ func benchExperiment(b *testing.B, id string) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		opts := experiments.Quick()
-		runner := experiments.NewRunnerWithEngine(opts, experiments.NewEngine(opts.Jobs))
+		runner := experiments.NewRunnerWithEngine(experiments.Quick(), experiments.NewEngine(0))
 		tab, err := exp.Run(runner, context.Background())
 		if err != nil {
 			b.Fatal(err)
@@ -79,11 +78,9 @@ func BenchmarkAblationTableSize(b *testing.B) { benchExperiment(b, "ablation-tab
 // the produced tables are byte-identical by construction.
 func benchEngineGrid(b *testing.B, jobs int) {
 	b.Helper()
-	opts := experiments.Quick()
-	opts.Jobs = jobs
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		runner := experiments.NewRunnerWithEngine(opts, experiments.NewEngine(opts.Jobs)) // cold cache each iteration
+		runner := experiments.NewRunnerWithEngine(experiments.Quick(), experiments.NewEngine(jobs)) // cold cache each iteration
 		for _, id := range []string{"table6", "table9", "figure6"} {
 			exp, err := experiments.Lookup(id)
 			if err != nil {

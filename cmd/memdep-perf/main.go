@@ -145,7 +145,7 @@ var ledger = []entry{
 			return errors.New("the persisted result read as a miss")
 		}
 		return nil
-	}, allocTolerance: 0.05, allocCeiling: 15},
+	}, allocTolerance: 0.05, allocCeiling: 12},
 	// The engine key of the ESYNC xlisp simulation above, which every
 	// request computes, cache hits included.  Going back to a dump of the
 	// whole configuration (about 6x the ns/op) trips the time check too.

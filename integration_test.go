@@ -114,8 +114,7 @@ func TestExperimentTablesRenderAndAgree(t *testing.T) {
 		t.Skip("integration runs are skipped in -short mode")
 	}
 	render := func() (string, string) {
-		opts := experiments.Quick()
-		r := experiments.NewRunnerWithEngine(opts, experiments.NewEngine(opts.Jobs))
+		r := experiments.NewRunnerWithEngine(experiments.Quick(), experiments.NewEngine(0))
 		t6, err := r.Table6MultiscalarMisspec(context.Background())
 		if err != nil {
 			t.Fatal(err)

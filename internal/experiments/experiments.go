@@ -45,10 +45,6 @@ type Options struct {
 	// MDPTWays sets the associativity for the set-associative and store-set
 	// organizations (0 = the memdep default of 4).
 	MDPTWays int
-	// Jobs is the engine worker-pool size: how many jobs execute at once,
-	// across every driver sharing the engine (0 = GOMAXPROCS).  The results
-	// are identical at every setting; only the wall-clock time changes.
-	Jobs int
 	// SynthBase overrides the base synthetic-workload spec swept by the
 	// sensitivity-synth driver (nil = the synth package defaults).  The
 	// driver varies the dependence-distance histogram and alias-set size on

@@ -21,9 +21,9 @@ func quickRunner() *Runner {
 	return newRunner(Quick())
 }
 
-// newRunner creates a runner with a fresh engine sized by opts.Jobs.
+// newRunner creates a runner with a fresh engine of GOMAXPROCS workers.
 func newRunner(opts Options) *Runner {
-	return NewRunnerWithEngine(opts, NewEngine(opts.Jobs))
+	return NewRunnerWithEngine(opts, NewEngine(0))
 }
 
 // simulate runs (and caches) one benchmark under the standard configuration

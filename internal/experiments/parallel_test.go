@@ -25,9 +25,7 @@ func TestDriversDeterministicAcrossWorkerCounts(t *testing.T) {
 		{"sensitivity-predictor", (*Runner).SensitivityPredictorOrg},
 	}
 	render := func(jobs int) map[string]string {
-		opts := Quick()
-		opts.Jobs = jobs
-		r := newRunner(opts)
+		r := NewRunnerWithEngine(Quick(), NewEngine(jobs))
 		out := map[string]string{}
 		for _, d := range drivers {
 			tab, err := d.run(r, context.Background())

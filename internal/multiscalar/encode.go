@@ -2,24 +2,12 @@ package multiscalar
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
 
 	"memdep/internal/isa"
 )
-
-// workItemVersion versions the binary WorkItem encoding below.  Bump it
-// whenever the wire layout or the meaning of a field changes; the persistent
-// store reads a version mismatch as an expected invalidation (a cache miss),
-// so readers of an older format simply recompute.
-const workItemVersion = 3
-
-// ErrWorkItemVersion reports an encoding written under another format
-// version.  DecodeWorkItem wraps it, so callers can tell a stale encoding
-// (recompute and rewrite) from a corrupt one.
-var ErrWorkItemVersion = errors.New("multiscalar: work-item encoding version mismatch")
 
 // memProdFlag marks an encoded load that carries a memory producer.
 const memProdFlag = 1
@@ -32,9 +20,11 @@ const memProdFlag = 1
 // and global op counts) is reconstructed by DecodeWorkItem, so the two can
 // never disagree.
 //
-// Format version 3, every integer a uvarint unless marked otherwise:
+// The encoding carries no version of its own: the persistent store's one
+// format version (store.Version) covers it, and the store's
+// TestWorkItemEncodingPinned fails when it changes.  Every integer is a
+// uvarint unless marked otherwise:
 //
-//	version (3)
 //	name length, name bytes
 //	instruction count, task count
 //	per task:        pc, instruction count (>= 1)
@@ -57,7 +47,6 @@ func AppendWorkItem(dst []byte, w *WorkItem) []byte {
 	// The paper and synthetic workloads encode in 5.7-8.5 bytes per
 	// instruction, so one allocation almost always suffices.
 	dst = slices.Grow(dst, 32+len(w.Name)+4*len(w.tasks)+10*len(w.insts))
-	dst = binary.AppendUvarint(dst, workItemVersion)
 	dst = binary.AppendUvarint(dst, uint64(len(w.Name)))
 	dst = append(dst, w.Name...)
 	dst = binary.AppendUvarint(dst, uint64(len(w.insts)))
@@ -181,10 +170,9 @@ func (d *wiReader) producer(self int32) int32 {
 // before the one allocation, every producer must precede its consumer, a
 // previous access must be a load or store, a memory producer must be a store
 // to the load's address inside the task the encoding names, and any
-// violation returns an error.  An encoding of another format version returns
-// an error wrapping ErrWorkItemVersion.  Derived state (classes, source
-// counts, load ordinals, address ids, op counts) is recomputed exactly as
-// Preprocess computes it.  A load or store copies its address and address id
+// violation returns an error.  Derived state (classes, source counts, load
+// ordinals, address ids, op counts) is recomputed exactly as Preprocess
+// computes it.  A load or store copies its address and address id
 // from its previous access and numbers a new id on a first access, so a
 // decode needs no address map and allocates only the work item.  (The
 // decoder trusts a first access to be first, as it trusts a memory producer
@@ -192,9 +180,6 @@ func (d *wiReader) producer(self int32) int32 {
 // corrupt payload.)
 func DecodeWorkItem(data []byte) (*WorkItem, error) {
 	d := &wiReader{data: data}
-	if v := d.uvarint(); d.err == nil && v != workItemVersion {
-		return nil, fmt.Errorf("%w: encoding version %d, want %d", ErrWorkItemVersion, v, workItemVersion)
-	}
 	name := string(d.bytes(d.uvarint()))
 	numInsts, numTasks := d.uvarint(), d.uvarint()
 	if d.err != nil {

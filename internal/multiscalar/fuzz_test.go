@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,9 +20,9 @@ import (
 )
 
 // workItemFuzzSeeds returns the committed seed corpus: real encodings of one
-// synthetic and one paper workload, and truncations of them.  The streams are
-// bounded to 64 instructions: small seeds keep the fuzzer mutating rather
-// than minimizing.
+// synthetic and one paper workload, truncations of them and a trailing byte.
+// The streams are bounded to 64 instructions: small seeds keep the fuzzer
+// mutating rather than minimizing.
 func workItemFuzzSeeds(t testing.TB) [][]byte {
 	t.Helper()
 	encode := func(w *WorkItem, err error) []byte {
@@ -35,11 +36,11 @@ func workItemFuzzSeeds(t testing.TB) [][]byte {
 	return [][]byte{
 		syn,
 		paper,
-		syn[:len(syn)/2],                // truncated mid-stream
-		paper[:len(paper)-1],            // missing the last byte
-		paper[:8],                       // header only
-		{},                              // empty input
-		append([]byte{1}, paper[1:]...), // another format version
+		syn[:len(syn)/2],               // truncated mid-stream
+		paper[:len(paper)-1],           // missing the last byte
+		paper[:8],                      // header only
+		{},                             // empty input
+		append(slices.Clone(paper), 0), // a trailing byte
 	}
 }
 

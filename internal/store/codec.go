@@ -346,9 +346,9 @@ func mustHaveSize(t reflect.Type, elemSize int) {
 
 // workItemCodec persists multiscalar/preprocess state in the compact binary
 // work-item encoding (the dominant payload: 6-8.5 bytes per committed
-// instruction, versus a functional re-run to recompute it).  A payload in
-// another work-item format version is stale, not corrupt: Load counts it as
-// a miss, like an envelope of another schema version.
+// instruction, versus a functional re-run to recompute it).  The encoding
+// carries no version of its own: Version covers it, and
+// TestWorkItemEncodingPinned fails when it changes.
 type workItemCodec struct{}
 
 func (workItemCodec) Kind() string { return multiscalar.PreprocessKind }
@@ -362,9 +362,5 @@ func (workItemCodec) Encode(v any) ([]byte, error) {
 }
 
 func (workItemCodec) Decode(data []byte) (any, error) {
-	w, err := multiscalar.DecodeWorkItem(data)
-	if errors.Is(err, multiscalar.ErrWorkItemVersion) {
-		return nil, fmt.Errorf("%w: %w", errWrongVersion, err)
-	}
-	return w, err
+	return multiscalar.DecodeWorkItem(data)
 }

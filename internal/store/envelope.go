@@ -7,13 +7,15 @@ import (
 	"fmt"
 )
 
-// Version is the envelope schema version.  Bumping it invalidates every
-// object written by earlier builds: readers treat the mismatch as a cache
-// miss and rewrite the entry, so a format change never needs a migration.
-// Bump it whenever a codec's payload changes shape: TestResultEncodingPinned
-// and TestWindowResultEncodingPinned fail when the encoding of a persisted
-// result changes.
-const Version = 4
+// Version is the format version of every persisted object: the envelope
+// and the payload inside it.  No codec versions its payload on its own, so
+// this is the one number to move.  Bumping it invalidates every object
+// written by earlier builds: readers treat the mismatch as a cache miss and
+// rewrite the entry, so a format change never needs a migration.  Bump it
+// whenever a codec's payload changes shape: TestResultEncodingPinned,
+// TestWindowResultEncodingPinned and TestWorkItemEncodingPinned fail when
+// the encoding of a persisted kind changes.
+const Version = 5
 
 // magic brands every object file so that a foreign file dropped into the
 // store tree is recognized as garbage rather than misdecoded.
@@ -39,16 +41,17 @@ const headerLen = 4 + 4 + 32 + 32 + 8
 // corruption.
 var errWrongVersion = errors.New("store: envelope schema version mismatch")
 
-// appendEnvelope appends the enveloped payload to dst and returns the
-// extended slice.
-func appendEnvelope(dst []byte, keyDigest [sha256.Size]byte, payload []byte) []byte {
-	dst = append(dst, magic[:]...)
-	dst = binary.LittleEndian.AppendUint32(dst, Version)
-	dst = append(dst, keyDigest[:]...)
+// header returns the envelope header of payload; the object is the header
+// followed by the payload.
+func header(keyDigest [sha256.Size]byte, payload []byte) [headerLen]byte {
+	var h [headerLen]byte
+	copy(h[0:4], magic[:])
+	binary.LittleEndian.PutUint32(h[4:8], Version)
+	copy(h[8:40], keyDigest[:])
 	sum := sha256.Sum256(payload)
-	dst = append(dst, sum[:]...)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(payload)))
-	return append(dst, payload...)
+	copy(h[40:72], sum[:])
+	binary.LittleEndian.PutUint64(h[72:80], uint64(len(payload)))
+	return h
 }
 
 // decodeEnvelope validates an envelope against the expected key digest and

@@ -23,6 +23,13 @@ import (
 // exercise the key-mismatch path.
 var fuzzDigest = sha256.Sum256([]byte("fuzz/kind\x00fuzz-key"))
 
+// appendEnvelope appends an object as Save writes it, the header of payload
+// and then the payload, to dst.
+func appendEnvelope(dst []byte, keyDigest [sha256.Size]byte, payload []byte) []byte {
+	h := header(keyDigest, payload)
+	return append(append(dst, h[:]...), payload...)
+}
+
 // fuzzSeeds returns the committed seed corpus: one intact envelope plus the
 // canonical near-misses (each failure branch of decodeEnvelope).
 func fuzzSeeds() [][]byte {

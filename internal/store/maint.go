@@ -7,9 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -28,11 +26,14 @@ type ObjectInfo struct {
 }
 
 // walkObjects visits every object under dir's objects tree in a fixed
-// lexical order, skipping in-flight temp files.  A missing objects tree is
-// an empty store, not an error.
+// lexical order (os.ReadDir sorts by name), skipping in-flight temp files
+// and directories.  A directory inside a kind holds nothing Load reads, such
+// as the two-hex-digit shards an earlier, sharded layout wrote, so its
+// objects are neither counted, checked nor collected.  A missing objects
+// tree is an empty store, not an error.
 func walkObjects(dir string, fn func(ObjectInfo) error) error {
 	root := filepath.Join(dir, "objects")
-	kinds, err := sortedNames(root)
+	kinds, err := os.ReadDir(root)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil
@@ -40,46 +41,26 @@ func walkObjects(dir string, fn func(ObjectInfo) error) error {
 		return err
 	}
 	for _, kind := range kinds {
-		shards, err := sortedNames(filepath.Join(root, kind))
+		kindDir := filepath.Join(root, kind.Name())
+		ents, err := os.ReadDir(kindDir)
 		if err != nil {
 			return err
 		}
-		for _, shard := range shards {
-			shardDir := filepath.Join(root, kind, shard)
-			names, err := sortedNames(shardDir)
-			if err != nil {
-				return err
+		for _, e := range ents {
+			if ok, _ := filepath.Match(tmpPattern, e.Name()); ok || e.IsDir() {
+				continue
 			}
-			for _, name := range names {
-				if ok, _ := filepath.Match(tmpPattern, name); ok {
-					continue
-				}
-				path := filepath.Join(shardDir, name)
-				fi, err := os.Stat(path)
-				if err != nil {
-					continue // racing eviction or writer; skip
-				}
-				if err := fn(ObjectInfo{Path: path, Kind: kind, Size: fi.Size(), ModTime: fi.ModTime()}); err != nil {
-					return err
-				}
+			path := filepath.Join(kindDir, e.Name())
+			fi, err := os.Stat(path)
+			if err != nil {
+				continue // racing eviction or writer; skip
+			}
+			if err := fn(ObjectInfo{Path: path, Kind: kind.Name(), Size: fi.Size(), ModTime: fi.ModTime()}); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
-}
-
-// sortedNames lists a directory's entry names in lexical order.
-func sortedNames(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(ents))
-	for _, e := range ents {
-		names = append(names, e.Name())
-	}
-	slices.Sort(names)
-	return names, nil
 }
 
 // KindUsage is the on-disk footprint of one kind.
@@ -199,9 +180,10 @@ type VerifyResult struct {
 
 // Verify walks every object and validates it end to end: the file name must
 // be a well-formed digest, the envelope's key digest must match it, and the
-// payload must match its checksum.  With deleteBad set, failing objects are
-// removed (they would otherwise be rewritten on their next miss anyway; this
-// just reclaims the space immediately).
+// payload must match its checksum.  It reads each object as Load does.  With
+// deleteBad set, failing objects are removed (they would otherwise be
+// rewritten on their next miss anyway; this just reclaims the space
+// immediately).
 func Verify(dir string, deleteBad bool) (VerifyResult, error) {
 	var res VerifyResult
 	err := walkObjects(dir, func(o ObjectInfo) error {
@@ -228,15 +210,11 @@ const reasonStale = "stale schema version"
 
 // verifyObject validates one object file, returning "" when it is intact.
 func verifyObject(o ObjectInfo) string {
-	name := filepath.Base(o.Path)
-	digestBytes, err := hex.DecodeString(name)
+	digestBytes, err := hex.DecodeString(filepath.Base(o.Path))
 	if err != nil || len(digestBytes) != sha256.Size {
 		return "file name is not a SHA-256 digest"
 	}
-	if !strings.HasPrefix(name, filepath.Base(filepath.Dir(o.Path))) {
-		return "object filed under the wrong shard"
-	}
-	data, err := os.ReadFile(o.Path)
+	data, _, err := readObject(o.Path)
 	if err != nil {
 		return fmt.Sprintf("unreadable: %v", err)
 	}

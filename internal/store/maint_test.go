@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
@@ -144,9 +145,9 @@ func TestLoadTouchesOnlyStaleStamps(t *testing.T) {
 func TestGCReapsStaleTempFiles(t *testing.T) {
 	s := openTest(t)
 	fill(t, s, 1)
-	shard := filepath.Dir(objectFile(t, s, testKind, "a"))
-	stale := filepath.Join(shard, ".tmp-123")
-	fresh := filepath.Join(shard, ".tmp-456")
+	kindDir := filepath.Dir(objectFile(t, s, testKind, "a"))
+	stale := filepath.Join(kindDir, ".tmp-123")
+	fresh := filepath.Join(kindDir, ".tmp-456")
 	for _, p := range []string{stale, fresh} {
 		if err := os.WriteFile(p, []byte("partial"), 0o644); err != nil {
 			t.Fatal(err)
@@ -203,26 +204,26 @@ func TestVerifyWalk(t *testing.T) {
 	}
 }
 
+// TestVerifyFlagsForeignAndMisfiledObjects pins Verify's name checks: a
+// foreign file whose name is not a digest, and an intact object filed under
+// another object's name, are both bad.
 func TestVerifyFlagsForeignAndMisfiledObjects(t *testing.T) {
 	s := openTest(t)
 	fill(t, s, 1)
 	good := objectFile(t, s, testKind, "a")
-	shard := filepath.Dir(good)
+	kindDir := filepath.Dir(good)
 
 	// A foreign file with a non-digest name.
-	if err := os.WriteFile(filepath.Join(shard, "README"), []byte("hi"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(kindDir, "README"), []byte("hi"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// An intact object copied under the wrong shard.
+	// An intact object copied under the name of another key.
 	data, err := os.ReadFile(good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrongShard := filepath.Join(filepath.Dir(shard), "zz")
-	if err := os.MkdirAll(wrongShard, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(wrongShard, filepath.Base(good)), data, 0o644); err != nil {
+	misfiled := s.kinds[testKind].path(keyDigest(testKind, "b"))
+	if err := os.WriteFile(misfiled, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -232,5 +233,40 @@ func TestVerifyFlagsForeignAndMisfiledObjects(t *testing.T) {
 	}
 	if res.Checked != 3 || len(res.Bad) != 2 {
 		t.Fatalf("verify = %+v", res)
+	}
+}
+
+// TestShardedLayoutIsIgnored pins the flat layout: an intact object at its
+// path under the earlier sharded layout, objects/<kind>/<hh>/<hash>, is never
+// read, and the maintenance walks neither count, check nor collect it.
+func TestShardedLayoutIsIgnored(t *testing.T) {
+	s := openTest(t)
+	digest := keyDigest(testKind, "k")
+	name := hex.EncodeToString(digest[:])
+	sharded := filepath.Join(s.Dir(), "objects", sanitizeKind(testKind), name[:2], name)
+	if err := os.MkdirAll(filepath.Dir(sharded), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(sharded, appendEnvelope(nil, digest, []byte("v")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, ok := s.Load(testKind, "k"); ok {
+		t.Fatal("an object at its sharded path read as a hit")
+	}
+	if c := s.Counters(); c.Misses != 1 || c.Corrupt != 0 {
+		t.Fatalf("counters = %+v, want one miss", c)
+	}
+	if u, err := Usage(s.Dir()); err != nil || u.Objects != 0 {
+		t.Fatalf("usage = %+v, %v; want the sharded object uncounted", u, err)
+	}
+	if res, err := Verify(s.Dir(), true); err != nil || res.Checked != 0 || len(res.Bad) != 0 {
+		t.Fatalf("verify = %+v, %v; want the sharded object unchecked", res, err)
+	}
+	if res, err := GC(s.Dir(), 0); err != nil || res.Kept != 0 || res.Evicted != 0 {
+		t.Fatalf("gc = %+v, %v; want the sharded object uncounted", res, err)
+	}
+	if _, err := os.Stat(sharded); err != nil {
+		t.Fatalf("the sharded object was removed: %v", err)
 	}
 }

@@ -1,16 +1,17 @@
 // Package store is the disk-backed, content-addressed second tier beneath
 // the engine's in-memory result cache.  Objects are keyed on the canonical
 // cache keys the engine job kinds already produce (normalized-spec JSON and
-// configuration strings), hashed with SHA-256 and laid out as
+// configuration strings), hashed with SHA-256 and laid out flat as
 //
-//	<dir>/objects/<kind>/<hh>/<hash>
+//	<dir>/objects/<kind>/<hash>
 //
-// where <kind> is the job kind with path separators flattened, <hash> is the
-// hex digest of the engine key and <hh> its first two characters (the shard).
-// Each file is a versioned envelope (schema version, key digest, payload
-// checksum -- see envelope.go) written atomically via an O_EXCL temp file and
-// rename, so concurrent writers in any number of processes race benignly:
-// both write the same content and the last rename wins.
+// where <kind> is the job kind with path separators flattened and <hash> is
+// the hex digest of the engine key.  Each file is a versioned envelope
+// (format version, key digest, payload checksum -- see envelope.go) written
+// atomically via an O_EXCL temp file and rename, so concurrent writers in
+// any number of processes race benignly: both write the same content and
+// the last rename wins.  The envelope's Version is the only format version:
+// it covers every codec's payload too.
 //
 // The store is an optimization layer, never a source of truth: corrupt,
 // truncated or version-mismatched entries are treated as misses and
@@ -79,12 +80,27 @@ func (c *Counters) add(o Counters) {
 // Store is a handle on one store directory.  It is safe for concurrent use
 // within a process, and any number of processes may share the directory.
 type Store struct {
-	dir    string
-	codecs map[string]Codec
+	dir   string
+	kinds map[string]kindDir
 
 	mu sync.Mutex
 	//memdep:guardedby mu
 	perKind map[string]*Counters
+}
+
+// kindDir is a registered kind: its codec and the directory its objects
+// live in, <dir>/objects/<kind>, built once by Open.
+type kindDir struct {
+	codec Codec
+	dir   string
+}
+
+// path returns the object path of a key digest, the digest in hex inside
+// the kind's directory, in one allocation.
+func (k kindDir) path(digest [sha256.Size]byte) string {
+	var name [2 * sha256.Size]byte
+	hex.Encode(name[:], digest[:])
+	return k.dir + string(filepath.Separator) + string(name[:])
 }
 
 // Open returns a handle on the store rooted at dir with the given kinds
@@ -95,11 +111,11 @@ type Store struct {
 func Open(dir string, codecs ...Codec) *Store {
 	s := &Store{
 		dir:     dir,
-		codecs:  make(map[string]Codec, len(codecs)),
+		kinds:   make(map[string]kindDir, len(codecs)),
 		perKind: make(map[string]*Counters),
 	}
 	for _, c := range codecs {
-		s.codecs[c.Kind()] = c
+		s.kinds[c.Kind()] = kindDir{codec: c, dir: filepath.Join(dir, "objects", sanitizeKind(c.Kind()))}
 	}
 	return s
 }
@@ -150,12 +166,6 @@ func keyDigest(kind, key string) [sha256.Size]byte {
 // sanitizeKind flattens a job kind into one path element.
 func sanitizeKind(kind string) string { return strings.ReplaceAll(kind, "/", "-") }
 
-// objectPath returns the sharded object path for a key digest.
-func (s *Store) objectPath(kind string, digest [sha256.Size]byte) string {
-	h := hex.EncodeToString(digest[:])
-	return filepath.Join(s.dir, "objects", sanitizeKind(kind), h[:2], h)
-}
-
 // touchInterval is how stale an object's timestamp may grow before a hit
 // refreshes it.  The timestamp is the access stamp GC's LRU eviction sorts
 // on (mtime rather than atime, because atime is unreliable under the
@@ -169,13 +179,13 @@ const touchInterval = time.Hour
 // result of a (kind, key) job, or reports a miss.  A hit on an object whose
 // timestamp is older than touchInterval refreshes it.
 func (s *Store) Load(kind, key string) (any, bool) {
-	codec := s.codecs[kind]
-	if codec == nil {
+	k, ok := s.kinds[kind]
+	if !ok {
 		s.bump(kind, func(c *Counters) { c.Bypassed++ })
 		return nil, false
 	}
 	digest := keyDigest(kind, key)
-	path := s.objectPath(kind, digest)
+	path := k.path(digest)
 	data, stamp, err := readObject(path)
 	if err != nil {
 		s.bump(kind, func(c *Counters) { c.Misses++ })
@@ -184,11 +194,12 @@ func (s *Store) Load(kind, key string) (any, bool) {
 	payload, err := decodeEnvelope(data, digest)
 	var v any
 	if err == nil {
-		v, err = codec.Decode(payload)
+		v, err = k.codec.Decode(payload)
 	}
 	if err != nil {
-		// A version mismatch, of the envelope or of the codec's own format,
-		// is an expected invalidation; anything else is corruption.
+		// An envelope of another version is an expected invalidation; the
+		// envelope's is the only version, so anything else, a payload the
+		// codec refuses included, is corruption.
 		if errors.Is(err, errWrongVersion) {
 			s.bump(kind, func(c *Counters) { c.Misses++ })
 		} else {
@@ -203,41 +214,24 @@ func (s *Store) Load(kind, key string) (any, bool) {
 	return v, true
 }
 
-// encBuffer is the reusable envelope-assembly buffer Save draws from a pool:
-// work-item payloads run to a megabyte, and pooling the backing array keeps
-// repeated saves from re-growing it every time.
-//
-//memdep:resettable
-type encBuffer struct {
-	b []byte
-}
-
-// Reset empties the buffer, keeping its capacity.
-func (e *encBuffer) Reset() { e.b = e.b[:0] }
-
-var encPool = sync.Pool{New: func() any { return new(encBuffer) }}
-
 // Save implements the write side of engine.Tier: it persists a computed
 // result, atomically (temp file + rename) and best-effort -- every failure
 // is counted, none is surfaced, because the caller already holds the result
 // and the disk copy is only an optimization.  Kinds without a codec are
 // ignored (Load already counted the bypass for the job).
 func (s *Store) Save(kind, key string, v any) {
-	codec := s.codecs[kind]
-	if codec == nil {
+	k, ok := s.kinds[kind]
+	if !ok {
 		return
 	}
-	payload, err := codec.Encode(v)
+	payload, err := k.codec.Encode(v)
 	if err != nil {
 		s.bump(kind, func(c *Counters) { c.WriteErrors++ })
 		return
 	}
 	digest := keyDigest(kind, key)
-	buf := encPool.Get().(*encBuffer)
-	defer encPool.Put(buf)
-	buf.Reset()
-	buf.b = appendEnvelope(buf.b, digest, payload)
-	if err := writeAtomic(s.objectPath(kind, digest), buf.b); err != nil {
+	h := header(digest, payload)
+	if err := writeAtomic(k.path(digest), h[:], payload); err != nil {
 		s.bump(kind, func(c *Counters) { c.WriteErrors++ })
 		return
 	}
@@ -248,11 +242,12 @@ func (s *Store) Save(kind, key string, v any) {
 // eventually reaps) anything matching it.
 const tmpPattern = ".tmp-*"
 
-// writeAtomic publishes data at path via an exclusively created temp file in
-// the same directory and an atomic rename, so readers -- in this process or
-// any other -- only ever observe complete objects, and concurrent writers of
-// the same object cannot interleave.
-func writeAtomic(path string, data []byte) error {
+// writeAtomic publishes an object, its header and then its payload, at path
+// via an exclusively created temp file in the same directory and an atomic
+// rename, so readers -- in this process or any other -- only ever observe
+// complete objects, and concurrent writers of the same object cannot
+// interleave.
+func writeAtomic(path string, header, payload []byte) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -262,7 +257,10 @@ func writeAtomic(path string, data []byte) error {
 		return err
 	}
 	tmp := f.Name()
-	_, err = f.Write(data)
+	_, err = f.Write(header)
+	if err == nil {
+		_, err = f.Write(payload)
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

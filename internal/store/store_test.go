@@ -42,7 +42,7 @@ func openTest(t *testing.T) *Store {
 // objectFile locates the single object a one-save store holds.
 func objectFile(t *testing.T, s *Store, kind, key string) string {
 	t.Helper()
-	path := s.objectPath(kind, keyDigest(kind, key))
+	path := s.kinds[kind].path(keyDigest(kind, key))
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("object for (%s, %s) not on disk: %v", kind, key, err)
 	}
