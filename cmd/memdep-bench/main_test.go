@@ -63,7 +63,7 @@ func TestMarkdownMode(t *testing.T) {
 
 // TestSweepReproducesExperimentsFile holds every experiment to the committed
 // EXPERIMENTS.md three ways: run side by side through the CLI at 1 and at 4
-// jobs, and run one at a time through RunExperiment.
+// jobs, and run one at a time through one-ID RunExperiments calls.
 func TestSweepReproducesExperimentsFile(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
 	if err != nil {
@@ -85,11 +85,11 @@ func TestSweepReproducesExperimentsFile(t *testing.T) {
 	writeMarkdownHeader(&md, opts)
 	session := sim.NewSession(sim.WithWorkers(1))
 	for _, e := range sim.Experiments() {
-		tab, err := session.RunExperiment(context.Background(), e.ID, opts)
-		if err != nil {
+		if err := session.RunExperiments(context.Background(), []string{e.ID}, opts, func(e sim.Experiment, tab *sim.Table) {
+			writeMarkdownTable(&md, e, tab)
+		}); err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
 		}
-		writeMarkdownTable(&md, e, tab)
 	}
 	if md.String() != string(want) {
 		t.Error("the experiments run one at a time differ from EXPERIMENTS.md")

@@ -5,13 +5,10 @@
 //
 // The ledger table below is the one list of per-op entries: each row names
 // an operation, times it as a Go benchmark (testing.Benchmark) and carries
-// its allocation gate.  Every per-op entry runs at GOMAXPROCS 1 and records
-// the fastest of -count repetitions, which keeps the trajectory stable on
-// noisy shared hardware.  Unless -skip-sweep is given, the entries
-// sweep/quick/event/jobs=N then time the full experiment suite (every
-// table, figure and ablation of EXPERIMENTS.md, run side by side) on a
-// fresh session, at 1 worker and at GOMAXPROCS workers; they are recorded,
-// not gated.
+// its allocation gate.  Every entry runs at GOMAXPROCS 1 and records the
+// fastest of -count repetitions, which keeps the trajectory stable on noisy
+// shared hardware.  The experiment sweep as a whole is timed end to end by
+// the benchmark module's paper-sweep workload.
 //
 // The gate holds each row's record to the baseline's: ns/op passes up to
 // 2.5x the baseline, and allocs/op up to the row's relative tolerance and
@@ -24,7 +21,6 @@
 //
 //	memdep-perf                          # write BENCH_multiscalar.json
 //	memdep-perf -out /tmp/bench.json -baseline BENCH_multiscalar.json
-//	memdep-perf -skip-sweep              # per-op entries only (fast)
 package main
 
 import (
@@ -37,11 +33,10 @@ import (
 	"os"
 	"runtime"
 	"testing"
-	"time"
 
-	"memdep/cmd/internal/storeflag"
 	"memdep/internal/engine"
 	"memdep/internal/fleet"
+	"memdep/internal/memdep"
 	"memdep/internal/multiscalar"
 	"memdep/internal/policy"
 	"memdep/internal/program"
@@ -53,8 +48,7 @@ import (
 	"memdep/sim"
 )
 
-// record is one benchmark result.  Per-op entries fill the per-op fields;
-// sweep timings fill Seconds.
+// record is one benchmark result.
 type record struct {
 	Name          string  `json:"name"`
 	Iterations    int     `json:"iterations,omitempty"`
@@ -62,11 +56,9 @@ type record struct {
 	AllocsPerOp   int64   `json:"allocs_per_op,omitempty"`
 	BytesPerOp    int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerTask float64 `json:"allocs_per_task,omitempty"`
-	Seconds       float64 `json:"seconds,omitempty"`
 }
 
-// report is the file: MaxProcs is the host's GOMAXPROCS, the sweep's
-// largest worker count.
+// report is the file: MaxProcs is the host's GOMAXPROCS.
 type report struct {
 	Go         string   `json:"go"`
 	MaxProcs   int      `json:"maxprocs"`
@@ -90,15 +82,16 @@ type entry struct {
 // recorded.  Allocation counts are deterministic where wall-clock time is
 // not, so each row's allocation gate is the tight, portable signal.
 var ledger = []entry{
-	// The timing core: one uncached simulation (xlisp stand-in, 50k
-	// instructions, 8 stages, ESYNC) per predictor organization -- the
+	// The timing core: one simulation of the preprocessed xlisp stand-in
+	// (50k instructions, 8 stages, ESYNC) per predictor organization -- the
 	// paper's fully associative MDPT, a 4-way set-associative one and store
-	// sets -- whose placement and replacement change which loads wait and
-	// so the cost of the whole run.  The ceiling pins the arena-reuse
-	// floor.
-	{name: "simulate/event", op: simulate(sim.TableFullAssoc), perTask: true, allocTolerance: 0.05, allocCeiling: 150},
-	{name: "simulate/event/setassoc", op: simulate(sim.TableSetAssoc), perTask: true, allocTolerance: 0.05, allocCeiling: 150},
-	{name: "simulate/event/storeset", op: simulate(sim.TableStoreSet), perTask: true, allocTolerance: 0.05, allocCeiling: 150},
+	// sets.  This work item learns 13 dependences, fewer than any of the
+	// tables holds, so the three give equal results and differ only in what
+	// their lookups cost.  The rows share one arena, as the engine's jobs
+	// do.  The ceiling pins the arena-reuse floor.
+	{name: "simulate/event", op: simulate(memdep.TableFullAssoc), perTask: true, allocTolerance: 0.05, allocCeiling: 150},
+	{name: "simulate/event/setassoc", op: simulate(memdep.TableSetAssoc), perTask: true, allocTolerance: 0.05, allocCeiling: 150},
+	{name: "simulate/event/storeset", op: simulate(memdep.TableStoreSet), perTask: true, allocTolerance: 0.05, allocCeiling: 150},
 	// One Preprocess (functional pass plus work-item build) of the 20,000-op
 	// synthetic program the simulate-cold benchmark requests, and of the
 	// xlisp stand-in at 50k instructions.  The ceiling keeps it from sliding
@@ -176,10 +169,8 @@ var ledger = []entry{
 // outside every timer.
 type inputs struct {
 	ctx context.Context
-	// sims holds one prepared simulation per predictor organization, all
-	// over the same xlisp work item, whose task count is tasks.
-	sims      map[sim.TableKind]*sim.Prepared
-	tasks     int
+	// arena runs the simulate rows over xlispItem.
+	arena     *multiscalar.Simulator
 	synth20k  *program.Program
 	xlisp     *program.Program
 	synthItem *multiscalar.WorkItem
@@ -202,13 +193,11 @@ type inputs struct {
 	routeKey string
 }
 
-// newInputs builds the ledger's inputs.  The simulations are prepared on
-// session, whose result cache Execute bypasses, so every timed run
-// simulates from scratch.
-func newInputs(ctx context.Context, session *sim.Session) (*inputs, error) {
+// newInputs builds the ledger's inputs.
+func newInputs(ctx context.Context) (*inputs, error) {
 	in := &inputs{
 		ctx:      ctx,
-		sims:     make(map[sim.TableKind]*sim.Prepared),
+		arena:    multiscalar.NewSimulator(),
 		synth20k: synth.Spec{Ops: 20_000}.Build(1),
 		xlisp:    workload.MustGet("xlisp").Build(1),
 		job: multiscalar.SimulateJob{
@@ -216,7 +205,7 @@ func newInputs(ctx context.Context, session *sim.Session) (*inputs, error) {
 				Program: workload.BuildJob{Name: "xlisp", Scale: 1},
 				Trace:   trace.Config{MaxInstructions: 50_000},
 			},
-			Config: multiscalar.DefaultConfig(8, policy.ESync),
+			Config: simConfig(memdep.TableFullAssoc),
 		},
 		buildGCC: workload.MustGet("126.gcc").Build,
 		registry: fleet.NewRegistry(fleet.RegistryConfig{}),
@@ -227,17 +216,6 @@ func newInputs(ctx context.Context, session *sim.Session) (*inputs, error) {
 			return nil, err
 		}
 	}
-	for _, table := range []sim.TableKind{sim.TableFullAssoc, sim.TableSetAssoc, sim.TableStoreSet} {
-		req := sim.Request{Bench: "xlisp", Scale: 1, MaxInstructions: 50_000, Stages: 8, Policy: sim.PolicyESync}
-		if table != sim.TableFullAssoc {
-			req.Predictor, req.MDPTWays = table, 4
-		}
-		p, err := session.Prepare(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		in.sims[table], in.tasks = p, p.Tasks()
-	}
 	var err error
 	if in.synthItem, err = multiscalar.Preprocess(in.synth20k, trace.Config{}); err != nil {
 		return nil, err
@@ -246,7 +224,7 @@ func newInputs(ctx context.Context, session *sim.Session) (*inputs, error) {
 		return nil, err
 	}
 	in.encoded = multiscalar.AppendWorkItem(nil, in.synthItem)
-	if in.result, err = multiscalar.SimulateContext(ctx, in.xlispItem, in.job.Config); err != nil {
+	if in.result, err = in.arena.Simulate(ctx, in.xlispItem, in.job.Config); err != nil {
 		return nil, err
 	}
 	for _, c := range store.DefaultCodecs() {
@@ -269,10 +247,22 @@ func newInputs(ctx context.Context, session *sim.Session) (*inputs, error) {
 	return in, nil
 }
 
-// simulate returns the operation that executes the simulation of the given
-// predictor organization once.
-func simulate(table sim.TableKind) func(*inputs) error {
-	return func(in *inputs) error { return errOf(in.sims[table].Execute(in.ctx)) }
+// simConfig returns the configuration the simulate rows run: 8 stages,
+// ESYNC and the given predictor organization, 4-way for the set-associative
+// and store-set tables, as sim.Request configures it for those fields.
+func simConfig(table memdep.TableKind) multiscalar.Config {
+	cfg := multiscalar.DefaultConfig(8, policy.ESync)
+	if table != memdep.TableFullAssoc {
+		cfg.MemDep.Table, cfg.MemDep.Ways = table, 4
+	}
+	return cfg
+}
+
+// simulate returns the operation that simulates the xlisp work item once on
+// the shared arena, with the given predictor organization.
+func simulate(table memdep.TableKind) func(*inputs) error {
+	cfg := simConfig(table)
+	return func(in *inputs) error { return errOf(in.arena.Simulate(in.ctx, in.xlispItem, cfg)) }
 }
 
 // errOf drops an operation's result, keeping its error.
@@ -288,8 +278,6 @@ func run(args []string, stderr io.Writer) int {
 	out := fs.String("out", "BENCH_multiscalar.json", "output file")
 	baseline := fs.String("baseline", "", "committed benchmark file to gate the run against (\"\" = record only)")
 	count := fs.Int("count", 3, "benchmark repetitions per entry; the fastest is recorded")
-	skipSweep := fs.Bool("skip-sweep", false, "skip the experiment-suite sweep timings")
-	storeFlags := storeflag.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -305,33 +293,13 @@ func run(args []string, stderr io.Writer) int {
 		}
 	}
 
-	ctx := context.Background()
 	rep := report{Go: runtime.Version(), MaxProcs: runtime.GOMAXPROCS(0)}
-	// A -store directory only speeds the one-time Prepare; the timed runs
-	// stay uncached.
-	perOp, err := measure(ctx, sim.NewSession(storeFlags.Options()...), *count, stderr)
+	recs, err := measure(context.Background(), *count, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	rep.Benchmarks = perOp
-
-	if !*skipSweep {
-		jobCounts := []int{1}
-		if rep.MaxProcs > 1 {
-			jobCounts = append(jobCounts, rep.MaxProcs)
-		}
-		for _, jobs := range jobCounts {
-			secs, err := timeSweep(ctx, jobs, sim.SuiteOptions{Quick: true})
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			name := fmt.Sprintf("sweep/quick/event/jobs=%d", jobs)
-			rep.Benchmarks = append(rep.Benchmarks, record{Name: name, Seconds: secs})
-			fmt.Fprintf(stderr, "[%s: %.2fs]\n", name, secs)
-		}
-	}
+	rep.Benchmarks = recs
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -346,7 +314,7 @@ func run(args []string, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "[wrote %s]\n", *out)
 
 	if base != nil {
-		if err := gate(ledger, perOp, base.Benchmarks, stderr); err != nil {
+		if err := gate(ledger, recs, base.Benchmarks, stderr); err != nil {
 			fmt.Fprintf(stderr, "%v against %s\n", err, *baseline)
 			return 1
 		}
@@ -356,14 +324,14 @@ func run(args []string, stderr io.Writer) int {
 
 // measure times every row of the ledger and returns one record per row, in
 // ledger order.
-func measure(ctx context.Context, session *sim.Session, count int, stderr io.Writer) ([]record, error) {
+func measure(ctx context.Context, count int, stderr io.Writer) ([]record, error) {
 	// The baseline is recorded at GOMAXPROCS 1, and so is every run: with a
 	// second P the collector and the scheduler work beside the timed loop,
 	// and ns/op follows the host's load.  Over 12 runs each on a 2-vCPU
 	// container, the codec's encode read 1.08-1.72x its baseline at the
 	// default GOMAXPROCS and 1.03-1.54x at 1, with the same allocations.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	in, err := newInputs(ctx, session)
+	in, err := newInputs(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -382,7 +350,7 @@ func measure(ctx context.Context, session *sim.Session, count int, stderr io.Wri
 			BytesPerOp:  res.AllocedBytesPerOp(),
 		}
 		if row.perTask {
-			rec.AllocsPerTask = float64(rec.AllocsPerOp) / float64(in.tasks)
+			rec.AllocsPerTask = float64(rec.AllocsPerOp) / float64(in.xlispItem.Tasks())
 		}
 		recs = append(recs, rec)
 		fmt.Fprintf(stderr, "[%s: %d ns/op, %d allocs/op, %d B/op]\n",
@@ -413,21 +381,6 @@ func fastest(count int, f func() error) (testing.BenchmarkResult, error) {
 	return res, ferr
 }
 
-// timeSweep runs every registered experiment once, side by side, on a fresh
-// session (cold cache) and returns the wall-clock seconds.
-func timeSweep(ctx context.Context, jobs int, opts sim.SuiteOptions) (float64, error) {
-	session := sim.NewSession(sim.WithWorkers(jobs))
-	var ids []string
-	for _, e := range sim.Experiments() {
-		ids = append(ids, e.ID)
-	}
-	start := time.Now()
-	if err := session.RunExperiments(ctx, ids, opts, func(sim.Experiment, *sim.Table) {}); err != nil {
-		return 0, err
-	}
-	return time.Since(start).Seconds(), nil
-}
-
 // load reads and decodes one benchmark file.
 func load(path string) (*report, error) {
 	data, err := os.ReadFile(path)
@@ -449,9 +402,9 @@ const timeTolerance = 1.5
 
 // gate holds each row's run record (run[i] measures rows[i]) to its
 // baseline record, writes one verdict line per entry to w, and returns an
-// error when a check fails or when no row has a baseline record.  A per-op
+// error when a check fails or when no row has a baseline record.  A
 // baseline record that no row names fails too: the ledger stopped running
-// it.  Sweep records (Seconds only) are not gated.
+// it.
 func gate(rows []entry, run, base []record, w io.Writer) error {
 	failures := 0
 	fail := func(format string, args ...any) {
@@ -488,7 +441,7 @@ func gate(rows []entry, run, base []record, w io.Writer) error {
 		}
 	}
 	for _, b := range base {
-		if _, left := unmatched[b.Name]; left && b.Seconds == 0 {
+		if _, left := unmatched[b.Name]; left {
 			fail("%s: present in baseline, missing from the run", b.Name)
 		}
 	}

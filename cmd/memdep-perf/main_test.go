@@ -2,18 +2,24 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"memdep/internal/memdep"
+	"memdep/sim"
 )
 
 // TestReportStructure runs every ledger entry once and checks the JSON
 // trajectory holds a complete record for each row.  The shape, not the
-// timing, is under test, so the sweep is skipped, -count is 1 and
-// test.benchtime is 1x for the test's duration: testing.Benchmark honours
-// that flag, so every entry runs a single iteration.
+// timing, is under test, so -count is 1 and test.benchtime is 1x for the
+// test's duration: testing.Benchmark honours that flag, so every entry runs
+// a single iteration.
 func TestReportStructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark runs are slow; skipped in -short mode")
@@ -25,7 +31,7 @@ func TestReportStructure(t *testing.T) {
 	t.Cleanup(func() { flag.Set("test.benchtime", benchtime) })
 	path := filepath.Join(t.TempDir(), "bench.json")
 	var stderr bytes.Buffer
-	if code := run([]string{"-out", path, "-skip-sweep", "-count", "1"}, &stderr); code != 0 {
+	if code := run([]string{"-out", path, "-count", "1"}, &stderr); code != 0 {
 		t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
 	}
 	rep, err := load(path)
@@ -49,9 +55,62 @@ func TestReportStructure(t *testing.T) {
 	}
 }
 
+// TestSimulateRowsMatchTheService holds the simulate/event* rows to what a
+// served request computes.  Each row's configuration is the one the service
+// echoes for the same request, and, run on the rows' one arena in ledger
+// order and then again, it gives the cycles, misspeculations and prediction
+// breakdown that sim.Session.Run answers.  (On this work item the three
+// organizations give equal results, so only the echo tells them apart.)
+func TestSimulateRowsMatchTheService(t *testing.T) {
+	ctx := context.Background()
+	in, err := newInputs(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer os.RemoveAll(in.storeDir)
+	const base = `{"bench":"xlisp","scale":1,"max_instructions":50000,"stages":8,"policy":"ESYNC"`
+	tables := []struct {
+		row   string
+		table memdep.TableKind
+		req   string
+	}{
+		{"simulate/event", memdep.TableFullAssoc, base + `}`},
+		{"simulate/event/setassoc", memdep.TableSetAssoc, base + `,"predictor":"setassoc","mdpt_ways":4}`},
+		{"simulate/event/storeset", memdep.TableStoreSet, base + `,"predictor":"storeset","mdpt_ways":4}`},
+	}
+	session := sim.NewSession()
+	for pass := range 2 {
+		for _, tc := range tables {
+			var req sim.Request
+			if err := json.Unmarshal([]byte(tc.req), &req); err != nil {
+				t.Fatal(err)
+			}
+			want, err := session.Run(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := simConfig(tc.table)
+			md := cfg.MemDep.Effective()
+			r := want.Request
+			if row, served := fmt.Sprintf("%d %v %v/%dx%d", cfg.Stages, cfg.Policy, md.Table, md.Entries, md.Ways),
+				fmt.Sprintf("%d %v %v/%dx%d", r.Stages, r.Policy, r.Predictor, r.MDPTEntries, r.MDPTWays); row != served {
+				t.Errorf("%s runs %s, the service %s", tc.row, row, served)
+			}
+			got, err := in.arena.Simulate(ctx, in.xlispItem, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Cycles != want.Cycles || got.Misspeculations != want.Misspeculations || got.Breakdown != want.Breakdown {
+				t.Errorf("pass %d, %s: cycles %d, misspeculations %d, breakdown %+v; the service answers %d, %d, %+v",
+					pass, tc.row, got.Cycles, got.Misspeculations, got.Breakdown, want.Cycles, want.Misspeculations, want.Breakdown)
+			}
+		}
+	}
+}
+
 // TestCommittedBaselineCoversLedger holds the committed trajectory to its
-// own gate: every row has a baseline record, every per-op baseline record
-// has a row, and every recorded allocs/op is within its row's ceiling.
+// own gate: every row has a baseline record, every baseline record has a
+// row, and every recorded allocs/op is within its row's ceiling.
 func TestCommittedBaselineCoversLedger(t *testing.T) {
 	base, err := load(filepath.Join("..", "..", "BENCH_multiscalar.json"))
 	if err != nil {
@@ -72,7 +131,7 @@ func TestCommittedBaselineCoversLedger(t *testing.T) {
 }
 
 // The gate tests run a two-row ledger against a baseline of its two
-// records and a sweep timing.
+// records.
 var (
 	testRows = []entry{
 		{name: "fast", allocTolerance: 0.05, allocCeiling: 150},
@@ -81,14 +140,13 @@ var (
 	testBase = []record{
 		{Name: "fast", NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: 64},
 		{Name: "lean", NsPerOp: 800, AllocsPerOp: 100, BytesPerOp: 64},
-		{Name: "sweep/jobs=1", Seconds: 1.5},
 	}
 )
 
 // testRun returns a run that repeats the baseline's records, with edit
 // applied to each.
 func testRun(edit func(*record)) []record {
-	run := append([]record(nil), testBase[:2]...)
+	run := append([]record(nil), testBase...)
 	for i := range run {
 		edit(&run[i])
 	}
@@ -217,17 +275,16 @@ func TestZeroMetricFails(t *testing.T) {
 }
 
 func TestZeroGatedEntriesFails(t *testing.T) {
-	// An empty gate is a broken gate, not a green one: a baseline with no
-	// per-op record, or an empty ledger, must fail instead of passing.
-	sweepOnly := testBase[2:]
-	out, err := runGate(testRows, testRun(func(*record) {}), sweepOnly)
+	// An empty gate is a broken gate, not a green one: an empty baseline,
+	// or an empty ledger, must fail instead of passing.
+	out, err := runGate(testRows, testRun(func(*record) {}), nil)
 	if err == nil || !strings.Contains(err.Error(), "vacuously pass") {
 		t.Fatalf("err = %v, want a vacuous-gate failure\n%s", err, out)
 	}
 	if strings.Contains(out, "ok (") {
 		t.Errorf("an empty gate must not report ok:\n%s", out)
 	}
-	if out, err := runGate(nil, nil, testBase[2:]); err == nil {
+	if out, err := runGate(nil, nil, nil); err == nil {
 		t.Fatalf("an empty ledger passed:\n%s", out)
 	}
 }

@@ -40,7 +40,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxInstr = fs.Uint64("max-instructions", 0, "cap committed instructions (0 = unlimited)")
 		ws       = fs.Int("window", 64, "window size for -mode deps")
 		top      = fs.Int("top", 10, "number of hottest dependences to print for -mode deps")
-		jobs     = fs.Int("jobs", 0, "session worker-pool size (0 = GOMAXPROCS)")
 	)
 	synth := synthflag.Register(fs)
 	storeFlags := storeflag.Register(fs)
@@ -59,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// All inspection modes resolve their inputs through one session: the
 	// tasks and deps modes read the workload's preprocessed work item, and
 	// with -store a shell loop over modes shares it through the store.
-	session := sim.NewSession(append([]sim.Option{sim.WithWorkers(*jobs)}, storeFlags.Options()...)...)
+	session := sim.NewSession(storeFlags.Options()...)
 	ctx := context.Background()
 	treq := sim.TraceRequest{Bench: benchName, Synth: synthSpec, Scale: *scale, MaxInstructions: *maxInstr}
 

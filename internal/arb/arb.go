@@ -68,6 +68,10 @@ func (e *entry) find(taskID uint64) *taskRecord {
 	return nil
 }
 
+// blockSize is the bank interleaving granularity in bytes, the data cache's
+// block size.
+const blockSize = 64
+
 // Config describes the ARB geometry.
 type Config struct {
 	// Banks is the number of ARB banks (the paper uses twice the number of
@@ -75,8 +79,6 @@ type Config struct {
 	Banks int
 	// EntriesPerBank is the number of addresses each bank can track (32).
 	EntriesPerBank int
-	// BlockSize is the interleaving granularity in bytes (64).
-	BlockSize int
 }
 
 // DefaultConfig returns the paper's ARB configuration for the given number of
@@ -85,7 +87,7 @@ func DefaultConfig(units int) Config {
 	if units < 1 {
 		units = 1
 	}
-	return Config{Banks: 2 * units, EntriesPerBank: 32, BlockSize: 64}
+	return Config{Banks: 2 * units, EntriesPerBank: 32}
 }
 
 func (c Config) withDefaults() Config {
@@ -94,9 +96,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EntriesPerBank <= 0 {
 		c.EntriesPerBank = 32
-	}
-	if c.BlockSize <= 0 {
-		c.BlockSize = 64
 	}
 	return c
 }
@@ -145,7 +144,7 @@ func New(cfg Config) *ARB {
 }
 
 func (a *ARB) bankOf(addr uint64) int {
-	return int((addr / uint64(a.cfg.BlockSize)) % uint64(a.cfg.Banks))
+	return int((addr / blockSize) % uint64(a.cfg.Banks))
 }
 
 // lookup finds or allocates the entry for address id.  It returns nil when

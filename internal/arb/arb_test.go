@@ -19,7 +19,7 @@ func newARB(cfg Config) *ARB {
 }
 
 func newTestARB() *ARB {
-	return newARB(Config{Banks: 2, EntriesPerBank: 8, BlockSize: 64})
+	return newARB(Config{Banks: 2, EntriesPerBank: 8})
 }
 
 // load and store access a test address under its id.
@@ -31,7 +31,7 @@ func store(a *ARB, addr, taskID uint64) (Violation, bool, bool) {
 
 func TestDefaultConfig(t *testing.T) {
 	c := DefaultConfig(4)
-	if c.Banks != 8 || c.EntriesPerBank != 32 || c.BlockSize != 64 {
+	if c.Banks != 8 || c.EntriesPerBank != 32 {
 		t.Errorf("config = %+v", c)
 	}
 	if DefaultConfig(0).Banks != 2 {
@@ -149,7 +149,7 @@ func TestSquashTaskClearsState(t *testing.T) {
 }
 
 func TestBankCapacityStalls(t *testing.T) {
-	a := newARB(Config{Banks: 1, EntriesPerBank: 2, BlockSize: 64})
+	a := newARB(Config{Banks: 1, EntriesPerBank: 2})
 	if ok := load(a, 0x000, 1, 0x10); !ok {
 		t.Fatal("first entry must fit")
 	}
@@ -170,7 +170,7 @@ func TestBankCapacityStalls(t *testing.T) {
 }
 
 func TestExistingAddressDoesNotStallWhenFull(t *testing.T) {
-	a := newARB(Config{Banks: 1, EntriesPerBank: 1, BlockSize: 64})
+	a := newARB(Config{Banks: 1, EntriesPerBank: 1})
 	load(a, 0x000, 1, 0x10)
 	// The same address is already tracked: accesses to it must not be refused even
 	// though the bank has no free entries.
@@ -206,7 +206,7 @@ func TestARBMatchesOracleTwoTasks(t *testing.T) {
 		Store bool
 	}
 	f := func(ops []op) bool {
-		a := newARB(Config{Banks: 1, EntriesPerBank: 8, BlockSize: 64})
+		a := newARB(Config{Banks: 1, EntriesPerBank: 8})
 		const addr = 0x40
 		youngerExposedLoad := false
 		youngerStored := false
@@ -264,7 +264,7 @@ func youngerStoredBeforeLoad(stored, exposed bool) bool {
 // Property: entries never exceed banks*entriesPerBank.
 func TestARBCapacityInvariant(t *testing.T) {
 	f := func(addrs []uint8, tasks []uint8) bool {
-		a := newARB(Config{Banks: 2, EntriesPerBank: 4, BlockSize: 64})
+		a := newARB(Config{Banks: 2, EntriesPerBank: 4})
 		for i, ad := range addrs {
 			task := uint64(1)
 			if i < len(tasks) {

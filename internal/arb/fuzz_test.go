@@ -78,7 +78,7 @@ func FuzzARBAgainstReference(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		cfg := Config{Banks: 1 + int(data[0]&1), EntriesPerBank: 1 + int(data[0]>>1&3), BlockSize: 64}
+		cfg := Config{Banks: 1 + int(data[0]&1), EntriesPerBank: 1 + int(data[0]>>1&3)}
 		a, ref := New(cfg), newRefARB(cfg)
 		a.Reset(len(fuzzAddrs), fuzzTasks)
 		for i := 1; i+1 < len(data); i += 2 {

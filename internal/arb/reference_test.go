@@ -62,7 +62,7 @@ func newRefARB(cfg Config) *refARB {
 }
 
 func (a *refARB) bankOf(addr uint64) int {
-	return int((addr / uint64(a.cfg.BlockSize)) % uint64(len(a.banks)))
+	return int((addr / blockSize) % uint64(len(a.banks)))
 }
 
 // lookup finds or allocates the entry for addr.  It returns nil when the bank

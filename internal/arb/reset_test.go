@@ -43,7 +43,7 @@ func TestResetEquivalence(t *testing.T) {
 		return append(digest, tracked(a), a.Stats())
 	}
 
-	cfg := Config{Banks: 2, EntriesPerBank: 8, BlockSize: 64}
+	cfg := Config{Banks: 2, EntriesPerBank: 8}
 	reused := newARB(cfg)
 	drive(reused)
 	reused.Reset(testAddrs, testTasks)

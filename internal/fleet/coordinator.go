@@ -149,8 +149,7 @@ func (c *Coordinator) Close() {
 	<-c.done
 }
 
-// Registry exposes the worker registry (the server's worker role and tests
-// reach membership through it).
+// Registry exposes the worker registry; tests reach membership through it.
 func (c *Coordinator) Registry() *Registry { return c.reg }
 
 // Stats snapshots the coordinator's routing and admission counters.

@@ -6,11 +6,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"memdep/sim"
 )
@@ -373,6 +375,143 @@ func TestRemoteBackendFaults(t *testing.T) {
 				t.Errorf("%s: %d errors, %d reroutes, %d healthy; want the 500s reported, not rerouted",
 					name, len(errs), st.Rerouted, c.Registry().Healthy())
 			}
+		}
+	}
+}
+
+// stallWorker is a worker whose /v1/simulate sends its 200 headers and part
+// of the body, then stalls until the request is cancelled.  Each request it
+// sees cancelled sends once on the returned channel, which is sized for
+// every request one test sends it.
+func stallWorker(t *testing.T) (*httptest.Server, <-chan struct{}) {
+	t.Helper()
+	cancelled := make(chan struct{}, 16)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Once the body is read, the server watches the connection and
+		// cancels the request's context when the client hangs up.
+		io.Copy(io.Discard, r.Body) //nolint:errcheck // only the reading matters
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", "4096")
+		w.WriteHeader(http.StatusOK)
+		io.WriteString(w, `{"cycles": 12`)    //nolint:errcheck // a failed write only ends the stall sooner
+		http.NewResponseController(w).Flush() //nolint:errcheck
+		select {
+		case <-r.Context().Done():
+			cancelled <- struct{}{}
+		case <-time.After(10 * time.Second):
+		}
+	}))
+	t.Cleanup(srv.Close)
+	return srv, cancelled
+}
+
+// sendBy serves one request on h under a client deadline d from now.
+func sendBy(h http.Handler, d time.Duration, path, body, accept string) *httptest.ResponseRecorder {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)).WithContext(ctx)
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// TestLateWorkerIsRelayed checks that a worker answering late is waited
+// for: its reply is relayed byte for byte, and the worker is neither
+// demoted nor routed around.
+func TestLateWorkerIsRelayed(t *testing.T) {
+	const delay = 300 * time.Millisecond
+	doc := []byte(`{"worker": "late", "cycles": 12}` + "\n")
+	late := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(delay)
+		writeDoc(w, http.StatusOK, "application/json", doc)
+	}))
+	t.Cleanup(late.Close)
+	c := routedFleet(t, map[string]string{"late": late.URL})
+	start := time.Now()
+	rec := send(c.Handler(), "POST", "/v1/simulate", `{"bench":"compress"}`, "")
+	if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), doc) {
+		t.Errorf("late reply: %d %q, want 200 %q", rec.Code, rec.Body, doc)
+	}
+	if waited := time.Since(start); waited < delay {
+		t.Errorf("answered after %v, before the worker did (%v)", waited, delay)
+	}
+	if st := c.Stats(); st.Rerouted != 0 || st.Healthy != 1 {
+		t.Errorf("stats = %+v, want no reroute and the worker healthy", st)
+	}
+}
+
+// TestStalledWorkerEndsAtDeadline checks a worker that stalls mid-body: the
+// routed /v1/simulate ends in a structured 503 when the client's deadline
+// passes, the worker stays healthy and is not routed around, and its
+// request is cancelled, so no upstream request outlives the client's.
+func TestStalledWorkerEndsAtDeadline(t *testing.T) {
+	stall, cancelled := stallWorker(t)
+	c := routedFleet(t, map[string]string{"stall": stall.URL})
+	rec := sendBy(c.Handler(), 200*time.Millisecond, "/v1/simulate", `{"bench":"compress"}`, "")
+	var resp ErrorResponse
+	if rec.Code != http.StatusServiceUnavailable || json.Unmarshal(rec.Body.Bytes(), &resp) != nil ||
+		resp.Error != context.DeadlineExceeded.Error() {
+		t.Errorf("stalled reply: %d %s, want a 503 naming the deadline", rec.Code, rec.Body)
+	}
+	if st := c.Stats(); st.Rerouted != 0 || st.Healthy != 1 {
+		t.Errorf("stats = %+v, want no reroute and the worker healthy", st)
+	}
+	select {
+	case <-cancelled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the worker's request outlived the client's deadline")
+	}
+}
+
+// TestStreamedGridSurvivesStalledCell checks a streamed grid whose cells
+// route partly to a stalled worker: every cell still gets one line, the
+// stalled ones an error naming the deadline and the others their results,
+// then the summary.  Neither worker is demoted or routed around, and every
+// stalled request is cancelled.
+func TestStreamedGridSurvivesStalledCell(t *testing.T) {
+	const cells = 8
+	stall, cancelled := stallWorker(t)
+	c := routedFleet(t, map[string]string{"good": echoWorker(t, "good").URL, "stall": stall.URL})
+	var bodies []string
+	stalled := map[int]bool{}
+	for i := range cells {
+		req := sim.Request{Bench: "compress", Scale: i + 1}
+		bodies = append(bodies, req.CanonicalJSON())
+		w, err := c.Registry().Route(req.CanonicalJSON(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.Name == "stall" {
+			stalled[i] = true
+		}
+	}
+	if len(stalled) == 0 || len(stalled) == cells {
+		t.Fatalf("%d of %d cells route to the stalled worker; the test needs some on each", len(stalled), cells)
+	}
+	rec := sendBy(c.Handler(), time.Second, "/v1/grid", `{"requests":[`+strings.Join(bodies, ",")+`]}`, NDJSONContentType)
+	lines, summary := decodeStream(t, rec.Body)
+	if len(lines) != cells || summary.Cells != cells || summary.Errors != len(stalled) || summary.OK != cells-len(stalled) {
+		t.Errorf("%d lines, summary %+v; want %d lines, %d of them errors", len(lines), summary, cells, len(stalled))
+	}
+	for _, cell := range lines {
+		switch {
+		case stalled[cell.Index] && (cell.Error != context.DeadlineExceeded.Error() || cell.Result != nil):
+			t.Errorf("stalled cell %d: error %q, result %s; want an error naming the deadline", cell.Index, cell.Error, cell.Result)
+		case !stalled[cell.Index] && (cell.Error != "" || !bytes.Contains(cell.Result, []byte(`"worker":"good"`))):
+			t.Errorf("cell %d: error %q, result %s; want the good worker's result", cell.Index, cell.Error, cell.Result)
+		}
+	}
+	if st := c.Stats(); st.Rerouted != 0 || st.Healthy != 2 {
+		t.Errorf("stats = %+v, want no reroute and both workers healthy", st)
+	}
+	for range stalled {
+		select {
+		case <-cancelled:
+		case <-time.After(5 * time.Second):
+			t.Fatal("a stalled cell's request outlived the client's deadline")
 		}
 	}
 }

@@ -114,8 +114,9 @@ type Config struct {
 	// DDCSizes optionally requests that the stream of mis-speculated static
 	// pairs be fed into data dependence caches of these sizes (Table 7).
 	DDCSizes []int
-	// MaxCycles bounds the simulation as a safety net (default 200M).
-	MaxCycles int64
+	// maxCycles bounds the simulation as a safety net (default 200M).  Only
+	// this package's tests lower it.
+	maxCycles int64
 }
 
 // DefaultConfig returns the configuration of the paper for the given number
@@ -130,8 +131,8 @@ func (c Config) withDefaults() Config {
 	if c.Stages <= 0 {
 		c.Stages = DefaultStages
 	}
-	if c.MaxCycles <= 0 {
-		c.MaxCycles = defaultMaxCycles
+	if c.maxCycles <= 0 {
+		c.maxCycles = defaultMaxCycles
 	}
 	md := c.MemDep
 	md.SyncSlots = c.Stages

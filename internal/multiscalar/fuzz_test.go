@@ -54,7 +54,7 @@ func FuzzDecodeWorkItem(f *testing.F) {
 		f.Add(seed)
 	}
 	cfg := DefaultConfig(4, policy.ESync)
-	cfg.MaxCycles = 1 << 12
+	cfg.maxCycles = 1 << 12
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w, err := DecodeWorkItem(data)
 		if err != nil {

@@ -81,7 +81,7 @@ func (SimulateJob) JobKind() string { return SimulateKind }
 //	%s|stages=%d,policy=%v,mdpt=%v/%dx%d,bits=%d,pred=%v,addrtag=%t,ddc=%v,max=%d
 //
 // of the item's key, Stages, Policy, Table, Entries, Ways, CounterBits,
-// Predictor, TagByAddress, DDCSizes and MaxCycles.
+// Predictor, TagByAddress, DDCSizes and maxCycles.
 func (j SimulateJob) CacheKey() string {
 	c := j.Config.withDefaults()
 	md := c.MemDep
@@ -111,7 +111,7 @@ func (j SimulateJob) CacheKey() string {
 		b = strconv.AppendInt(b, int64(n), 10)
 	}
 	b = append(b, "],max="...)
-	b = strconv.AppendInt(b, c.MaxCycles, 10)
+	b = strconv.AppendInt(b, c.maxCycles, 10)
 	return string(b)
 }
 

@@ -113,12 +113,12 @@ func TestCacheKeysMatchFormulas(t *testing.T) {
 							TagByAddress: i%2 == 1,
 						}
 						cfg.DDCSizes = ddcs[i%len(ddcs)]
-						cfg.MaxCycles = maxCycles[i%len(maxCycles)]
+						cfg.maxCycles = maxCycles[i%len(maxCycles)]
 						c := cfg.withDefaults()
 						md := c.MemDep
 						want := fmt.Sprintf("%s\x00%s|stages=%d,policy=%v,mdpt=%v/%dx%d,bits=%d,pred=%v,addrtag=%t,ddc=%v,max=%d",
 							SimulateKind, itemKey, c.Stages, c.Policy, md.Table, md.Entries, md.Ways,
-							md.CounterBits, md.Predictor, md.TagByAddress, c.DDCSizes, c.MaxCycles)
+							md.CounterBits, md.Predictor, md.TagByAddress, c.DDCSizes, c.maxCycles)
 						if got := engine.Key(SimulateJob{Item: item, Config: cfg}); got != want {
 							t.Fatalf("simulate key\n got %q\nwant %q", got, want)
 						}
@@ -160,7 +160,7 @@ var keyPerturb = map[string]func(*Config){
 	"MemDep.CounterBits":  func(c *Config) { c.MemDep.CounterBits = 4 },
 	"MemDep.TagByAddress": func(c *Config) { c.MemDep.TagByAddress = true },
 	"DDCSizes":            func(c *Config) { c.DDCSizes = []int{8} },
-	"MaxCycles":           func(c *Config) { c.MaxCycles = 1_000 },
+	"maxCycles":           func(c *Config) { c.maxCycles = 1_000 },
 }
 
 func keyBase() Config {

@@ -102,7 +102,7 @@ func TestPreprocessFindsCrossTaskProducers(t *testing.T) {
 
 func TestConfigDefaultsAndValidate(t *testing.T) {
 	cfg := DefaultConfig(8, policy.Sync)
-	if cfg.Stages != 8 || cfg.MaxCycles != defaultMaxCycles || cfg.MemDep.Entries != 64 {
+	if cfg.Stages != 8 || cfg.maxCycles != defaultMaxCycles || cfg.MemDep.Entries != 64 {
 		t.Errorf("config = %+v", cfg)
 	}
 	if got := (Config{}).withDefaults().Stages; got != DefaultStages {
@@ -541,7 +541,7 @@ func TestARBBypassesSurfaced(t *testing.T) {
 	w := prep(t, buildRecurrence(20), 0)
 	sm := NewSimulator()
 	sm.reset(context.Background(), w, DefaultConfig(4, policy.Always))
-	sm.s.arb = arb.New(arb.Config{Banks: 1, EntriesPerBank: 1, BlockSize: 64})
+	sm.s.arb = arb.New(arb.Config{Banks: 1, EntriesPerBank: 1})
 	sm.s.arb.Reset(w.addrs, w.Tasks())
 	if err := sm.s.run(); err != nil {
 		t.Fatal(err)
@@ -640,7 +640,7 @@ func TestStagesAffectThroughput(t *testing.T) {
 func TestSimulateErrorOnCycleLimit(t *testing.T) {
 	w := prep(t, buildRecurrence(50), 0)
 	cfg := DefaultConfig(4, policy.Always)
-	cfg.MaxCycles = 10
+	cfg.maxCycles = 10
 	if _, err := SimulateContext(context.Background(), w, cfg); err == nil {
 		t.Error("expected an error when the cycle limit is exceeded")
 	}

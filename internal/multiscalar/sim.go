@@ -233,9 +233,9 @@ func (s *sim) run() error {
 	stepped := s.cfg.Core == coreStepped
 	var passes uint
 	for s.head < len(s.tasks) {
-		if s.cycle > s.cfg.MaxCycles {
+		if s.cycle > s.cfg.maxCycles {
 			return fmt.Errorf("multiscalar: %q exceeded the cycle limit of %d under %v",
-				s.w.Name, s.cfg.MaxCycles, s.cfg.Policy)
+				s.w.Name, s.cfg.maxCycles, s.cfg.Policy)
 		}
 		if passes++; passes&0x1fff == 0 {
 			if err := s.ctx.Err(); err != nil {

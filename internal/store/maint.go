@@ -29,8 +29,9 @@ type ObjectInfo struct {
 // lexical order (os.ReadDir sorts by name), skipping in-flight temp files
 // and directories.  A directory inside a kind holds nothing Load reads, such
 // as the two-hex-digit shards an earlier, sharded layout wrote, so its
-// objects are neither counted, checked nor collected.  A missing objects
-// tree is an empty store, not an error.
+// objects are neither counted, checked nor collected.  Nor is a file beside
+// the kind directories, such as a README or the .DS_Store a file browser
+// leaves.  A missing objects tree is an empty store, not an error.
 func walkObjects(dir string, fn func(ObjectInfo) error) error {
 	root := filepath.Join(dir, "objects")
 	kinds, err := os.ReadDir(root)
@@ -41,6 +42,9 @@ func walkObjects(dir string, fn func(ObjectInfo) error) error {
 		return err
 	}
 	for _, kind := range kinds {
+		if !kind.IsDir() {
+			continue
+		}
 		kindDir := filepath.Join(root, kind.Name())
 		ents, err := os.ReadDir(kindDir)
 		if err != nil {

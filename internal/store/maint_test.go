@@ -270,3 +270,31 @@ func TestShardedLayoutIsIgnored(t *testing.T) {
 		t.Fatalf("the sharded object was removed: %v", err)
 	}
 }
+
+// TestStrayFileBesideKinds pins the walk's kind level: a regular file
+// directly under objects/ is not a kind, so Usage, GC and Verify succeed
+// and count only the real objects.
+func TestStrayFileBesideKinds(t *testing.T) {
+	s := openTest(t)
+	paths := fill(t, s, 3)
+	stray := filepath.Join(s.Dir(), "objects", "README")
+	if err := os.WriteFile(stray, []byte("results of memdep runs"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if u, err := Usage(s.Dir()); err != nil || u.Objects != 3 {
+		t.Fatalf("usage = %+v, %v; want the 3 objects", u, err)
+	}
+	if res, err := Verify(s.Dir(), true); err != nil || res.Checked != 3 || len(res.Bad) != 0 {
+		t.Fatalf("verify = %+v, %v; want the 3 objects checked and intact", res, err)
+	}
+	// A budget of two objects evicts the oldest object, not the stray file.
+	if res, err := GC(s.Dir(), 2*(headerLen+10)); err != nil || res.Kept != 2 || res.Evicted != 1 {
+		t.Fatalf("gc = %+v, %v; want 2 kept and 1 evicted", res, err)
+	}
+	if _, err := os.Stat(paths[0]); !os.IsNotExist(err) {
+		t.Fatalf("the oldest object survived the GC: %v", err)
+	}
+	if _, err := os.Stat(stray); err != nil {
+		t.Fatalf("the stray file was removed: %v", err)
+	}
+}

@@ -109,9 +109,8 @@ func (r *Result) SpeedupOver(base *Result) float64 {
 	return 100 * (float64(base.Cycles)/float64(r.Cycles) - 1)
 }
 
-// newResult converts an internal simulation result into the public shape.
-// prog annotates the mis-speculated pairs; it may be nil (uncached
-// benchmarking runs skip the annotation).
+// newResult converts an internal simulation result into the public shape;
+// prog, the simulated program, annotates the mis-speculated pairs.
 func newResult(req Request, res multiscalar.Result, prog *program.Program) *Result {
 	out := &Result{
 		Request: req,
@@ -149,7 +148,7 @@ func newResult(req Request, res multiscalar.Result, prog *program.Program) *Resu
 }
 
 // annotatePairs flattens a pair→count map into the public, deterministically
-// ordered and (when prog is available) disassembly-annotated form.
+// ordered and disassembly-annotated form.
 func annotatePairs(counts map[memdep.PairKey]uint64, prog *program.Program) []PairCount {
 	if len(counts) == 0 {
 		return nil
@@ -157,12 +156,10 @@ func annotatePairs(counts map[memdep.PairKey]uint64, prog *program.Program) []Pa
 	out := make([]PairCount, 0, len(counts))
 	for _, pc := range memdep.SortedPairCounts(counts) {
 		p := PairCount{StorePC: pc.Pair.StorePC, LoadPC: pc.Pair.LoadPC, Count: pc.N}
-		if prog != nil {
-			p.StoreIndex = prog.Index(pc.Pair.StorePC)
-			p.LoadIndex = prog.Index(pc.Pair.LoadPC)
-			p.Store = fmt.Sprint(prog.Code[p.StoreIndex])
-			p.Load = fmt.Sprint(prog.Code[p.LoadIndex])
-		}
+		p.StoreIndex = prog.Index(pc.Pair.StorePC)
+		p.LoadIndex = prog.Index(pc.Pair.LoadPC)
+		p.Store = fmt.Sprint(prog.Code[p.StoreIndex])
+		p.Load = fmt.Sprint(prog.Code[p.LoadIndex])
 		out = append(out, p)
 	}
 	return out

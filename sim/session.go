@@ -19,7 +19,6 @@ import (
 // HTTP service serves all requests from one.
 type Session struct {
 	eng      *engine.Engine
-	defaults Request
 	storeDir string
 	store    *store.Store
 }
@@ -33,13 +32,6 @@ type Option func(*Session)
 // at every size.
 func WithWorkers(n int) Option {
 	return func(s *Session) { s.eng = experiments.NewEngine(n) }
-}
-
-// WithDefaults overlays the non-zero fields of req onto every request the
-// session runs, before the package defaults apply.  Use it to pin a session
-// to, say, a four-stage or a bounded-instruction configuration.
-func WithDefaults(req Request) Option {
-	return func(s *Session) { s.defaults = req }
 }
 
 // WithStore layers a persistent, content-addressed result store rooted at
@@ -125,36 +117,6 @@ func (s *Session) Stats() Stats {
 	return st
 }
 
-// overlay fills the zero fields of req from the session defaults.
-func (s *Session) overlay(req Request) Request {
-	d := s.defaults
-	if req.Stages == 0 {
-		req.Stages = d.Stages
-	}
-	if req.Policy == "" {
-		req.Policy = d.Policy
-	}
-	if req.Scale == 0 {
-		req.Scale = d.Scale
-	}
-	if req.MaxInstructions == 0 {
-		req.MaxInstructions = d.MaxInstructions
-	}
-	if req.MDPTEntries == 0 {
-		req.MDPTEntries = d.MDPTEntries
-	}
-	if req.Predictor == "" {
-		req.Predictor = d.Predictor
-	}
-	if req.MDPTWays == 0 {
-		req.MDPTWays = d.MDPTWays
-	}
-	if req.DDCSizes == nil {
-		req.DDCSizes = d.DDCSizes
-	}
-	return req
-}
-
 // Run executes one simulation request (memoized: repeating a request is
 // served from the session cache) and returns the result with its
 // mis-speculated pairs annotated.
@@ -196,7 +158,6 @@ func (s *Session) RunGrid(ctx context.Context, reqs []Request) ([]*Result, error
 	plan := make([]planned, len(reqs))
 	b := s.eng.NewBatch()
 	for i, req := range reqs {
-		req = s.overlay(req)
 		if err := req.Validate(); err != nil {
 			if len(reqs) > 1 {
 				return nil, fmt.Errorf("request %d: %w", i, err)
@@ -240,55 +201,6 @@ func (s *Session) RunGrid(ctx context.Context, reqs []Request) ([]*Result, error
 		results[i] = newResult(p.req, engine.Get[multiscalar.Result](b, p.ref), progs[p.key])
 	}
 	return results, nil
-}
-
-// Prepared is a preprocessed simulation that Execute runs from scratch on
-// every call, bypassing the session cache.  It exists for benchmarking
-// (cmd/memdep-perf times repeated executions); ordinary clients should use
-// Run, which is memoized.
-//
-// A Prepared owns a private simulator arena that Execute reuses from call to
-// call, so repeated executions measure simulation cost, not allocator
-// traffic.  Execute is therefore NOT safe for concurrent use; prepare one
-// per goroutine.
-type Prepared struct {
-	req  Request
-	item *multiscalar.WorkItem
-	cfg  multiscalar.Config
-	sim  *multiscalar.Simulator
-}
-
-// Prepare validates the request and resolves its work item through the
-// session cache.
-func (s *Session) Prepare(ctx context.Context, req Request) (*Prepared, error) {
-	req = s.overlay(req)
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	req = req.Normalize()
-	cfg, err := req.config()
-	if err != nil {
-		return nil, err
-	}
-	item, err := engine.Resolve[*multiscalar.WorkItem](ctx, s.eng, itemJob(req.Workload().buildJob(req.Scale), req.MaxInstructions))
-	if err != nil {
-		return nil, err
-	}
-	return &Prepared{req: req, item: item, cfg: cfg, sim: multiscalar.NewSimulator()}, nil
-}
-
-// Tasks returns the number of dynamic tasks in the prepared work item.
-func (p *Prepared) Tasks() int { return p.item.Tasks() }
-
-// Execute runs the simulation once, uncached, on the Prepared's reusable
-// arena.  The result skips the static-pair annotation (no program image is
-// attached).
-func (p *Prepared) Execute(ctx context.Context) (*Result, error) {
-	res, err := p.sim.Simulate(ctx, p.item, p.cfg)
-	if err != nil {
-		return nil, err
-	}
-	return newResult(p.req, res, nil), nil
 }
 
 // Benchmark describes one synthetic workload of the suite.

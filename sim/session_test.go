@@ -170,25 +170,6 @@ func TestRunHonoursCancellation(t *testing.T) {
 	}
 }
 
-// TestSessionDefaults checks WithDefaults overlays and per-request overrides.
-func TestSessionDefaults(t *testing.T) {
-	s := NewSession(WithDefaults(Request{MaxInstructions: 15_000, Stages: 4, Policy: PolicyAlways}))
-	res, err := s.Run(context.Background(), Request{Bench: "compress"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Request.Stages != 4 || res.Request.Policy != PolicyAlways || res.Request.MaxInstructions != 15_000 {
-		t.Errorf("defaults not applied: %+v", res.Request)
-	}
-	res, err = s.Run(context.Background(), Request{Bench: "compress", Stages: 8, Policy: PolicyNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Request.Stages != 8 || res.Request.Policy != PolicyNever {
-		t.Errorf("per-request override lost: %+v", res.Request)
-	}
-}
-
 // TestResultJSONRoundTrip checks the public result round-trips through JSON.
 func TestResultJSONRoundTrip(t *testing.T) {
 	s := NewSession()
@@ -210,31 +191,6 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(*res, back) {
 		t.Fatalf("result did not round trip:\n got %+v\nwant %+v", back, *res)
-	}
-}
-
-// TestPreparedExecute checks the uncached benchmarking path agrees with the
-// memoized one.
-func TestPreparedExecute(t *testing.T) {
-	s := NewSession()
-	req := Request{Bench: "xlisp", Policy: PolicyESync, MaxInstructions: 20_000}
-	p, err := s.Prepare(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Tasks() == 0 {
-		t.Error("prepared work item has no tasks")
-	}
-	r1, err := p.Execute(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := s.Run(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Cycles != r2.Cycles {
-		t.Errorf("uncached execute: %d cycles, memoized run: %d", r1.Cycles, r2.Cycles)
 	}
 }
 
@@ -263,14 +219,14 @@ func TestBenchmarksAndExperiments(t *testing.T) {
 	}
 
 	s := NewSession()
-	tab, err := s.RunExperiment(context.Background(), "table6", SuiteOptions{Quick: true})
-	if err != nil {
+	var tab *Table
+	if err := s.RunExperiments(context.Background(), []string{"table6"}, SuiteOptions{Quick: true}, func(_ Experiment, t *Table) { tab = t }); err != nil {
 		t.Fatal(err)
 	}
 	if len(tab.Rows) == 0 || tab.Render() == "" || tab.CSV() == "" {
 		t.Error("experiment table is empty")
 	}
-	if _, err := s.RunExperiment(context.Background(), "table99", SuiteOptions{}); err == nil {
+	if err := s.RunExperiments(context.Background(), []string{"table99"}, SuiteOptions{}, func(Experiment, *Table) {}); err == nil {
 		t.Error("unknown experiment must fail")
 	}
 }

@@ -133,15 +133,6 @@ type Table = stats.Table
 // NewTable creates a table with the given title and column headers.
 func NewTable(title string, columns ...string) *Table { return stats.NewTable(title, columns...) }
 
-// RunExperiment executes one experiment by ID against the session cache and
-// returns its table: the one-ID case of RunExperiments.  Unknown IDs and
-// malformed options are reported as a *ValidationError.
-func (s *Session) RunExperiment(ctx context.Context, id string, opts SuiteOptions) (*Table, error) {
-	var tab *Table
-	err := s.RunExperiments(ctx, []string{id}, opts, func(_ Experiment, t *Table) { tab = t })
-	return tab, err
-}
-
 // RunExperiments runs the experiments with the given IDs side by side
 // against the session cache: every driver starts at once, on its own
 // goroutine, and the session's worker pool bounds how many of their jobs

@@ -20,8 +20,9 @@ type DistBucket = synth.DistBucket
 // Build) are documented there: go doc memdep/internal/synth.Spec.  The same
 // spec and seed always produce a byte-identical program -- and therefore
 // byte-identical traces and DeepEqual simulation results -- at every engine
-// worker count, on every platform.  Request.Validate and Workload.Validate
-// report its problems as *ValidationError fields named "synth.<field>".
+// worker count, on every platform.  Request.Validate, and every Session
+// method that takes a spec, report its problems as *ValidationError fields
+// named "synth.<field>".
 type SynthSpec = synth.Spec
 
 // validateSynth appends the spec's field problems to v, prefixing field
@@ -40,15 +41,6 @@ type Workload struct {
 	Synth *SynthSpec `json:"synth,omitempty"` // Synth is an inline synthetic-workload spec.
 }
 
-// Normalize returns the workload with synthetic defaults materialized.
-func (w Workload) Normalize() Workload {
-	if w.Synth != nil {
-		spec := w.Synth.Normalize()
-		w.Synth = &spec
-	}
-	return w
-}
-
 // validate appends the workload's problems to v.
 func (w Workload) validate(v *ValidationError) {
 	switch {
@@ -63,14 +55,6 @@ func (w Workload) validate(v *ValidationError) {
 			v.add("bench", w.Bench, "unknown benchmark")
 		}
 	}
-}
-
-// Validate reports every problem with the workload as a *ValidationError
-// (nil when it is well-formed).
-func (w Workload) Validate() error {
-	v := &ValidationError{}
-	w.validate(v)
-	return v.errs()
 }
 
 // CanonicalJSON returns the workload's identity: the benchmark name or the

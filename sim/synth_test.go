@@ -185,13 +185,14 @@ func TestWorkloadCanonicalJSON(t *testing.T) {
 		t.Errorf("synth identity %s", got)
 	}
 	// The identity is the normalized spec: zero and normalized agree.
-	if (Workload{Synth: &SynthSpec{}}).CanonicalJSON() != (Workload{Synth: &SynthSpec{}}).Normalize().CanonicalJSON() {
+	norm := SynthSpec{}.Normalize()
+	if (Workload{Synth: &SynthSpec{}}).CanonicalJSON() != (Workload{Synth: &norm}).CanonicalJSON() {
 		t.Error("zero and normalized specs have different identities")
 	}
-	if err := (Workload{Bench: "compress"}).Validate(); err != nil {
+	if err := (Request{Bench: "compress"}).Validate(); err != nil {
 		t.Errorf("bench workload invalid: %v", err)
 	}
-	if err := (Workload{}).Validate(); err == nil {
+	if err := (Request{}).Validate(); err == nil {
 		t.Error("empty workload validated")
 	}
 	if (Workload{Synth: &SynthSpec{Name: "x"}}).Name() != "x" {
@@ -224,8 +225,8 @@ func TestSynthScaleCap(t *testing.T) {
 // TestSuiteSynthValidation checks a bad base spec on SuiteOptions surfaces
 // with the same structured shape as everywhere else in the facade.
 func TestSuiteSynthValidation(t *testing.T) {
-	_, err := NewSession().RunExperiment(context.Background(), "sensitivity-synth",
-		SuiteOptions{Quick: true, Synth: &SynthSpec{Ops: -1}})
+	err := NewSession().RunExperiments(context.Background(), []string{"sensitivity-synth"},
+		SuiteOptions{Quick: true, Synth: &SynthSpec{Ops: -1}}, func(Experiment, *Table) {})
 	var verr *ValidationError
 	if !errors.As(err, &verr) || len(verr.Fields) == 0 {
 		t.Fatalf("want *ValidationError with fields, got %v", err)
